@@ -597,54 +597,22 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 	// the (tiny) observed files — every vantage's, so a restored slice
 	// classifies against the same observation network as the full
 	// archive. A projection without the observed column skips all of it.
-	vinfos := man.Vantages
-	if len(vinfos) == 0 {
-		vinfos = []VantageInfo{{Node: 0}}
-	}
+	vinfos := vantageInfos(man)
 	observedV := make([][]p2p.ObservedTx, len(vinfos))
-	appendSeg := func(seg *dataset.Segment) {
-		observedV[0] = append(observedV[0], seg.Observed...)
-		for i, recs := range seg.ObservedV {
-			if i+1 < len(observedV) {
-				observedV[i+1] = append(observedV[i+1], recs...)
+	appendLogs := func(logs [][]p2p.ObservedTx) {
+		for v, recs := range logs {
+			if v < len(observedV) {
+				observedV[v] = append(observedV[v], recs...)
 			}
 		}
 	}
 	if cols.want(ColObserved) {
-		for _, si := range preSegs {
-			if opt.Cache != nil {
-				if seg, ok := opt.Cache.Get(dir, si.Month); ok {
-					appendSeg(seg)
-					continue
-				}
-			}
-			if man.Format() == FormatV3 {
-				primary, extra, err := readObservedV3(dir, si, opt, rsp)
-				if err != nil {
-					return nil, nil, err
-				}
-				observedV[0] = append(observedV[0], primary...)
-				for i, recs := range extra {
-					if i+1 < len(observedV) {
-						observedV[i+1] = append(observedV[i+1], recs...)
-					}
-				}
-				continue
-			}
-			obs, err := readDocs[p2p.ObservedTx](dir, man.Format(), si.Observed)
-			if err != nil {
-				return nil, nil, err
-			}
-			observedV[0] = append(observedV[0], obs...)
-			for i, fi := range si.ObservedV {
-				recs, err := readDocs[p2p.ObservedTx](dir, man.Format(), fi)
-				if err != nil {
-					return nil, nil, err
-				}
-				if i+1 < len(observedV) {
-					observedV[i+1] = append(observedV[i+1], recs...)
-				}
-			}
+		pre, err := readObservationLogs(dir, man, preSegs, opt, rsp)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, logs := range pre {
+			appendLogs(logs)
 		}
 	}
 
@@ -657,7 +625,7 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 	}
 	ds.Projection = norm
 	for _, seg := range parts {
-		appendSeg(seg)
+		appendLogs(segmentLogs(seg))
 	}
 
 	wantBlocks, wantHead := man.TotalBlocks, man.Head
@@ -682,15 +650,8 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		}
 		ds.Observer = ds.Vantages[0]
 	}
-	ds.Prices = prices.NewSeries()
-	pdocs, err := readDocs[priceDoc](dir, man.Format(), man.Prices)
-	if err != nil {
+	if ds.Prices, err = readPrices(dir, man); err != nil {
 		return nil, nil, err
-	}
-	for _, pd := range pdocs {
-		if err := ds.Prices.Restore(pd.Token, pd.Points); err != nil {
-			return nil, nil, fmt.Errorf("archive: %w", err)
-		}
 	}
 	return ds, man, nil
 }

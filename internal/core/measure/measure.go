@@ -34,6 +34,12 @@ type Inputs struct {
 	// observation network (Vantages[0] is the primary); empty when the
 	// run has no capture. The vantage-sensitivity artifact reads them.
 	Vantages []*p2p.Observer
+	// Coverage, when set, is the first-occurrence table of Vantages
+	// (p2p.NewCoverage under the unanchored timeline), computed once and
+	// shared by every month of a build. Vantages may then extend past the
+	// chain head: coverage stats read the table's prefix through the
+	// head's month. Nil tabulates Vantages on demand.
+	Coverage *p2p.Coverage
 	// View names the observation view Observer was resolved from, for
 	// artifact labelling.
 	View string

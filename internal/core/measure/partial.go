@@ -14,12 +14,22 @@ package measure
 // the accumulator is reconstituted from the frozen per-month aggregates,
 // and inference verdicts are replayed through privinfer.FromVerdicts so
 // the §6 builders see the same classifications a live observer would
-// have produced. Verdicts are month-stable under the cross-boundary
-// observation rule (PR 3): a single-month restore carries every
-// observation log up to that month's end, and a transaction can never be
-// observed pending after it is mined, so later months add nothing to an
-// earlier month's verdicts. The result is byte-identical to a full-range
-// analysis — the property the query layer's partial cache relies on.
+// have produced. The result is byte-identical to a full-range analysis —
+// the property the query layer's partial cache relies on.
+//
+// Two invariants make a month's partial independent of how much of the
+// observation network its analysis was handed, so one network restored
+// through a build's last month serves every month of the build:
+//
+//   - Month stability of verdicts. A transaction is never observed
+//     pending after it is mined, so observation logs past month m add
+//     nothing to the verdicts of transactions mined in m: any network
+//     reaching at least m's end classifies m exactly like the full one.
+//   - Prefix coverage. dataset.Partition files every observation under
+//     its first-seen month, so what the network had seen by the end of
+//     month m is the prefix through m of its per-month first-occurrence
+//     table (p2p.Coverage); the vantage stats read that prefix, whatever
+//     months the table spans beyond m.
 //
 // Partials serialize to JSON (every field is exported); the round trip
 // preserves everything a merge reads.
@@ -88,11 +98,11 @@ type Partial struct {
 	ArbitrageVerdicts   []privinfer.Verdict `json:"arbitrage_verdicts,omitempty"`
 	LiquidationVerdicts []privinfer.Verdict `json:"liquidation_verdicts,omitempty"`
 
-	// Vantages is the vantage-sensitivity analysis of this month's
-	// restore. Its observation counts cover every log up to the month's
-	// end (the PR 3 prefix rule), so the last partial of a merged range
-	// carries the range's coverage stats while the private-sandwich
-	// counts sum across months.
+	// Vantages is the vantage-sensitivity analysis of this month. Its
+	// observation counts are the network's coverage through the month's
+	// end — a prefix sum of the first-occurrence table — so the last
+	// partial of a merged range carries the range's coverage stats while
+	// the private-sandwich counts sum across months.
 	Vantages VantageSensitivity `json:"vantages"`
 }
 
@@ -151,20 +161,15 @@ func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
 		p.HasVerdicts = true
 		p.SandwichVerdicts, p.ArbitrageVerdicts, p.LiquidationVerdicts = inf.Verdicts(in.Detect)
 	}
-	// The vantage analysis is computed under the globally-anchored
-	// timeline: a single-month restore is re-anchored at its month, and
+	// The vantage analysis is computed under the unanchored timeline: a
+	// single-month restore is anchored at its month, and
 	// Timeline.MonthOfBlock clamps anything below the anchor to it —
-	// which would collapse earlier observation months into this one.
-	// Block numbering is calendar-aligned across anchorings
-	// (types.TimelineFrom), so un-anchoring recovers true months; the
-	// merge re-clamps them to the assembled range's own anchor,
+	// which would collapse earlier observation months into this one. The
+	// merge re-clamps true months to the assembled range's own anchor,
 	// reproducing exactly what a full-range analysis computes.
 	gin := in
-	gtl := tl
-	gtl.StartBlock -= uint64(gtl.FirstMonth) * gtl.BlocksPerMonth
-	gtl.FirstMonth = 0
 	gc := *in.Chain
-	gc.Timeline = gtl
+	gc.Timeline = tl.Unanchored()
 	gin.Chain = &gc
 	p.Vantages = BuildVantageSensitivity(gin)
 	return p, nil
@@ -388,10 +393,10 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 
 // mergeVantageSensitivity assembles the range's vantage-sensitivity
 // artifact from the per-month analyses. Observation coverage (Observed,
-// PerMonth) is a prefix property — each month's restore sees every log
-// up to its end — so the last partial with vantages carries the whole
-// range's coverage; the window-sandwich private counts are per-month and
-// sum across partials.
+// PerMonth) is a prefix property — each partial counts the network's
+// coverage through its own month — so the last partial with vantages
+// carries the whole range's coverage; the window-sandwich private counts
+// are per-month and sum across partials.
 func mergeVantageSensitivity(parts []*Partial, view string) VantageSensitivity {
 	var last *VantageSensitivity
 	for i := range parts {

@@ -64,14 +64,27 @@ func (v VantageSensitivity) Months() []types.Month {
 // BuildVantageSensitivity classifies the window sandwiches against every
 // vantage alone and against the union view. Zero-valued without
 // vantages (runs whose observation window never opened).
+//
+// Coverage (Observed, PerMonth) is the network's first-occurrence table
+// — in.Coverage, or one tabulated from in.Vantages — summed through the
+// chain head's month, with earlier months folded into the timeline's
+// first month the way it maps observations recorded before it. Full
+// builds and month partials both read coverage this way; the prefix sum
+// keeps a partial exact when its network runs past its month.
 func BuildVantageSensitivity(in Inputs) VantageSensitivity {
 	out := VantageSensitivity{View: in.View}
 	if len(in.Vantages) == 0 || in.Chain == nil || in.Chain.Head() == nil || in.Detect == nil {
 		return out
 	}
 	head := in.Chain.Head().Header.Number
-	winStart := in.Chain.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-	stat := func(index, node int, view privinfer.Observer, perMonth map[types.Month]int, observed int) VantageStat {
+	tl := in.Chain.Timeline
+	winStart := tl.FirstBlockOfMonth(types.PrivateWindowStartMonth)
+	cov := in.Coverage
+	if cov == nil || len(cov.Vantages) != len(in.Vantages) {
+		cov = p2p.NewCoverage(tl.Unanchored(), in.Vantages...)
+	}
+	from, through := tl.FirstMonth, tl.MonthOfBlock(head)
+	stat := func(index, node int, view privinfer.Observer, row *[types.StudyMonths]int) VantageStat {
 		inf := privinfer.New(in.Chain, view, in.FBSet, winStart, head)
 		private := 0
 		for _, s := range in.Detect.Sandwiches {
@@ -79,36 +92,25 @@ func BuildVantageSensitivity(in Inputs) VantageSensitivity {
 				private++
 			}
 		}
-		return VantageStat{
-			Vantage: index, Node: node,
-			Observed: observed, PrivateSandwiches: private, PerMonth: perMonth,
+		st := VantageStat{Vantage: index, Node: node, PrivateSandwiches: private, PerMonth: map[types.Month]int{}}
+		for m := types.Month(0); m <= through; m++ {
+			if n := row[m]; n > 0 {
+				st.Observed += n
+				st.PerMonth[max(m, from)] += n
+			}
 		}
+		return st
 	}
-	tl := in.Chain.Timeline
 	for i, v := range in.Vantages {
-		perMonth := map[types.Month]int{}
-		for _, rec := range v.Records() {
-			perMonth[tl.MonthOfBlock(rec.FirstSeenBlock)]++
-		}
-		out.Vantages = append(out.Vantages, stat(i, v.Node(), v, perMonth, v.Count()))
+		out.Vantages = append(out.Vantages, stat(i, v.Node(), v, &cov.Vantages[i]))
 	}
 	if len(in.Vantages) == 1 {
-		// A one-vantage union is the vantage itself: skip the merge and
-		// the third classification sweep on the default single-observer
-		// path.
+		// A one-vantage union is the vantage itself: skip the third
+		// classification sweep on the default single-observer path.
 		out.Union = out.Vantages[0]
 		out.Union.Vantage, out.Union.Node = -1, 0
 		return out
 	}
-	union := p2p.Union(in.Vantages...)
-	// The union's monthly counts attribute each distinct transaction to
-	// its earliest first-seen block across vantages (Materialize's merge
-	// rule), so a tx two vantages saw in different months counts once.
-	merged := union.Materialize()
-	unionPerMonth := map[types.Month]int{}
-	for _, rec := range merged.Records() {
-		unionPerMonth[tl.MonthOfBlock(rec.FirstSeenBlock)]++
-	}
-	out.Union = stat(-1, 0, union, unionPerMonth, merged.Count())
+	out.Union = stat(-1, 0, p2p.Union(in.Vantages...), &cov.Union)
 	return out
 }

@@ -41,6 +41,13 @@ type Dataset struct {
 	// Observer when both are set. Empty for single-vantage datasets
 	// restored from legacy archives (Observer then stands alone).
 	Vantages []*p2p.Observer
+	// Coverage, when set, is the per-month first-occurrence table of
+	// Vantages (p2p.Coverage), restored once and shared by every
+	// single-month dataset of one build (archive.Shared). Vantages may
+	// then run past the chain's last month; analysis reads coverage as
+	// the table's prefix through that month. Nil for every other
+	// dataset, whose logs end with its chain.
+	Coverage *p2p.Coverage
 	// View names the observation view the §6 inference classifies
 	// against: "" or "vantage:0" for the primary vantage, "vantage:N",
 	// "union", or "quorum:K". See ResolveView.

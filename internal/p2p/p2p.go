@@ -41,6 +41,7 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"mevscope/internal/mempool"
@@ -220,6 +221,24 @@ func (o *Observer) Records() []ObservedTx {
 	out := make([]ObservedTx, len(o.order))
 	for i, h := range o.order {
 		out[i] = o.records[h]
+	}
+	return out
+}
+
+// RecordsBetween returns the observations first seen in blocks [lo, hi]
+// (inclusive), in capture order. The log is ordered by first-seen block
+// — records append as blocks are observed, and restores concatenate
+// logs in month order — so the span is found by binary search and only
+// the returned records are copied, whatever the length of the history.
+func (o *Observer) RecordsBetween(lo, hi uint64) []ObservedTx {
+	i := sort.Search(len(o.order), func(i int) bool { return o.records[o.order[i]].FirstSeenBlock >= lo })
+	j := sort.Search(len(o.order), func(j int) bool { return o.records[o.order[j]].FirstSeenBlock > hi })
+	if j <= i {
+		return nil
+	}
+	out := make([]ObservedTx, j-i)
+	for k, h := range o.order[i:j] {
+		out[k] = o.records[h]
 	}
 	return out
 }

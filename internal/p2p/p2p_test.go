@@ -142,6 +142,36 @@ func TestObserverWindow(t *testing.T) {
 	}
 }
 
+// TestRecordsBetween: the binary-searched block range returns exactly
+// what a linear filter of the whole log returns, in capture order —
+// including ranges that straddle, precede or follow every record.
+func TestRecordsBetween(t *testing.T) {
+	n, _ := New(Config{Nodes: 20, Degree: 4, Seed: 3, ObserverMissRate: 0.3})
+	n.StartObservation(10)
+	for i := uint64(0); i < 200; i++ {
+		n.Broadcast(mkTx(i), 10+i/7, time.Unix(int64(i), 0))
+	}
+	obs := n.Observer()
+	all := obs.Records()
+	for _, r := range [][2]uint64{{0, 9}, {0, 15}, {12, 12}, {13, 20}, {30, 1 << 40}, {40, 50}, {20, 13}} {
+		var want []ObservedTx
+		for _, rec := range all {
+			if rec.FirstSeenBlock >= r[0] && rec.FirstSeenBlock <= r[1] {
+				want = append(want, rec)
+			}
+		}
+		got := obs.RecordsBetween(r[0], r[1])
+		if len(got) != len(want) {
+			t.Fatalf("blocks %d..%d: %d records, want %d", r[0], r[1], len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("blocks %d..%d: record %d = %+v, want %+v", r[0], r[1], i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestObserverMissRate(t *testing.T) {
 	n, _ := New(Config{Nodes: 50, Degree: 4, Seed: 7, ObserverMissRate: 0.2})
 	n.StartObservation(0)

@@ -141,3 +141,51 @@ func (v *View) Materialize() *Observer {
 	start, stop := v.Window()
 	return RestoreVantage(0, records, start, stop)
 }
+
+// Coverage is an observation network's first-occurrence table: for
+// every study month, how many distinct transactions each vantage — and
+// the union of all of them — saw for the first time in that month. What
+// the network had seen by the end of any month is a prefix sum of the
+// table, so one table built from the logs through a late month answers
+// coverage questions for every earlier month exactly, provided every
+// record is filed under its first-seen month (dataset.Partition's
+// layout, which archive.RestoreShared checks).
+type Coverage struct {
+	// Vantages[i][m] counts vantage i's records first seen in month m.
+	Vantages [][types.StudyMonths]int
+	// Union[m] counts distinct transactions whose earliest sighting
+	// across all vantages falls in month m — the attribution
+	// View.Materialize gives a union record.
+	Union [types.StudyMonths]int
+}
+
+// NewCoverage tabulates the vantages' logs, mapping first-seen blocks to
+// study months with tl (pass an unanchored timeline to keep every month
+// apart; see types.Timeline.Unanchored).
+func NewCoverage(tl types.Timeline, vs ...*Observer) *Coverage {
+	c := &Coverage{Vantages: make([][types.StudyMonths]int, len(vs))}
+	for i, o := range vs {
+		for _, h := range o.order {
+			c.Vantages[i][tl.MonthOfBlock(o.records[h].FirstSeenBlock)]++
+		}
+	}
+	if len(vs) == 1 {
+		c.Union = c.Vantages[0]
+		return c
+	}
+	// A transaction's earliest sighting is the minimum first-seen month
+	// over the vantages that recorded it: month order follows block order.
+	first := make(map[types.Hash]types.Month)
+	for _, o := range vs {
+		for _, h := range o.order {
+			m := tl.MonthOfBlock(o.records[h].FirstSeenBlock)
+			if cur, ok := first[h]; !ok || m < cur {
+				first[h] = m
+			}
+		}
+	}
+	for _, m := range first {
+		c.Union[m]++
+	}
+	return c
+}

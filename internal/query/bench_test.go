@@ -67,6 +67,24 @@ func BenchmarkServeColdReportV3(b *testing.B) {
 	benchColdReport(b, dir)
 }
 
+// BenchmarkServeColdReportMultiVantage is the cold path `mevscope serve`
+// runs: a fresh server with all three analysis hooks and the default
+// worker pool builds the full-window report of a 4-vantage v3 archive
+// from month partials — the shared archive state restored once per
+// build, the missing months fanned across the pool. The benchmarks
+// above time the Analyze-only path at one worker on a 1-vantage world.
+func BenchmarkServeColdReportMultiVantage(b *testing.B) {
+	dir := multiVantageArchive(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv := newServeLikeServer(b, dir, 0)
+		b.StartTimer()
+		benchGet(b, srv, "/v1/report?format=text")
+	}
+}
+
 // BenchmarkServeColdArtifactProjected measures the projected cold serve:
 // a header-level artifact against a v3 archive decodes only the headers
 // and flashbots chunks, so this is the number the projection path is

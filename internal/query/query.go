@@ -4,18 +4,28 @@
 // without re-analyzing, once a (archive, month range, scenario) slice is
 // warm in the cache.
 //
-// Request flow: the month range of the URL selects archive segments
-// (archive.ReadRange — a four-month query reads four segment
-// directories, not the whole dataset), the measurement pipeline analyzes
-// the restored slice once, and the resulting report is cached in a
-// concurrency-safe LRU keyed by (archive, month range, scenario).
-// Repeated queries for any artifact of the same slice — any format —
-// skip the pipeline entirely and re-encode the cached report's
-// structured artifact model (measure.Artifact). Beneath the report LRU
-// sits a second, segment-granular LRU of decoded archive months: a
-// report miss re-runs the pipeline, but the months its range shares with
-// earlier queries come out of memory instead of the disk, so overlapping
-// ranges never re-read or re-decode a segment.
+// Request flow: the month range of the URL selects archive segments,
+// the measurement pipeline analyzes the slice once, and the resulting
+// report is cached in a concurrency-safe LRU keyed by (archive, month
+// range, view, scenario). Repeated queries for any artifact of the same
+// slice — any format — skip the pipeline entirely and re-encode the
+// cached report's structured artifact model (measure.Artifact). Beneath
+// the report LRU sit two more levels. With Config.AnalyzePartial set
+// (as `mevscope serve` sets it), a report miss is assembled from
+// per-month partials: cached months come from the partial LRU, and the
+// missing months of one build share a single restore of the price
+// series and of the observation network through the last missing month
+// (archive.RestoreShared), then each reads only its own column chunks
+// and is analyzed on the worker pool. At the bottom, a decode LRU of
+// archive months (v1/v2) or column chunks (v3) lets overlapping ranges
+// share decodes instead of re-reading the disk.
+//
+// One observation network serves every month of a build because of
+// month stability: a transaction is never seen pending after it is
+// mined, so logs past a month change none of its §6 verdicts, and the
+// month's coverage counts are the prefix of the network's per-month
+// first-occurrence table through that month (see measure.Partial). The
+// shared state lives for one build, never for the server's lifetime.
 //
 // Endpoints:
 //
@@ -69,6 +79,7 @@ import (
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
 	"mevscope/internal/obs"
+	"mevscope/internal/parallel"
 	"mevscope/internal/types"
 )
 
@@ -85,11 +96,14 @@ type AnalyzeFunc func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.
 // columns the artifact declares instead of restoring the full slice.
 type ProjectionFunc func(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error)
 
-// PartialFunc analyzes one restored single-month dataset into a frozen,
-// mergeable month partial. `mevscope serve` wires it to
-// mevscope.AnalyzeDatasetPartial; when set, a report-cache miss is
-// served by merging per-month partials (computing only the uncached
-// months) instead of re-analyzing the whole range.
+// PartialFunc analyzes one single-month dataset — a month read against
+// its build's shared archive state (archive.Shared.ReadMonth), whose
+// observation network may run past the month — into a frozen, mergeable
+// month partial. It is called concurrently for the missing months of a
+// build. `mevscope serve` wires it to mevscope.AnalyzeDatasetPartial;
+// when set, a report-cache miss is served by merging per-month partials
+// (computing only the uncached months) instead of re-analyzing the
+// whole range.
 type PartialFunc func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error)
 
 // Live describes a live source (a streaming follower). Height keys the
@@ -127,8 +141,11 @@ type Config struct {
 	// PartialCacheBytes bounds the resident size of the partial LRU;
 	// 0 selects 256 MiB. Ignored without AnalyzePartial.
 	PartialCacheBytes int64
-	// Workers sizes the analysis worker pool (passed through to Analyze
-	// and to the parallel segment decode).
+	// Workers sizes the analysis worker pool (< 1 selects every core):
+	// it is passed through to Analyze and to the parallel segment decode,
+	// and it bounds a partial assembly's fan-out — the missing months of
+	// one build run concurrently, with months × per-month workers never
+	// exceeding it.
 	Workers int
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
@@ -517,12 +534,10 @@ func (s *Server) runBuild(key Key, build func(Key) (*measure.Report, error)) (re
 // range already decoded come from the segment cache, the rest from disk
 // in parallel — select the requested observation view, and run the
 // measurement pipeline over it. With AnalyzePartial configured, the
-// range is assembled from per-month partials instead: each month comes
-// out of the partial cache when an earlier range already analyzed it,
-// is analyzed once otherwise, and the partials merge into a report
-// byte-identical to the full-range analysis. When metrics are on, the
-// build runs under a flight-recorder trace whose stage durations feed
-// the mevscope_stage_seconds histograms.
+// range is assembled from per-month partials instead
+// (assembleFromPartials), byte-identical to the full-range analysis.
+// When metrics are on, the build runs under a flight-recorder trace
+// whose stage durations feed the mevscope_stage_seconds histograms.
 func (s *Server) analyze(key Key) (*measure.Report, error) {
 	var tr *obs.Trace
 	if s.metrics != nil {
@@ -551,11 +566,15 @@ func (s *Server) analyze(key Key) (*measure.Report, error) {
 }
 
 // assembleFromPartials builds a range report by merging the month
-// partials of every month the key covers, computing only the months the
-// partial cache does not hold. Months the archive has no segment for
-// are skipped (matching the month gaps a full-range restore would
-// surface as a restore error — MergePartials rejects the resulting
-// discontinuity the same way).
+// partials of every month the key covers. Cached months resolve inline,
+// one partial-cache lookup each; only the misses do work. They share one
+// archive.Shared — the price series and the observation network through
+// the last missing month, restored once per build, lazily by whichever
+// miss first needs it — and fan out across the worker pool, each through
+// the partial in-flight dedup. Months the archive has no segment for are
+// skipped (matching the month gaps a full-range restore would surface as
+// a restore error — MergePartials rejects the resulting discontinuity
+// the same way).
 func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, error) {
 	man, err := s.manifest()
 	if err != nil {
@@ -565,32 +584,55 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 	for _, seg := range man.Segments {
 		archived[seg.Month] = true
 	}
-	parts := make([]*measure.Partial, 0, int(key.To-key.From)+1)
+	var parts []*measure.Partial
+	var keys []partialKey
+	var missing []int // indices into parts and keys
 	for m := key.From; m <= key.To; m++ {
 		if !archived[m] {
 			continue
 		}
-		p, err := s.partial(key, m, sp)
-		if err != nil {
-			return nil, err
+		pk := partialKey{archive: key.Archive, month: m, view: key.View, scenario: key.Scenario}
+		p, ok := s.partials.get(pk)
+		if ok {
+			psp := sp.Child(obs.StagePartial)
+			psp.SetLabel(m.Label() + ":cached")
+			psp.End()
+		} else {
+			missing = append(missing, len(parts))
 		}
 		parts = append(parts, p)
+		keys = append(keys, pk)
+	}
+	if len(missing) > 0 {
+		// Months × inner workers stays within the configured pool: the
+		// months split it, and each month's analysis gets an equal share.
+		// The shared restore may use all of it — every month waits on it.
+		workers := parallel.Workers(s.cfg.Workers)
+		outer := min(workers, len(missing))
+		inner := workers / outer
+		last := keys[missing[len(missing)-1]].month
+		shared := sync.OnceValues(func() (*archive.Shared, error) {
+			return archive.RestoreShared(key.Archive, man, last,
+				archive.ReadOptions{Workers: workers, Cache: s.segs, Span: sp})
+		})
+		errs := parallel.Map(len(missing), outer, func(i int) error {
+			var err error
+			parts[missing[i]], err = s.partial(keys[missing[i]], shared, inner, sp)
+			return err
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
 	}
 	return measure.MergePartials(parts, key.View, s.cfg.Workers, sp)
 }
 
-// partial resolves one month's partial: cache hit, wait on an in-flight
-// analysis of the same month, or analyze (then cache). Each month gets
-// an analyze:partial span labeled cached or computed, so a trace of an
-// assembled build shows exactly which months were memoized.
-func (s *Server) partial(key Key, m types.Month, sp *obs.Span) (p *measure.Partial, err error) {
-	pk := partialKey{archive: key.Archive, month: m, view: key.View, scenario: key.Scenario}
-	if p, ok := s.partials.get(pk); ok {
-		psp := sp.Child(obs.StagePartial)
-		psp.SetLabel(m.Label() + ":cached")
-		psp.End()
-		return p, nil
-	}
+// partial resolves one month whose partial-cache lookup missed: wait on
+// an in-flight analysis of the same month, or analyze (then cache). It
+// runs on a worker-pool goroutine, so it recovers its own panics.
+func (s *Server) partial(pk partialKey, shared func() (*archive.Shared, error), workers int, sp *obs.Span) (p *measure.Partial, err error) {
 	s.mu.Lock()
 	if c, ok := s.pinflight[pk]; ok {
 		s.mu.Unlock()
@@ -598,7 +640,7 @@ func (s *Server) partial(key Key, m types.Month, sp *obs.Span) (p *measure.Parti
 		return c.p, c.err
 	}
 	// Re-check under the lock, mirroring runBuild: a concurrent builder
-	// publishes and retires between our miss above and here.
+	// publishes and retires between the caller's miss and here.
 	if p, ok := s.partials.peek(pk); ok {
 		s.mu.Unlock()
 		return p, nil
@@ -622,24 +664,29 @@ func (s *Server) partial(key Key, m types.Month, sp *obs.Span) (p *measure.Parti
 		s.mu.Unlock()
 		close(c.done)
 	}()
-	c.p, c.err = s.buildPartial(pk, sp)
+	c.p, c.err = s.buildPartial(pk, shared, workers, sp)
 	return c.p, c.err
 }
 
-// buildPartial is the partial cold path: a single-month restore (warmed
-// by and warming the shared segment cache) analyzed under the key's
-// view.
-func (s *Server) buildPartial(pk partialKey, sp *obs.Span) (*measure.Partial, error) {
+// buildPartial is the partial cold path: the month's own chunks (warmed
+// by and warming the shared decode cache) read against the build's
+// shared archive state, analyzed under the key's view. Each computed
+// month gets an analyze:partial span, so a trace of an assembled build
+// shows exactly which months were memoized.
+func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, error), workers int, sp *obs.Span) (*measure.Partial, error) {
+	sh, err := shared()
+	if err != nil {
+		return nil, err
+	}
 	psp := sp.Child(obs.StagePartial)
 	psp.SetLabel(pk.month.Label() + ":computed")
 	defer psp.End()
-	ds, _, err := archive.ReadRangeWith(pk.archive, pk.month, pk.month,
-		archive.ReadOptions{Workers: s.cfg.Workers, Cache: s.segs, Span: psp})
+	ds, err := sh.ReadMonth(pk.month, archive.ReadOptions{Workers: workers, Cache: s.segs, Span: psp})
 	if err != nil {
 		return nil, err
 	}
 	ds.View = pk.view
-	return s.cfg.AnalyzePartial(ds, s.cfg.Workers, psp)
+	return s.cfg.AnalyzePartial(ds, workers, psp)
 }
 
 // analyzeProjection is the projected cold path: restore only the columns

@@ -37,6 +37,9 @@ func TestMain(m *testing.M) {
 	if mvArchDir != "" {
 		os.RemoveAll(mvArchDir)
 	}
+	if assemblyArchDir != "" {
+		os.RemoveAll(assemblyArchDir)
+	}
 	os.Exit(code)
 }
 

@@ -22,6 +22,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mevscope/internal/chain"
@@ -242,12 +243,8 @@ func (f *Follower) MonthSegment(m types.Month) *dataset.Segment {
 	lo := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) >= m })
 	hi := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) > m })
 	seg.FBBlocks = append(seg.FBBlocks, fb[lo:hi]...)
-	monthSlice := func(v *p2p.Observer) []p2p.ObservedTx {
-		recs := v.Records()
-		lo := sort.Search(len(recs), func(i int) bool { return tl.MonthOfBlock(recs[i].FirstSeenBlock) >= m })
-		hi := sort.Search(len(recs), func(i int) bool { return tl.MonthOfBlock(recs[i].FirstSeenBlock) > m })
-		return append([]p2p.ObservedTx(nil), recs[lo:hi]...)
-	}
+	first, last := monthBlocks(tl, m)
+	monthSlice := func(v *p2p.Observer) []p2p.ObservedTx { return v.RecordsBetween(first, last) }
 	if len(f.vantages) > 0 {
 		seg.Observed = monthSlice(f.vantages[0])
 		seg.ObservedV = make([][]p2p.ObservedTx, len(f.vantages)-1)
@@ -258,6 +255,23 @@ func (f *Follower) MonthSegment(m types.Month) *dataset.Segment {
 		seg.Observed = monthSlice(f.obs)
 	}
 	return seg
+}
+
+// monthBlocks is the block range tl.MonthOfBlock maps to month m,
+// clamping included: blocks below the timeline's start belong to its
+// first month and blocks past the study's end to its last.
+func monthBlocks(tl types.Timeline, m types.Month) (lo, hi uint64) {
+	if m < tl.FirstMonth || m >= types.StudyMonths {
+		return 1, 0 // a month MonthOfBlock never yields: empty
+	}
+	if m > tl.FirstMonth {
+		lo = tl.FirstBlockOfMonth(m)
+	}
+	hi = math.MaxUint64
+	if m+1 < types.StudyMonths {
+		hi = tl.FirstBlockOfMonth(m+1) - 1
+	}
+	return lo, hi
 }
 
 // Timeline returns the follower's study timeline.
@@ -309,11 +323,10 @@ func (f *Follower) MonthDataset(m types.Month) (*dataset.Dataset, error) {
 			if len(vs) == 0 {
 				vs = []*p2p.Observer{f.obs}
 			}
+			_, end := monthBlocks(tl, m)
 			for _, v := range vs {
-				recs := v.Records()
-				end := sort.Search(len(recs), func(i int) bool { return tl.MonthOfBlock(recs[i].FirstSeenBlock) > m })
 				ds.Vantages = append(ds.Vantages,
-					p2p.RestoreVantage(v.Node(), append([]p2p.ObservedTx(nil), recs[:end]...), start, stop))
+					p2p.RestoreVantage(v.Node(), v.RecordsBetween(0, end), start, stop))
 			}
 			ds.Observer = ds.Vantages[0]
 		}

@@ -179,6 +179,16 @@ func (tl Timeline) TimeOfBlock(number uint64) time.Time {
 	return start.Add(span * time.Duration(idx) / time.Duration(tl.BlocksPerMonth))
 }
 
+// Unanchored returns the timeline re-anchored at the study's first
+// month. Block numbering is calendar-aligned across anchorings
+// (TimelineFrom), so the result maps every block to its true study
+// month, where tl clamps blocks below its StartBlock to FirstMonth.
+func (tl Timeline) Unanchored() Timeline {
+	tl.StartBlock -= uint64(tl.FirstMonth) * tl.BlocksPerMonth
+	tl.FirstMonth = 0
+	return tl
+}
+
 // FirstBlockOfMonth returns the number of the first block in month m.
 // Months before the timeline's first month return 0, which is below any
 // real block number, so ranges over them are empty.

@@ -244,64 +244,42 @@ func AnalyzeDataset(ds *dataset.Dataset, workers int) (*Study, error) {
 // per-worker busy time — under the given parent. A nil parent selects
 // the exact untraced path; the report is byte-identical either way.
 func AnalyzeDatasetTraced(ds *dataset.Dataset, workers int, sp *obs.Span) (*Study, error) {
-	if ds.Chain == nil || ds.Chain.Head() == nil {
-		return nil, fmt.Errorf("mevscope: dataset has no blocks")
-	}
-	if len(ds.Projection) > 0 {
-		return nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
-			strings.Join(ds.Projection, ","))
-	}
-	workers = parallel.Workers(workers)
-	c := ds.Chain
-
-	res := detect.ScanParallelSpan(c, ds.WETH, c.Timeline.StartBlock, c.Head().Header.Number, workers, sp)
-	comp := profit.New(c, ds.Prices, ds.WETH, ds.FBSet)
-	profits := comp.ResolveAllParallelSpan(res, workers, sp)
-
-	in := measure.Inputs{
-		Chain:    c,
-		FBBlocks: ds.FBBlocks,
-		FBSet:    ds.FBSet,
-		Detect:   res,
-		Profits:  profits,
-		WETH:     ds.WETH,
-		Workers:  workers,
-		Vantages: ds.VantageList(),
-		View:     ds.View,
-		Span:     sp,
-	}
-	view, err := ds.ResolveView()
+	in, inf, err := analysisInputs(ds, workers, sp)
 	if err != nil {
 		return nil, err
 	}
-	var inf *privinfer.Inferrer
-	if view != nil {
-		in.Observer = view
-		winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-		inf = privinfer.New(c, view, ds.FBSet, winStart, c.Head().Header.Number)
-		inf.Workers = workers
-		inf.Span = sp
-	}
 	report := measure.Build(in, inf)
-	return &Study{Detected: res, Profits: profits, Inferrer: inf, Report: report}, nil
+	return &Study{Detected: in.Detect, Profits: in.Profits, Inferrer: inf, Report: report}, nil
 }
 
 // AnalyzeDatasetPartial runs the measurement pipeline over a
 // single-month dataset and freezes the result as a measure.Partial —
 // the memoization unit of the query layer's partial cache. The dataset
-// must cover exactly one study month (an archive.ReadRange of [m, m]);
-// per the PR 3 cross-boundary rule its observation logs cover every
-// vantage up to the month's end, so the partial's inference verdicts
-// and coverage stats are exactly what a full-range analysis would
-// compute for that month. measure.MergePartials assembles contiguous
-// partials into a report byte-identical to AnalyzeDataset over the
-// same range.
+// must cover exactly one study month: an archive.ReadRange of [m, m],
+// or an archive.Shared.ReadMonth of m, whose observation network may run
+// past m and carries the build's shared coverage table. Under the month
+// stability and prefix coverage invariants (see measure.Partial) the
+// partial's verdicts and coverage stats are exactly what a full-range
+// analysis computes for that month either way, and
+// measure.MergePartials assembles contiguous partials into a report
+// byte-identical to AnalyzeDataset over the same range.
 func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
+	in, inf, err := analysisInputs(ds, workers, sp)
+	if err != nil {
+		return nil, err
+	}
+	return measure.NewPartial(in, inf)
+}
+
+// analysisInputs runs what a full build and a month partial share: the
+// detector sweep, profit resolution and the §6 inferrer over the
+// dataset's resolved observation view (nil when it has no capture).
+func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inputs, *privinfer.Inferrer, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
-		return nil, fmt.Errorf("mevscope: dataset has no blocks")
+		return measure.Inputs{}, nil, fmt.Errorf("mevscope: dataset has no blocks")
 	}
 	if len(ds.Projection) > 0 {
-		return nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
+		return measure.Inputs{}, nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
 			strings.Join(ds.Projection, ","))
 	}
 	workers = parallel.Workers(workers)
@@ -320,12 +298,13 @@ func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*mea
 		WETH:     ds.WETH,
 		Workers:  workers,
 		Vantages: ds.VantageList(),
+		Coverage: ds.Coverage,
 		View:     ds.View,
 		Span:     sp,
 	}
 	view, err := ds.ResolveView()
 	if err != nil {
-		return nil, err
+		return measure.Inputs{}, nil, err
 	}
 	var inf *privinfer.Inferrer
 	if view != nil {
@@ -335,7 +314,7 @@ func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*mea
 		inf.Workers = workers
 		inf.Span = sp
 	}
-	return measure.NewPartial(in, inf)
+	return in, inf, nil
 }
 
 // AnalyzeDatasetProjection builds only the named report artifacts from a
