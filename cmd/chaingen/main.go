@@ -20,16 +20,18 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"mevscope"
 	"mevscope/internal/p2p"
-	"mevscope/internal/store"
 	"mevscope/internal/types"
 )
 
@@ -134,11 +136,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	mev := store.NewCollection[mevDoc]("mev")
-	mev.AddIndex("month", func(d mevDoc) string { return d.Month })
-	mev.AddIndex("kind", func(d mevDoc) string { return d.Kind })
+	n, err := export(study, o.out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaingen:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "chaingen: wrote %d MEV records, %d pending observations, %d Flashbots blocks to %s/ in %v\n",
+		n.mev, n.pending, n.fbBlocks, o.out, time.Since(t0).Round(time.Millisecond))
+}
+
+// exportCounts is how many records each exported collection holds.
+type exportCounts struct{ mev, pending, fbBlocks int }
+
+// export writes the study's three collections into dir as
+// mev.jsonl, pending_transactions.jsonl and flashbots_blocks.jsonl.
+func export(study *mevscope.Study, dir string) (exportCounts, error) {
+	var mev []mevDoc
 	for _, r := range study.Profits {
-		mev.Insert(mevDoc{
+		mev = append(mev, mevDoc{
 			Kind:         r.Kind.String(),
 			Block:        r.Block,
 			Month:        r.Month.String(),
@@ -150,20 +165,18 @@ func main() {
 			ViaFlashLoan: r.ViaFlashLoan,
 		})
 	}
-
-	pending := store.NewCollection[pendingDoc]("pending_transactions")
+	var pending []pendingDoc
 	for vi, v := range study.Sim.Net.Vantages() {
 		for _, rec := range v.Records() {
-			pending.Insert(pendingDoc{
+			pending = append(pending, pendingDoc{
 				Hash: rec.Hash.String(), FirstSeenBlock: rec.FirstSeenBlock, Hops: rec.Hops,
 				Vantage: vi, Node: v.Node(),
 			})
 		}
 	}
-
-	fbBlocks := store.NewCollection[fbBlockDoc]("flashbots_blocks")
+	var fbBlocks []fbBlockDoc
 	for _, rec := range study.Sim.Relay.Blocks() {
-		fbBlocks.Insert(fbBlockDoc{
+		fbBlocks = append(fbBlocks, fbBlockDoc{
 			BlockNumber: rec.BlockNumber,
 			Miner:       rec.Miner.String(),
 			RewardETH:   types.Amount(rec.MinerReward).Ether(),
@@ -171,21 +184,43 @@ func main() {
 			Txs:         len(rec.Txs),
 		})
 	}
-
-	saves := []struct {
-		name string
-		save func(string) error
-	}{
-		{"mev", mev.SaveFile},
-		{"pending_transactions", pending.SaveFile},
-		{"flashbots_blocks", fbBlocks.SaveFile},
+	if err := writeJSONL(dir, "mev", mev); err != nil {
+		return exportCounts{}, err
 	}
-	for _, s := range saves {
-		if err := s.save(o.out); err != nil {
-			fmt.Fprintf(os.Stderr, "chaingen: save %s: %v\n", s.name, err)
-			os.Exit(1)
+	if err := writeJSONL(dir, "pending_transactions", pending); err != nil {
+		return exportCounts{}, err
+	}
+	if err := writeJSONL(dir, "flashbots_blocks", fbBlocks); err != nil {
+		return exportCounts{}, err
+	}
+	return exportCounts{len(mev), len(pending), len(fbBlocks)}, nil
+}
+
+// writeJSONL writes docs to dir/<name>.jsonl, one JSON document per
+// line. The file's Close error is returned too: on a write path it can
+// be the only report that buffered bytes never reached the disk.
+func writeJSONL[T any](dir, name string, docs []T) (err error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name+".jsonl"))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("save %s: %w", name, cerr)
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	enc := json.NewEncoder(bw)
+	for _, d := range docs {
+		if err := enc.Encode(d); err != nil {
+			return fmt.Errorf("save %s: %w", name, err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "chaingen: wrote %d MEV records, %d pending observations, %d Flashbots blocks to %s/ in %v\n",
-		mev.Count(), pending.Count(), fbBlocks.Count(), o.out, time.Since(t0).Round(time.Millisecond))
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("save %s: %w", name, err)
+	}
+	return nil
 }

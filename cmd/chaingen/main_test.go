@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"mevscope"
 )
 
 // TestParseArgsRejectsBadInput: stray positionals and invalid flags must
@@ -45,5 +51,62 @@ func TestParseArgsAcceptsValidInput(t *testing.T) {
 	}
 	if o.seed != 9 || o.bpm != 50 || o.out != "x" {
 		t.Errorf("options = %+v", o)
+	}
+}
+
+// TestExportWritesOneDocumentPerRecord: each exported collection file
+// holds exactly one decodable JSON document per line, one line per
+// record of the study it came from.
+func TestExportWritesOneDocumentPerRecord(t *testing.T) {
+	study, err := mevscope.Run(mevscope.Options{Seed: 3, BlocksPerMonth: 20, Vantages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	n, err := export(study, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := 0
+	for _, v := range study.Sim.Net.Vantages() {
+		pending += len(v.Records())
+	}
+	if n.mev != len(study.Profits) || n.pending != pending || n.fbBlocks != len(study.Sim.Relay.Blocks()) {
+		t.Fatalf("export counts %+v, study has %d MEV records, %d observations, %d Flashbots blocks",
+			n, len(study.Profits), pending, len(study.Sim.Relay.Blocks()))
+	}
+	if n.mev == 0 || n.pending == 0 || n.fbBlocks == 0 {
+		t.Fatalf("export counts %+v: the study should fill every collection", n)
+	}
+	for _, c := range []struct {
+		file  string
+		count int
+		doc   func() any
+	}{
+		{"mev.jsonl", n.mev, func() any { return new(mevDoc) }},
+		{"pending_transactions.jsonl", n.pending, func() any { return new(pendingDoc) }},
+		{"flashbots_blocks.jsonl", n.fbBlocks, func() any { return new(fbBlockDoc) }},
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(raw, []byte("\n")) {
+			t.Errorf("%s does not end in a newline", c.file)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
+		if len(lines) != c.count {
+			t.Errorf("%s has %d lines, want %d", c.file, len(lines), c.count)
+		}
+		for i, line := range lines {
+			dec := json.NewDecoder(bytes.NewReader(line))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(c.doc()); err != nil {
+				t.Fatalf("%s line %d: %v", c.file, i+1, err)
+			}
+			if dec.More() {
+				t.Fatalf("%s line %d holds more than one document", c.file, i+1)
+			}
+		}
 	}
 }

@@ -7,10 +7,9 @@
 //	mevscope [-seed N] [-bpm BLOCKS] [-months M] [-section NAME]
 //	         [-scenario NAME] [-seeds N,N,...] [-parallel W]
 //	         [-vantages N] [-topology NAME] [-view union|quorum:K|vantage:N]
-//	mevscope archive -out DIR [-format v1|v2|v3] [-live] [-seed N]
+//	mevscope archive -out DIR [-live] [-seed N]
 //	         [-bpm BLOCKS] [-months M] [-scenario NAME]
 //	         [-vantages N] [-topology NAME]
-//	mevscope archive -recompress DIR -out DIR [-format v1|v2|v3]
 //	mevscope analyze -from DIR [-range 2021-03..2021-06] [-section NAME]
 //	         [-view union|quorum:K|vantage:N] [-parallel W] [-csv DIR]
 //	         [-trace FILE] [-progress]
@@ -20,18 +19,16 @@
 //
 // The archive subcommand simulates a world once and persists the
 // collected dataset as a segmented on-disk archive (one directory per
-// study month: blocks, observed pending transactions, Flashbots API
-// records, with a checksummed manifest). -format picks the encoding
-// (default v3: per-column chunks with zone maps and projection-aware
-// reads; v2 is gzip-compressed block-indexed frames, v1 the legacy
-// JSON-lines layout) and -live streams each month to disk as it
-// completes instead of serializing everything at the end. -recompress
-// rewrites an existing archive into -out under -format — the migration
-// path from v1/v2 archives to v3 — instead of simulating. The analyze
-// subcommand restores such an archive — any format, auto-detected —
-// and reruns the measurement pipeline over it without re-simulating;
-// the report is byte-identical to the original run's. -range restores
-// only a month slice, reading just those segments.
+// study month of per-column chunks with zone maps — blocks, observed
+// pending transactions, Flashbots API records — plus the price series
+// and a checksummed manifest); -live streams each month to disk as it
+// completes instead of serializing everything at the end. The analyze
+// subcommand restores such an archive and reruns the measurement
+// pipeline over it without re-simulating; the report is byte-identical
+// to the original run's. -range restores only a month slice, reading
+// just those segments. An archive whose manifest version this build
+// does not read (one written by an earlier release) is refused with a
+// pointer to regenerate it with the archive subcommand.
 // The serve subcommand exposes an archive over HTTP (internal/query):
 // per-artifact queries in JSON/CSV/text with month-range slicing and
 // observation-view selection (?view=union|quorum:K|vantage:N on
@@ -218,18 +215,16 @@ func runStudy(args []string) {
 func runArchive(args []string) {
 	fs := flag.NewFlagSet("mevscope archive", flag.ExitOnError)
 	var (
-		out        = fs.String("out", "", "archive directory to create (required)")
-		format     = fs.String("format", archive.DefaultFormat.String(), "archive format: "+archive.FormatHelp())
-		recompress = fs.String("recompress", "", "rewrite an existing archive DIR into -out in -format instead of simulating")
-		live       = fs.Bool("live", false, "stream: rotate each month to disk as it completes instead of serializing at the end")
-		seed       = fs.Int64("seed", 42, "simulation seed")
-		scen       = fs.String("scenario", "baseline", "named scenario: "+strings.Join(scenario.Names(), ", "))
-		bpm        = fs.Uint64("bpm", 600, "blocks per simulated month")
-		months     = fs.Int("months", 0, "limit the window to the first N months (0 = all remaining)")
-		miners     = fs.Int("miners", 0, "miner-set size (0 = default 55)")
-		vantages   = fs.Int("vantages", 0, "observation vantages spread around the gossip network (0 = scenario default)")
-		topology   = fs.String("topology", "", "gossip topology: ring-chords (default), ring, small-world")
-		quiet      = fs.Bool("q", false, "suppress progress output")
+		out      = fs.String("out", "", "archive directory to create (required)")
+		live     = fs.Bool("live", false, "stream: rotate each month to disk as it completes instead of serializing at the end")
+		seed     = fs.Int64("seed", 42, "simulation seed")
+		scen     = fs.String("scenario", "baseline", "named scenario: "+strings.Join(scenario.Names(), ", "))
+		bpm      = fs.Uint64("bpm", 600, "blocks per simulated month")
+		months   = fs.Int("months", 0, "limit the window to the first N months (0 = all remaining)")
+		miners   = fs.Int("miners", 0, "miner-set size (0 = default 55)")
+		vantages = fs.Int("vantages", 0, "observation vantages spread around the gossip network (0 = scenario default)")
+		topology = fs.String("topology", "", "gossip topology: ring-chords (default), ring, small-world")
+		quiet    = fs.Bool("q", false, "suppress progress output")
 	)
 	fs.Parse(args)
 	noPositional(fs)
@@ -241,25 +236,6 @@ func runArchive(args []string) {
 	}
 	if *out == "" {
 		fail(2, fmt.Errorf("archive: -out DIR is required"))
-	}
-	af, err := archive.ParseFormat(*format)
-	if err != nil {
-		fail(2, err)
-	}
-	if *recompress != "" {
-		if *live {
-			fail(2, fmt.Errorf("archive: -recompress and -live are mutually exclusive"))
-		}
-		t0 := time.Now()
-		man, err := archive.Recompress(*recompress, *out, af)
-		if err != nil {
-			fail(1, err)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "mevscope: recompressed %d blocks (%d segments) from %s into %s as %s in %v\n",
-				man.TotalBlocks, len(man.Segments), *recompress, *out, af, time.Since(t0).Round(time.Millisecond))
-		}
-		return
 	}
 	opts := mevscope.Options{
 		Seed: *seed, BlocksPerMonth: *bpm, Months: *months, NumMiners: *miners, Scenario: *scen,
@@ -282,8 +258,8 @@ func runArchive(args []string) {
 		meta["topology"] = *topology
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "mevscope: simulating %d months at %d blocks/month (seed %d, scenario %s, format %s)...\n",
-			pick(*months, types.StudyMonths), *bpm, *seed, *scen, af)
+		fmt.Fprintf(os.Stderr, "mevscope: simulating %d months at %d blocks/month (seed %d, scenario %s)...\n",
+			pick(*months, types.StudyMonths), *bpm, *seed, *scen)
 	}
 	t0 := time.Now()
 	s, err := sim.New(cfg)
@@ -292,10 +268,10 @@ func runArchive(args []string) {
 	}
 	var man *archive.Manifest
 	if *live {
-		man, err = archiveLive(s, *out, af, meta, *quiet)
+		man, err = archiveLive(s, *out, meta, *quiet)
 	} else {
 		if err = s.Run(); err == nil {
-			man, err = archive.WriteFormat(*out, dataset.FromSim(s), meta, af)
+			man, err = archive.Write(*out, dataset.FromSim(s), meta)
 		}
 	}
 	if err != nil {
@@ -310,8 +286,8 @@ func runArchive(args []string) {
 // archiveLive grows the world through a streaming follower and rotates
 // every finished month to disk the moment it completes; the final
 // archive is file-identical to the batch path's.
-func archiveLive(s *sim.Sim, out string, format archive.Format, meta map[string]string, quiet bool) (*archive.Manifest, error) {
-	sw, err := archive.NewStreamWriter(out, s.Chain.Timeline, s.World.WETH, format, meta)
+func archiveLive(s *sim.Sim, out string, meta map[string]string, quiet bool) (*archive.Manifest, error) {
+	sw, err := archive.NewStreamWriter(out, s.Chain.Timeline, s.World.WETH, archive.DefaultFormat, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -447,6 +423,18 @@ func checkServe(from string, live bool, cacheSize int) error {
 	return nil
 }
 
+// checkServeArchive reads the manifest of the archive to serve, if any,
+// so an unreadable one — missing, malformed, or of a manifest version
+// this build refuses — stops serve at startup with the archive
+// package's error instead of failing every later request.
+func checkServeArchive(dir string) error {
+	if dir == "" {
+		return nil
+	}
+	_, err := archive.ReadManifest(dir)
+	return err
+}
+
 // checkServeLiveFlags rejects simulation flags that were explicitly set
 // without -live: they would be silently ignored, and a user asking for
 // `-scenario no-flashbots` must not be served baseline archive data.
@@ -499,6 +487,9 @@ func runServe(args []string) {
 	}
 	if err := checkScenario(*scen); err != nil {
 		fail(2, err)
+	}
+	if err := checkServeArchive(*from); err != nil {
+		fail(1, err)
 	}
 	srv, err := query.New(query.Config{
 		Archive: *from,

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -197,27 +200,51 @@ func TestResolveRange(t *testing.T) {
 	}
 }
 
-// TestParseFormatFlag: the archive subcommand's -format values come
-// from the archive package's format registry, so a new format shows up
-// in the flag (and its help text and error message) without CLI edits.
-func TestParseFormatFlag(t *testing.T) {
-	for spec, want := range map[string]archive.Format{
-		"v1": archive.FormatV1, "v2": archive.FormatV2, "v3": archive.FormatV3,
-	} {
-		got, err := archive.ParseFormat(spec)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = (%v, %v), want %v", spec, got, err, want)
-		}
+// TestCheckServeArchive: serve reads the manifest of its -from archive
+// at startup, so a missing manifest or one of a retired version stops
+// the server (exit 1) with the archive package's error, while a current
+// archive and a live-only server (no -from) pass.
+func TestCheckServeArchive(t *testing.T) {
+	if err := checkServeArchive(""); err != nil {
+		t.Errorf("live-only serve rejected: %v", err)
 	}
-	for _, bad := range []string{"", "v4", "jsonl", "V2"} {
-		if _, err := archive.ParseFormat(bad); err == nil {
-			t.Errorf("ParseFormat(%q) accepted", bad)
-		}
+	if err := checkServeArchive(t.TempDir()); err == nil {
+		t.Error("directory without a manifest accepted")
 	}
-	for _, name := range archive.FormatNames() {
-		if !strings.Contains(archive.FormatHelp(), name) {
-			t.Errorf("FormatHelp() %q does not mention %q", archive.FormatHelp(), name)
-		}
+	cfg, err := mevscope.Options{Seed: 9, BlocksPerMonth: 20, Months: 2}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkServeArchive(dir); err != nil {
+		t.Fatalf("current archive rejected: %v", err)
+	}
+	path := filepath.Join(dir, archive.ManifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := fmt.Sprintf(`"version": %d,`, archive.DefaultFormat)
+	if !strings.Contains(string(raw), current) {
+		t.Fatalf("manifest does not carry %s", current)
+	}
+	old := strings.Replace(string(raw), current, `"version": 3,`, 1)
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = checkServeArchive(dir)
+	if err == nil || !strings.Contains(err.Error(), "regenerate the archive with `mevscope archive`") {
+		t.Errorf("version 3 archive: err = %v, want the regenerate refusal", err)
 	}
 }
 
@@ -234,7 +261,7 @@ func TestArchiveLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	man, err := archiveLive(s, dir, archive.FormatV2, map[string]string{"seed": "9"}, true)
+	man, err := archiveLive(s, dir, map[string]string{"seed": "9"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,25 +4,16 @@
 // pending transactions and Flashbots API records, plus a top-level
 // manifest with per-file SHA-256 checksums and the run's price history.
 //
-// Three on-disk formats coexist, auto-detected through the manifest's
-// version field:
-//
-//	v1  JSON-lines data files (one JSON document per line)
-//	v2  gzip-compressed binary segment files: a 5-byte plain header
-//	    (magic "MSEG" + format byte) followed by a gzip stream of
-//	    length-prefixed JSON document frames, with a sparse per-segment
-//	    block index in the manifest for sub-segment random access
-//	v3  column-chunk files: one file per (month, column) with
-//	    column-appropriate codecs (delta varints, dictionaries,
-//	    presence-mask payloads) and per-chunk zone maps in the
-//	    manifest, so reads decode only the columns — and touch only
-//	    the chunks — a query needs (ReadOptions.Columns)
-//
-// The directory layout is the same shape for all three (v3 shown):
+// Every data file is a column chunk (colcodec.go): one file per (month,
+// column) with column-appropriate codecs (delta varints, dictionaries,
+// presence-mask payloads) and per-chunk zone maps in the manifest, so
+// reads decode only the columns — and touch only the chunks — a query
+// needs (ReadOptions.Columns). The price series is one more chunk at the
+// archive root:
 //
 //	<dir>/
-//	  manifest.json          version, timeline, WETH, checksums, zone maps
-//	  prices.seg             token → price history (v2 frame codec)
+//	  manifest.json          version 4, timeline, WETH, checksums, zone maps
+//	  prices.col             token → price history
 //	  2020-05/               one segment per calendar month
 //	    headers.col          block headers + per-block tx counts
 //	    txs.col              transactions
@@ -32,16 +23,18 @@
 //	    observed.col         observer pending-transaction captures
 //	  2020-06/ ...
 //
+// ReadManifest refuses any other manifest version, including the
+// retired versions 1–3; an archive regenerates from its seed with
+// `mevscope archive`.
+//
 // A world is simulated once, archived, and re-analyzed many times: Write
-// persists a dataset.Dataset (v3 by default, months encoded in
-// parallel), Read/ReadRange restore one bit-compatibly (segments decoded
-// in parallel, every file checksum-verified), and `mevscope analyze
-// -from <dir>` reproduces the original run's report without
-// re-simulating. v1 and v2 archives written by earlier releases keep
-// reading transparently. StreamWriter is the live-rotation path: a
-// streaming follower hands it each study month as it completes, so
-// `mevscope archive -live` writes segments while the world grows instead
-// of serializing everything at the end.
+// persists a dataset.Dataset (months encoded in parallel), Read/ReadRange
+// restore one bit-compatibly (segments decoded in parallel, every file
+// checksum-verified), and `mevscope analyze -from <dir>` reproduces the
+// original run's report without re-simulating. StreamWriter is the
+// live-rotation path: a streaming follower hands it each study month as
+// it completes, so `mevscope archive -live` writes segments while the
+// world grows instead of serializing everything at the end.
 package archive
 
 import (
@@ -52,112 +45,36 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 
 	"mevscope/internal/dataset"
-	"mevscope/internal/flashbots"
 	"mevscope/internal/obs"
 	"mevscope/internal/p2p"
 	"mevscope/internal/parallel"
-	"mevscope/internal/prices"
 	"mevscope/internal/types"
 )
 
-// Format selects the on-disk encoding of an archive.
+// Format names an archive encoding by the manifest version it stamps.
+// One encoding remains, DefaultFormat; NewStreamWriter still takes a
+// Format and refuses any other value.
 type Format int
 
-// Supported archive formats. The Format value doubles as the manifest's
-// version field.
-const (
-	// FormatV1 is the original JSON-lines encoding.
-	FormatV1 Format = 1
-	// FormatV2 is the compressed frame encoding with a block index.
-	FormatV2 Format = 2
-	// FormatV3 is the column-chunk encoding with zone maps.
-	FormatV3 Format = 3
-)
-
-// DefaultFormat is what Write uses: the current format.
-const DefaultFormat = FormatV3
-
-// formats is the single format registry: CLI parsing, help strings,
-// error messages and manifest validation all derive from it, so adding
-// a format updates every surface at once.
-var formats = []struct {
-	format Format
-	name   string
-	desc   string
-}{
-	{FormatV3, "v3", "column chunks with zone maps"},
-	{FormatV2, "v2", "compressed frames"},
-	{FormatV1, "v1", "JSON lines"},
-}
-
-// FormatNames lists the CLI spellings of every supported format,
-// current first.
-func FormatNames() []string {
-	names := make([]string, len(formats))
-	for i, f := range formats {
-		names[i] = f.name
-	}
-	return names
-}
-
-// FormatHelp describes the supported formats for CLI flag help, e.g.
-// "v3 (column chunks with zone maps), v2 (compressed frames), v1 (JSON lines)".
-func FormatHelp() string {
-	parts := make([]string, len(formats))
-	for i, f := range formats {
-		parts[i] = fmt.Sprintf("%s (%s)", f.name, f.desc)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// ParseFormat parses a CLI-style format name ("v1", "v2", "v3").
-func ParseFormat(s string) (Format, error) {
-	for _, f := range formats {
-		if f.name == s {
-			return f.format, nil
-		}
-	}
-	return 0, fmt.Errorf("archive: unknown format %q (want %s)", s, strings.Join(FormatNames(), ", "))
-}
-
-// String names the format like the CLI flag spells it.
-func (f Format) String() string { return fmt.Sprintf("v%d", int(f)) }
-
-func (f Format) valid() bool {
-	for _, sf := range formats {
-		if sf.format == f {
-			return true
-		}
-	}
-	return false
-}
+// DefaultFormat is the archive encoding: column chunks with zone maps,
+// plus the price series as the prices.col chunk. Its value is the
+// manifest version Write stamps and ReadManifest accepts.
+const DefaultFormat Format = 4
 
 // ManifestName is the manifest file name inside an archive directory.
 const ManifestName = "manifest.json"
 
 // FileInfo describes one data file of the archive: its path relative to
-// the archive root, document count, on-disk size and SHA-256 checksum
-// (both over the stored bytes — the compressed stream for v2).
+// the archive root, row count, on-disk size and SHA-256 checksum (both
+// over the stored, compressed bytes).
 type FileInfo struct {
 	Name   string `json:"name"`
 	Count  int    `json:"count"`
 	Bytes  int64  `json:"bytes"`
 	SHA256 string `json:"sha256"`
-}
-
-// BlockIndexEntry is one sparse block-index point of a v2 blocks file:
-// frame ordinal, the block number that frame carries, and the frame's
-// byte offset in the uncompressed stream. A reader seeking block n
-// decompresses up to the last entry at or below n and skips those bytes
-// without JSON-decoding a single frame.
-type BlockIndexEntry struct {
-	Frame  int    `json:"frame"`
-	Block  uint64 `json:"block"`
-	Offset int64  `json:"offset"`
 }
 
 // SegmentInfo describes one per-month segment.
@@ -166,23 +83,21 @@ type SegmentInfo struct {
 	Label      string      `json:"label"`
 	FirstBlock uint64      `json:"first_block"`
 	LastBlock  uint64      `json:"last_block"`
-	Blocks     FileInfo    `json:"blocks"`
-	Flashbots  FileInfo    `json:"flashbots"`
-	// Observed is the primary vantage's capture file.
+	// Blocks, Flashbots, Observed and ObservedV carry logical document
+	// counts only — no file stands behind them. They size restore spans
+	// and back the stream/batch drift checks.
+	Blocks    FileInfo `json:"blocks"`
+	Flashbots FileInfo `json:"flashbots"`
+	// Observed counts the primary vantage's captures.
 	Observed FileInfo `json:"observed"`
-	// ObservedV are the additional vantages' capture files (ObservedV[i]
-	// is vantage i+1) — one frame stream per vantage. Absent for
-	// single-vantage archives, which read exactly as before.
+	// ObservedV count the additional vantages' captures (ObservedV[i]
+	// is vantage i+1). Absent for single-vantage archives.
 	ObservedV []FileInfo `json:"observed_v,omitempty"`
-	// Index is the sparse block index of the blocks file (v2 only).
-	Index []BlockIndexEntry `json:"index,omitempty"`
-	// Columns are the month's column chunks with their zone maps (v3
-	// only). The classic FileInfo fields above then carry logical
-	// document counts with no file behind them.
+	// Columns are the month's column chunks with their zone maps.
 	Columns []ColumnInfo `json:"columns,omitempty"`
 }
 
-// ColumnInfo describes one v3 column chunk: its integrity record plus
+// ColumnInfo describes one column chunk: its integrity record plus
 // the zone map readers use to skip the chunk without decoding it. The
 // zone map is load-bearing — decoders recompute it from the payload and
 // refuse a chunk whose stored bounds disagree.
@@ -224,16 +139,13 @@ type Manifest struct {
 	TotalBlocks int            `json:"total_blocks"`
 	Observer    *ObserverInfo  `json:"observer,omitempty"`
 	// Vantages describes the observation network's vantage list, in
-	// configuration order. Absent on archives written before the
-	// multi-vantage format (implied: one vantage at node 0).
+	// configuration order. Absent when the run never opened its
+	// observation window (implied: one vantage at node 0).
 	Vantages []VantageInfo     `json:"vantages,omitempty"`
 	Prices   FileInfo          `json:"prices"`
 	Segments []SegmentInfo     `json:"segments"`
 	Meta     map[string]string `json:"meta,omitempty"`
 }
-
-// Format returns the archive's on-disk format.
-func (m *Manifest) Format() Format { return Format(m.Version) }
 
 // Window returns the first and last month the archive has segments for.
 func (m *Manifest) Window() (first, last types.Month) {
@@ -246,114 +158,20 @@ func (m *Manifest) Window() (first, last types.Month) {
 // SegmentLabel names a month's segment directory, e.g. "2020-05".
 func SegmentLabel(m types.Month) string { return m.Label() }
 
-// priceDoc is the prices file's document shape: one token's full history.
-type priceDoc struct {
-	Token  types.Address  `json:"token"`
-	Points []prices.Point `json:"points"`
-}
-
-// Write persists a dataset into dir in the current default format (v2),
-// returning the manifest. meta carries free-form provenance (seed,
-// scenario, scale) for the manifest; it does not affect restoration.
+// Write persists a dataset into dir, returning the manifest. meta carries
+// free-form provenance (seed, scenario, scale) for the manifest; it does
+// not affect restoration. Months are encoded in parallel — each
+// segment's chunks are independent — and the manifest is written last,
+// so a crashed Write leaves no manifest and Read refuses the directory.
 func Write(dir string, ds *dataset.Dataset, meta map[string]string) (*Manifest, error) {
-	return WriteFormat(dir, ds, meta, DefaultFormat)
-}
-
-// WriteFormat persists a dataset into dir in the given format. Months
-// are encoded in parallel — each segment's files are independent — and
-// the manifest is written last, so a crashed Write leaves no manifest
-// and Read refuses the directory.
-func WriteFormat(dir string, ds *dataset.Dataset, meta map[string]string, format Format) (*Manifest, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
 		return nil, fmt.Errorf("archive: dataset has no blocks")
 	}
-	sw, err := NewStreamWriter(dir, ds.Chain.Timeline, ds.WETH, format, meta)
+	sw, err := NewStreamWriter(dir, ds.Chain.Timeline, ds.WETH, DefaultFormat, meta)
 	if err != nil {
 		return nil, err
 	}
 	return sw.Finalize(ds)
-}
-
-// Recompress restores the archive at src — whatever format it holds —
-// and rewrites it into dst in the given format, carrying the source
-// manifest's meta over. The restored dataset drives a normal
-// WriteFormat, so dst is byte-identical to what archiving the original
-// world directly in that format would have produced.
-func Recompress(src, dst string, format Format) (*Manifest, error) {
-	ds, man, err := Read(src)
-	if err != nil {
-		return nil, err
-	}
-	return WriteFormat(dst, ds, man.Meta, format)
-}
-
-// writeSegment persists one month's files in the given format and
-// returns its manifest entry.
-func writeSegment(dir string, format Format, seg *dataset.Segment) (SegmentInfo, error) {
-	if format == FormatV3 {
-		return writeSegmentV3(dir, seg)
-	}
-	label := SegmentLabel(seg.Month)
-	segDir := filepath.Join(dir, label)
-	info := SegmentInfo{
-		Month:      seg.Month,
-		Label:      label,
-		FirstBlock: seg.Blocks[0].Header.Number,
-		LastBlock:  seg.Blocks[len(seg.Blocks)-1].Header.Number,
-	}
-	var err error
-	// writeDocs dispatches on the format; extra vantage files use it too,
-	// so both encodings carry the full observation network.
-	writeDocs := func(name string, docs []p2p.ObservedTx) (FileInfo, error) {
-		if format == FormatV1 {
-			return writeJSONL(dir, segDir, name, docs)
-		}
-		fi, _, err := writeSeg(dir, segDir, name, docs)
-		return fi, err
-	}
-	if format == FormatV1 {
-		if info.Blocks, err = writeJSONL(dir, segDir, "blocks", seg.Blocks); err != nil {
-			return info, err
-		}
-		if info.Flashbots, err = writeJSONL(dir, segDir, "flashbots", seg.FBBlocks); err != nil {
-			return info, err
-		}
-	} else {
-		var offsets []int64
-		if info.Blocks, offsets, err = writeSeg(dir, segDir, "blocks", seg.Blocks); err != nil {
-			return info, err
-		}
-		info.Index = blockIndex(seg.Blocks, offsets)
-		if info.Flashbots, _, err = writeSeg(dir, segDir, "flashbots", seg.FBBlocks); err != nil {
-			return info, err
-		}
-	}
-	if info.Observed, err = writeDocs("observed", seg.Observed); err != nil {
-		return info, err
-	}
-	for i, recs := range seg.ObservedV {
-		fi, err := writeDocs(fmt.Sprintf("observed_v%d", i+1), recs)
-		if err != nil {
-			return info, err
-		}
-		info.ObservedV = append(info.ObservedV, fi)
-	}
-	return info, nil
-}
-
-// writePrices persists the price series as the archive's prices file.
-func writePrices(dir string, format Format, pr *prices.Series) (FileInfo, error) {
-	var pdocs []priceDoc
-	if pr != nil {
-		for _, tok := range pr.Tokens() {
-			pdocs = append(pdocs, priceDoc{Token: tok, Points: pr.History(tok)})
-		}
-	}
-	if format == FormatV1 {
-		return writeJSONL(dir, dir, "prices", pdocs)
-	}
-	fi, _, err := writeSeg(dir, dir, "prices", pdocs)
-	return fi, err
 }
 
 // checksum computes the SHA-256 and size of a file.
@@ -385,23 +203,10 @@ func fileInfoFor(root, path string, count int) (FileInfo, error) {
 	return FileInfo{Name: filepath.ToSlash(rel), Count: count, Bytes: size, SHA256: sum}, nil
 }
 
-// verifyFile checks a data file against its manifest record before any
-// decode touches it.
-func verifyFile(root string, fi FileInfo) (string, error) {
-	path := filepath.Join(root, filepath.FromSlash(fi.Name))
-	sum, size, err := checksum(path)
-	if err != nil {
-		return "", fmt.Errorf("archive: %w", err)
-	}
-	if sum != fi.SHA256 || size != fi.Bytes {
-		return "", fmt.Errorf("archive: %s is corrupt (checksum mismatch)", fi.Name)
-	}
-	return path, nil
-}
-
 // ReadManifest loads and sanity-checks an archive's manifest without
-// touching the data files. Every format version is accepted; the
-// version field routes every later read to the right decoder.
+// touching the data files. It refuses every version but DefaultFormat's:
+// versions 1 and 2 held JSON documents, and version 3 kept the price
+// series in a retired frame codec (prices.seg).
 func ReadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -411,9 +216,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		return nil, fmt.Errorf("archive: manifest: %w", err)
 	}
-	if !Format(man.Version).valid() {
-		return nil, fmt.Errorf("archive: unsupported version %d (want %s)",
-			man.Version, strings.Join(FormatNames(), ", "))
+	if man.Version != int(DefaultFormat) {
+		return nil, fmt.Errorf("archive: %s has manifest version %d, this build reads only version %d; regenerate the archive with `mevscope archive`",
+			dir, man.Version, DefaultFormat)
 	}
 	if man.Timeline.BlocksPerMonth == 0 {
 		return nil, fmt.Errorf("archive: manifest has no timeline")
@@ -421,26 +226,13 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &man, nil
 }
 
-// SegmentCache caches decoded month segments across reads. internal/query
-// plugs its segment-granular LRU in here so overlapping month ranges
-// share decoded segments instead of re-reading the disk; a nil cache
-// reads every segment fresh. Implementations must be safe for concurrent
-// use — ReadRange decodes segments in parallel.
-type SegmentCache interface {
-	// Get returns the cached segment for (dir, month), if present.
-	Get(dir string, m types.Month) (*dataset.Segment, bool)
-	// Add caches a freshly decoded segment; bytes is its on-disk size,
-	// for size-aware eviction policies.
-	Add(dir string, m types.Month, seg *dataset.Segment, bytes int64)
-}
-
-// ChunkCache is the column-granular upgrade of SegmentCache: a
-// SegmentCache that also implements it caches v3 reads per decoded
-// column chunk instead of per month, so a projected read warms exactly
-// the chunks it decoded and a later full read reuses them. The cached
-// value is the decoder's immutable column representation — opaque to
-// callers, who store and return it as-is. Implementations must be safe
-// for concurrent use.
+// ChunkCache caches decoded column chunks across reads. internal/query
+// plugs its LRU in here so overlapping month ranges — and a projected
+// read followed by a full one — share the chunks they both decode
+// instead of re-reading the disk; a nil cache reads every chunk fresh.
+// The cached value is the decoder's immutable column representation —
+// opaque to callers, who store and return it as-is. Implementations must
+// be safe for concurrent use: reads decode segments in parallel.
 type ChunkCache interface {
 	// GetChunk returns the cached decode of (dir, month, column).
 	GetChunk(dir string, m types.Month, col string) (any, bool)
@@ -456,20 +248,17 @@ type ChunkCache interface {
 type ReadStats struct {
 	// DecodedBytes counts stored (compressed) bytes actually decoded.
 	DecodedBytes atomic.Int64
-	// DecodedChunks counts chunk/segment files decoded.
+	// DecodedChunks counts chunk files decoded.
 	DecodedChunks atomic.Int64
-	// SkippedChunks counts v3 chunks skipped without decoding.
+	// SkippedChunks counts chunks skipped without decoding.
 	SkippedChunks atomic.Int64
-	// CachedChunks counts chunks (or whole segments) served from cache.
+	// CachedChunks counts chunks served from cache.
 	CachedChunks atomic.Int64
 }
 
 // segBytes is a segment's total on-disk size per the manifest.
 func segBytes(si SegmentInfo) int64 {
-	bytes := si.Blocks.Bytes + si.Flashbots.Bytes + si.Observed.Bytes
-	for _, fi := range si.ObservedV {
-		bytes += fi.Bytes
-	}
+	var bytes int64
 	for _, ci := range si.Columns {
 		bytes += ci.File.Bytes
 	}
@@ -477,7 +266,7 @@ func segBytes(si SegmentInfo) int64 {
 }
 
 // DataBytes is the archive's total on-disk data size per the manifest:
-// every segment's files plus the price history.
+// every segment's chunks plus the price history.
 func (m *Manifest) DataBytes() int64 {
 	bytes := m.Prices.Bytes
 	for _, si := range m.Segments {
@@ -491,25 +280,22 @@ type ReadOptions struct {
 	// Workers sizes the parallel segment-decode pool (< 1 = all cores).
 	Workers int
 	// Cache, when non-nil, is consulted before and filled after each
-	// segment decode. If it also implements ChunkCache, v3 reads cache
-	// per column chunk instead of per month.
-	Cache SegmentCache
+	// column-chunk decode.
+	Cache ChunkCache
 	// Span, when non-nil, is the tracing parent the restore records
 	// itself under: one "archive:restore" span with an "archive:decode"
-	// child per segment actually decoded (cache hits record nothing);
-	// v3 decodes additionally record one "archive:column" child per
-	// chunk. Nil disables recording at zero cost (internal/obs).
+	// child per segment that decodes at least one chunk, and under it one
+	// "archive:column" child per chunk decoded (cache hits record
+	// nothing). Nil disables recording at zero cost (internal/obs).
 	Span *obs.Span
-	// Columns projects the read onto a column subset (v3 column names,
-	// see ColumnNames): only the selected columns are decoded and
-	// populated, and the rest of each segment's chunks are skipped on
-	// disk. Nil restores everything. The set is closed over its
-	// dependencies (headers always load; logs pull receipts; receipts
-	// and txs travel together), a projection without "observed" skips
-	// the observer restore entirely, and the resulting dataset records
-	// the projection in its Projection field. On v1/v2 archives the
-	// selection is honored but decodes the full segment (those formats
-	// cannot skip bytes per column).
+	// Columns projects the read onto a column subset (see ColumnNames):
+	// only the selected columns are decoded and populated, and the rest
+	// of each segment's chunks are skipped on disk. Nil restores
+	// everything. The set is closed over its dependencies (headers always
+	// load; logs pull receipts; receipts and txs travel together), a
+	// projection without "observed" skips the observer restore entirely,
+	// and the resulting dataset records the projection in its Projection
+	// field.
 	Columns []string
 	// Stats, when non-nil, accumulates decode-byte accounting.
 	Stats *ReadStats
@@ -531,7 +317,7 @@ func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, e
 }
 
 // ReadRangeWith is ReadRange with a tunable decode pool and an optional
-// segment cache. Segments decode in parallel (each month's files are
+// chunk cache. Segments decode in parallel (each month's chunks are
 // independent) and are assembled in month order, so the result is
 // identical to a sequential read. The restored chain's timeline starts
 // at the first selected month, so block→month mapping stays aligned with
@@ -574,7 +360,7 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		blocks, bytes := 0, int64(0)
 		for _, si := range segs {
 			blocks += si.Blocks.Count
-			bytes += segBytesFor(si, cols, man.Format())
+			bytes += segBytesFor(si, cols)
 		}
 		rsp.SetBlocks(blocks)
 		rsp.SetBytes(bytes)
@@ -582,7 +368,7 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 
 	// Decode the selected segments in parallel, reusing cached decodes.
 	decoded := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) decodeResult {
-		seg, err := decodeSegment(dir, man, segs[i], cols, opt, rsp)
+		seg, err := readSegment(dir, segs[i], cols, opt, rsp)
 		return decodeResult{seg: seg, err: err}
 	})
 	parts := make([]*dataset.Segment, len(decoded))
@@ -593,8 +379,8 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		parts[i] = r.seg
 	}
 
-	// Pre-slice observation logs: reuse a cached segment's, else read just
-	// the (tiny) observed files — every vantage's, so a restored slice
+	// Pre-slice observation logs: read just the (tiny) observed chunks —
+	// every vantage's, through the cache, so a restored slice
 	// classifies against the same observation network as the full
 	// archive. A projection without the observed column skips all of it.
 	vinfos := vantageInfos(man)
@@ -607,7 +393,7 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		}
 	}
 	if cols.want(ColObserved) {
-		pre, err := readObservationLogs(dir, man, preSegs, opt, rsp)
+		pre, err := readObservationLogs(dir, preSegs, opt, rsp)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -657,12 +443,8 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 }
 
 // segBytesFor is the on-disk size a read of si under a projection
-// actually covers: selected chunk bytes for a projected v3 read, the
-// whole segment otherwise.
-func segBytesFor(si SegmentInfo, cols columnSet, format Format) int64 {
-	if cols == nil || format != FormatV3 {
-		return segBytes(si)
-	}
+// actually covers: the selected chunks' bytes.
+func segBytesFor(si SegmentInfo, cols columnSet) int64 {
 	var bytes int64
 	for _, ci := range si.Columns {
 		if cols.want(ci.Name) {
@@ -672,119 +454,8 @@ func segBytesFor(si SegmentInfo, cols columnSet, format Format) int64 {
 	return bytes
 }
 
-// decodeSegment restores one selected segment, routing by format and
-// reusing cached decodes. v1/v2 segments (and full v3 reads against a
-// month-granular cache) cache whole months; a chunk-granular cache
-// takes over inside readSegmentV3. Projected v3 reads never touch the
-// month-granular cache — a partial segment must not masquerade as a
-// full one.
-func decodeSegment(dir string, man *Manifest, si SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
-	if man.Format() == FormatV3 {
-		_, chunked := opt.Cache.(ChunkCache)
-		if cols == nil && !chunked && opt.Cache != nil {
-			if seg, ok := opt.Cache.Get(dir, si.Month); ok {
-				if opt.Stats != nil {
-					opt.Stats.CachedChunks.Add(1)
-				}
-				return seg, nil
-			}
-			seg, err := readSegmentV3(dir, si, nil, opt, rsp)
-			if err != nil {
-				return nil, err
-			}
-			opt.Cache.Add(dir, si.Month, seg, segBytes(si))
-			return seg, nil
-		}
-		return readSegmentV3(dir, si, cols, opt, rsp)
-	}
-	if opt.Cache != nil {
-		if seg, ok := opt.Cache.Get(dir, si.Month); ok {
-			if opt.Stats != nil {
-				opt.Stats.CachedChunks.Add(1)
-			}
-			return seg, nil
-		}
-	}
-	dsp := rsp.Child(obs.StageDecode)
-	dsp.SetLabel(si.Label)
-	dsp.SetBlocks(si.Blocks.Count)
-	dsp.SetBytes(segBytes(si))
-	seg, err := readSegment(dir, man, si)
-	dsp.End()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Stats != nil {
-		opt.Stats.DecodedBytes.Add(segBytes(si))
-		opt.Stats.DecodedChunks.Add(int64(3 + len(si.ObservedV)))
-	}
-	if opt.Cache != nil {
-		opt.Cache.Add(dir, si.Month, seg, segBytes(si))
-	}
-	return seg, nil
-}
-
 // decodeResult carries one segment decode across the parallel fan-out.
 type decodeResult struct {
 	seg *dataset.Segment
 	err error
-}
-
-// readSegment decodes one month's files into a dataset segment, sealing
-// every block and verifying transaction identity.
-func readSegment(dir string, man *Manifest, si SegmentInfo) (*dataset.Segment, error) {
-	format := man.Format()
-	blocks, err := readDocs[*types.Block](dir, format, si.Blocks)
-	if err != nil {
-		return nil, err
-	}
-	if err := sealAndVerify(si.Label, blocks); err != nil {
-		return nil, err
-	}
-	fb, err := readDocs[flashbots.BlockRecord](dir, format, si.Flashbots)
-	if err != nil {
-		return nil, err
-	}
-	obs, err := readDocs[p2p.ObservedTx](dir, format, si.Observed)
-	if err != nil {
-		return nil, err
-	}
-	var extra [][]p2p.ObservedTx
-	for _, fi := range si.ObservedV {
-		recs, err := readDocs[p2p.ObservedTx](dir, format, fi)
-		if err != nil {
-			return nil, err
-		}
-		extra = append(extra, recs)
-	}
-	return &dataset.Segment{Month: si.Month, Blocks: blocks, FBBlocks: fb, Observed: obs, ObservedV: extra}, nil
-}
-
-// sealAndVerify seals restored blocks and checks receipt-vs-recomputed
-// transaction identity. Transaction identity is the content-derived
-// hash; the stored receipts reference the identities the original run
-// used. A mismatch means some transaction was mutated after hashing
-// during the run — refuse rather than mis-link every record. Sealing
-// also caches every transaction hash, so the segment is safe to share
-// across goroutines afterwards.
-func sealAndVerify(label string, blocks []*types.Block) error {
-	for _, b := range blocks {
-		b.Seal()
-		for i, rcpt := range b.Receipts {
-			if i < len(b.Txs) && rcpt.TxHash != b.Txs[i].Hash() {
-				return fmt.Errorf("archive: segment %s block %d tx %d: identity drift (receipt %v vs recomputed %v)",
-					label, b.Header.Number, i, rcpt.TxHash.Short(), b.Txs[i].Hash().Short())
-			}
-		}
-	}
-	return nil
-}
-
-// readDocs decodes one data file in the archive's format after verifying
-// its checksum and document count against the manifest.
-func readDocs[T any](root string, format Format, fi FileInfo) ([]T, error) {
-	if format == FormatV1 {
-		return readJSONL[T](root, fi)
-	}
-	return readSeg[T](root, fi)
 }

@@ -2,8 +2,12 @@ package archive_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,6 +53,15 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if len(man.Segments) == 0 || man.Observer == nil {
 		t.Fatalf("manifest incomplete: %d segments, observer %v", len(man.Segments), man.Observer)
 	}
+	if man.Version != int(archive.DefaultFormat) || man.Prices.Name != "prices.col" {
+		t.Errorf("manifest version %d, prices file %q; want version %d and prices.col",
+			man.Version, man.Prices.Name, archive.DefaultFormat)
+	}
+	for _, seg := range man.Segments {
+		if len(seg.Columns) == 0 {
+			t.Errorf("segment %s has no column chunks", seg.Label)
+		}
+	}
 
 	restored, man2, err := archive.Read(dir)
 	if err != nil {
@@ -73,6 +86,19 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if restored.Observer.Count() != ds.Observer.Count() {
 		t.Errorf("restored observer has %d records, want %d", restored.Observer.Count(), ds.Observer.Count())
 	}
+	// The price series survives token by token and point by point.
+	toks := ds.Prices.Tokens()
+	if len(toks) == 0 {
+		t.Fatal("world recorded no prices")
+	}
+	if got := restored.Prices.Tokens(); !reflect.DeepEqual(got, toks) {
+		t.Fatalf("restored %d price tokens, want %d (or a different set)", len(got), len(toks))
+	}
+	for _, tok := range toks {
+		if got, want := restored.Prices.History(tok), ds.Prices.History(tok); !reflect.DeepEqual(got, want) {
+			t.Errorf("token %v: restored %d price points, want %d (or different values)", tok.Short(), len(got), len(want))
+		}
+	}
 
 	origStudy, err := mevscope.AnalyzeDataset(ds, 2)
 	if err != nil {
@@ -90,142 +116,121 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormatsProduceIdenticalReports is the format acceptance gate: one
-// world archived in every format must restore to reports byte-identical
-// to each other AND to the in-memory pipeline's — the encoding is an
-// implementation detail the measurement can never see. It also pins the
-// compression ladder: each format must be smaller on disk than its
-// predecessor.
-func TestFormatsProduceIdenticalReports(t *testing.T) {
-	s := world(t)
-	ds := dataset.FromSim(s)
-	memStudy, err := mevscope.AnalyzeDataset(ds, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mem bytes.Buffer
-	mevscope.WriteReportTo(&mem, memStudy.Report)
-
-	sizes := map[archive.Format]int64{}
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		man, err := archive.WriteFormat(dir, ds, map[string]string{"seed": "17"}, format)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if man.Format() != format {
-			t.Fatalf("manifest format = %s, want %s", man.Format(), format)
-		}
-		sizes[format] = man.DataBytes()
-		for _, seg := range man.Segments {
-			if format == archive.FormatV2 && len(seg.Index) == 0 {
-				t.Errorf("%s: v2 segment %s has no block index", format, seg.Label)
-			}
-			if format == archive.FormatV3 && len(seg.Columns) == 0 {
-				t.Errorf("%s: v3 segment %s has no column chunks", format, seg.Label)
-			}
-		}
-		restored, _, err := archive.Read(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		st, err := mevscope.AnalyzeDataset(restored, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		var got bytes.Buffer
-		mevscope.WriteReportTo(&got, st.Report)
-		if !bytes.Equal(got.Bytes(), mem.Bytes()) {
-			t.Errorf("%s archive's report differs from the in-memory pipeline's", format)
-		}
-	}
-	if sizes[archive.FormatV2] >= sizes[archive.FormatV1] {
-		t.Errorf("v2 archive (%d bytes) is not smaller than v1 (%d bytes)",
-			sizes[archive.FormatV2], sizes[archive.FormatV1])
-	}
-	if sizes[archive.FormatV3] >= sizes[archive.FormatV2] {
-		t.Errorf("v3 archive (%d bytes) is not smaller than v2 (%d bytes)",
-			sizes[archive.FormatV3], sizes[archive.FormatV2])
-	}
-}
-
-// TestReadBlock: the random-access path (block index for v2, zone-map
-// chunk selection for v3) returns the same sealed block a full restore
-// does, for blocks on and off the sparse index points, in every format.
+// TestReadBlock: the random-access path (zone-map chunk selection)
+// returns the same sealed block a full restore does, at segment edges
+// and inside segments.
 func TestReadBlock(t *testing.T) {
-	s := world(t)
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		if _, err := archive.WriteFormat(dir, dataset.FromSim(s), nil, format); err != nil {
-			t.Fatal(err)
-		}
-		head := s.Chain.Head().Header.Number
-		start := s.Chain.Timeline.StartBlock
-		for _, n := range []uint64{start, start + 1, start + 63, start + 64, (start + head) / 2, head} {
-			got, err := archive.ReadBlock(dir, n)
-			if err != nil {
-				t.Fatalf("%s: ReadBlock(%d): %v", format, n, err)
-			}
-			want, err := s.Chain.ByNumber(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Hash() != want.Hash() {
-				t.Errorf("%s: ReadBlock(%d) hash differs from the chain's", format, n)
-			}
-		}
-		if _, err := archive.ReadBlock(dir, head+1); err == nil {
-			t.Errorf("%s: block beyond the archive served", format)
-		}
-		// The manifest-reusing variant resolves the same blocks.
-		man, err := archive.ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := archive.ReadBlockFrom(dir, man, start+1)
-		if err != nil || got.Header.Number != start+1 {
-			t.Errorf("%s: ReadBlockFrom(%d) = (%v, %v)", format, start+1, got, err)
-		}
-	}
-}
-
-// countingCache wraps the SegmentCache contract with call counters, so
-// the test can see which reads hit the disk.
-type countingCache struct {
-	mu   sync.Mutex
-	segs map[string]*dataset.Segment
-	hits int
-	adds int
-}
-
-func (c *countingCache) Get(dir string, m types.Month) (*dataset.Segment, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seg, ok := c.segs[dir+m.Label()]
-	if ok {
-		c.hits++
-	}
-	return seg, ok
-}
-
-func (c *countingCache) Add(dir string, m types.Month, seg *dataset.Segment, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.segs == nil {
-		c.segs = map[string]*dataset.Segment{}
-	}
-	c.segs[dir+m.Label()] = seg
-	c.adds++
-}
-
-// TestReadRangeSharedSegments: two overlapping ranges through one cache
-// decode each shared month exactly once, and the cached assembly is
-// byte-identical to a cold one.
-func TestReadRangeSharedSegments(t *testing.T) {
 	s := world(t)
 	dir := t.TempDir()
 	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
 		t.Fatal(err)
+	}
+	head := s.Chain.Head().Header.Number
+	start := s.Chain.Timeline.StartBlock
+	for _, n := range []uint64{start, start + 1, start + 63, start + 64, (start + head) / 2, head} {
+		got, err := archive.ReadBlock(dir, n)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", n, err)
+		}
+		want, err := s.Chain.ByNumber(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Hash() != want.Hash() {
+			t.Errorf("ReadBlock(%d) hash differs from the chain's", n)
+		}
+	}
+	if _, err := archive.ReadBlock(dir, head+1); err == nil {
+		t.Error("block beyond the archive served")
+	}
+	// The manifest-reusing variant resolves the same blocks.
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := archive.ReadBlockFrom(dir, man, start+1)
+	if err != nil || got.Header.Number != start+1 {
+		t.Errorf("ReadBlockFrom(%d) = (%v, %v)", start+1, got, err)
+	}
+}
+
+// countingCache is a ChunkCache that counts lookups and decodes per
+// chunk, so the test can see which reads hit the disk.
+type countingCache struct {
+	mu     sync.Mutex
+	chunks map[string]any
+	adds   map[string]int
+	hits   int
+}
+
+func chunkKey(dir string, m types.Month, col string) string {
+	return dir + "|" + m.Label() + "|" + col
+}
+
+func (c *countingCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.chunks[chunkKey(dir, m, col)]
+	if ok {
+		c.hits++
+	}
+	return v, ok
+}
+
+func (c *countingCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.chunks == nil {
+		c.chunks, c.adds = map[string]any{}, map[string]int{}
+	}
+	k := chunkKey(dir, m, col)
+	c.chunks[k] = v
+	c.adds[k]++
+}
+
+// decodes is the total number of chunk decodes the cache has seen.
+func (c *countingCache) decodes() int {
+	n := 0
+	for _, a := range c.adds {
+		n += a
+	}
+	return n
+}
+
+// rangeChunks lists the chunks a full ReadRange over [from, to] touches,
+// per the manifest: every chunk of the selected months, plus the
+// observation chunks of every earlier month (the pre-slice logs).
+func rangeChunks(dir string, man *archive.Manifest, from, to types.Month) map[string]bool {
+	out := map[string]bool{}
+	for _, si := range man.Segments {
+		for _, ci := range si.Columns {
+			selected := si.Month >= from && si.Month <= to
+			observed := strings.HasPrefix(ci.Name, archive.ColObserved)
+			if selected || (si.Month < from && observed) {
+				out[chunkKey(dir, si.Month, ci.Name)] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestReadRangeSharedSegments: two overlapping ranges through one cache
+// decode each shared chunk exactly once, and the cached assembly is
+// byte-identical to a cold one.
+func TestReadRangeSharedSegments(t *testing.T) {
+	s := world(t)
+	dir := t.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldKeys := rangeChunks(dir, man, 8, 12)
+	warmKeys := rangeChunks(dir, man, 10, 14)
+	shared := 0
+	for k := range warmKeys {
+		if coldKeys[k] {
+			shared++
+		}
 	}
 	cache := &countingCache{}
 	opt := archive.ReadOptions{Workers: 2, Cache: cache}
@@ -233,30 +238,40 @@ func TestReadRangeSharedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.adds != 5 || cache.hits != 0 {
-		t.Fatalf("cold read: %d adds, %d hits; want 5 adds, 0 hits", cache.adds, cache.hits)
+	if cache.decodes() != len(coldKeys) || len(cache.chunks) != len(coldKeys) || cache.hits != 0 {
+		t.Fatalf("cold read: %d decodes of %d chunks, %d hits; want %d chunks decoded once, 0 hits",
+			cache.decodes(), len(cache.chunks), cache.hits, len(coldKeys))
 	}
 	warm, _, err := archive.ReadRangeWith(dir, 10, 14, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.adds != 7 {
-		t.Errorf("overlap read re-decoded shared months: %d adds, want 7 (months 10-12 cached)", cache.adds)
+	// The warm read decodes only what the cold one never touched: months
+	// 13-14, while months 10-12 and the observation chunks of months 0-9
+	// come from the cache.
+	if want := len(coldKeys) + len(warmKeys) - shared; cache.decodes() != want {
+		t.Errorf("overlap read: %d chunk decodes in total, want %d", cache.decodes(), want)
 	}
-	// 3 shared selected months (10-12) plus the pre-slice observation
-	// logs of cached months 8-9 come from the cache.
-	if cache.hits != 5 {
-		t.Errorf("overlap read hit %d cached months, want 5", cache.hits)
+	for k, n := range cache.adds {
+		if n != 1 {
+			t.Errorf("chunk %s decoded %d times, want once", k, n)
+		}
+	}
+	if cache.hits != shared {
+		t.Errorf("overlap read hit %d cached chunks, want %d", cache.hits, shared)
 	}
 	coldStudy, err := mevscope.AnalyzeDataset(cold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-read the first range fully warm: every month cached, reports
+	// Re-read the first range fully warm: every chunk cached, reports
 	// byte-identical to the cold read's.
 	cached, _, err := archive.ReadRangeWith(dir, 8, 12, opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cache.hits != shared+len(coldKeys) {
+		t.Errorf("fully warm re-read hit %d chunks in total, want %d", cache.hits, shared+len(coldKeys))
 	}
 	cachedStudy, err := mevscope.AnalyzeDataset(cached, 1)
 	if err != nil {
@@ -282,14 +297,11 @@ func TestArchiveDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The default format is v3: the block data lives in the headers
-	// column chunk (v1/v2 archives name it in Blocks instead).
-	name := man.Segments[0].Blocks.Name
-	if name == "" {
-		for _, ci := range man.Segments[0].Columns {
-			if ci.Name == archive.ColHeaders {
-				name = ci.File.Name
-			}
+	// The block data lives in the headers column chunk.
+	var name string
+	for _, ci := range man.Segments[0].Columns {
+		if ci.Name == archive.ColHeaders {
+			name = ci.File.Name
 		}
 	}
 	victim := filepath.Join(dir, filepath.FromSlash(name))
@@ -311,6 +323,67 @@ func TestArchiveDetectsCorruption(t *testing.T) {
 func TestArchiveRejectsMissingManifest(t *testing.T) {
 	if _, _, err := archive.Read(t.TempDir()); err == nil {
 		t.Fatal("empty directory should fail to read")
+	}
+}
+
+// TestReadManifestRefusesOtherVersions: a manifest of a retired
+// version (1 and 2 held JSON documents, 3 a frame-coded prices.seg) or
+// of a version this build does not know is refused before any data file
+// is read, with an error that says how to get a readable archive.
+func TestReadManifestRefusesOtherVersions(t *testing.T) {
+	s := world(t)
+	dir := t.TempDir()
+	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, archive.ManifestName)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{
+		{"v1 JSON lines", 1},
+		{"v2 compressed frames", 2},
+		{"v3 frame-coded prices", 3},
+		{"unknown future version", int(archive.DefaultFormat) + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var doc map[string]any
+			dec := json.NewDecoder(bytes.NewReader(orig))
+			dec.UseNumber() // keep every other field's digits exact
+			if err := dec.Decode(&doc); err != nil {
+				t.Fatal(err)
+			}
+			doc["version"] = tc.version
+			raw, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = archive.ReadManifest(dir)
+			if err == nil {
+				t.Fatalf("manifest version %d accepted", tc.version)
+			}
+			for _, want := range []string{fmt.Sprintf("version %d", tc.version), "regenerate the archive with `mevscope archive`"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			if _, _, err := archive.Read(dir); err == nil {
+				t.Errorf("Read accepted manifest version %d", tc.version)
+			}
+		})
+	}
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := archive.ReadManifest(dir); err != nil {
+		t.Errorf("restored manifest refused: %v", err)
 	}
 }
 
@@ -459,53 +532,5 @@ func TestReadEqualsFullRange(t *testing.T) {
 	}
 	if a.Chain.Len() != b.Chain.Len() || a.Chain.Timeline != b.Chain.Timeline {
 		t.Errorf("Read and full ReadRange differ: %d/%d blocks", a.Chain.Len(), b.Chain.Len())
-	}
-}
-
-// TestRecompressMatchesDirectWrite: migrating a v2 archive through
-// Recompress must produce a v3 archive file-for-file identical to
-// archiving the dataset as v3 directly — the v2→v3 migration path adds
-// no drift, so a recompressed archive serves the same reports.
-func TestRecompressMatchesDirectWrite(t *testing.T) {
-	s := world(t)
-	ds := dataset.FromSim(s)
-	v2Dir, directDir, migratedDir := t.TempDir(), t.TempDir(), t.TempDir()
-	if _, err := archive.WriteFormat(v2Dir, ds, map[string]string{"seed": "17"}, archive.FormatV2); err != nil {
-		t.Fatal(err)
-	}
-	direct, err := archive.WriteFormat(directDir, ds, map[string]string{"seed": "17"}, archive.FormatV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := archive.Recompress(v2Dir, migratedDir, archive.FormatV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(migrated.Segments) != len(direct.Segments) {
-		t.Fatalf("migrated archive has %d segments, direct write has %d", len(migrated.Segments), len(direct.Segments))
-	}
-	for i, mseg := range migrated.Segments {
-		dseg := direct.Segments[i]
-		if len(mseg.Columns) != len(dseg.Columns) {
-			t.Fatalf("segment %s: migrated %d columns, direct %d", mseg.Label, len(mseg.Columns), len(dseg.Columns))
-		}
-		for j, mc := range mseg.Columns {
-			if dc := dseg.Columns[j]; mc.File.SHA256 != dc.File.SHA256 || mc != dc {
-				t.Errorf("segment %s column %s: migrated chunk differs from direct write", mseg.Label, mc.Name)
-			}
-		}
-	}
-	if migrated.Prices.SHA256 != direct.Prices.SHA256 {
-		t.Error("migrated prices file differs from direct write")
-	}
-	restored, man, err := archive.Read(migratedDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man.Format() != archive.FormatV3 {
-		t.Errorf("migrated archive reads back as %v, want v3", man.Format())
-	}
-	if restored.Chain.Len() != ds.Chain.Len() {
-		t.Errorf("migrated archive restored %d blocks, want %d", restored.Chain.Len(), ds.Chain.Len())
 	}
 }

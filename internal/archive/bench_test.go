@@ -12,14 +12,13 @@ import (
 )
 
 // The archive benchmarks behind CI's BENCH_archive.json artifact:
-// encode and decode throughput plus on-disk size for v1 (JSON lines)
-// vs v2 (compressed frames) vs v3 (column chunks), single-block random
-// access, and the v3 projected-read path. The acceptance bar is v3 at
-// least 3× smaller than v2 on disk (pinned by
-// TestArchiveV3CompressionRatio below) and a projected read decoding
-// strictly fewer bytes than a full restore; the cold `mevscope serve`
-// query benchmark (internal/query) rides in the same artifact so
-// restore cost regressions show up where users feel them.
+// encode and decode throughput plus on-disk size, single-block random
+// access, and the projected-read path. The acceptance bar is an
+// absolute on-disk budget for the bpm-50 world and a projected read
+// decoding strictly fewer bytes than a full restore (both pinned by
+// TestArchiveV3CompressionRatio below); the cold `mevscope serve` query
+// benchmark (internal/query) rides in the same artifact so restore cost
+// regressions show up where users feel them.
 
 var (
 	benchOnce sync.Once
@@ -52,9 +51,9 @@ func benchDataset(tb testing.TB) *dataset.Dataset {
 	return benchDS
 }
 
-// benchEncode measures one format's write path, reporting the on-disk
-// footprint alongside the timing.
-func benchEncode(b *testing.B, format archive.Format) {
+// BenchmarkArchiveEncodeV3 measures the write path, reporting the
+// on-disk footprint alongside the timing.
+func BenchmarkArchiveEncodeV3(b *testing.B) {
 	ds := benchDataset(b)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,7 +65,7 @@ func benchEncode(b *testing.B, format archive.Format) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		man, err = archive.WriteFormat(dir, ds, nil, format)
+		man, err = archive.Write(dir, ds, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,11 +77,11 @@ func benchEncode(b *testing.B, format archive.Format) {
 	b.ReportMetric(float64(ds.Chain.Len()), "blocks/op")
 }
 
-// benchDecode measures one format's full restore path.
-func benchDecode(b *testing.B, format archive.Format) {
+// BenchmarkArchiveDecodeV3 measures the full restore path.
+func BenchmarkArchiveDecodeV3(b *testing.B) {
 	ds := benchDataset(b)
 	dir := b.TempDir()
-	man, err := archive.WriteFormat(dir, ds, nil, format)
+	man, err := archive.Write(dir, ds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,19 +96,12 @@ func benchDecode(b *testing.B, format archive.Format) {
 	b.ReportMetric(float64(ds.Chain.Len()), "blocks/op")
 }
 
-func BenchmarkArchiveEncodeV1(b *testing.B) { benchEncode(b, archive.FormatV1) }
-func BenchmarkArchiveEncodeV2(b *testing.B) { benchEncode(b, archive.FormatV2) }
-func BenchmarkArchiveEncodeV3(b *testing.B) { benchEncode(b, archive.FormatV3) }
-func BenchmarkArchiveDecodeV1(b *testing.B) { benchDecode(b, archive.FormatV1) }
-func BenchmarkArchiveDecodeV2(b *testing.B) { benchDecode(b, archive.FormatV2) }
-func BenchmarkArchiveDecodeV3(b *testing.B) { benchDecode(b, archive.FormatV3) }
-
-// benchReadBlock measures single-block random access (sparse block
-// index for v2, zone-map chunk selection for v3).
-func benchReadBlock(b *testing.B, format archive.Format) {
+// BenchmarkArchiveReadBlockV3 measures single-block random access
+// (zone-map chunk selection).
+func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	ds := benchDataset(b)
 	dir := b.TempDir()
-	man, err := archive.WriteFormat(dir, ds, nil, format)
+	man, err := archive.Write(dir, ds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,9 +117,6 @@ func benchReadBlock(b *testing.B, format archive.Format) {
 	}
 }
 
-func BenchmarkArchiveReadBlockV2(b *testing.B) { benchReadBlock(b, archive.FormatV2) }
-func BenchmarkArchiveReadBlockV3(b *testing.B) { benchReadBlock(b, archive.FormatV3) }
-
 // BenchmarkArchiveProjectedReadV3 measures a projected full-window read
 // of the columns the paper's headline figures need (headers +
 // flashbots), reporting decoded vs skipped bytes — the byte savings a
@@ -135,7 +124,7 @@ func BenchmarkArchiveReadBlockV3(b *testing.B) { benchReadBlock(b, archive.Forma
 func BenchmarkArchiveProjectedReadV3(b *testing.B) {
 	ds := benchDataset(b)
 	dir := b.TempDir()
-	man, err := archive.WriteFormat(dir, ds, nil, archive.FormatV3)
+	man, err := archive.Write(dir, ds, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,25 +145,25 @@ func BenchmarkArchiveProjectedReadV3(b *testing.B) {
 	b.ReportMetric(float64(man.DataBytes()), "disk-bytes")
 }
 
-// TestArchiveV3CompressionRatio pins the v3 acceptance bar on the
-// bpm-50 world: at least 3× smaller than v2 on disk, and a projected
-// single-artifact read decodes strictly fewer bytes than a full
-// restore.
+// v3DiskBudget is the on-disk budget of the Seed 7 bpm-50 world: the
+// last measured size of that world's v2 archive (6,817,547 data bytes)
+// divided by 3, the "at least 3× smaller than v2" bar the v3 encoding
+// was accepted on.
+const v3DiskBudget = 2_272_515
+
+// TestArchiveV3CompressionRatio pins the encoding's acceptance bar on
+// the bpm-50 world: the archive fits v3DiskBudget, and a projected
+// single-artifact read decodes strictly fewer bytes than a full restore.
 func TestArchiveV3CompressionRatio(t *testing.T) {
 	ds := benchDataset(t)
-	dirV2, dirV3 := t.TempDir(), t.TempDir()
-	manV2, err := archive.WriteFormat(dirV2, ds, nil, archive.FormatV2)
+	dirV3 := t.TempDir()
+	manV3, err := archive.Write(dirV3, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manV3, err := archive.WriteFormat(dirV3, ds, nil, archive.FormatV3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, v3 := manV2.DataBytes(), manV3.DataBytes()
-	t.Logf("disk bytes: v2 %d, v3 %d (%.2fx)", v2, v3, float64(v2)/float64(v3))
-	if v3*3 > v2 {
-		t.Errorf("v3 archive is %d bytes, want at least 3x smaller than v2's %d", v3, v2)
+	t.Logf("disk bytes: %d (budget %d)", manV3.DataBytes(), v3DiskBudget)
+	if got := manV3.DataBytes(); got > v3DiskBudget {
+		t.Errorf("archive is %d bytes, over the %d-byte budget", got, v3DiskBudget)
 	}
 
 	var full, proj archive.ReadStats

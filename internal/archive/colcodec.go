@@ -15,10 +15,9 @@ import (
 	"mevscope/internal/types"
 )
 
-// The v3 column-chunk encoding. Where v2 stores one gzip stream of
-// whole-JSON document frames per month, v3 stores one chunk file per
-// (month, column) so a reader can decode exactly the columns a query
-// touches. A chunk file is:
+// The column-chunk encoding: one chunk file per (month, column), so a
+// reader can decode exactly the columns a query touches, plus the price
+// series as one more chunk at the archive root. A chunk file is:
 //
 //	offset 0:  magic "MCOL" (4 bytes, plain)
 //	offset 4:  codec byte 0x03 (plain)
@@ -41,11 +40,13 @@ import (
 // refused rather than mis-attributed.
 
 const (
-	// colMagic opens every v3 column-chunk file.
+	// colMagic opens every column-chunk file.
 	colMagic = "MCOL"
-	// colCodecByte is the chunk codec version the header carries.
-	colCodecByte = byte(FormatV3)
-	// colExt is the v3 chunk-file extension.
+	// colCodecByte is the chunk codec version the header carries. It
+	// dates from manifest version 3 and did not change with version 4,
+	// which only moved the price series into a chunk.
+	colCodecByte = byte(0x03)
+	// colExt is the chunk-file extension.
 	colExt = ".col"
 	// maxChunkSize caps a chunk's decompressed size; anything larger is
 	// corruption, not data (the largest real chunk is one month of
@@ -302,7 +303,7 @@ func (r *colReader) done() error {
 	return nil
 }
 
-// Chunk-decode scratch pools. A projected v3 read decodes many small
+// Chunk-decode scratch pools. A projected read decodes many small
 // chunk files, and a fresh 64 KiB bufio buffer pair plus a fresh gzip
 // inflater per chunk dominated its allocation profile — the readers are
 // fully resettable, so they recycle across chunks and across the
@@ -313,6 +314,18 @@ var (
 	chunkBufPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 	chunkGzipPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 )
+
+// countingReader counts the bytes drawn through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += int64(n)
+	return n, err
+}
 
 // readChunk opens, verifies and fully decompresses one column chunk. The
 // SHA-256 is computed on the fly while the stream drains — one read

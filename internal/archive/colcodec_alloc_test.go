@@ -8,7 +8,7 @@ import (
 	"mevscope/internal/types"
 )
 
-// The chunk-decode allocation pin. A v3 restore calls readChunk once per
+// The chunk-decode allocation pin. A restore calls readChunk once per
 // (segment, column) file, and a projected artifact serve does so for
 // every month in the range — the per-chunk scratch (two 64 KiB bufio
 // buffers and a gzip inflater) used to be freshly allocated on every

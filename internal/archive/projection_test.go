@@ -14,21 +14,11 @@ import (
 // TestProjectionMatchesFullRead is the projection property pin: for
 // random month ranges and random column subsets, a projected read must
 // restore exactly the data a full read of the same range restores on
-// every projected column — in all three formats. v1/v2 cannot skip
-// decoding, v3 skips whole chunks; the caller-visible contract is the
-// same either way.
+// every projected column, while skipping the other chunks on disk.
 func TestProjectionMatchesFullRead(t *testing.T) {
 	s := world(t)
-	ds := dataset.FromSim(s)
-	dirs := map[archive.Format]string{}
-	for _, f := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		if _, err := archive.WriteFormat(dir, ds, nil, f); err != nil {
-			t.Fatal(err)
-		}
-		dirs[f] = dir
-	}
-	man, err := archive.ReadManifest(dirs[archive.FormatV3])
+	dir := t.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,25 +39,24 @@ func TestProjectionMatchesFullRead(t *testing.T) {
 		if len(subset) == 0 {
 			subset = []string{archive.ColFlashbots}
 		}
-		for _, f := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-			t.Run(fmt.Sprintf("trial%d/%v/%s..%s/%v", trial, f, lo.Label(), hi.Label(), subset), func(t *testing.T) {
-				full, _, err := archive.ReadRange(dirs[f], lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				proj, _, err := archive.ReadRangeWith(dirs[f], lo, hi, archive.ReadOptions{Columns: subset})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareProjection(t, full, proj, subset)
-			})
-		}
+		// The "v3" path element names the column-chunk codec (byte 0x03).
+		t.Run(fmt.Sprintf("trial%d/v3/%s..%s/%v", trial, lo.Label(), hi.Label(), subset), func(t *testing.T) {
+			full, _, err := archive.ReadRange(dir, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proj, _, err := archive.ReadRangeWith(dir, lo, hi, archive.ReadOptions{Columns: subset})
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareProjection(t, full, proj, subset)
+		})
 	}
 }
 
 // compareProjection asserts proj carries exactly full's data on every
-// projected column (after dependency closure), and — for datasets that
-// can actually skip — nothing beyond the closure.
+// projected column (after dependency closure), and nothing beyond the
+// closure.
 func compareProjection(t *testing.T, full, proj *dataset.Dataset, subset []string) {
 	t.Helper()
 	if len(proj.Projection) == 0 {

@@ -65,7 +65,7 @@ func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 	if len(segs) == 0 || man.Observer == nil || man.Observer.Start > segs[len(segs)-1].LastBlock {
 		return sh, nil
 	}
-	logs, err := readObservationLogs(dir, man, segs, opt, sp)
+	logs, err := readObservationLogs(dir, segs, opt, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -94,19 +94,19 @@ func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 	return sh, nil
 }
 
-// blockColumns selects every v3 column but the observation logs, which a
+// blockColumns selects every column but the observation logs, which a
 // month read takes from the shared state instead.
 var blockColumns = columnSet{ColHeaders: true, ColTxs: true, ColReceipts: true, ColLogs: true, ColFlashbots: true}
 
 // ReadMonth restores month m — at most the shared state's last month —
 // as a single-month dataset. It decodes only the month's own block,
-// transaction, receipt, log and Flashbots chunks (v1/v2 segments decode
-// whole) and attaches the shared price series, observation network and
-// coverage table. The network runs past m, but analysis of the result is
-// identical to analysis of ReadRange(dir, m, m): under the month
-// stability and prefix coverage invariants (see measure.Partial) the
-// extra logs change no verdict and no coverage count. opt.Columns must
-// be nil; the rest of opt applies as in ReadRangeWith.
+// transaction, receipt, log and Flashbots chunks and attaches the shared
+// price series, observation network and coverage table. The network
+// runs past m, but analysis of the result is identical to analysis of
+// ReadRange(dir, m, m): under the month stability and prefix coverage
+// invariants (see measure.Partial) the extra logs change no verdict and
+// no coverage count. opt.Columns must be nil; the rest of opt applies as
+// in ReadRangeWith.
 func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, error) {
 	if opt.Columns != nil {
 		return nil, fmt.Errorf("archive: month reads restore whole months; ReadOptions.Columns must be nil")
@@ -127,9 +127,9 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 	rsp := opt.Span.Child(obs.StageRestore)
 	rsp.SetLabel(si.Label)
 	rsp.SetBlocks(si.Blocks.Count)
-	rsp.SetBytes(segBytesFor(*si, blockColumns, sh.man.Format()))
+	rsp.SetBytes(segBytesFor(*si, blockColumns))
 	defer rsp.End()
-	seg, err := decodeSegment(sh.dir, sh.man, *si, blockColumns, opt, rsp)
+	seg, err := readSegment(sh.dir, *si, blockColumns, opt, rsp)
 	if err != nil {
 		return nil, err
 	}
@@ -155,8 +155,8 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 	return ds, nil
 }
 
-// vantageInfos is the manifest's vantage list; archives written before
-// the multi-vantage format imply one vantage at node 0.
+// vantageInfos is the manifest's vantage list; an archive without one
+// implies one vantage at node 0.
 func vantageInfos(man *Manifest) []VantageInfo {
 	if len(man.Vantages) == 0 {
 		return []VantageInfo{{Node: 0}}
@@ -166,39 +166,16 @@ func vantageInfos(man *Manifest) []VantageInfo {
 
 // readObservationLogs reads the observation logs of each segment, in
 // segment order and in parallel: out[i][v] is vantage v's log for
-// segs[i]. Only the observed files are read (v3: the observed column
-// chunks, through a chunk cache when opt has one); a month-granular
-// cache hit supplies a decoded segment's logs instead.
-func readObservationLogs(dir string, man *Manifest, segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) ([][][]p2p.ObservedTx, error) {
-	// A v3 read through a chunk cache never caches whole months, so a
-	// month-granular lookup there could only miss.
-	_, chunked := opt.Cache.(ChunkCache)
-	monthCache := opt.Cache != nil && !(chunked && man.Format() == FormatV3)
+// segs[i]. Only the observed column chunks are read, through the cache
+// when opt has one.
+func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) ([][][]p2p.ObservedTx, error) {
 	type result struct {
 		logs [][]p2p.ObservedTx
 		err  error
 	}
 	res := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
-		si := segs[i]
-		if monthCache {
-			if seg, ok := opt.Cache.Get(dir, si.Month); ok {
-				return result{logs: segmentLogs(seg)}
-			}
-		}
-		if man.Format() == FormatV3 {
-			primary, extra, err := readObservedV3(dir, si, opt, rsp)
-			return result{logs: append([][]p2p.ObservedTx{primary}, extra...), err: err}
-		}
-		files := append([]FileInfo{si.Observed}, si.ObservedV...)
-		logs := make([][]p2p.ObservedTx, len(files))
-		for v, fi := range files {
-			recs, err := readDocs[p2p.ObservedTx](dir, man.Format(), fi)
-			if err != nil {
-				return result{err: err}
-			}
-			logs[v] = recs
-		}
-		return result{logs: logs}
+		primary, extra, err := readObserved(dir, segs[i], opt, rsp)
+		return result{logs: append([][]p2p.ObservedTx{primary}, extra...), err: err}
 	})
 	out := make([][][]p2p.ObservedTx, len(segs))
 	for i, r := range res {
@@ -214,19 +191,4 @@ func readObservationLogs(dir string, man *Manifest, segs []SegmentInfo, opt Read
 // primary first.
 func segmentLogs(seg *dataset.Segment) [][]p2p.ObservedTx {
 	return append([][]p2p.ObservedTx{seg.Observed}, seg.ObservedV...)
-}
-
-// readPrices restores the archive's price series.
-func readPrices(dir string, man *Manifest) (*prices.Series, error) {
-	pr := prices.NewSeries()
-	pdocs, err := readDocs[priceDoc](dir, man.Format(), man.Prices)
-	if err != nil {
-		return nil, err
-	}
-	for _, pd := range pdocs {
-		if err := pr.Restore(pd.Token, pd.Points); err != nil {
-			return nil, fmt.Errorf("archive: %w", err)
-		}
-	}
-	return pr, nil
 }

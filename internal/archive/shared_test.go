@@ -36,52 +36,51 @@ func prefix(row [types.StudyMonths]int, m types.Month) [types.StudyMonths]int {
 // union. That restore is the definition the table replaces.
 func TestSharedCoverageMatchesPrefixRestores(t *testing.T) {
 	s := multiVantageWorld(t)
-	for _, format := range []archive.Format{archive.FormatV2, archive.FormatV3} {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			man, err := archive.WriteFormat(dir, dataset.FromSim(s), nil, format)
+	// The "v3" subtest names the column-chunk codec (byte 0x03).
+	t.Run("v3", func(t *testing.T) {
+		dir := t.TempDir()
+		man, err := archive.Write(dir, dataset.FromSim(s), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := man.Window()
+		sh, err := archive.RestoreShared(dir, man, last, archive.ReadOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastMonth, err := sh.ReadMonth(last, archive.ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cov := lastMonth.Coverage // one table, shared by every month read
+		if cov == nil || len(cov.Vantages) != 4 {
+			t.Fatalf("shared coverage %+v, want a 4-vantage table", cov)
+		}
+		gtl := man.Timeline.Unanchored()
+		for m := first; m <= last; m++ {
+			ds, _, err := archive.ReadRange(dir, m, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, last := man.Window()
-			sh, err := archive.RestoreShared(dir, man, last, archive.ReadOptions{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
+			vs := ds.VantageList()
+			var union [types.StudyMonths]int
+			if len(vs) > 0 {
+				union = monthCounts(gtl, p2p.Union(vs...).Materialize().Records())
 			}
-			lastMonth, err := sh.ReadMonth(last, archive.ReadOptions{})
-			if err != nil {
-				t.Fatal(err)
+			if got := prefix(cov.Union, m); got != union {
+				t.Errorf("month %s: union coverage prefix %v, prefix restore counts %v", m.Label(), got, union)
 			}
-			cov := lastMonth.Coverage // one table, shared by every month read
-			if cov == nil || len(cov.Vantages) != 4 {
-				t.Fatalf("shared coverage %+v, want a 4-vantage table", cov)
-			}
-			gtl := man.Timeline.Unanchored()
-			for m := first; m <= last; m++ {
-				ds, _, err := archive.ReadRange(dir, m, m)
-				if err != nil {
-					t.Fatal(err)
+			for i := range cov.Vantages {
+				var want [types.StudyMonths]int
+				if i < len(vs) {
+					want = monthCounts(gtl, vs[i].Records())
 				}
-				vs := ds.VantageList()
-				var union [types.StudyMonths]int
-				if len(vs) > 0 {
-					union = monthCounts(gtl, p2p.Union(vs...).Materialize().Records())
-				}
-				if got := prefix(cov.Union, m); got != union {
-					t.Errorf("month %s: union coverage prefix %v, prefix restore counts %v", m.Label(), got, union)
-				}
-				for i := range cov.Vantages {
-					var want [types.StudyMonths]int
-					if i < len(vs) {
-						want = monthCounts(gtl, vs[i].Records())
-					}
-					if got := prefix(cov.Vantages[i], m); got != want {
-						t.Errorf("month %s: vantage %d coverage prefix %v, prefix restore counts %v", m.Label(), i, got, want)
-					}
+				if got := prefix(cov.Vantages[i], m); got != want {
+					t.Errorf("month %s: vantage %d coverage prefix %v, prefix restore counts %v", m.Label(), i, got, want)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestSharedMonthReadMatchesReadRange: a month read against shared state
@@ -91,7 +90,7 @@ func TestSharedCoverageMatchesPrefixRestores(t *testing.T) {
 func TestSharedMonthReadMatchesReadRange(t *testing.T) {
 	s := multiVantageWorld(t)
 	dir := t.TempDir()
-	man, err := archive.WriteFormat(dir, dataset.FromSim(s), nil, archive.FormatV3)
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestSharedRefusesMisfiledObservations(t *testing.T) {
 		t.Fatal("world has no observations to misfile")
 	}
 	dir := t.TempDir()
-	sw, err := archive.NewStreamWriter(dir, ds.Chain.Timeline, ds.WETH, archive.FormatV3, nil)
+	sw, err := archive.NewStreamWriter(dir, ds.Chain.Timeline, ds.WETH, archive.DefaultFormat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

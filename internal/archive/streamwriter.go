@@ -18,7 +18,7 @@ import (
 // it completes, so a long collection run's memory-to-disk handoff is
 // spread over the run instead of paid all at once at the end; Finalize
 // writes whatever months remain, the price history and the manifest.
-// The batch Write/WriteFormat path runs on the same writer (everything
+// The batch Write path runs on the same writer (everything
 // is "remaining" at Finalize, encoded in parallel), so a rotated archive
 // is file-for-file identical to a batch one.
 //
@@ -31,11 +31,10 @@ import (
 // is a no-op returning the already-written manifest, so callers layering
 // defer-style cleanup over an explicit finalize never double-write.
 type StreamWriter struct {
-	dir    string
-	format Format
-	man    *Manifest
-	done   bool
-	span   *obs.Span
+	dir  string
+	man  *Manifest
+	done bool
+	span *obs.Span
 }
 
 // SetSpan attaches a tracing parent: each segment written — rotated or
@@ -43,20 +42,20 @@ type StreamWriter struct {
 // A nil span (the default) disables recording at zero cost.
 func (w *StreamWriter) SetSpan(sp *obs.Span) { w.span = sp }
 
-// NewStreamWriter creates the archive directory and an empty manifest in
-// the given format. The manifest is only written by Finalize: a run that
-// dies mid-stream leaves no manifest, and Read refuses the directory.
+// NewStreamWriter creates the archive directory and an empty manifest.
+// format must be DefaultFormat, the one encoding. The manifest is only
+// written by Finalize: a run that dies mid-stream leaves no manifest, and
+// Read refuses the directory.
 func NewStreamWriter(dir string, tl types.Timeline, weth types.Address, format Format, meta map[string]string) (*StreamWriter, error) {
-	if !format.valid() {
-		return nil, fmt.Errorf("archive: unknown format %d", format)
+	if format != DefaultFormat {
+		return nil, fmt.Errorf("archive: unsupported format %d (this build writes only version %d)", format, DefaultFormat)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	return &StreamWriter{
-		dir:    dir,
-		format: format,
-		man:    &Manifest{Version: int(format), Timeline: tl, WETH: weth, Meta: meta},
+		dir: dir,
+		man: &Manifest{Version: int(DefaultFormat), Timeline: tl, WETH: weth, Meta: meta},
 	}, nil
 }
 
@@ -91,7 +90,7 @@ func (w *StreamWriter) writeSegmentSpan(parent *obs.Span, seg *dataset.Segment) 
 	defer sp.End()
 	sp.SetLabel(seg.Month.Label())
 	sp.SetBlocks(len(seg.Blocks))
-	info, err := writeSegment(w.dir, w.format, seg)
+	info, err := writeSegment(w.dir, seg)
 	if err == nil {
 		sp.SetBytes(segBytes(info))
 	}
@@ -187,7 +186,7 @@ func (w *StreamWriter) Finalize(ds *dataset.Dataset) (*Manifest, error) {
 		}
 	}
 	var err error
-	if w.man.Prices, err = writePrices(w.dir, w.format, ds.Prices); err != nil {
+	if w.man.Prices, err = writePrices(w.dir, ds.Prices); err != nil {
 		return nil, err
 	}
 

@@ -16,7 +16,7 @@ import (
 	"mevscope/internal/types"
 )
 
-// The v3 column layout. One month becomes one chunk file per column:
+// The column layout. One month becomes one chunk file per column:
 //
 //	<dir>/2020-05/
 //	  headers.col     block headers + per-block tx counts
@@ -32,10 +32,9 @@ import (
 // decoding a byte. Receipt TxHash is not stored — receipts align
 // positionally with transactions, so the reader derives it, and the
 // writer refuses any segment where the stored receipt identity drifts
-// from the recomputed transaction hash (the check v2 ran on read runs
-// at write time instead).
+// from the recomputed transaction hash.
 
-// Column names of the v3 format. Extra vantages store under
+// Column names of the segment chunks. Extra vantages store under
 // "observed_v1", "observed_v2", … and project under ColObserved.
 const (
 	ColHeaders   = "headers"
@@ -46,7 +45,7 @@ const (
 	ColObserved  = "observed"
 )
 
-// ColumnNames lists the selectable v3 columns in storage order.
+// ColumnNames lists the selectable columns in storage order.
 func ColumnNames() []string {
 	return []string{ColHeaders, ColTxs, ColReceipts, ColLogs, ColFlashbots, ColObserved}
 }
@@ -117,11 +116,10 @@ func findColumn(si SegmentInfo, name string) (ColumnInfo, error) {
 // ---------------------------------------------------------------------------
 // Encode
 
-// writeSegmentV3 persists one month as per-column chunks and returns its
+// writeSegment persists one month as per-column chunks and returns its
 // manifest entry: chunk records with zone maps, plus logical document
-// counts in the classic FileInfo slots so format-agnostic consumers
-// (drift checks, span sizing) keep working.
-func writeSegmentV3(root string, seg *dataset.Segment) (SegmentInfo, error) {
+// counts in the FileInfo count slots (drift checks, span sizing).
+func writeSegment(root string, seg *dataset.Segment) (SegmentInfo, error) {
 	label := SegmentLabel(seg.Month)
 	segDir := filepath.Join(root, label)
 	info := SegmentInfo{
@@ -170,8 +168,8 @@ func writeSegmentV3(root string, seg *dataset.Segment) (SegmentInfo, error) {
 		info.Columns = append(info.Columns, ci)
 		info.ObservedV = append(info.ObservedV, FileInfo{Count: len(recs)})
 	}
-	// Logical counts: v3 has no monolithic per-kind files, but the counts
-	// still size restore spans and back the stream/batch drift checks.
+	// Logical counts: no per-kind file stands behind them, but they size
+	// restore spans and back the stream/batch drift checks.
 	info.Blocks.Count = len(seg.Blocks)
 	info.Flashbots.Count = len(seg.FBBlocks)
 	info.Observed.Count = len(seg.Observed)
@@ -1035,14 +1033,13 @@ func decodeObservedCol(dir string, ci ColumnInfo, name string) (*colObsData, err
 // Segment read
 
 // chunkLoader fetches decoded chunks for one segment, going through the
-// chunk cache when the caller's SegmentCache also implements ChunkCache,
-// and recording one "archive:column" span per chunk actually decoded
-// under a lazily created "archive:decode" segment span.
+// caller's chunk cache when it has one, and recording one
+// "archive:column" span per chunk actually decoded under a lazily
+// created "archive:decode" segment span.
 type chunkLoader struct {
 	dir string
 	si  SegmentInfo
 	opt ReadOptions
-	cc  ChunkCache
 	rsp *obs.Span
 	dsp *obs.Span
 }
@@ -1061,8 +1058,8 @@ func (cl *chunkLoader) end() { cl.dsp.End() }
 // load returns the decoded chunk for a column, consulting the chunk
 // cache first. dec decodes a verified chunk file on a miss.
 func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any, error) {
-	if cl.cc != nil {
-		if v, ok := cl.cc.GetChunk(cl.dir, cl.si.Month, name); ok {
+	if cl.opt.Cache != nil {
+		if v, ok := cl.opt.Cache.GetChunk(cl.dir, cl.si.Month, name); ok {
 			if cl.opt.Stats != nil {
 				cl.opt.Stats.CachedChunks.Add(1)
 			}
@@ -1089,19 +1086,18 @@ func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any
 		cl.opt.Stats.DecodedBytes.Add(ci.File.Bytes)
 		cl.opt.Stats.DecodedChunks.Add(1)
 	}
-	if cl.cc != nil {
-		cl.cc.AddChunk(cl.dir, cl.si.Month, name, v, ci.File.Bytes)
+	if cl.opt.Cache != nil {
+		cl.opt.Cache.AddChunk(cl.dir, cl.si.Month, name, v, ci.File.Bytes)
 	}
 	return v, nil
 }
 
-// readSegmentV3 decodes one month's selected columns into a dataset
+// readSegment decodes one month's selected columns into a dataset
 // segment. cols == nil restores everything; a projection decodes only
 // the selected chunks (and counts the rest as skipped), leaving the
 // other fields zero.
-func readSegmentV3(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
-	cc, _ := opt.Cache.(ChunkCache)
-	cl := &chunkLoader{dir: dir, si: si, opt: opt, cc: cc, rsp: rsp}
+func readSegment(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
+	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
 	defer cl.end()
 
 	if opt.Stats != nil {
@@ -1208,12 +1204,11 @@ func readSegmentV3(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, 
 	return seg, nil
 }
 
-// readObservedV3 reads one segment's observation columns only — the
+// readObserved reads one segment's observation columns only — the
 // pre-slice path, which needs every vantage's captures but none of the
 // block data.
-func readObservedV3(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (primary []p2p.ObservedTx, extra [][]p2p.ObservedTx, err error) {
-	cc, _ := opt.Cache.(ChunkCache)
-	cl := &chunkLoader{dir: dir, si: si, opt: opt, cc: cc, rsp: rsp}
+func readObserved(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (primary []p2p.ObservedTx, extra [][]p2p.ObservedTx, err error) {
+	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
 	defer cl.end()
 	ov, err := cl.load(ColObserved, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, ColObserved) })
 	if err != nil {
@@ -1231,13 +1226,36 @@ func readObservedV3(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) 
 	return primary, extra, nil
 }
 
-// readBlockV3 restores a single block from a v3 segment. The zone maps
-// pick exactly the chunks whose block range holds the target, so the
-// flashbots, observed and price chunks are never touched, and a chunk
-// whose zone excludes the block is skipped without decoding.
-func readBlockV3(dir string, si SegmentInfo, number uint64) (*types.Block, error) {
+// ReadBlock restores a single block by number — the random-access path
+// the zone maps exist for. The fetch trades the read paths' full-segment
+// restore for speed; every chunk it decodes is still checksum-verified.
+func ReadBlock(dir string, number uint64) (*types.Block, error) {
+	man, err := ReadManifest(dir)
+	if err != nil {
+		return nil, err
+	}
+	return ReadBlockFrom(dir, man, number)
+}
+
+// ReadBlockFrom is ReadBlock against an already-loaded manifest — the
+// repeated-lookup path, where re-parsing the manifest (which carries
+// every chunk's zone map) would otherwise dominate the lookup. The zone
+// maps pick exactly the chunks whose block range holds the target, so
+// the flashbots, observed and price chunks are never touched, and a
+// chunk whose zone excludes the block is skipped without decoding.
+func ReadBlockFrom(dir string, man *Manifest, number uint64) (*types.Block, error) {
+	var si *SegmentInfo
+	for i := range man.Segments {
+		if s := &man.Segments[i]; s.FirstBlock <= number && number <= s.LastBlock {
+			si = s
+			break
+		}
+	}
+	if si == nil {
+		return nil, fmt.Errorf("archive: no segment holds block %d", number)
+	}
 	inZone := func(name string) (ColumnInfo, bool, error) {
-		ci, err := findColumn(si, name)
+		ci, err := findColumn(*si, name)
 		if err != nil {
 			return ColumnInfo{}, false, err
 		}

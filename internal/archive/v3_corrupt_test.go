@@ -1,6 +1,8 @@
 package archive_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,22 +13,23 @@ import (
 	"mevscope/internal/dataset"
 )
 
-// The v3 refusal matrix: every way a column chunk or its manifest record
-// can rot — truncation, flipped dictionary bytes, a stale codec version,
-// foreign magic, a cross-linked column file, a zone map that disagrees
-// with the payload it summarizes — must surface as an error from Read,
-// never as a silently wrong dataset. The zone maps steer chunk skipping,
-// so zone/payload drift in particular would corrupt query results
-// without tripping any checksum.
+// The refusal matrix: every way a column chunk (the prices chunk
+// included) or its manifest record can rot — truncation, flipped
+// dictionary bytes, a stale codec version, foreign magic, a cross-linked
+// or renamed column file, a zone map that disagrees with the payload it
+// summarizes — must surface as an error from Read, never as a silently
+// wrong dataset. The zone maps steer chunk skipping, so zone/payload
+// drift in particular would corrupt query results without tripping any
+// checksum.
 func TestArchiveV3RefusesCorruption(t *testing.T) {
 	s := world(t)
 	ds := dataset.FromSim(s)
 
-	// write lays down a pristine v3 archive for one subtest to break.
+	// write lays down a pristine archive for one subtest to break.
 	write := func(t *testing.T) (string, *archive.Manifest) {
 		t.Helper()
 		dir := t.TempDir()
-		man, err := archive.WriteFormat(dir, ds, nil, archive.FormatV3)
+		man, err := archive.Write(dir, ds, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,9 +51,9 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 	}
 
 	// tamper rewrites a chunk file in place through fn.
-	tamper := func(t *testing.T, dir string, ci archive.ColumnInfo, fn func([]byte) []byte) {
+	tamper := func(t *testing.T, dir string, fi archive.FileInfo, fn func([]byte) []byte) {
 		t.Helper()
-		path := filepath.Join(dir, filepath.FromSlash(ci.File.Name))
+		path := filepath.Join(dir, filepath.FromSlash(fi.Name))
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -101,16 +104,35 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 		t.Helper()
 		_, _, err := archive.Read(dir)
 		if err == nil {
-			t.Fatal("corrupted v3 archive read succeeded")
+			t.Fatal("corrupted archive read succeeded")
 		}
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal error = %v; want mention of %q", err, want)
 		}
 	}
 
+	// refusePrices expects both readers of the prices chunk — a full
+	// Read and the shared restore behind cold serve builds — to refuse.
+	refusePrices := func(t *testing.T, dir, want string) {
+		t.Helper()
+		refuse(t, dir, want)
+		man, err := archive.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, last := man.Window()
+		_, err = archive.RestoreShared(dir, man, last, archive.ReadOptions{})
+		if err == nil {
+			t.Fatal("shared restore over a corrupt prices chunk succeeded")
+		}
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("shared restore refusal error = %v; want mention of %q", err, want)
+		}
+	}
+
 	t.Run("truncated chunk", func(t *testing.T) {
 		dir, man := write(t)
-		tamper(t, dir, column(t, man, archive.ColHeaders), func(raw []byte) []byte {
+		tamper(t, dir, column(t, man, archive.ColHeaders).File, func(raw []byte) []byte {
 			return raw[:len(raw)*2/3]
 		})
 		refuse(t, dir, "archive:")
@@ -119,7 +141,7 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 	t.Run("bit-flipped dictionary", func(t *testing.T) {
 		dir, man := write(t)
 		ci := column(t, man, archive.ColTxs)
-		tamper(t, dir, ci, func(raw []byte) []byte {
+		tamper(t, dir, ci.File, func(raw []byte) []byte {
 			// Past the plain chunk header and the gzip header: deflate
 			// data whose first bytes encode the address dictionary.
 			raw[6+len(archive.ColTxs)+16] ^= 0x10
@@ -130,7 +152,7 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 
 	t.Run("stale codec version byte", func(t *testing.T) {
 		dir, man := write(t)
-		tamper(t, dir, column(t, man, archive.ColFlashbots), func(raw []byte) []byte {
+		tamper(t, dir, column(t, man, archive.ColFlashbots).File, func(raw []byte) []byte {
 			raw[4] = 0x02
 			return raw
 		})
@@ -139,7 +161,7 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 
 	t.Run("bad magic", func(t *testing.T) {
 		dir, man := write(t)
-		tamper(t, dir, column(t, man, archive.ColLogs), func(raw []byte) []byte {
+		tamper(t, dir, column(t, man, archive.ColLogs).File, func(raw []byte) []byte {
 			copy(raw, "XCOL")
 			return raw
 		})
@@ -185,12 +207,49 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 		refuse(t, dir, "disagrees with segment")
 	})
 
+	t.Run("truncated prices chunk", func(t *testing.T) {
+		dir, man := write(t)
+		tamper(t, dir, man.Prices, func(raw []byte) []byte {
+			return raw[:len(raw)*2/3]
+		})
+		refusePrices(t, dir, "prices.col")
+	})
+
+	t.Run("bit-flipped prices chunk", func(t *testing.T) {
+		dir, man := write(t)
+		tamper(t, dir, man.Prices, func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x10
+			return raw
+		})
+		refusePrices(t, dir, "prices.col")
+	})
+
+	t.Run("prices chunk with a foreign column name", func(t *testing.T) {
+		// Rename the column in the plain header and re-seal the manifest
+		// record over the edited bytes: the checksum passes, so the
+		// embedded column name is the only guard.
+		dir, man := write(t)
+		tamper(t, dir, man.Prices, func(raw []byte) []byte {
+			copy(raw[6:], "prizes")
+			return raw
+		})
+		raw, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(man.Prices.Name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		rewriteManifest(t, dir, func(m *archive.Manifest) {
+			m.Prices.SHA256 = hex.EncodeToString(sum[:])
+		})
+		refusePrices(t, dir, `holds column "prizes"`)
+	})
+
 	t.Run("projection skips the corrupt chunk", func(t *testing.T) {
 		// The flip side of refusal: a projected read never decodes the
 		// columns it skips, so corruption there is invisible to it while
 		// the full restore still refuses.
 		dir, man := write(t)
-		tamper(t, dir, column(t, man, archive.ColTxs), func(raw []byte) []byte {
+		tamper(t, dir, column(t, man, archive.ColTxs).File, func(raw []byte) []byte {
 			raw[len(raw)/2] ^= 0x40
 			return raw
 		})

@@ -2,6 +2,7 @@ package archive_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -42,7 +43,7 @@ func multiVantageWorld(t *testing.T) *sim.Sim {
 }
 
 // TestMultiVantageRoundTrip: an archive of a 4-vantage world persists
-// one observation log per vantage in both formats, restores every log
+// one observation chunk per vantage per month, restores every log
 // bit-compatibly, and the union-view report of the restored dataset is
 // byte-identical to the in-memory one.
 func TestMultiVantageRoundTrip(t *testing.T) {
@@ -59,51 +60,59 @@ func TestMultiVantageRoundTrip(t *testing.T) {
 	var want bytes.Buffer
 	st.WriteReport(&want)
 
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2} {
-		dir := t.TempDir()
-		man, err := archive.WriteFormat(dir, ds, nil, format)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
+	dir := t.TempDir()
+	man, err := archive.Write(dir, ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Vantages) != 4 {
+		t.Fatalf("manifest records %d vantages, want 4", len(man.Vantages))
+	}
+	for _, si := range man.Segments {
+		if len(si.ObservedV) != 3 {
+			t.Fatalf("segment %s counts %d extra vantages, want 3", si.Label, len(si.ObservedV))
 		}
-		if len(man.Vantages) != 4 {
-			t.Fatalf("%s: manifest records %d vantages, want 4", format, len(man.Vantages))
-		}
-		for _, si := range man.Segments {
-			if len(si.ObservedV) != 3 {
-				t.Fatalf("%s: segment %s has %d extra observation files, want 3", format, si.Label, len(si.ObservedV))
+		for v := 1; v <= 3; v++ {
+			name := fmt.Sprintf("%s_v%d", archive.ColObserved, v)
+			found := false
+			for _, ci := range si.Columns {
+				found = found || ci.Name == name
+			}
+			if !found {
+				t.Fatalf("segment %s has no %s chunk", si.Label, name)
 			}
 		}
-		restored, _, err := archive.Read(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
+	}
+	restored, _, err := archive.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.Vantages) != 4 {
+		t.Fatalf("restored %d vantages, want 4", len(restored.Vantages))
+	}
+	for vi, v := range restored.Vantages {
+		orig := ds.Vantages[vi]
+		if v.Node() != orig.Node() {
+			t.Errorf("vantage %d node %d, want %d", vi, v.Node(), orig.Node())
 		}
-		if len(restored.Vantages) != 4 {
-			t.Fatalf("%s: restored %d vantages, want 4", format, len(restored.Vantages))
+		if v.Count() != orig.Count() {
+			t.Errorf("vantage %d restored %d records, want %d", vi, v.Count(), orig.Count())
 		}
-		for vi, v := range restored.Vantages {
-			orig := ds.Vantages[vi]
-			if v.Node() != orig.Node() {
-				t.Errorf("%s: vantage %d node %d, want %d", format, vi, v.Node(), orig.Node())
+		for i, rec := range orig.Records() {
+			if got := v.Records()[i]; got != rec {
+				t.Fatalf("vantage %d record %d drifted: %+v vs %+v", vi, i, got, rec)
 			}
-			if v.Count() != orig.Count() {
-				t.Errorf("%s: vantage %d restored %d records, want %d", format, vi, v.Count(), orig.Count())
-			}
-			for i, rec := range orig.Records() {
-				if got := v.Records()[i]; got != rec {
-					t.Fatalf("%s: vantage %d record %d drifted: %+v vs %+v", format, vi, i, got, rec)
-				}
-			}
 		}
-		restored.View = "union"
-		rst, err := mevscope.AnalyzeDataset(restored, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		var got bytes.Buffer
-		rst.WriteReport(&got)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: union-view report drifted across the archive round trip", format)
-		}
+	}
+	restored.View = "union"
+	rst, err := mevscope.AnalyzeDataset(restored, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	rst.WriteReport(&got)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("union-view report drifted across the archive round trip")
 	}
 }
 
@@ -138,7 +147,7 @@ func TestMultiVantageRangeKeepsAllLogs(t *testing.T) {
 func TestStreamWriterFinalizeIdempotent(t *testing.T) {
 	s := multiVantageWorld(t)
 	ds := dataset.FromSim(s)
-	sw, err := archive.NewStreamWriter(t.TempDir(), s.Chain.Timeline, s.World.WETH, archive.FormatV2, nil)
+	sw, err := archive.NewStreamWriter(t.TempDir(), s.Chain.Timeline, s.World.WETH, archive.DefaultFormat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

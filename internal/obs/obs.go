@@ -39,7 +39,7 @@ const (
 	StageRun       = "run"             // one seed of an ensemble
 	StageRestore   = "archive:restore" // archive.ReadRange of a window
 	StageDecode    = "archive:decode"  // one segment decoded from disk
-	StageColumn    = "archive:column"  // one v3 column chunk decoded
+	StageColumn    = "archive:column"  // one column chunk decoded
 	StageEncode    = "archive:encode"  // one segment written to disk
 	StageDetect    = "detect"          // MEV detection scan
 	StageProfit    = "profit"          // profit resolution

@@ -54,7 +54,7 @@ func assemblyArchives(tb testing.TB) (multiVantage, degraded string) {
 				return
 			}
 			meta := map[string]string{"scenario": scenario, "seed": "9"}
-			if _, err := archive.WriteFormat(dir+"/"+scenario, dataset.FromSim(s), meta, archive.FormatV3); err != nil {
+			if _, err := archive.Write(dir+"/"+scenario, dataset.FromSim(s), meta); err != nil {
 				assemblyArchErr = err
 				return
 			}

@@ -44,35 +44,19 @@ func benchColdReport(b *testing.B, dir string) {
 	}
 }
 
-// BenchmarkServeColdReport is the cold query benchmark against a v2
-// archive — the month-granular frame encoding.
-func BenchmarkServeColdReport(b *testing.B) {
-	dir, _, _ := testArchives(b)
-	benchColdReport(b, dir)
-}
-
-// BenchmarkServeColdReportV1 is the same cold query against the same
-// world in the legacy v1 encoding: the regression baseline for the v2
-// restore path.
-func BenchmarkServeColdReportV1(b *testing.B) {
-	_, dir, _ := testArchives(b)
-	benchColdReport(b, dir)
-}
-
-// BenchmarkServeColdReportV3 is the same cold query against the same
-// world as column chunks — the default a new `mevscope archive`
-// produces.
+// BenchmarkServeColdReportV3 is the cold query benchmark: the full
+// report over the shared 1-vantage world's archive, as a new `mevscope
+// archive` writes it.
 func BenchmarkServeColdReportV3(b *testing.B) {
-	_, _, dir := testArchives(b)
-	benchColdReport(b, dir)
+	benchColdReport(b, testArchive(b))
 }
 
 // BenchmarkServeColdReportMultiVantage is the cold path `mevscope serve`
 // runs: a fresh server with all three analysis hooks and the default
-// worker pool builds the full-window report of a 4-vantage v3 archive
-// from month partials — the shared archive state restored once per
-// build, the missing months fanned across the pool. The benchmarks
-// above time the Analyze-only path at one worker on a 1-vantage world.
+// worker pool builds the full-window report of a 4-vantage archive from
+// month partials — the shared archive state restored once per
+// build, the missing months fanned across the pool. The benchmark above
+// times the Analyze-only path at one worker on a 1-vantage world.
 func BenchmarkServeColdReportMultiVantage(b *testing.B) {
 	dir := multiVantageArchive(b)
 	b.ReportAllocs()
@@ -86,11 +70,11 @@ func BenchmarkServeColdReportMultiVantage(b *testing.B) {
 }
 
 // BenchmarkServeColdArtifactProjected measures the projected cold serve:
-// a header-level artifact against a v3 archive decodes only the headers
-// and flashbots chunks, so this is the number the projection path is
-// judged by against BenchmarkServeColdReportV3.
+// a header-level artifact decodes only the headers and flashbots
+// chunks, so this is the number the projection path is judged by
+// against BenchmarkServeColdReportV3.
 func BenchmarkServeColdArtifactProjected(b *testing.B) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,14 +107,14 @@ func overlappingRangeURLs() []string {
 // benchColdOverlapping drives the sliding-window mix through a fresh
 // server per iteration. Each iteration first issues one full-range
 // warming request under a stopped timer — steady-state serving has the
-// segment LRU hot from prior traffic, and the warming request models
+// chunk LRU hot from prior traffic, and the warming request models
 // exactly that (on the partial path it also seals every month, the
 // analyze-each-month-once half of the memoization). The timed region
 // is the 18 sliding windows, every one a report key the server has
 // never seen: with the partial cache each window assembles cached
 // month partials; without it each window re-analyzes its whole range.
 func benchColdOverlapping(b *testing.B, partials bool) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	urls := overlappingRangeURLs()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -168,7 +152,7 @@ func BenchmarkServeColdOverlappingRangesFull(b *testing.B) { benchColdOverlappin
 // the report cache and rebuilds the report from warm partials. This is
 // the steady-state cost of a never-seen range over a hot month set.
 func BenchmarkServePartialAssemblyWarm(b *testing.B) {
-	_, _, dir := testArchives(b)
+	dir := testArchive(b)
 	srv, err := query.New(query.Config{
 		Archive: dir, Analyze: analyzeReal,
 		AnalyzePartial: mevscope.AnalyzeDatasetPartial,

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mevscope/internal/core/measure"
-	"mevscope/internal/dataset"
 	"mevscope/internal/types"
 )
 
@@ -147,13 +146,13 @@ type PartialCacheStats struct {
 	Evictions     int64 `json:"evictions"`
 }
 
-// partialCache is the third cache level, between the report LRU and the
-// decoded-segment LRU: a concurrency-safe, byte-accounted LRU of
-// analyzed month partials (measure.Partial). A range request that
-// misses the report LRU assembles its report from the partials of its
-// months, computing only the months not cached here — so overlapping,
-// sliding and adjacent ranges re-pay decoding at most (segment cache)
-// and analysis never, for the months they share. Partials are immutable
+// partialCache is the middle cache level, between the report LRU and the
+// decoded-chunk LRU: a concurrency-safe, byte-accounted LRU of analyzed
+// month partials (measure.Partial). A range request that misses the
+// report LRU assembles its report from the partials of its months,
+// computing only the months not cached here — so overlapping, sliding
+// and adjacent ranges re-pay decoding at most (chunk cache) and analysis
+// never, for the months they share. Partials are immutable
 // once sealed, so one entry feeds any number of concurrent merges
 // without copying. Eviction is by resident bytes (Partial.SizeBytes),
 // never below one entry.
@@ -246,16 +245,14 @@ func (c *partialCache) stats() PartialCacheStats {
 	}
 }
 
-// segKey identifies one cached decode of one archive: a whole decoded
-// month segment (column "", the v1/v2 granularity) or a single v3 column
-// chunk.
-type segKey struct {
+// chunkKey identifies one decoded column chunk of one archive.
+type chunkKey struct {
 	archive string
 	month   types.Month
 	column  string
 }
 
-// SegmentCacheStats is a point-in-time view of the segment LRU: entry
+// SegmentCacheStats is a point-in-time view of the chunk LRU: entry
 // counters plus the on-disk bytes the cached decodes stand in for.
 type SegmentCacheStats struct {
 	Size      int   `json:"size"`
@@ -266,113 +263,88 @@ type SegmentCacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// segmentCache is the second cache level, under the report LRU: a
-// concurrency-safe LRU of decoded archive data keyed by (archive, month,
-// column). For v1/v2 archives the unit is a whole decoded month segment
-// (column ""); for v3 archives it is a single decoded column chunk, so a
-// projected read warms exactly the chunks it touched and a later full
-// read (or a different projection) reuses them. A report-cache miss
-// re-runs the measurement pipeline, but overlapping month ranges of the
-// same archive hit here for the decodes they share. Cached values are
-// immutable (blocks sealed, hashes cached, column data never mutated
-// after decode), so one entry is assembled into any number of concurrent
-// datasets without copying. Every entry carries the on-disk bytes it
-// stands in for, surfaced in the stats.
+// chunkCache is the bottom cache level, under the report and partial
+// LRUs: a concurrency-safe LRU of decoded archive column chunks keyed by
+// (archive, month, column), so a projected read warms exactly the chunks
+// it touched and a later full read (or a different projection) reuses
+// them. A report-cache miss re-runs the measurement pipeline, but
+// overlapping month ranges of the same archive hit here for the decodes
+// they share. Cached values are immutable (hashes cached, column data
+// never mutated after decode), so one entry is assembled into any number
+// of concurrent datasets without copying. Every entry carries the
+// on-disk bytes it stands in for, surfaced in the stats.
 //
-// It implements archive.SegmentCache and archive.ChunkCache.
-type segmentCache struct {
+// It implements archive.ChunkCache.
+type chunkCache struct {
 	mu        sync.Mutex
 	cap       int
 	ll        *list.List
-	items     map[segKey]*list.Element
+	items     map[chunkKey]*list.Element
 	bytes     int64
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-// segEntry is one LRU element. val is a *dataset.Segment for column ""
-// and the archive decoder's opaque column representation otherwise.
-type segEntry struct {
-	key   segKey
+// chunkEntry is one LRU element; val is the archive decoder's opaque
+// column representation.
+type chunkEntry struct {
+	key   chunkKey
 	val   any
 	bytes int64
 }
 
-// newSegmentCache creates an LRU holding up to capacity decoded entries
+// newChunkCache creates an LRU holding up to capacity decoded chunks
 // (minimum 1).
-func newSegmentCache(capacity int) *segmentCache {
+func newChunkCache(capacity int) *chunkCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &segmentCache{cap: capacity, ll: list.New(), items: make(map[segKey]*list.Element)}
+	return &chunkCache{cap: capacity, ll: list.New(), items: make(map[chunkKey]*list.Element)}
 }
 
-// get returns the cached value and promotes it to most-recently-used.
-func (c *segmentCache) get(k segKey) (any, bool) {
+// GetChunk returns the cached decode of one column chunk and promotes
+// it to most-recently-used (archive.ChunkCache).
+func (c *chunkCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
+	el, ok := c.items[chunkKey{dir, m, col}]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*segEntry).val, true
+	return el.Value.(*chunkEntry).val, true
 }
 
-// put inserts (or refreshes) a decoded value, evicting the
-// least-recently-used entries beyond capacity.
-func (c *segmentCache) put(k segKey, val any, bytes int64) {
+// AddChunk inserts (or refreshes) a decoded column chunk, evicting the
+// least-recently-used entries beyond capacity (archive.ChunkCache).
+func (c *chunkCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	k := chunkKey{dir, m, col}
 	if el, ok := c.items[k]; ok {
-		e := el.Value.(*segEntry)
+		e := el.Value.(*chunkEntry)
 		c.bytes += bytes - e.bytes
-		e.val, e.bytes = val, bytes
+		e.val, e.bytes = v, bytes
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&segEntry{key: k, val: val, bytes: bytes})
+	c.items[k] = c.ll.PushFront(&chunkEntry{key: k, val: v, bytes: bytes})
 	c.bytes += bytes
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		e := oldest.Value.(*segEntry)
+		e := oldest.Value.(*chunkEntry)
 		delete(c.items, e.key)
 		c.bytes -= e.bytes
 		c.evictions++
 	}
 }
 
-// Get returns the cached month segment (archive.SegmentCache).
-func (c *segmentCache) Get(dir string, m types.Month) (*dataset.Segment, bool) {
-	v, ok := c.get(segKey{dir, m, ""})
-	if !ok {
-		return nil, false
-	}
-	return v.(*dataset.Segment), true
-}
-
-// Add caches a decoded month segment (archive.SegmentCache).
-func (c *segmentCache) Add(dir string, m types.Month, seg *dataset.Segment, bytes int64) {
-	c.put(segKey{dir, m, ""}, seg, bytes)
-}
-
-// GetChunk returns the cached decode of one v3 column chunk
-// (archive.ChunkCache).
-func (c *segmentCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
-	return c.get(segKey{dir, m, col})
-}
-
-// AddChunk caches a decoded v3 column chunk (archive.ChunkCache).
-func (c *segmentCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
-	c.put(segKey{dir, m, col}, v, bytes)
-}
-
 // stats snapshots the counters.
-func (c *segmentCache) stats() SegmentCacheStats {
+func (c *chunkCache) stats() SegmentCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return SegmentCacheStats{

@@ -353,7 +353,7 @@ func (s *Server) MetricsSnapshot() (MetricsSnapshot, bool) {
 	}
 	out.Caches.Reports = s.cache.stats()
 	out.Caches.Partials = s.partialStatsPtr()
-	out.Caches.Segments = s.segs.stats()
+	out.Caches.Segments = s.chunks.stats()
 	return out, true
 }
 
@@ -518,7 +518,7 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		size                    int
 	}
 	rs := s.cache.stats()
-	ss := s.segs.stats()
+	ss := s.chunks.stats()
 	var ps PartialCacheStats
 	caches := []cacheRow{{"reports", rs.Hits, rs.Misses, rs.Evictions, rs.Size}}
 	if s.partials != nil {

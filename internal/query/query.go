@@ -16,9 +16,9 @@
 // missing months of one build share a single restore of the price
 // series and of the observation network through the last missing month
 // (archive.RestoreShared), then each reads only its own column chunks
-// and is analyzed on the worker pool. At the bottom, a decode LRU of
-// archive months (v1/v2) or column chunks (v3) lets overlapping ranges
-// share decodes instead of re-reading the disk.
+// and is analyzed on the worker pool. At the bottom, an LRU of decoded
+// archive column chunks lets overlapping ranges — and a projected read
+// followed by a full one — share decodes instead of re-reading the disk.
 //
 // One observation network serves every month of a build because of
 // month stability: a transaction is never seen pending after it is
@@ -149,12 +149,12 @@ type Config struct {
 	Workers int
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
-	// SegmentCacheSize bounds the second-level LRU of decoded archive
-	// data; 0 selects 256 entries. The unit is one decoded month segment
-	// for v1/v2 archives and one decoded column chunk for v3 (several
-	// entries per month — hence the larger default). Overlapping month
-	// ranges share the decodes they both touch through this cache, so a
-	// cold report build re-reads only what no earlier query decoded.
+	// SegmentCacheSize bounds the LRU of decoded archive data at the
+	// bottom of the cache levels; 0 selects 256 entries. The unit is one
+	// decoded column chunk (several per month — one per column and per
+	// extra vantage). Overlapping month ranges share the decodes they
+	// both touch through this cache, so a cold report build re-reads only
+	// what no earlier query decoded.
 	SegmentCacheSize int
 	// DisableMetrics turns off request accounting and the /metrics
 	// endpoint (which then 404s). Metrics are on by default: recording is
@@ -172,7 +172,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	cache    *reportCache
-	segs     *segmentCache
+	chunks   *chunkCache
 	partials *partialCache // nil without Config.AnalyzePartial
 	mux      *http.ServeMux
 	metrics  *metrics // nil when Config.DisableMetrics
@@ -214,7 +214,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		cache:    newReportCache(cfg.CacheSize),
-		segs:     newSegmentCache(cfg.SegmentCacheSize),
+		chunks:   newChunkCache(cfg.SegmentCacheSize),
 		inflight: make(map[Key]*call),
 	}
 	if cfg.AnalyzePartial != nil {
@@ -256,8 +256,8 @@ func (s *Server) SetLive(src Live) {
 // CacheStats reports the report cache's hit/miss/eviction counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 
-// SegmentCacheStats reports the second-level segment cache's counters.
-func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.segs.stats() }
+// SegmentCacheStats reports the decoded-chunk cache's counters.
+func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.chunks.stats() }
 
 // PartialCacheStats reports the month-partial cache's counters. Zero
 // when the server was configured without AnalyzePartial.
@@ -530,8 +530,8 @@ func (s *Server) runBuild(key Key, build func(Key) (*measure.Report, error)) (re
 	return c.rep, c.err
 }
 
-// analyze is the cold path: restore the month slice — months another
-// range already decoded come from the segment cache, the rest from disk
+// analyze is the cold path: restore the month slice — chunks another
+// range already decoded come from the chunk cache, the rest from disk
 // in parallel — select the requested observation view, and run the
 // measurement pipeline over it. With AnalyzePartial configured, the
 // range is assembled from per-month partials instead
@@ -551,7 +551,7 @@ func (s *Server) analyze(key Key) (*measure.Report, error) {
 	} else {
 		var ds *dataset.Dataset
 		ds, _, err = archive.ReadRangeWith(key.Archive, key.From, key.To,
-			archive.ReadOptions{Workers: s.cfg.Workers, Cache: s.segs, Span: sp})
+			archive.ReadOptions{Workers: s.cfg.Workers, Cache: s.chunks, Span: sp})
 		if err != nil {
 			return nil, err
 		}
@@ -613,7 +613,7 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 		last := keys[missing[len(missing)-1]].month
 		shared := sync.OnceValues(func() (*archive.Shared, error) {
 			return archive.RestoreShared(key.Archive, man, last,
-				archive.ReadOptions{Workers: workers, Cache: s.segs, Span: sp})
+				archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: sp})
 		})
 		errs := parallel.Map(len(missing), outer, func(i int) error {
 			var err error
@@ -681,7 +681,7 @@ func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, err
 	psp := sp.Child(obs.StagePartial)
 	psp.SetLabel(pk.month.Label() + ":computed")
 	defer psp.End()
-	ds, err := sh.ReadMonth(pk.month, archive.ReadOptions{Workers: workers, Cache: s.segs, Span: psp})
+	ds, err := sh.ReadMonth(pk.month, archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: psp})
 	if err != nil {
 		return nil, err
 	}
@@ -690,8 +690,8 @@ func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, err
 }
 
 // analyzeProjection is the projected cold path: restore only the columns
-// the artifact declares (on a v3 archive the other column chunks are
-// never read, let alone decoded) and build just that artifact. The
+// the artifact declares (the other column chunks are never read, let
+// alone decoded) and build just that artifact. The
 // column chunks it decodes warm the same cache full restores use.
 func (s *Server) analyzeProjection(key Key, artifact string) (*measure.Report, error) {
 	var tr *obs.Trace
@@ -702,7 +702,7 @@ func (s *Server) analyzeProjection(key Key, artifact string) (*measure.Report, e
 	ds, _, err := archive.ReadRangeWith(key.Archive, key.From, key.To,
 		archive.ReadOptions{
 			Workers: s.cfg.Workers,
-			Cache:   s.segs,
+			Cache:   s.chunks,
 			Span:    sp,
 			Columns: measure.ProjectionColumns(artifact),
 		})
@@ -961,8 +961,8 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // handleBlock serves one block by number as JSON — a point lookup that
 // reuses the server's cached manifest (archive.ReadBlockFrom), so a hot
 // loop of block queries parses the manifest once, not once per request.
-// On a v3 archive the lookup decodes only the column chunks whose zone
-// maps contain the block.
+// The lookup decodes only the column chunks whose zone maps contain the
+// block.
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	man, err := s.manifest()
 	if err != nil {
@@ -1000,14 +1000,14 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCache serves every cache level's hit/miss counters: the report
-// LRU, the month-partial LRU (when configured) and the decoded-segment
-// LRU beneath them.
+// LRU, the month-partial LRU (when configured) and the decoded-chunk
+// LRU beneath them (reported under "segments").
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		Reports  CacheStats         `json:"reports"`
 		Partials *PartialCacheStats `json:"partials,omitempty"`
 		Segments SegmentCacheStats  `json:"segments"`
-	}{s.cache.stats(), s.partialStatsPtr(), s.segs.stats()})
+	}{s.cache.stats(), s.partialStatsPtr(), s.chunks.stats()})
 }
 
 // partialStatsPtr returns the partial cache's stats, or nil when the

@@ -20,6 +20,7 @@ import (
 	"mevscope/internal/obs"
 	"mevscope/internal/query"
 	"mevscope/internal/sim"
+	"mevscope/internal/types"
 )
 
 // Shared test archive: one world simulated once per test process.
@@ -44,17 +45,9 @@ func TestMain(m *testing.M) {
 }
 
 // testArchive simulates a small full-window world (the observation
-// window opens, so every artifact has rows) and archives it in every
-// format: v2 (the month-granular baseline most tests front — its cache
-// counts are exact months), v1 (the legacy baseline the cold-query
-// benchmark compares against) and v3 (column chunks, the projection and
-// chunk-cache tests).
+// window opens, so every artifact has rows) and archives it once per
+// test process.
 func testArchive(tb testing.TB) string {
-	dir, _, _ := testArchives(tb)
-	return dir
-}
-
-func testArchives(tb testing.TB) (v2, v1, v3 string) {
 	tb.Helper()
 	archOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "mevscope-query-*")
@@ -62,6 +55,7 @@ func testArchives(tb testing.TB) (v2, v1, v3 string) {
 			archErr = err
 			return
 		}
+		archDir = dir
 		cfg, err := mevscope.Options{Seed: 7, BlocksPerMonth: 50}.Config()
 		if err != nil {
 			archErr = err
@@ -77,25 +71,12 @@ func testArchives(tb testing.TB) (v2, v1, v3 string) {
 			return
 		}
 		meta := map[string]string{"scenario": "baseline", "seed": "7"}
-		ds := dataset.FromSim(s)
-		if _, err := archive.WriteFormat(dir+"/v2", ds, meta, archive.FormatV2); err != nil {
-			archErr = err
-			return
-		}
-		if _, err := archive.WriteFormat(dir+"/v1", ds, meta, archive.FormatV1); err != nil {
-			archErr = err
-			return
-		}
-		if _, err := archive.WriteFormat(dir+"/v3", ds, meta, archive.FormatV3); err != nil {
-			archErr = err
-			return
-		}
-		archDir = dir
+		_, archErr = archive.Write(dir, dataset.FromSim(s), meta)
 	})
 	if archErr != nil {
 		tb.Fatal(archErr)
 	}
-	return archDir + "/v2", archDir + "/v1", archDir + "/v3"
+	return archDir
 }
 
 // analyzeReal adapts the full measurement pipeline to query.AnalyzeFunc.
@@ -461,22 +442,59 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	}
 }
 
+// rangeChunks lists the column chunks a cold full read of the months
+// spec selects decodes, per the manifest: every chunk of the selected
+// months, plus the observation chunks of every earlier month (the
+// pre-slice logs).
+func rangeChunks(tb testing.TB, man *archive.Manifest, spec string) map[string]bool {
+	tb.Helper()
+	from, to, err := types.ParseMonthRange(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[string]bool{}
+	for _, si := range man.Segments {
+		for _, ci := range si.Columns {
+			selected := si.Month >= from && si.Month <= to
+			observed := strings.HasPrefix(ci.Name, archive.ColObserved)
+			if selected || (si.Month < from && observed) {
+				out[si.Label+"/"+ci.Name] = true
+			}
+		}
+	}
+	return out
+}
+
 // TestSegmentCacheSharesOverlap: overlapping month ranges are distinct
-// report-cache keys (both analyze), but the months they share decode
-// once — the second query's cold build reads only the months the first
+// report-cache keys (both analyze), but the chunks they share decode
+// once — the second query's cold build reads only the chunks the first
 // one never touched, and /v1/cache exposes both levels.
 func TestSegmentCacheSharesOverlap(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 8, &calls)
+	man, err := archive.ReadManifest(testArchive(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstChunks := rangeChunks(t, man, "2021-01..2021-06")
+	secondChunks := rangeChunks(t, man, "2021-04..2021-09")
+	shared := 0
+	for k := range secondChunks {
+		if firstChunks[k] {
+			shared++
+		}
+	}
+	union := len(firstChunks) + len(secondChunks) - shared
+
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06"); code != http.StatusOK {
 		t.Fatalf("first range failed: %s", body)
 	}
 	first := srv.SegmentCacheStats()
-	if first.Size != 6 || first.Hits != 0 {
-		t.Fatalf("first cold range: segment cache %+v, want 6 decoded months, 0 hits", first)
+	if first.Size != len(firstChunks) || first.Misses != int64(len(firstChunks)) || first.Hits != 0 {
+		t.Fatalf("first cold range: chunk cache %+v, want %d chunks decoded, 0 hits", first, len(firstChunks))
 	}
 	if first.Bytes <= 0 {
-		t.Errorf("segment cache accounts %d bytes, want > 0", first.Bytes)
+		t.Errorf("chunk cache accounts %d bytes, want > 0", first.Bytes)
 	}
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
 		t.Fatalf("overlapping range failed: %s", body)
@@ -485,19 +503,21 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("analyze calls = %d, want 2 (distinct ranges are distinct reports)", got)
 	}
-	if second.Size != 9 {
-		t.Errorf("after overlap: %d cached months, want 9 (2021-01..2021-09)", second.Size)
+	// 2021-04..2021-06 and the observation chunks of every month before
+	// 2021-04 are shared; 2021-07..2021-09 decode fresh.
+	if second.Size != union || second.Misses != int64(union) {
+		t.Errorf("after overlap: %d cached chunks, %d misses; want %d of each", second.Size, second.Misses, union)
 	}
-	if second.Hits < 3 {
-		t.Errorf("overlap hit %d cached segments, want ≥ 3 (2021-04..2021-06 shared)", second.Hits)
+	if second.Hits != int64(shared) {
+		t.Errorf("overlap hit %d cached chunks, want %d", second.Hits, shared)
 	}
-	// The exact same range again: pure report-cache hit, segment cache
+	// The exact same range again: pure report-cache hit, chunk cache
 	// untouched.
 	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
 		t.Fatal("repeat range failed")
 	}
 	if after := srv.SegmentCacheStats(); after.Hits != second.Hits || after.Misses != second.Misses {
-		t.Errorf("report-cache hit touched the segment cache: %+v vs %+v", after, second)
+		t.Errorf("report-cache hit touched the chunk cache: %+v vs %+v", after, second)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("analyze calls after repeat = %d, want 2", got)
@@ -514,13 +534,15 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("cache endpoint is not the two-level shape: %v\n%s", err, body)
 	}
-	if stats.Segments.Size == 0 || stats.Reports.Misses == 0 {
-		t.Errorf("cache endpoint stats look empty: %s", body)
+	if stats.Segments.Size != union || stats.Reports.Misses == 0 {
+		t.Errorf("cache endpoint stats look wrong: %s", body)
 	}
 }
 
-// TestSegmentCacheEviction: a tiny segment cache keeps serving correct
-// reports while evicting, it just re-reads more.
+// TestSegmentCacheEviction: a tiny chunk cache keeps serving correct
+// reports while evicting, it just re-reads more: it holds exactly its
+// capacity, every chunk lookup of both cold ranges is counted, and every
+// decode beyond the capacity evicted one.
 func TestSegmentCacheEviction(t *testing.T) {
 	srv, err := query.New(query.Config{
 		Archive:          testArchive(t),
@@ -531,15 +553,20 @@ func TestSegmentCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	man, err := archive.ReadManifest(testArchive(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := len(rangeChunks(t, man, "2021-01..2021-06")) + len(rangeChunks(t, man, "2021-07..2021-12"))
 	_, want := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06")
 	if code, _ := get(t, srv, "/v1/artifact/fig4?months=2021-07..2021-12"); code != http.StatusOK {
 		t.Fatal("second range failed")
 	}
 	st := srv.SegmentCacheStats()
-	if st.Size != 2 || st.Evictions == 0 {
-		t.Errorf("tiny cache stats %+v, want size 2 with evictions", st)
+	if st.Size != 2 || st.Hits+st.Misses != int64(lookups) || st.Evictions != st.Misses-2 {
+		t.Errorf("tiny cache stats %+v; want size 2, %d lookups, evictions = misses - 2", st, lookups)
 	}
-	// Evicted months re-decode correctly: same body as the first query
+	// Evicted chunks re-decode correctly: same body as the first query
 	// (report cache is large enough to hold both, so force a fresh server).
 	srv2, err := query.New(query.Config{
 		Archive:          testArchive(t),
@@ -551,75 +578,71 @@ func TestSegmentCacheEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, got := get(t, srv2, "/v1/artifact/fig3?months=2021-01..2021-06"); got != want {
-		t.Error("report over a thrashing segment cache differs")
+		t.Error("report over a thrashing chunk cache differs")
 	}
 }
 
 // TestBlockEndpoint: /v1/block serves single blocks straight off the
-// manifest's block index — no report build, no full restore — against
-// both the frame (v2) and column-chunk (v3) encodings, and turns
+// manifest's zone maps — no report build, no full restore — and turns
 // out-of-range or malformed numbers into 404/400, not 500.
 func TestBlockEndpoint(t *testing.T) {
-	v2Dir, _, v3Dir := testArchives(t)
-	for _, dir := range []string{v2Dir, v3Dir} {
-		man, err := archive.ReadManifest(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var calls atomic.Int64
-		srv, err := query.New(query.Config{
-			Archive: dir,
-			Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-				calls.Add(1)
-				return analyzeReal(ds, workers, sp)
-			},
-			Workers: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := man.Segments[len(man.Segments)/2].FirstBlock
-		status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
-		if status != http.StatusOK {
-			t.Fatalf("block %d → %d: %s", want, status, body)
-		}
-		var got struct {
-			Header struct{ Number uint64 }
-		}
-		if err := json.Unmarshal([]byte(body), &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Header.Number != want {
-			t.Errorf("asked for block %d, got %d", want, got.Header.Number)
-		}
-		if calls.Load() != 0 {
-			t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
-		}
-		if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
-			t.Errorf("past-head block → %d, want 404", status)
-		}
-		if status, _ := get(t, srv, "/v1/block?number=bogus"); status != http.StatusBadRequest {
-			t.Errorf("malformed block number → %d, want 400", status)
-		}
-		if status, _ := get(t, srv, "/v1/block"); status != http.StatusBadRequest {
-			t.Errorf("missing block number → %d, want 400", status)
-		}
+	dir := testArchive(t)
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	srv, err := query.New(query.Config{
+		Archive: dir,
+		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
+			calls.Add(1)
+			return analyzeReal(ds, workers, sp)
+		},
+		Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := man.Segments[len(man.Segments)/2].FirstBlock
+	status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
+	if status != http.StatusOK {
+		t.Fatalf("block %d → %d: %s", want, status, body)
+	}
+	var got struct {
+		Header struct{ Number uint64 }
+	}
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Header.Number != want {
+		t.Errorf("asked for block %d, got %d", want, got.Header.Number)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
+	}
+	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
+		t.Errorf("past-head block → %d, want 404", status)
+	}
+	if status, _ := get(t, srv, "/v1/block?number=bogus"); status != http.StatusBadRequest {
+		t.Errorf("malformed block number → %d, want 400", status)
+	}
+	if status, _ := get(t, srv, "/v1/block"); status != http.StatusBadRequest {
+		t.Errorf("missing block number → %d, want 400", status)
 	}
 }
 
 // TestProjectedArtifactMatchesFull: with the projection hook installed,
-// a projectable artifact over a v3 archive is built from a column
-// projection — the full pipeline never runs — and its response body is
+// a projectable artifact is built from a column projection — the full pipeline never runs — and its response body is
 // byte-identical to the same artifact served off a full report build.
 func TestProjectedArtifactMatchesFull(t *testing.T) {
-	_, _, v3Dir := testArchives(t)
+	dir := testArchive(t)
 	var fullCalls, projCalls atomic.Int64
-	full, err := query.New(query.Config{Archive: v3Dir, Analyze: analyzeReal, Workers: 1})
+	full, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj, err := query.New(query.Config{
-		Archive: v3Dir,
+		Archive: dir,
 		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
 			fullCalls.Add(1)
 			return analyzeReal(ds, workers, sp)
@@ -671,26 +694,26 @@ func TestProjectedArtifactMatchesFull(t *testing.T) {
 	}
 }
 
-// TestChunkCacheGranularV3: fronting a v3 archive, the decode cache
-// holds individual column chunks — more entries than the archive has
+// TestChunkCacheGranularV3: the decode cache holds individual column
+// chunks — more entries than the archive has
 // months — so a projected read and a later full read share the chunks
 // they overlap on.
 func TestChunkCacheGranularV3(t *testing.T) {
-	_, _, v3Dir := testArchives(t)
-	srv, err := query.New(query.Config{Archive: v3Dir, Analyze: analyzeReal, Workers: 1})
+	dir := testArchive(t)
+	srv, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status, body := get(t, srv, "/v1/report?format=text"); status != http.StatusOK {
 		t.Fatalf("report → %d: %s", status, body)
 	}
-	man, err := archive.ReadManifest(v3Dir)
+	man, err := archive.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := srv.SegmentCacheStats()
 	if st.Size <= len(man.Segments) {
-		t.Errorf("v3 decode cache holds %d entries for %d segments; want chunk granularity", st.Size, len(man.Segments))
+		t.Errorf("decode cache holds %d entries for %d segments; want chunk granularity", st.Size, len(man.Segments))
 	}
 	if st.Bytes <= 0 {
 		t.Errorf("chunk cache accounts %d bytes", st.Bytes)

@@ -139,29 +139,23 @@ func TestFollowerFeedValidation(t *testing.T) {
 // OnMonthEnd (the `mevscope archive -live` path) must produce an archive
 // file-for-file identical to batch-archiving the finished dataset — same
 // checksums, same manifest shape — and restoring it must reproduce the
-// batch report byte for byte. Runs per format: the column encoders must
-// be as deterministic segment-at-a-time as the frame encoder is.
+// batch report byte for byte: the column encoders must be deterministic
+// segment at a time. The "v3" subtest names the column-chunk codec
+// (byte 0x03).
 func TestStreamedArchiveMatchesBatch(t *testing.T) {
-	for _, format := range []archive.Format{archive.FormatV2, archive.FormatV3} {
-		t.Run(format.String(), func(t *testing.T) { streamedMatchesBatch(t, format) })
-	}
+	t.Run("v3", streamedMatchesBatch)
 }
 
-// segmentFiles flattens one segment's data-file records: the legacy
-// trio for v1/v2 manifests, the column chunks for v3.
+// segmentFiles flattens one segment's column-chunk records.
 func segmentFiles(si archive.SegmentInfo) []archive.FileInfo {
-	if len(si.Columns) > 0 {
-		files := make([]archive.FileInfo, 0, len(si.Columns))
-		for _, ci := range si.Columns {
-			files = append(files, ci.File)
-		}
-		return files
+	files := make([]archive.FileInfo, 0, len(si.Columns))
+	for _, ci := range si.Columns {
+		files = append(files, ci.File)
 	}
-	files := []archive.FileInfo{si.Blocks, si.Flashbots, si.Observed}
-	return append(files, si.ObservedV...)
+	return files
 }
 
-func streamedMatchesBatch(t *testing.T, format archive.Format) {
+func streamedMatchesBatch(t *testing.T) {
 	cfg := sim.DefaultConfig(23)
 	cfg.BlocksPerMonth = 25
 	liveDir, batchDir := t.TempDir(), t.TempDir()
@@ -173,7 +167,7 @@ func streamedMatchesBatch(t *testing.T, format archive.Format) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err = archive.NewStreamWriter(liveDir, s.Chain.Timeline, s.World.WETH, format, map[string]string{"seed": "23"})
+	sw, err = archive.NewStreamWriter(liveDir, s.Chain.Timeline, s.World.WETH, archive.DefaultFormat, map[string]string{"seed": "23"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ func streamedMatchesBatch(t *testing.T, format archive.Format) {
 		t.Fatal(err)
 	}
 
-	batchMan, err := archive.WriteFormat(batchDir, dataset.FromSim(s), map[string]string{"seed": "23"}, format)
+	batchMan, err := archive.Write(batchDir, dataset.FromSim(s), map[string]string{"seed": "23"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +238,10 @@ func streamedMatchesBatch(t *testing.T, format archive.Format) {
 	}
 }
 
-// TestStreamWriterValidation: months must ascend, a finalized writer is
-// closed, and Finalize refuses a dataset whose months were only partly
-// rotated under a stale manifest view.
+// TestStreamWriterValidation: only the current format is written,
+// months must ascend, a finalized writer is closed, and Finalize refuses
+// a dataset whose months were only partly rotated under a stale
+// manifest view.
 func TestStreamWriterValidation(t *testing.T) {
 	cfg := sim.DefaultConfig(5)
 	cfg.BlocksPerMonth = 20
@@ -263,7 +258,10 @@ func TestStreamWriterValidation(t *testing.T) {
 	if len(segs) != 3 {
 		t.Fatalf("partitioned %d months, want 3", len(segs))
 	}
-	sw, err := archive.NewStreamWriter(t.TempDir(), s.Chain.Timeline, s.World.WETH, archive.FormatV2, nil)
+	if _, err := archive.NewStreamWriter(t.TempDir(), s.Chain.Timeline, s.World.WETH, archive.DefaultFormat-1, nil); err == nil {
+		t.Error("stream writer accepted a retired format")
+	}
+	sw, err := archive.NewStreamWriter(t.TempDir(), s.Chain.Timeline, s.World.WETH, archive.DefaultFormat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

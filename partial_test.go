@@ -86,7 +86,7 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 			}
 			dir := t.TempDir()
 			ds := dataset.FromSim(st.Sim)
-			man, err := archive.WriteFormat(dir, ds, nil, archive.FormatV3)
+			man, err := archive.Write(dir, ds, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +245,7 @@ func TestMergePartialsRejectsGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := archive.WriteFormat(dir, dataset.FromSim(st.Sim), nil, archive.FormatV3); err != nil {
+	if _, err := archive.Write(dir, dataset.FromSim(st.Sim), nil); err != nil {
 		t.Fatal(err)
 	}
 	var parts []*measure.Partial

@@ -48,12 +48,12 @@ func TestWriteReportGolden(t *testing.T) {
 	t.Fatal("report differs from golden (whitespace only?)")
 }
 
-// TestArchiveRoundTripGolden pins the archive formats against the same
-// golden file the in-memory pipeline is pinned to: the golden world
-// archived as v1, v2 and v3 must each restore to a dataset whose report
-// is byte-for-byte the golden report. This is the acceptance gate for
-// every encoding — compression, framing, the block index, per-column
-// codecs and zone maps are invisible to every measured value.
+// TestArchiveRoundTripGolden pins the archive against the same golden
+// file the in-memory pipeline is pinned to: the golden world archived
+// and restored must yield a report byte-for-byte the golden report. This
+// is the acceptance gate for the encoding — compression, per-column
+// codecs, zone maps and the prices chunk are invisible to every measured
+// value.
 func TestArchiveRoundTripGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/report_seed1234_bpm100.golden")
 	if err != nil {
@@ -63,25 +63,22 @@ func TestArchiveRoundTripGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := dataset.FromSim(st.Sim)
-	for _, format := range []archive.Format{archive.FormatV1, archive.FormatV2, archive.FormatV3} {
-		dir := t.TempDir()
-		if _, err := archive.WriteFormat(dir, ds, nil, format); err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		restored, _, err := archive.Read(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		rst, err := AnalyzeDataset(restored, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		var buf bytes.Buffer
-		rst.WriteReport(&buf)
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%s archive round trip drifted from the golden report", format)
-		}
+	dir := t.TempDir()
+	if _, err := archive.Write(dir, dataset.FromSim(st.Sim), nil); err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := archive.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rst, err := AnalyzeDataset(restored, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rst.WriteReport(&buf)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Error("archive round trip drifted from the golden report")
 	}
 }
 
