@@ -58,9 +58,6 @@ import (
 	"time"
 
 	"mevscope"
-	"mevscope/internal/core/measure"
-	"mevscope/internal/dataset"
-	"mevscope/internal/obs"
 	"mevscope/internal/query"
 )
 
@@ -512,8 +509,8 @@ type Output struct {
 	Mix         string  `json:"mix"`
 	INMFraction float64 `json:"if_none_match_fraction"`
 	Levels      []Level `json:"levels"`
-	// PartialCache is present only when the target serves a
-	// month-partial cache level (/v1/cache reports it).
+	// PartialCache is present when the target's /v1/cache reports a
+	// month-partial cache level, as every mevscope server does.
 	PartialCache *PartialCacheSummary `json:"partial_cache,omitempty"`
 }
 
@@ -534,15 +531,8 @@ func run(cfg *config) (*Output, error) {
 	name := cfg.url
 	if cfg.from != "" {
 		srv, err := query.New(query.Config{
-			Archive: cfg.from,
-			Workers: cfg.parallel,
-			Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-				st, err := mevscope.AnalyzeDatasetTraced(ds, workers, sp)
-				if err != nil {
-					return nil, err
-				}
-				return st.Report, nil
-			},
+			Archive:           cfg.from,
+			Workers:           cfg.parallel,
 			AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
 			AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
 		})
@@ -599,8 +589,8 @@ func run(cfg *config) (*Output, error) {
 }
 
 // partialCacheSummary reads the server's cumulative partial-cache
-// counters off /v1/cache; nil when the endpoint is unreachable or the
-// server has no partial level configured.
+// counters off /v1/cache; nil when the endpoint is unreachable or
+// reports no partials level.
 func partialCacheSummary(tgt target) *PartialCacheSummary {
 	raw, err := tgt.get("/v1/cache")
 	if err != nil {

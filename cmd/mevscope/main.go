@@ -492,14 +492,7 @@ func runServe(args []string) {
 		fail(1, err)
 	}
 	srv, err := query.New(query.Config{
-		Archive: *from,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			st, err := mevscope.AnalyzeDatasetTraced(ds, workers, sp)
-			if err != nil {
-				return nil, err
-			}
-			return st.Report, nil
-		},
+		Archive:           *from,
 		AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
 		AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
 		Workers:           *parallelism,
@@ -529,7 +522,8 @@ func runServe(args []string) {
 
 // startLive wires a background simulation's streaming follower into the
 // server: the follower advances block by block under a mutex and every
-// ?source=live query snapshots the current report at the current height.
+// ?source=live query snapshots the follower's incremental report at the
+// current height.
 func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 	cfg, err := opts.Config()
 	if err != nil {
@@ -541,28 +535,6 @@ func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 	}
 	var mu sync.Mutex
 	f := stream.ForSim(s, opts.Parallelism)
-	// Each completed month seals into a frozen partial at the rotation
-	// point, so a snapshot merges the sealed months and re-analyzes only
-	// the open one — snapshot cost stays proportional to one month,
-	// however long the history grows. Sealing runs under the stepping
-	// mutex (OnMonthEnd fires inside Sync), so the list is consistent.
-	var sealed []*measure.Partial
-	sealing := true
-	f.OnMonthEnd = func(m types.Month, f *stream.Follower) {
-		if !sealing {
-			return
-		}
-		p, err := sealMonth(f, m, opts.Parallelism)
-		if err != nil {
-			// A failed seal would leave a hole the merge cannot bridge:
-			// fall back to full snapshots for the rest of the run.
-			sealing = false
-			sealed = nil
-			fmt.Fprintln(os.Stderr, "mevscope: live month sealing disabled:", err)
-			return
-		}
-		sealed = append(sealed, p)
-	}
 	srv.SetLive(query.Live{
 		// Height keys the cache and runs per request; only a cache miss
 		// at a new height pays a snapshot (and briefly pauses stepping).
@@ -574,15 +546,6 @@ func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 		Snapshot: func() (*measure.Report, uint64) {
 			mu.Lock()
 			defer mu.Unlock()
-			if sealing && f.Blocks() > 0 {
-				rep, err := snapshotFromPartials(f, sealed, opts.Parallelism)
-				if err == nil {
-					return rep, f.Blocks()
-				}
-				sealing = false
-				sealed = nil
-				fmt.Fprintln(os.Stderr, "mevscope: live partial snapshots disabled:", err)
-			}
 			return f.Report(), f.Blocks()
 		},
 		// Lag is how many sealed blocks the follower has not yet consumed
@@ -618,36 +581,6 @@ func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 		}
 	}()
 	return nil
-}
-
-// sealMonth freezes one completed month of the live follower as an
-// analyzed partial — the same memoization unit the archive-backed query
-// path caches (measure.Partial).
-func sealMonth(f *stream.Follower, m types.Month, workers int) (*measure.Partial, error) {
-	ds, err := f.MonthDataset(m)
-	if err != nil {
-		return nil, err
-	}
-	return mevscope.AnalyzeDatasetPartial(ds, workers, nil)
-}
-
-// snapshotFromPartials assembles the live report from the sealed month
-// partials plus a freshly analyzed partial of the open month. The
-// result is byte-identical to Follower.Report at the same height; only
-// the open month pays an analysis.
-func snapshotFromPartials(f *stream.Follower, sealed []*measure.Partial, workers int) (*measure.Report, error) {
-	open := f.Timeline().MonthOfBlock(f.Next() - 1)
-	parts := sealed
-	if len(sealed) == 0 || sealed[len(sealed)-1].Month < open {
-		p, err := sealMonth(f, open, workers)
-		if err != nil {
-			return nil, err
-		}
-		// Three-index append: the open-month partial must never land in
-		// the sealed slice's backing array.
-		parts = append(sealed[:len(sealed):len(sealed)], p)
-	}
-	return measure.MergePartials(parts, "", workers, nil)
 }
 
 // writeCSV optionally writes the CSV artifact directory.

@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"mevscope"
 	"mevscope/internal/archive"
 	"mevscope/internal/dataset"
+	"mevscope/internal/query"
 	"mevscope/internal/scenario"
 	"mevscope/internal/sim"
 )
@@ -274,5 +279,53 @@ func TestArchiveLive(t *testing.T) {
 	}
 	if ds.Chain.Len() != s.Chain.Len() {
 		t.Errorf("restored %d blocks, world has %d", ds.Chain.Len(), s.Chain.Len())
+	}
+}
+
+// TestServeLive drives `serve -live` end to end: startLive grows a small
+// world in the background behind a live-only server, and the live text
+// report, polled over the HTTP handler while the world grows, must
+// converge to mevscope.Run's report for the same options; /metrics must
+// export the follower's lag. Under -race it also covers the stepping
+// goroutine and the snapshot handler sharing the follower's mutex.
+func TestServeLive(t *testing.T) {
+	opts := mevscope.Options{Seed: 5, BlocksPerMonth: 10}
+	st, err := mevscope.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	st.WriteReport(&want)
+
+	srv, err := query.New(query.Config{AnalyzePartial: mevscope.AnalyzeDatasetPartial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := startLive(srv, opts, true); err != nil {
+		t.Fatal(err)
+	}
+	get := func(url string) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		return rec.Code, rec.Body.String()
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		code, body := get("/v1/report?source=live&format=text")
+		if code != http.StatusOK {
+			t.Fatalf("live report → %d: %s", code, body)
+		}
+		if body == want.String() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("live report did not converge to mevscope.Run's within 60s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Stepping and syncing share the follower's mutex, so the follower
+	// never trails the world when the gauge reads it.
+	if code, body := get("/metrics"); code != http.StatusOK || !strings.Contains(body, "mevscope_live_lag_blocks 0\n") {
+		t.Errorf("/metrics → %d without a zero mevscope_live_lag_blocks gauge", code)
 	}
 }

@@ -72,7 +72,6 @@ func newServeLikeServer(tb testing.TB, dir string, workers int) *query.Server {
 	tb.Helper()
 	srv, err := query.New(query.Config{
 		Archive:           dir,
-		Analyze:           analyzeReal,
 		AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
 		AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
 		Workers:           workers,

@@ -28,14 +28,14 @@ func benchGet(b *testing.B, srv *query.Server, url string) {
 }
 
 // benchColdReport measures the cold query path over one archive: every
-// request misses both cache levels (fresh server), so it pays the full
-// archive restore plus the measurement pipeline.
+// request misses every cache level (fresh server), so it pays the shared
+// restore, every month's read and analysis, and the merge.
 func benchColdReport(b *testing.B, dir string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		srv, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
+		srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func benchColdReport(b *testing.B, dir string) {
 
 // BenchmarkServeColdReportV3 is the cold query benchmark: the full
 // report over the shared 1-vantage world's archive, as a new `mevscope
-// archive` writes it.
+// archive` writes it, assembled from month partials at one worker.
 func BenchmarkServeColdReportV3(b *testing.B) {
 	benchColdReport(b, testArchive(b))
 }
@@ -56,7 +56,7 @@ func BenchmarkServeColdReportV3(b *testing.B) {
 // worker pool builds the full-window report of a 4-vantage archive from
 // month partials — the shared archive state restored once per
 // build, the missing months fanned across the pool. The benchmark above
-// times the Analyze-only path at one worker on a 1-vantage world.
+// times the same assembly at one worker on a 1-vantage world.
 func BenchmarkServeColdReportMultiVantage(b *testing.B) {
 	dir := multiVantageArchive(b)
 	b.ReportAllocs()
@@ -80,7 +80,7 @@ func BenchmarkServeColdArtifactProjected(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		srv, err := query.New(query.Config{
-			Archive: dir, Analyze: analyzeReal,
+			Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial,
 			AnalyzeProjection: mevscope.AnalyzeDatasetProjection, Workers: 1,
 		})
 		if err != nil {
@@ -108,23 +108,18 @@ func overlappingRangeURLs() []string {
 // server per iteration. Each iteration first issues one full-range
 // warming request under a stopped timer — steady-state serving has the
 // chunk LRU hot from prior traffic, and the warming request models
-// exactly that (on the partial path it also seals every month, the
+// exactly that (it also analyzes every month, the
 // analyze-each-month-once half of the memoization). The timed region
 // is the 18 sliding windows, every one a report key the server has
-// never seen: with the partial cache each window assembles cached
-// month partials; without it each window re-analyzes its whole range.
-func benchColdOverlapping(b *testing.B, partials bool) {
+// never seen, each assembled from cached month partials.
+func benchColdOverlapping(b *testing.B) {
 	dir := testArchive(b)
 	urls := overlappingRangeURLs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		cfg := query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1}
-		if partials {
-			cfg.AnalyzePartial = mevscope.AnalyzeDatasetPartial
-		}
-		srv, err := query.New(cfg)
+		srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,14 +132,8 @@ func benchColdOverlapping(b *testing.B, partials bool) {
 }
 
 // BenchmarkServeColdOverlappingRanges is the month-partial memoization
-// headline number: the sliding-window mix over a cold server with the
-// partial cache on. The acceptance bar is ≥ 5× faster than the
-// ...Full baseline below.
-func BenchmarkServeColdOverlappingRanges(b *testing.B) { benchColdOverlapping(b, true) }
-
-// BenchmarkServeColdOverlappingRangesFull is the same mix on the legacy
-// path: every window re-analyzes its full range from scratch.
-func BenchmarkServeColdOverlappingRangesFull(b *testing.B) { benchColdOverlapping(b, false) }
+// headline number: the sliding-window mix over a cold server.
+func BenchmarkServeColdOverlappingRanges(b *testing.B) { benchColdOverlapping(b) }
 
 // BenchmarkServePartialAssemblyWarm measures pure assembly: every month
 // partial of a 12-month window is cached, and the report LRU is sized
@@ -154,9 +143,8 @@ func BenchmarkServeColdOverlappingRangesFull(b *testing.B) { benchColdOverlappin
 func BenchmarkServePartialAssemblyWarm(b *testing.B) {
 	dir := testArchive(b)
 	srv, err := query.New(query.Config{
-		Archive: dir, Analyze: analyzeReal,
-		AnalyzePartial: mevscope.AnalyzeDatasetPartial,
-		Workers:        1, CacheSize: 1,
+		Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial,
+		Workers: 1, CacheSize: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -6,7 +6,7 @@ package query
 // latency observation in a fixed log-scale histogram — then exposed at
 // GET /metrics in Prometheus text exposition format (the default, so a
 // stock scraper works unconfigured) or as JSON (?format=json, which
-// also embeds both cache levels' counters so one scrape reconciles
+// also embeds all three cache levels' counters so one scrape reconciles
 // request counts against cache lookups). Everything is plain atomics
 // over a fixed endpoint set: no locks on the hot path, no dependencies.
 //
@@ -279,8 +279,8 @@ func runtimeMetrics() RuntimeMetrics {
 
 // MetricsSnapshot is the /metrics?format=json document: per-endpoint
 // request metrics, per-stage cold-build histograms, the Go runtime
-// gauges, the live follower's lag when one is attached, and both cache
-// levels, so hit/miss counters can be reconciled against request
+// gauges, the live follower's lag when one is attached, and all three
+// cache levels, so hit/miss counters can be reconciled against request
 // counts in one read.
 type MetricsSnapshot struct {
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
@@ -288,9 +288,9 @@ type MetricsSnapshot struct {
 	Runtime   RuntimeMetrics             `json:"runtime"`
 	LiveLag   *uint64                    `json:"live_lag_blocks,omitempty"`
 	Caches    struct {
-		Reports  CacheStats         `json:"reports"`
-		Partials *PartialCacheStats `json:"partials,omitempty"`
-		Segments SegmentCacheStats  `json:"segments"`
+		Reports  CacheStats        `json:"reports"`
+		Partials PartialCacheStats `json:"partials"`
+		Segments SegmentCacheStats `json:"segments"`
 	} `json:"caches"`
 }
 
@@ -352,7 +352,7 @@ func (s *Server) MetricsSnapshot() (MetricsSnapshot, bool) {
 		out.LiveLag = &lag
 	}
 	out.Caches.Reports = s.cache.stats()
-	out.Caches.Partials = s.partialStatsPtr()
+	out.Caches.Partials = s.partials.stats()
 	out.Caches.Segments = s.chunks.stats()
 	return out, true
 }
@@ -394,7 +394,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // request/byte/304 counters by endpoint and status class, the latency
 // histogram with cumulative le-labelled buckets, per-stage cold-build
 // histograms, the Go runtime gauges, the live lag gauge when a live
-// source is attached, and both cache levels.
+// source is attached, and all three cache levels.
 func (s *Server) writePrometheus(w io.Writer) error {
 	active := make([]string, 0, len(endpointLabels))
 	for _, l := range endpointLabels {
@@ -517,15 +517,12 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		hits, misses, evictions int64
 		size                    int
 	}
-	rs := s.cache.stats()
-	ss := s.chunks.stats()
-	var ps PartialCacheStats
-	caches := []cacheRow{{"reports", rs.Hits, rs.Misses, rs.Evictions, rs.Size}}
-	if s.partials != nil {
-		ps = s.partials.stats()
-		caches = append(caches, cacheRow{"partials", ps.Hits, ps.Misses, ps.Evictions, ps.Size})
+	rs, ps, ss := s.cache.stats(), s.partials.stats(), s.chunks.stats()
+	caches := []cacheRow{
+		{"reports", rs.Hits, rs.Misses, rs.Evictions, rs.Size},
+		{"partials", ps.Hits, ps.Misses, ps.Evictions, ps.Size},
+		{"segments", ss.Hits, ss.Misses, ss.Evictions, ss.Size},
 	}
-	caches = append(caches, cacheRow{"segments", ss.Hits, ss.Misses, ss.Evictions, ss.Size})
 	if err := p("# HELP mevscope_cache_hits_total Cache hits by level.\n# TYPE mevscope_cache_hits_total counter\n"); err != nil {
 		return err
 	}
@@ -561,10 +558,8 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	if err := p("# HELP mevscope_cache_bytes Resident bytes held by the byte-accounted cache levels.\n# TYPE mevscope_cache_bytes gauge\n"); err != nil {
 		return err
 	}
-	if s.partials != nil {
-		if err := p("mevscope_cache_bytes{cache=\"partials\"} %d\n", ps.Bytes); err != nil {
-			return err
-		}
+	if err := p("mevscope_cache_bytes{cache=\"partials\"} %d\n", ps.Bytes); err != nil {
+		return err
 	}
 	return p("mevscope_cache_bytes{cache=\"segments\"} %d\n", ss.Bytes)
 }

@@ -2,12 +2,14 @@ package query_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"mevscope"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/query"
 )
@@ -210,6 +212,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if snap.Caches.Reports.Misses == 0 {
 		t.Errorf("embedded report-cache stats look empty: %+v", snap.Caches.Reports)
 	}
+	if ps := srv.PartialCacheStats(); snap.Caches.Partials != ps || ps.Misses == 0 {
+		t.Errorf("embedded partial-cache stats %+v, want the server's non-empty %+v", snap.Caches.Partials, ps)
+	}
 
 	prom := getWith(t, srv, http.MethodGet, "/metrics", nil)
 	if prom.Code != http.StatusOK {
@@ -227,6 +232,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mevscope_http_request_seconds_count{endpoint="/v1/artifact"} 3`,
 		`mevscope_http_request_seconds_bucket{endpoint="/v1/artifact",le="+Inf"} 3`,
 		`mevscope_cache_hits_total{cache="reports"}`,
+		fmt.Sprintf(`mevscope_cache_misses_total{cache="partials"} %d`, srv.PartialCacheStats().Misses),
+		fmt.Sprintf(`mevscope_cache_bytes{cache="partials"} %d`, srv.PartialCacheStats().Bytes),
 		`mevscope_cache_bytes{cache="segments"}`,
 	} {
 		if !strings.Contains(body, want) {
@@ -243,7 +250,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsDisabled(t *testing.T) {
 	srv, err := query.New(query.Config{
 		Archive:        testArchive(t),
-		Analyze:        analyzeReal,
+		AnalyzePartial: mevscope.AnalyzeDatasetPartial,
 		Workers:        1,
 		DisableMetrics: true,
 	})

@@ -6,18 +6,21 @@ package query_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"mevscope"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/query"
 )
 
 // TestStageMetrics: one cold artifact build records every pipeline
 // stage — restore and decode on the archive side, detect/profit/
-// aggregate/build in the measurement core — plus the whole-build
-// "total", in both expositions; a cache hit adds nothing.
+// aggregate/build in the measurement core, one analyze:partial per
+// month — plus the whole-build "total", in both expositions; a cache
+// hit adds nothing.
 func TestStageMetrics(t *testing.T) {
 	srv := newServer(t, 4, nil)
 
@@ -28,7 +31,7 @@ func TestStageMetrics(t *testing.T) {
 	if !ok {
 		t.Fatal("metrics disabled on a default server")
 	}
-	for _, st := range []string{"total", "archive:restore", "archive:decode", "detect", "profit", "aggregate", "build"} {
+	for _, st := range []string{"total", "archive:restore", "archive:decode", "detect", "profit", "aggregate", "build", "analyze:partial"} {
 		sm, present := snap.Stages[st]
 		if !present || sm.Count == 0 {
 			t.Errorf("stage %q missing from snapshot after a cold build: %+v", st, snap.Stages)
@@ -44,12 +47,18 @@ func TestStageMetrics(t *testing.T) {
 		t.Errorf("live lag = %v with no live source attached", *snap.LiveLag)
 	}
 
+	// Each archived month is analyzed once, detect running per month.
+	months := archivedMonths(t, testArchive(t), "")
+	if pm := snap.Stages["analyze:partial"]; pm.Count != months {
+		t.Errorf("month partials = %d, want %d", pm.Count, months)
+	}
+
 	prom := getWith(t, srv, http.MethodGet, "/metrics", nil)
 	body := prom.Body.String()
 	for _, want := range []string{
 		`# TYPE mevscope_stage_seconds histogram`,
 		`mevscope_stage_seconds_count{stage="total"} 1`,
-		`mevscope_stage_seconds_bucket{stage="detect",le="+Inf"} 1`,
+		fmt.Sprintf(`mevscope_stage_seconds_bucket{stage="detect",le="+Inf"} %d`, months),
 		`mevscope_stage_seconds_sum{stage="build"}`,
 		`mevscope_go_goroutines`,
 		`mevscope_go_heap_alloc_bytes`,
@@ -112,10 +121,10 @@ func TestPprofOptIn(t *testing.T) {
 	}
 
 	on, err := query.New(query.Config{
-		Archive:     testArchive(t),
-		Analyze:     analyzeReal,
-		Workers:     1,
-		EnablePprof: true,
+		Archive:        testArchive(t),
+		AnalyzePartial: mevscope.AnalyzeDatasetPartial,
+		Workers:        1,
+		EnablePprof:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

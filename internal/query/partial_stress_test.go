@@ -17,6 +17,21 @@ import (
 	"mevscope/internal/types"
 )
 
+// months2021 is January through the n-th month of 2021 — the
+// single-month report keys both stress tests request.
+func months2021(t *testing.T, n int) []types.Month {
+	t.Helper()
+	var months []types.Month
+	for k := 0; k < n; k++ {
+		m, err := types.ParseMonth(fmt.Sprintf("2021-%02d", k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		months = append(months, m)
+	}
+	return months
+}
+
 // realPartials precomputes real single-month partials of the shared
 // test archive, keyed by month label — stub AnalyzePartial functions
 // return these so merged reports render like the real thing while the
@@ -59,15 +74,7 @@ func TestConcurrentStressPartialLRUDedup(t *testing.T) {
 		totalBurst = keys * perKey
 	)
 	// Months 2021-01..2021-08 — the same keys the report-LRU stress uses.
-	var months []types.Month
-	for k := 0; k < keys; k++ {
-		m, err := types.ParseMonth(fmt.Sprintf("2021-%02d", k+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		months = append(months, m)
-	}
-	pre := realPartials(t, months)
+	pre := realPartials(t, months2021(t, keys))
 
 	release := make(chan struct{})
 	perMonthCalls := make(map[string]*int, keys)
@@ -77,9 +84,6 @@ func TestConcurrentStressPartialLRUDedup(t *testing.T) {
 		CacheSize:         keys * 2,
 		PartialCacheBytes: 1, // holds exactly one partial: every publish evicts
 		Workers:           1,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			return nil, fmt.Errorf("full analysis must not run when AnalyzePartial is set")
-		},
 		AnalyzePartial: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
 			id := ds.Chain.Timeline.FirstMonth.Label()
 			callsMu.Lock()
@@ -186,7 +190,7 @@ func TestConcurrentStressPartialLRUDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cacheView.Partials == nil {
-		t.Fatal("/v1/cache omits the partials level on a partial-configured server")
+		t.Fatal("/v1/cache omits the partials level")
 	}
 	if *cacheView.Partials != after {
 		t.Errorf("/v1/cache partials %+v disagree with PartialCacheStats %+v", *cacheView.Partials, after)
@@ -204,7 +208,6 @@ func TestConcurrentStressPartialLRUDedup(t *testing.T) {
 func TestPartialCacheViewScoping(t *testing.T) {
 	srv, err := query.New(query.Config{
 		Archive:        multiVantageArchive(t),
-		Analyze:        analyzeReal,
 		AnalyzePartial: mevscope.AnalyzeDatasetPartial,
 		Workers:        1,
 	})

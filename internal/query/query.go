@@ -10,15 +10,15 @@
 // range, view, scenario). Repeated queries for any artifact of the same
 // slice — any format — skip the pipeline entirely and re-encode the
 // cached report's structured artifact model (measure.Artifact). Beneath
-// the report LRU sit two more levels. With Config.AnalyzePartial set
-// (as `mevscope serve` sets it), a report miss is assembled from
-// per-month partials: cached months come from the partial LRU, and the
-// missing months of one build share a single restore of the price
-// series and of the observation network through the last missing month
-// (archive.RestoreShared), then each reads only its own column chunks
-// and is analyzed on the worker pool. At the bottom, an LRU of decoded
-// archive column chunks lets overlapping ranges — and a projected read
-// followed by a full one — share decodes instead of re-reading the disk.
+// the report LRU sit two more levels. A report miss is assembled from
+// per-month partials (Config.AnalyzePartial): cached months come from
+// the partial LRU, and the missing months of one build share a single
+// restore of the price series and of the observation network through
+// the last missing month (archive.RestoreShared), then each reads only
+// its own column chunks and is analyzed on the worker pool. At the
+// bottom, an LRU of decoded archive column chunks lets overlapping
+// ranges — and a projected read followed by a full one — share decodes
+// instead of re-reading the disk.
 //
 // One observation network serves every month of a build because of
 // month stability: a transaction is never seen pending after it is
@@ -85,8 +85,11 @@ import (
 
 // AnalyzeFunc runs the measurement pipeline over a restored dataset with
 // the given worker-pool size, recording its stages under sp when non-nil
-// (internal/obs). `mevscope serve` wires it to
-// mevscope.AnalyzeDatasetTraced; tests substitute counters and stubs.
+// (internal/obs).
+//
+// Deprecated: the server assembles every archive report from month
+// partials (PartialFunc) and never calls an AnalyzeFunc; the type stays
+// only so existing Config literals that set Analyze still compile.
 type AnalyzeFunc func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error)
 
 // ProjectionFunc builds only the named projectable artifacts from a
@@ -101,9 +104,8 @@ type ProjectionFunc func(ds *dataset.Dataset, workers int, artifacts []string, s
 // observation network may run past the month — into a frozen, mergeable
 // month partial. It is called concurrently for the missing months of a
 // build. `mevscope serve` wires it to mevscope.AnalyzeDatasetPartial;
-// when set, a report-cache miss is served by merging per-month partials
-// (computing only the uncached months) instead of re-analyzing the
-// whole range.
+// every report-cache miss is served by merging per-month partials,
+// computing only the uncached months.
 type PartialFunc func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error)
 
 // Live describes a live source (a streaming follower). Height keys the
@@ -126,26 +128,28 @@ type Config struct {
 	// Archive is the segmented archive directory to serve; empty when the
 	// server only fronts a live source.
 	Archive string
-	// Analyze runs the measurement pipeline over a restored dataset.
+	// Analyze is never called.
+	//
+	// Deprecated: report builds always assemble month partials through
+	// AnalyzePartial; setting Analyze has no effect.
 	Analyze AnalyzeFunc
 	// AnalyzeProjection, when set, builds projectable artifacts from a
-	// column-projected restore. Optional: without it every artifact query
-	// restores and analyzes the full month slice.
+	// column-projected restore. Optional: without it a projectable
+	// artifact is served off the full report like every other artifact.
 	AnalyzeProjection ProjectionFunc
-	// AnalyzePartial, when set, turns on the month-partial cache level:
-	// report-cache misses assemble their report from per-month partials,
+	// AnalyzePartial analyzes one month into a mergeable partial; every
+	// report-cache miss assembles its report from per-month partials,
 	// analyzing only the months no earlier range already analyzed.
-	// Optional: without it every report-cache miss re-analyzes its whole
-	// range.
+	// Required.
 	AnalyzePartial PartialFunc
 	// PartialCacheBytes bounds the resident size of the partial LRU;
-	// 0 selects 256 MiB. Ignored without AnalyzePartial.
+	// 0 selects 256 MiB.
 	PartialCacheBytes int64
 	// Workers sizes the analysis worker pool (< 1 selects every core):
-	// it is passed through to Analyze and to the parallel segment decode,
-	// and it bounds a partial assembly's fan-out — the missing months of
-	// one build run concurrently, with months × per-month workers never
-	// exceeding it.
+	// it bounds a partial assembly's fan-out — the missing months of one
+	// build run concurrently, with months × per-month workers never
+	// exceeding it — and is passed through to the shared restore, to
+	// AnalyzeProjection, to the projected decode and to the merge.
 	Workers int
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
@@ -173,7 +177,7 @@ type Server struct {
 	cfg      Config
 	cache    *reportCache
 	chunks   *chunkCache
-	partials *partialCache // nil without Config.AnalyzePartial
+	partials *partialCache
 	mux      *http.ServeMux
 	metrics  *metrics // nil when Config.DisableMetrics
 
@@ -202,8 +206,8 @@ type pcall struct {
 
 // New creates a server over the configured archive.
 func New(cfg Config) (*Server, error) {
-	if cfg.Analyze == nil {
-		return nil, fmt.Errorf("query: Config.Analyze is required")
+	if cfg.AnalyzePartial == nil {
+		return nil, fmt.Errorf("query: Config.AnalyzePartial is required")
 	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 16
@@ -211,18 +215,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SegmentCacheSize == 0 {
 		cfg.SegmentCacheSize = 256
 	}
-	s := &Server{
-		cfg:      cfg,
-		cache:    newReportCache(cfg.CacheSize),
-		chunks:   newChunkCache(cfg.SegmentCacheSize),
-		inflight: make(map[Key]*call),
+	if cfg.PartialCacheBytes == 0 {
+		cfg.PartialCacheBytes = 256 << 20
 	}
-	if cfg.AnalyzePartial != nil {
-		if s.cfg.PartialCacheBytes == 0 {
-			s.cfg.PartialCacheBytes = 256 << 20
-		}
-		s.partials = newPartialCache(s.cfg.PartialCacheBytes)
-		s.pinflight = make(map[partialKey]*pcall)
+	s := &Server{
+		cfg:       cfg,
+		cache:     newReportCache(cfg.CacheSize),
+		chunks:    newChunkCache(cfg.SegmentCacheSize),
+		partials:  newPartialCache(cfg.PartialCacheBytes),
+		inflight:  make(map[Key]*call),
+		pinflight: make(map[partialKey]*pcall),
 	}
 	if !cfg.DisableMetrics {
 		s.metrics = newMetrics()
@@ -259,14 +261,8 @@ func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
 // SegmentCacheStats reports the decoded-chunk cache's counters.
 func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.chunks.stats() }
 
-// PartialCacheStats reports the month-partial cache's counters. Zero
-// when the server was configured without AnalyzePartial.
-func (s *Server) PartialCacheStats() PartialCacheStats {
-	if s.partials == nil {
-		return PartialCacheStats{}
-	}
-	return s.partials.stats()
-}
+// PartialCacheStats reports the month-partial cache's counters.
+func (s *Server) PartialCacheStats() PartialCacheStats { return s.partials.stats() }
 
 // ServeHTTP dispatches to the /v1 API (and /metrics). GET and HEAD are
 // the only methods — bodies are buffered, so HEAD is the same handler
@@ -446,7 +442,7 @@ func (s *Server) resolveKey(r *http.Request) (Key, error) {
 // report resolves a key to an analyzed report: cache hit, wait on an
 // in-flight build of the same key, or build (then cache). Live keys read
 // the source's height first — cheap by contract — and snapshot only on a
-// miss at that height; archive keys restore-and-analyze.
+// miss at that height; archive keys assemble month partials.
 func (s *Server) report(key Key) (rep *measure.Report, err error) {
 	build := s.analyze
 	if key.Live {
@@ -530,34 +526,25 @@ func (s *Server) runBuild(key Key, build func(Key) (*measure.Report, error)) (re
 	return c.rep, c.err
 }
 
-// analyze is the cold path: restore the month slice — chunks another
-// range already decoded come from the chunk cache, the rest from disk
-// in parallel — select the requested observation view, and run the
-// measurement pipeline over it. With AnalyzePartial configured, the
-// range is assembled from per-month partials instead
-// (assembleFromPartials), byte-identical to the full-range analysis.
-// When metrics are on, the build runs under a flight-recorder trace
-// whose stage durations feed the mevscope_stage_seconds histograms.
+// analyze is the cold path: the key's report assembled from month
+// partials (assembleFromPartials), byte-identical to a full-range
+// analysis of the same slice.
 func (s *Server) analyze(key Key) (*measure.Report, error) {
+	return s.traced(func(sp *obs.Span) (*measure.Report, error) {
+		return s.assembleFromPartials(key, sp)
+	})
+}
+
+// traced runs one cold build under a flight-recorder trace when metrics
+// are on; a successful build's stage durations feed the
+// mevscope_stage_seconds histograms.
+func (s *Server) traced(build func(sp *obs.Span) (*measure.Report, error)) (*measure.Report, error) {
 	var tr *obs.Trace
 	if s.metrics != nil {
 		tr = obs.New("build")
 	}
 	sp := tr.Root()
-	var rep *measure.Report
-	var err error
-	if s.partials != nil {
-		rep, err = s.assembleFromPartials(key, sp)
-	} else {
-		var ds *dataset.Dataset
-		ds, _, err = archive.ReadRangeWith(key.Archive, key.From, key.To,
-			archive.ReadOptions{Workers: s.cfg.Workers, Cache: s.chunks, Span: sp})
-		if err != nil {
-			return nil, err
-		}
-		ds.View = key.View
-		rep, err = s.cfg.Analyze(ds, s.cfg.Workers, sp)
-	}
+	rep, err := build(sp)
 	if err == nil {
 		sp.End()
 		s.metrics.observeTrace(tr)
@@ -691,30 +678,22 @@ func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, err
 
 // analyzeProjection is the projected cold path: restore only the columns
 // the artifact declares (the other column chunks are never read, let
-// alone decoded) and build just that artifact. The
-// column chunks it decodes warm the same cache full restores use.
+// alone decoded) and build just that artifact. The column chunks it
+// decodes warm the same cache month reads use.
 func (s *Server) analyzeProjection(key Key, artifact string) (*measure.Report, error) {
-	var tr *obs.Trace
-	if s.metrics != nil {
-		tr = obs.New("build")
-	}
-	sp := tr.Root()
-	ds, _, err := archive.ReadRangeWith(key.Archive, key.From, key.To,
-		archive.ReadOptions{
-			Workers: s.cfg.Workers,
-			Cache:   s.chunks,
-			Span:    sp,
-			Columns: measure.ProjectionColumns(artifact),
-		})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := s.cfg.AnalyzeProjection(ds, s.cfg.Workers, []string{artifact}, sp)
-	if err == nil {
-		sp.End()
-		s.metrics.observeTrace(tr)
-	}
-	return rep, err
+	return s.traced(func(sp *obs.Span) (*measure.Report, error) {
+		ds, _, err := archive.ReadRangeWith(key.Archive, key.From, key.To,
+			archive.ReadOptions{
+				Workers: s.cfg.Workers,
+				Cache:   s.chunks,
+				Span:    sp,
+				Columns: measure.ProjectionColumns(artifact),
+			})
+		if err != nil {
+			return nil, err
+		}
+		return s.cfg.AnalyzeProjection(ds, s.cfg.Workers, []string{artifact}, sp)
+	})
 }
 
 // respond writes one fully-buffered response: encode runs to completion
@@ -1000,23 +979,12 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCache serves every cache level's hit/miss counters: the report
-// LRU, the month-partial LRU (when configured) and the decoded-chunk
-// LRU beneath them (reported under "segments").
+// LRU, the month-partial LRU and the decoded-chunk LRU beneath them
+// (reported under "segments").
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
-		Reports  CacheStats         `json:"reports"`
-		Partials *PartialCacheStats `json:"partials,omitempty"`
-		Segments SegmentCacheStats  `json:"segments"`
-	}{s.cache.stats(), s.partialStatsPtr(), s.chunks.stats()})
-}
-
-// partialStatsPtr returns the partial cache's stats, or nil when the
-// level is not configured — /v1/cache then omits the field instead of
-// reporting an all-zero level that does not exist.
-func (s *Server) partialStatsPtr() *PartialCacheStats {
-	if s.partials == nil {
-		return nil
-	}
-	st := s.partials.stats()
-	return &st
+		Reports  CacheStats        `json:"reports"`
+		Partials PartialCacheStats `json:"partials"`
+		Segments SegmentCacheStats `json:"segments"`
+	}{s.cache.stats(), s.partials.stats(), s.chunks.stats()})
 }

@@ -79,34 +79,64 @@ func testArchive(tb testing.TB) string {
 	return archDir
 }
 
-// analyzeReal adapts the full measurement pipeline to query.AnalyzeFunc.
-func analyzeReal(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-	st, err := mevscope.AnalyzeDatasetTraced(ds, workers, sp)
-	if err != nil {
-		return nil, err
+// countingPartial wraps the real month analysis with a call counter:
+// each call is one month analyzed. A nil counter counts nothing.
+func countingPartial(calls *atomic.Int64) query.PartialFunc {
+	return func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
+		if calls != nil {
+			calls.Add(1)
+		}
+		return mevscope.AnalyzeDatasetPartial(ds, workers, sp)
 	}
-	return st.Report, nil
 }
 
 // newServer builds a server over the shared archive with a call-counting
-// analyze wrapper.
+// month analysis.
 func newServer(tb testing.TB, cacheSize int, calls *atomic.Int64) *query.Server {
 	tb.Helper()
 	srv, err := query.New(query.Config{
-		Archive: testArchive(tb),
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			if calls != nil {
-				calls.Add(1)
-			}
-			return analyzeReal(ds, workers, sp)
-		},
-		Workers:   1,
-		CacheSize: cacheSize,
+		Archive:        testArchive(tb),
+		AnalyzePartial: countingPartial(calls),
+		Workers:        1,
+		CacheSize:      cacheSize,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return srv
+}
+
+// builds is how many cold report builds the server has run: each
+// successful build records exactly one "total" stage observation.
+func builds(tb testing.TB, srv *query.Server) int64 {
+	tb.Helper()
+	snap, ok := srv.MetricsSnapshot()
+	if !ok {
+		tb.Fatal("metrics disabled")
+	}
+	return snap.Stages["total"].Count
+}
+
+// archivedMonths counts the archive's segments inside the months spec
+// (empty: the whole archive) — the month analyses a cold build of that
+// range runs when no month partial is cached yet.
+func archivedMonths(tb testing.TB, dir, spec string) int64 {
+	tb.Helper()
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	from, to, err := types.ParseMonthRange(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var n int64
+	for _, si := range man.Segments {
+		if si.Month >= from && si.Month <= to {
+			n++
+		}
+	}
+	return n
 }
 
 // get performs a GET and returns status and body.
@@ -217,29 +247,31 @@ func TestMonthRangeSlicing(t *testing.T) {
 	}
 }
 
-// TestCacheHitsSkipAnalyze: repeated queries for one slice analyze once;
-// a different slice is a new key; the listing and report endpoints share
-// the same cached report.
+// TestCacheHitsSkipAnalyze: repeated queries for one slice build once,
+// analyzing each archived month once; a different slice is a new key
+// whose build merges the already-analyzed months; the listing and
+// report endpoints share the same cached report.
 func TestCacheHitsSkipAnalyze(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 4, &calls)
+	months := archivedMonths(t, testArchive(t), "")
 
 	for i := 0; i < 3; i++ {
 		if code, body := get(t, srv, "/v1/report?format=text"); code != http.StatusOK {
 			t.Fatalf("status %d: %s", code, body)
 		}
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("analyze calls after 3 identical queries = %d, want 1", got)
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 1 {
+		t.Fatalf("after 3 identical queries: %d month analyses in %d builds, want %d in 1", got, n, months)
 	}
 	get(t, srv, "/v1/artifact/table1?format=json")
 	get(t, srv, "/v1/artifacts")
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("analyze calls after artifact+listing = %d, want 1 (shared cache)", got)
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 1 {
+		t.Fatalf("after artifact+listing: %d month analyses in %d builds, want %d in 1 (shared cache)", got, n, months)
 	}
 	get(t, srv, "/v1/artifact/fig3?months=2021-03..2021-06")
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("analyze calls after new slice = %d, want 2", got)
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 2 {
+		t.Fatalf("after new slice: %d month analyses in %d builds, want %d in 2 (its months are cached)", got, n, months)
 	}
 	st := srv.CacheStats()
 	if st.Hits < 4 || st.Misses != 2 {
@@ -248,7 +280,8 @@ func TestCacheHitsSkipAnalyze(t *testing.T) {
 }
 
 // TestLRUEviction: with capacity 1, alternating slices evict each other
-// and re-analyze.
+// and rebuild — from cached month partials, so each month is still
+// analyzed once.
 func TestLRUEviction(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 1, &calls)
@@ -257,8 +290,11 @@ func TestLRUEviction(t *testing.T) {
 	get(t, srv, a)
 	get(t, srv, b)
 	get(t, srv, a)
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("analyze calls = %d, want 3 (capacity-1 LRU thrashes)", got)
+	if n := builds(t, srv); n != 3 {
+		t.Fatalf("report builds = %d, want 3 (capacity-1 LRU thrashes)", n)
+	}
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("month analyses = %d, want 4 (each month once; the rebuild merges cached partials)", got)
 	}
 	if st := srv.CacheStats(); st.Evictions < 2 {
 		t.Errorf("evictions = %d, want ≥ 2", st.Evictions)
@@ -266,7 +302,8 @@ func TestLRUEviction(t *testing.T) {
 }
 
 // TestConcurrentMissesAnalyzeOnce: a burst of concurrent requests for a
-// cold key runs one analysis; the rest wait for it (in-flight dedup).
+// cold key runs one build, analyzing each archived month once; the rest
+// wait for it (in-flight dedup).
 func TestConcurrentMissesAnalyzeOnce(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 4, &calls)
@@ -291,8 +328,9 @@ func TestConcurrentMissesAnalyzeOnce(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("analyze calls under concurrent burst = %d, want 1", got)
+	months := archivedMonths(t, testArchive(t), "")
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 1 {
+		t.Fatalf("concurrent burst: %d month analyses in %d builds, want %d in 1", got, n, months)
 	}
 }
 
@@ -373,10 +411,22 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestNewRequiresAnalyzePartial: every archive report is assembled from
+// month partials, so a server without the month analysis is a
+// configuration error — even one that sets the deprecated Analyze.
+func TestNewRequiresAnalyzePartial(t *testing.T) {
+	full := func(*dataset.Dataset, int, *obs.Span) (*measure.Report, error) { return &measure.Report{}, nil }
+	for _, cfg := range []query.Config{{}, {Archive: testArchive(t), Analyze: full}} {
+		if _, err := query.New(cfg); err == nil || !strings.Contains(err.Error(), "AnalyzePartial") {
+			t.Errorf("New(%+v) = %v, want an error naming AnalyzePartial", cfg, err)
+		}
+	}
+}
+
 // TestNoArchiveLiveOnly: a server with no archive still serves its live
 // source, and archive queries 404.
 func TestNoArchiveLiveOnly(t *testing.T) {
-	srv, err := query.New(query.Config{Analyze: analyzeReal})
+	srv, err := query.New(query.Config{AnalyzePartial: mevscope.AnalyzeDatasetPartial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,12 +462,9 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	}
 	var calls atomic.Int64
 	srv, err := query.New(query.Config{
-		Archive: dir,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			calls.Add(1)
-			return analyzeReal(ds, workers, sp)
-		},
-		Workers: 1,
+		Archive:        dir,
+		AnalyzePartial: countingPartial(&calls),
+		Workers:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -437,38 +484,58 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2020-09..2020-10"); code != http.StatusOK {
 		t.Error("clamped spelling failed")
 	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("analyze calls = %d, want 1 (clamped ranges should share one key)", got)
+	if n := builds(t, srv); n != 1 {
+		t.Errorf("report builds = %d, want 1 (clamped ranges should share one key)", n)
+	}
+	if got, want := calls.Load(), archivedMonths(t, dir, "2020-09..2021-08"); got != want {
+		t.Errorf("month analyses = %d, want %d (each month of the intersection once)", got, want)
 	}
 }
 
-// rangeChunks lists the column chunks a cold full read of the months
-// spec selects decodes, per the manifest: every chunk of the selected
-// months, plus the observation chunks of every earlier month (the
-// pre-slice logs).
-func rangeChunks(tb testing.TB, man *archive.Manifest, spec string) map[string]bool {
+// buildChunks lists the column chunks a cold build of the months in
+// spec decodes when none of their partials is cached yet, per the
+// manifest: each month's own block chunks, plus — once the observation
+// window has opened by the last of those months — the observation
+// chunks of every month through it, which the build's shared network
+// restores.
+func buildChunks(tb testing.TB, man *archive.Manifest, spec string) map[string]bool {
 	tb.Helper()
 	from, to, err := types.ParseMonthRange(spec)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var last *archive.SegmentInfo
+	for i, si := range man.Segments {
+		if si.Month >= from && si.Month <= to {
+			last = &man.Segments[i]
+		}
+	}
+	if last == nil {
+		tb.Fatalf("months %s select no segment", spec)
+	}
+	observing := man.Observer != nil && man.Observer.Start <= last.LastBlock
 	out := map[string]bool{}
 	for _, si := range man.Segments {
 		for _, ci := range si.Columns {
-			selected := si.Month >= from && si.Month <= to
-			observed := strings.HasPrefix(ci.Name, archive.ColObserved)
-			if selected || (si.Month < from && observed) {
-				out[si.Label+"/"+ci.Name] = true
+			if strings.HasPrefix(ci.Name, archive.ColObserved) {
+				if !observing || si.Month > last.Month {
+					continue
+				}
+			} else if si.Month < from || si.Month > to {
+				continue
 			}
+			out[si.Label+"/"+ci.Name] = true
 		}
 	}
 	return out
 }
 
 // TestSegmentCacheSharesOverlap: overlapping month ranges are distinct
-// report-cache keys (both analyze), but the chunks they share decode
-// once — the second query's cold build reads only the chunks the first
-// one never touched, and /v1/cache exposes both levels.
+// report-cache keys (both build), but the months they share are analyzed
+// once, and the chunks their builds share decode once: the shifted
+// range analyzes only its one new month, whose shared restore re-reads
+// only the observation chunk no earlier build touched. /v1/cache
+// exposes all three levels.
 func TestSegmentCacheSharesOverlap(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 8, &calls)
@@ -476,17 +543,22 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstChunks := rangeChunks(t, man, "2021-01..2021-06")
-	secondChunks := rangeChunks(t, man, "2021-04..2021-09")
+	// Both ranges lie in the observation window, so every build restores
+	// the observation network through its last month.
+	firstChunks := buildChunks(t, man, "2021-11..2022-01")
+	secondChunks := buildChunks(t, man, "2022-02..2022-02") // the shifted range's one new month
 	shared := 0
 	for k := range secondChunks {
 		if firstChunks[k] {
 			shared++
 		}
 	}
+	if shared == 0 {
+		t.Fatal("fixture: the two builds share no chunk")
+	}
 	union := len(firstChunks) + len(secondChunks) - shared
 
-	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06"); code != http.StatusOK {
+	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-11..2022-01"); code != http.StatusOK {
 		t.Fatalf("first range failed: %s", body)
 	}
 	first := srv.SegmentCacheStats()
@@ -496,15 +568,21 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if first.Bytes <= 0 {
 		t.Errorf("chunk cache accounts %d bytes, want > 0", first.Bytes)
 	}
-	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
+	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-12..2022-02"); code != http.StatusOK {
 		t.Fatalf("overlapping range failed: %s", body)
 	}
 	second := srv.SegmentCacheStats()
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("analyze calls = %d, want 2 (distinct ranges are distinct reports)", got)
+	if n := builds(t, srv); n != 2 {
+		t.Fatalf("report builds = %d, want 2 (distinct ranges are distinct reports)", n)
 	}
-	// 2021-04..2021-06 and the observation chunks of every month before
-	// 2021-04 are shared; 2021-07..2021-09 decode fresh.
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("month analyses = %d, want 4 (the shared 2021-12 and 2022-01 analyze once)", got)
+	}
+	if ps := srv.PartialCacheStats(); ps.Hits != 2 || ps.Misses != 4 {
+		t.Errorf("partial cache %+v, want 2 hits (the shared months) and 4 misses", ps)
+	}
+	// The observation chunks of every month through 2022-01 are shared;
+	// 2022-02's chunks decode fresh.
 	if second.Size != union || second.Misses != int64(union) {
 		t.Errorf("after overlap: %d cached chunks, %d misses; want %d of each", second.Size, second.Misses, union)
 	}
@@ -513,28 +591,29 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	}
 	// The exact same range again: pure report-cache hit, chunk cache
 	// untouched.
-	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2021-04..2021-09"); code != http.StatusOK {
+	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2021-12..2022-02"); code != http.StatusOK {
 		t.Fatal("repeat range failed")
 	}
 	if after := srv.SegmentCacheStats(); after.Hits != second.Hits || after.Misses != second.Misses {
 		t.Errorf("report-cache hit touched the chunk cache: %+v vs %+v", after, second)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("analyze calls after repeat = %d, want 2", got)
+	if got, n := calls.Load(), builds(t, srv); got != 4 || n != 2 {
+		t.Errorf("after repeat: %d month analyses in %d builds, want 4 in 2", got, n)
 	}
-	// Both cache levels are visible on the wire.
+	// Every cache level is visible on the wire.
 	code, body := get(t, srv, "/v1/cache")
 	if code != http.StatusOK {
 		t.Fatal("cache endpoint failed")
 	}
 	var stats struct {
 		Reports  query.CacheStats        `json:"reports"`
+		Partials query.PartialCacheStats `json:"partials"`
 		Segments query.SegmentCacheStats `json:"segments"`
 	}
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("cache endpoint is not the two-level shape: %v\n%s", err, body)
+		t.Fatalf("cache endpoint is not the three-level shape: %v\n%s", err, body)
 	}
-	if stats.Segments.Size != union || stats.Reports.Misses == 0 {
+	if stats.Segments.Size != union || stats.Reports.Misses == 0 || stats.Partials != srv.PartialCacheStats() {
 		t.Errorf("cache endpoint stats look wrong: %s", body)
 	}
 }
@@ -544,20 +623,24 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 // capacity, every chunk lookup of both cold ranges is counted, and every
 // decode beyond the capacity evicted one.
 func TestSegmentCacheEviction(t *testing.T) {
-	srv, err := query.New(query.Config{
-		Archive:          testArchive(t),
-		Analyze:          analyzeReal,
-		Workers:          1,
-		SegmentCacheSize: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	newTiny := func() *query.Server {
+		srv, err := query.New(query.Config{
+			Archive:          testArchive(t),
+			AnalyzePartial:   mevscope.AnalyzeDatasetPartial,
+			Workers:          1,
+			SegmentCacheSize: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
 	}
+	srv := newTiny()
 	man, err := archive.ReadManifest(testArchive(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookups := len(rangeChunks(t, man, "2021-01..2021-06")) + len(rangeChunks(t, man, "2021-07..2021-12"))
+	lookups := len(buildChunks(t, man, "2021-01..2021-06")) + len(buildChunks(t, man, "2021-07..2021-12"))
 	_, want := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06")
 	if code, _ := get(t, srv, "/v1/artifact/fig4?months=2021-07..2021-12"); code != http.StatusOK {
 		t.Fatal("second range failed")
@@ -568,16 +651,7 @@ func TestSegmentCacheEviction(t *testing.T) {
 	}
 	// Evicted chunks re-decode correctly: same body as the first query
 	// (report cache is large enough to hold both, so force a fresh server).
-	srv2, err := query.New(query.Config{
-		Archive:          testArchive(t),
-		Analyze:          analyzeReal,
-		Workers:          1,
-		SegmentCacheSize: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, got := get(t, srv2, "/v1/artifact/fig3?months=2021-01..2021-06"); got != want {
+	if _, got := get(t, newTiny(), "/v1/artifact/fig3?months=2021-01..2021-06"); got != want {
 		t.Error("report over a thrashing chunk cache differs")
 	}
 }
@@ -593,12 +667,9 @@ func TestBlockEndpoint(t *testing.T) {
 	}
 	var calls atomic.Int64
 	srv, err := query.New(query.Config{
-		Archive: dir,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			calls.Add(1)
-			return analyzeReal(ds, workers, sp)
-		},
-		Workers: 1,
+		Archive:        dir,
+		AnalyzePartial: countingPartial(&calls),
+		Workers:        1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -637,16 +708,13 @@ func TestBlockEndpoint(t *testing.T) {
 func TestProjectedArtifactMatchesFull(t *testing.T) {
 	dir := testArchive(t)
 	var fullCalls, projCalls atomic.Int64
-	full, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
+	full, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	proj, err := query.New(query.Config{
-		Archive: dir,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			fullCalls.Add(1)
-			return analyzeReal(ds, workers, sp)
-		},
+		Archive:        dir,
+		AnalyzePartial: countingPartial(&fullCalls),
 		AnalyzeProjection: func(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error) {
 			projCalls.Add(1)
 			if len(ds.Projection) == 0 {
@@ -683,8 +751,8 @@ func TestProjectedArtifactMatchesFull(t *testing.T) {
 	if status, _ := get(t, proj, "/v1/artifact/fig6?format=json"); status != http.StatusOK {
 		t.Fatalf("non-projectable artifact → %d", status)
 	}
-	if fullCalls.Load() != 1 {
-		t.Errorf("non-projectable artifact ran the full pipeline %d times, want 1", fullCalls.Load())
+	if got, want := fullCalls.Load(), archivedMonths(t, dir, ""); got != want {
+		t.Errorf("non-projectable artifact ran %d month analyses, want %d (each archived month once)", got, want)
 	}
 	// Repeats are report-cache hits, not rebuilds.
 	before := projCalls.Load()
@@ -700,7 +768,7 @@ func TestProjectedArtifactMatchesFull(t *testing.T) {
 // they overlap on.
 func TestChunkCacheGranularV3(t *testing.T) {
 	dir := testArchive(t)
-	srv, err := query.New(query.Config{Archive: dir, Analyze: analyzeReal, Workers: 1})
+	srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

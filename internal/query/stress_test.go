@@ -16,23 +16,28 @@ import (
 
 // TestConcurrentStressLRUDedup hammers the report LRU and the in-flight
 // dedup from many goroutines across evictions, under -race. The cache
-// holds 2 reports while 8 distinct keys are requested by 25 goroutines
-// each, so builds evict each other while they publish — and the
-// in-flight dedup must still collapse every key to exactly one Analyze.
+// holds 2 reports while 8 distinct single-month keys are requested by
+// 25 goroutines each, so builds evict each other while they publish —
+// and the in-flight dedup must still collapse every key to exactly one
+// build, analyzing its month once.
 //
-// Determinism: the stub Analyze blocks every build on a gate, and the
-// gate opens only once all 200 requests have registered a report-cache
-// lookup (CacheStats misses — nothing can be cached while builds are
-// gated, so every lookup is a miss). At that point each goroutine is
-// either its key's builder or a waiter on the builder's in-flight call;
-// none can arrive after an eviction and rebuild, so "exactly one per
-// key" is an invariant, not a scheduling accident.
+// Determinism: the stub AnalyzePartial blocks every build on a gate,
+// and the gate opens only once all 200 requests have registered a
+// report-cache lookup (CacheStats misses — nothing can be cached while
+// builds are gated, so every lookup is a miss). At that point each
+// goroutine is either its key's builder or a waiter on the builder's
+// in-flight call; none can arrive after an eviction and rebuild, so
+// "exactly one per key" is an invariant, not a scheduling accident. The
+// build count comes from the "total" stage histogram, which no partial
+// cache can absorb.
 func TestConcurrentStressLRUDedup(t *testing.T) {
 	const (
 		keys       = 8
 		perKey     = 25
 		totalBurst = keys * perKey
 	)
+	pre := realPartials(t, months2021(t, keys))
+
 	release := make(chan struct{})
 	perKeyCalls := make(map[string]*int, keys)
 	var callsMu sync.Mutex
@@ -40,9 +45,9 @@ func TestConcurrentStressLRUDedup(t *testing.T) {
 		Archive:   testArchive(t),
 		CacheSize: 2,
 		Workers:   1,
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			// The restored slice starts at the requested month, which
-			// identifies the key this build is for.
+		AnalyzePartial: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
+			// Each key is one month, which identifies the key this build
+			// is for.
 			id := ds.Chain.Timeline.FirstMonth.Label()
 			callsMu.Lock()
 			if perKeyCalls[id] == nil {
@@ -51,7 +56,7 @@ func TestConcurrentStressLRUDedup(t *testing.T) {
 			*perKeyCalls[id]++
 			callsMu.Unlock()
 			<-release
-			return &measure.Report{}, nil
+			return pre[id], nil
 		},
 	})
 	if err != nil {
@@ -103,6 +108,9 @@ func TestConcurrentStressLRUDedup(t *testing.T) {
 	callsMu.Unlock()
 	if len(perKeyCalls) != keys {
 		t.Errorf("%d distinct keys analyzed, want %d", len(perKeyCalls), keys)
+	}
+	if n := builds(t, srv); n != keys {
+		t.Errorf("report builds = %d, want %d (one per key: in-flight dedup)", n, keys)
 	}
 
 	burst := srv.CacheStats()

@@ -11,9 +11,7 @@ import (
 
 	"mevscope"
 	"mevscope/internal/archive"
-	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
-	"mevscope/internal/obs"
 	"mevscope/internal/query"
 	"mevscope/internal/sim"
 )
@@ -63,15 +61,10 @@ func multiVantageArchive(tb testing.TB) string {
 func newMultiVantageServer(tb testing.TB, calls *atomic.Int64) *query.Server {
 	tb.Helper()
 	srv, err := query.New(query.Config{
-		Archive: multiVantageArchive(tb),
-		Analyze: func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error) {
-			if calls != nil {
-				calls.Add(1)
-			}
-			return analyzeReal(ds, workers, sp)
-		},
-		Workers:   1,
-		CacheSize: 8,
+		Archive:        multiVantageArchive(tb),
+		AnalyzePartial: countingPartial(calls),
+		Workers:        1,
+		CacheSize:      8,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -119,7 +112,7 @@ func TestViewParamValidation(t *testing.T) {
 
 // TestViewSelection: the union view observes at least as much as any
 // single vantage, so it classifies no more sandwiches as private; each
-// view is its own cache entry.
+// view is its own cache entry, built from its own month partials.
 func TestViewSelection(t *testing.T) {
 	var calls atomic.Int64
 	srv := newMultiVantageServer(t, &calls)
@@ -154,14 +147,15 @@ func TestViewSelection(t *testing.T) {
 	if privateU > privateV0 {
 		t.Errorf("union view classifies more private (%d) than vantage 0 (%d)", privateU, privateV0)
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("analyze calls = %d, want 2 (one per view)", got)
+	months := archivedMonths(t, multiVantageArchive(t), "")
+	if got, n := calls.Load(), builds(t, srv); got != 2*months || n != 2 {
+		t.Errorf("%d month analyses in %d builds, want %d in 2 (each month once per view)", got, n, 2*months)
 	}
 	// Re-querying either view hits the cache.
 	fig9("union")
 	fig9("vantage:0")
-	if got := calls.Load(); got != 2 {
-		t.Errorf("analyze calls after re-query = %d, want 2", got)
+	if got, n := calls.Load(), builds(t, srv); got != 2*months || n != 2 {
+		t.Errorf("after re-query: %d month analyses in %d builds, want %d in 2", got, n, 2*months)
 	}
 }
 

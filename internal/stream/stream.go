@@ -10,7 +10,8 @@
 // shared seam is what makes the equivalence guarantee hold: after feeding
 // blocks [start, n], Report() is byte-identical to the batch
 // mevscope.AnalyzeDataset over the same world truncated at n — proved by
-// test at every month boundary.
+// test at month boundaries, at mid-month heights and at the end of the
+// study. `mevscope serve -live` serves Report() directly as its snapshot.
 //
 //	f := stream.ForSim(s, 0)
 //	for s.Chain.NextNumber() <= end {
@@ -134,7 +135,9 @@ func (f *Follower) Feed(b *types.Block, fbRec *flashbots.BlockRecord) error {
 	if b.Header.Number != f.next {
 		return fmt.Errorf("stream: fed block %d, want %d", b.Header.Number, f.next)
 	}
-	if len(b.Txs) > 0 && !f.chain.HasTx(b.Txs[0].Hash()) {
+	// Height and hash, not transaction membership: an empty block carries
+	// no transaction to look up.
+	if on, err := f.chain.ByNumber(b.Header.Number); err != nil || on.Hash() != b.Hash() {
 		return fmt.Errorf("stream: block %d is not on the follower's chain", b.Header.Number)
 	}
 	// Flashbots membership first: profit resolution and inference both
@@ -276,63 +279,6 @@ func monthBlocks(tl types.Timeline, m types.Month) (lo, hi uint64) {
 
 // Timeline returns the follower's study timeline.
 func (f *Follower) Timeline() types.Timeline { return f.chain.Timeline }
-
-// MonthDataset extracts one month of the fed world as a standalone
-// dataset — exactly what archive.ReadRange(dir, m, m) would restore
-// from an archive of this world: the month's blocks on a timeline
-// re-anchored at the month, its Flashbots records (with a month-local
-// FBSet), and every vantage's observation log up to the month's end
-// (the cross-boundary rule: a transaction first seen near a month
-// boundary can be mined in the next month, so the logs are never
-// sliced from below). It is the live feed of the query layer's partial
-// cache: `mevscope serve -live` seals each completed month into a
-// measure.Partial at OnMonthEnd and re-analyzes only the open month
-// per snapshot, so snapshot cost stays proportional to one month
-// however long the history grows.
-func (f *Follower) MonthDataset(m types.Month) (*dataset.Dataset, error) {
-	tl := f.chain.Timeline
-	blocks := f.chain.BlocksInMonth(m)
-	if len(blocks) == 0 {
-		return nil, fmt.Errorf("stream: no blocks fed for month %s", m.Label())
-	}
-	mtl := tl
-	mtl.StartBlock = tl.FirstBlockOfMonth(m)
-	mtl.FirstMonth = m
-	c := chain.New(mtl)
-	for _, b := range blocks {
-		if err := c.Append(b); err != nil {
-			return nil, fmt.Errorf("stream: month %s: %w", m.Label(), err)
-		}
-	}
-	fb := f.acc.FBBlocks()
-	lo := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) >= m })
-	hi := sort.Search(len(fb), func(i int) bool { return tl.MonthOfBlock(fb[i].BlockNumber) > m })
-	monthFB := append([]flashbots.BlockRecord(nil), fb[lo:hi]...)
-	ds := &dataset.Dataset{
-		Chain:    c,
-		FBBlocks: monthFB,
-		FBSet:    dataset.FBSetOf(monthFB),
-		Prices:   f.prices,
-		WETH:     f.weth,
-	}
-	if f.obs != nil {
-		start, stop := f.obs.Window()
-		head := c.Head().Header.Number
-		if (start > 0 || f.obs.Count() > 0) && start <= head {
-			vs := f.vantages
-			if len(vs) == 0 {
-				vs = []*p2p.Observer{f.obs}
-			}
-			_, end := monthBlocks(tl, m)
-			for _, v := range vs {
-				ds.Vantages = append(ds.Vantages,
-					p2p.RestoreVantage(v.Node(), v.RecordsBetween(0, end), start, stop))
-			}
-			ds.Observer = ds.Vantages[0]
-		}
-	}
-	return ds, nil
-}
 
 // Dataset returns the collected-measurement view of the fed world — the
 // input `mevscope archive` persists. It shares the follower's live

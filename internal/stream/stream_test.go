@@ -6,6 +6,7 @@ import (
 
 	"mevscope"
 	"mevscope/internal/archive"
+	"mevscope/internal/chain"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
 	"mevscope/internal/sim"
@@ -104,8 +105,82 @@ func TestFollowerMonthBoundarySnapshots(t *testing.T) {
 	}
 }
 
+// TestFollowerMidMonthSnapshots checks the live report away from month
+// ends: at each height — mid first month, a month boundary, just after
+// the observation window opens, inside the private window, mid month 20
+// and the end of the study — the follower's incremental Report must
+// render byte-identically to the batch pipeline over the fed world
+// (AnalyzeDataset over Dataset()), for a single vantage, four vantages
+// and a flaky one.
+func TestFollowerMidMonthSnapshots(t *testing.T) {
+	for _, scen := range []string{"baseline", "multi-vantage-union", "degraded-observer"} {
+		t.Run(scen, func(t *testing.T) {
+			cfg, err := mevscope.Options{Seed: 7, BlocksPerMonth: 50, Scenario: scen}.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sim.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := stream.ForSim(s, 2)
+			tl := f.Timeline()
+			end := s.EndBlock()
+			checkAt := map[uint64]bool{
+				tl.StartBlock + 25:                                       true, // mid first month
+				tl.FirstBlockOfMonth(6) - 1:                              true, // a month boundary
+				tl.FirstBlockOfMonth(types.ObservationStartMonth) + 7:    true, // just after the window opens
+				tl.FirstBlockOfMonth(types.PrivateWindowStartMonth) + 13: true, // inside the private window
+				tl.FirstBlockOfMonth(20) + 25:                            true, // mid month 20
+				end:                                                      true, // study complete
+			}
+			checked := 0
+			for s.Chain.NextNumber() <= end {
+				if err := s.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				head := s.Chain.Head().Header.Number
+				if !checkAt[head] {
+					continue
+				}
+				checked++
+				batch, err := mevscope.AnalyzeDataset(f.Dataset(), 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(render(f.Report()), render(batch.Report)) {
+					t.Errorf("height %d (month %s): follower report differs from the batch pipeline over the fed world",
+						head, tl.MonthOfBlock(head).Label())
+				}
+			}
+			if checked != len(checkAt) {
+				t.Fatalf("checked %d heights, want %d", checked, len(checkAt))
+			}
+		})
+	}
+}
+
+// emptyBlock seals a transaction-free block at the chain's next height;
+// miner distinguishes blocks that would otherwise hash alike.
+func emptyBlock(c *chain.Chain, miner types.Address) *types.Block {
+	n := c.NextNumber()
+	b := &types.Block{Header: types.Header{
+		Number:   n,
+		Time:     c.Timeline.TimeOfBlock(n),
+		Miner:    miner,
+		BaseFee:  c.NextBaseFee(),
+		GasLimit: c.GasLimit,
+	}}
+	b.Seal()
+	return b
+}
+
 // TestFollowerFeedValidation: blocks must arrive in order and on the
-// follower's chain.
+// follower's chain — checked by height and hash, so an empty block the
+// chain does not hold is refused too.
 func TestFollowerFeedValidation(t *testing.T) {
 	cfg := sim.DefaultConfig(3)
 	cfg.BlocksPerMonth = 20
@@ -132,6 +207,26 @@ func TestFollowerFeedValidation(t *testing.T) {
 	// A second sync is a no-op.
 	if n, err := f.Sync(); err != nil || n != 0 {
 		t.Fatalf("idle sync = (%d, %v), want (0, nil)", n, err)
+	}
+
+	// An empty block has no transaction to look up on chain: a sealed
+	// zero-tx block at the next height is refused while the chain holds
+	// no block there, and while it holds a different one.
+	c := chain.New(types.DefaultTimeline(20))
+	stray := emptyBlock(c, types.Address{1})
+	ef := stream.New(c, types.Address{}, nil, nil, nil, 1)
+	if err := ef.Feed(stray, nil); err == nil || ef.Blocks() != 0 {
+		t.Errorf("empty chain: feeding an unappended empty block = %v with %d blocks consumed; want an error and 0", err, ef.Blocks())
+	}
+	held := emptyBlock(c, types.Address{2})
+	if err := c.Append(held); err != nil {
+		t.Fatal(err)
+	}
+	if err := ef.Feed(stray, nil); err == nil {
+		t.Error("an empty block with another hash than the chain's at that height was accepted")
+	}
+	if err := ef.Feed(held, nil); err != nil || ef.Blocks() != 1 {
+		t.Errorf("feeding the chain's own empty block = %v with %d blocks consumed; want nil and 1", err, ef.Blocks())
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"mevscope/internal/archive"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
-	"mevscope/internal/sim"
-	"mevscope/internal/stream"
 	"mevscope/internal/types"
 )
 
@@ -145,82 +143,6 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLivePartialSnapshotByteIdentical pins the live serving path: a
-// report assembled from sealed month partials plus a freshly analyzed
-// open-month partial must be byte-identical to the streaming
-// follower's full Report at the same height — mid-month, at month
-// boundaries, and at the end of the study. This is exactly what
-// `mevscope serve -live` does per snapshot.
-func TestLivePartialSnapshotByteIdentical(t *testing.T) {
-	opts := Options{Seed: 7, BlocksPerMonth: 50, Scenario: "multi-vantage-union"}
-	cfg, err := opts.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := stream.ForSim(s, 2)
-	var sealed []*measure.Partial
-	f.OnMonthEnd = func(m types.Month, f *stream.Follower) {
-		ds, err := f.MonthDataset(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := AnalyzeDatasetPartial(ds, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed = append(sealed, p)
-	}
-
-	tl := f.Timeline()
-	end := s.EndBlock()
-	checkAt := map[uint64]bool{
-		tl.StartBlock + 25:                                    true, // mid first month
-		tl.FirstBlockOfMonth(6) - 1:                           true, // a month boundary
-		tl.FirstBlockOfMonth(types.ObservationStartMonth) + 7: true, // just after the window opens
-		end: true, // study complete: merge of sealed months only
-	}
-	for s.Chain.NextNumber() <= end {
-		if err := s.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		head := s.Chain.Head().Header.Number
-		if !checkAt[head] {
-			continue
-		}
-		want := renderReport(t, f.Report())
-		open := tl.MonthOfBlock(f.Next() - 1)
-		parts := sealed
-		if len(sealed) == 0 || sealed[len(sealed)-1].Month < open {
-			ds, err := f.MonthDataset(open)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := AnalyzeDatasetPartial(ds, 2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(sealed[:len(sealed):len(sealed)], p)
-		}
-		rep, err := measure.MergePartials(parts, "", 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderReport(t, rep); !bytes.Equal(got, want) {
-			t.Fatalf("height %d: live partial snapshot drifted from the follower report", head)
-		}
-	}
-	if len(sealed) != int(types.StudyMonths) {
-		t.Fatalf("sealed %d months, want %d", len(sealed), types.StudyMonths)
 	}
 }
 
