@@ -35,6 +35,17 @@
 // live-rotation path: a streaming follower hands it each study month as
 // it completes, so `mevscope archive -live` writes segments while the
 // world grows instead of serializing everything at the end.
+//
+// There is one reader. RestoreShared restores what a run of months
+// shares — the price series and, once the observation window has opened
+// by its last month, every vantage's observation log through that month
+// with its coverage table — and Shared.ReadMonth decodes one month's
+// block chunks against it; ReadRangeWith is the same restore and the
+// same month assembly over a range. Observation chunks are decoded only
+// by that restore, and only once the window is open. Because each
+// record must sit in its first-seen month's segment (dataset.Partition's
+// layout), a misfiled archive is refused by every read that restores the
+// misfiled segment's observations.
 package archive
 
 import (
@@ -49,8 +60,6 @@ import (
 
 	"mevscope/internal/dataset"
 	"mevscope/internal/obs"
-	"mevscope/internal/p2p"
-	"mevscope/internal/parallel"
 	"mevscope/internal/types"
 )
 
@@ -317,18 +326,22 @@ func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, e
 }
 
 // ReadRangeWith is ReadRange with a tunable decode pool and an optional
-// chunk cache. Segments decode in parallel (each month's chunks are
-// independent) and are assembled in month order, so the result is
-// identical to a sequential read. The restored chain's timeline starts
-// at the first selected month, so block→month mapping stays aligned with
-// the full archive, and every freshly read file is checksum-verified.
-// The observer is restored only when the selected range reaches into the
-// observation window; its observation log is read from every segment up
-// to the slice end — not just the sliced months — because a transaction
-// first seen near a month boundary can be mined in the next month, and
-// dropping its record would silently flip it from public to private in
-// the §6 inference (the logs are tiny next to the block files, so the
-// random-access win is preserved).
+// chunk cache. It is the month reader of Shared.ReadMonth run over a
+// range: the state the range shares is restored first — the price
+// series, plus, when the projection keeps "observed" and the observation
+// window has opened by the slice end, every vantage's observation log of
+// every segment through the slice end together with its coverage table
+// (see RestoreShared) — then the selected segments' block chunks decode
+// in parallel (each month's chunks are independent) and are assembled in
+// month order, so the result is identical to a sequential read. The
+// observation logs run from the archive's first month, not just the
+// sliced ones, because a transaction first seen near a month boundary
+// can be mined in the next month, and dropping its record would silently
+// flip it from public to private in the §6 inference; an archive that
+// files a record past its first-seen month is refused. The restored
+// chain's timeline starts at the first selected month, so block→month
+// mapping stays aligned with the full archive, and every freshly read
+// file is checksum-verified.
 func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.Dataset, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
@@ -338,13 +351,10 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 	if err != nil {
 		return nil, nil, err
 	}
-	var segs, preSegs []SegmentInfo
+	var segs []SegmentInfo
 	for _, seg := range man.Segments {
-		switch {
-		case seg.Month >= from && seg.Month <= to:
+		if seg.Month >= from && seg.Month <= to {
 			segs = append(segs, seg)
-		case seg.Month < from:
-			preSegs = append(preSegs, seg)
 		}
 	}
 	if len(segs) == 0 {
@@ -352,7 +362,6 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		return nil, nil, fmt.Errorf("archive: no segments in months %s..%s (archive covers %s..%s)",
 			from.Label(), to.Label(), first.Label(), last.Label())
 	}
-	full := len(segs) == len(man.Segments)
 
 	rsp := opt.Span.Child(obs.StageRestore)
 	defer rsp.End()
@@ -365,80 +374,15 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		rsp.SetBlocks(blocks)
 		rsp.SetBytes(bytes)
 	}
-
-	// Decode the selected segments in parallel, reusing cached decodes.
-	decoded := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) decodeResult {
-		seg, err := readSegment(dir, segs[i], cols, opt, rsp)
-		return decodeResult{seg: seg, err: err}
-	})
-	parts := make([]*dataset.Segment, len(decoded))
-	for i, r := range decoded {
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		parts[i] = r.seg
-	}
-
-	// Pre-slice observation logs: read just the (tiny) observed chunks —
-	// every vantage's, through the cache, so a restored slice
-	// classifies against the same observation network as the full
-	// archive. A projection without the observed column skips all of it.
-	vinfos := vantageInfos(man)
-	observedV := make([][]p2p.ObservedTx, len(vinfos))
-	appendLogs := func(logs [][]p2p.ObservedTx) {
-		for v, recs := range logs {
-			if v < len(observedV) {
-				observedV[v] = append(observedV[v], recs...)
-			}
-		}
-	}
-	if cols.want(ColObserved) {
-		pre, err := readObservationLogs(dir, preSegs, opt, rsp)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, logs := range pre {
-			appendLogs(logs)
-		}
-	}
-
-	tl := man.Timeline
-	tl.StartBlock = man.Timeline.FirstBlockOfMonth(segs[0].Month)
-	tl.FirstMonth = segs[0].Month
-	ds, err := dataset.Assemble(tl, man.WETH, parts)
+	sh, err := restoreShared(dir, man, to, cols.want(ColObserved), opt, rsp)
 	if err != nil {
-		return nil, nil, fmt.Errorf("archive: %w", err)
-	}
-	ds.Projection = norm
-	for _, seg := range parts {
-		appendLogs(segmentLogs(seg))
-	}
-
-	wantBlocks, wantHead := man.TotalBlocks, man.Head
-	if !full {
-		wantBlocks = 0
-		for _, seg := range segs {
-			wantBlocks += seg.Blocks.Count
-		}
-		wantHead = segs[len(segs)-1].LastBlock
-	}
-	if ds.Chain.Len() != wantBlocks {
-		return nil, nil, fmt.Errorf("archive: restored %d blocks, manifest says %d", ds.Chain.Len(), wantBlocks)
-	}
-	head := ds.Chain.Head()
-	if head == nil || head.Header.Number != wantHead {
-		return nil, nil, fmt.Errorf("archive: restored head does not match manifest head %d", wantHead)
-	}
-	if cols.want(ColObserved) && man.Observer != nil && man.Observer.Start <= head.Header.Number {
-		for i, vi := range vinfos {
-			ds.Vantages = append(ds.Vantages,
-				p2p.RestoreVantage(vi.Node, observedV[i], man.Observer.Start, man.Observer.Stop))
-		}
-		ds.Observer = ds.Vantages[0]
-	}
-	if ds.Prices, err = readPrices(dir, man); err != nil {
 		return nil, nil, err
 	}
+	ds, err := sh.readMonths(segs, cols, opt, rsp)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds.Projection = norm
 	return ds, man, nil
 }
 
@@ -452,10 +396,4 @@ func segBytesFor(si SegmentInfo, cols columnSet) int64 {
 		}
 	}
 	return bytes
-}
-
-// decodeResult carries one segment decode across the parallel fan-out.
-type decodeResult struct {
-	seg *dataset.Segment
-	err error
 }

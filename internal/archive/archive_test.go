@@ -198,25 +198,39 @@ func (c *countingCache) decodes() int {
 }
 
 // rangeChunks lists the chunks a full ReadRange over [from, to] touches,
-// per the manifest: every chunk of the selected months, plus the
-// observation chunks of every earlier month (the pre-slice logs).
+// per the manifest: the block chunks of the selected months, plus — only
+// once the observation window has opened by the slice end — the
+// observation chunks of every month through it, which the range's
+// shared restore reads.
 func rangeChunks(dir string, man *archive.Manifest, from, to types.Month) map[string]bool {
+	var last *archive.SegmentInfo
+	for i, si := range man.Segments {
+		if si.Month >= from && si.Month <= to {
+			last = &man.Segments[i]
+		}
+	}
+	observing := last != nil && man.Observer != nil && man.Observer.Start <= last.LastBlock
 	out := map[string]bool{}
 	for _, si := range man.Segments {
 		for _, ci := range si.Columns {
-			selected := si.Month >= from && si.Month <= to
-			observed := strings.HasPrefix(ci.Name, archive.ColObserved)
-			if selected || (si.Month < from && observed) {
-				out[chunkKey(dir, si.Month, ci.Name)] = true
+			if strings.HasPrefix(ci.Name, archive.ColObserved) {
+				if !observing || si.Month > to {
+					continue
+				}
+			} else if si.Month < from || si.Month > to {
+				continue
 			}
+			out[chunkKey(dir, si.Month, ci.Name)] = true
 		}
 	}
 	return out
 }
 
-// TestReadRangeSharedSegments: two overlapping ranges through one cache
-// decode each shared chunk exactly once, and the cached assembly is
-// byte-identical to a cold one.
+// TestReadRangeSharedSegments: overlapping ranges through one cache
+// decode each chunk exactly once — the shared ones come from the cache —
+// and the cached assembly is byte-identical to a cold one. The third
+// range reaches into the observation window, so besides its new block
+// chunks it reads the observation chunks of every month through its end.
 func TestReadRangeSharedSegments(t *testing.T) {
 	s := world(t)
 	dir := t.TempDir()
@@ -224,41 +238,42 @@ func TestReadRangeSharedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldKeys := rangeChunks(dir, man, 8, 12)
-	warmKeys := rangeChunks(dir, man, 10, 14)
-	shared := 0
-	for k := range warmKeys {
-		if coldKeys[k] {
-			shared++
-		}
-	}
 	cache := &countingCache{}
 	opt := archive.ReadOptions{Workers: 2, Cache: cache}
-	cold, _, err := archive.ReadRangeWith(dir, 8, 12, opt)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[string]bool{} // every chunk an earlier read touched
+	hits := 0
+	read := func(from, to types.Month) *dataset.Dataset {
+		t.Helper()
+		for k := range rangeChunks(dir, man, from, to) {
+			if seen[k] {
+				hits++
+			}
+			seen[k] = true
+		}
+		ds, _, err := archive.ReadRangeWith(dir, from, to, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cache.decodes() != len(seen) || len(cache.chunks) != len(seen) {
+			t.Errorf("read %d..%d: %d decodes of %d chunks in total, want %d chunks decoded once",
+				from, to, cache.decodes(), len(cache.chunks), len(seen))
+		}
+		if cache.hits != hits {
+			t.Errorf("read %d..%d: %d cache hits in total, want %d", from, to, cache.hits, hits)
+		}
+		return ds
 	}
-	if cache.decodes() != len(coldKeys) || len(cache.chunks) != len(coldKeys) || cache.hits != 0 {
-		t.Fatalf("cold read: %d decodes of %d chunks, %d hits; want %d chunks decoded once, 0 hits",
-			cache.decodes(), len(cache.chunks), cache.hits, len(coldKeys))
+	cold := read(8, 12)
+	if warm := read(10, 14); warm.Chain.Len() == 0 {
+		t.Error("warm read restored nothing")
 	}
-	warm, _, err := archive.ReadRangeWith(dir, 10, 14, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The warm read decodes only what the cold one never touched: months
-	// 13-14, while months 10-12 and the observation chunks of months 0-9
-	// come from the cache.
-	if want := len(coldKeys) + len(warmKeys) - shared; cache.decodes() != want {
-		t.Errorf("overlap read: %d chunk decodes in total, want %d", cache.decodes(), want)
+	if observing := read(12, types.ObservationStartMonth); observing.Observer == nil {
+		t.Error("a read into the observation window restored no observer")
 	}
 	for k, n := range cache.adds {
 		if n != 1 {
 			t.Errorf("chunk %s decoded %d times, want once", k, n)
 		}
-	}
-	if cache.hits != shared {
-		t.Errorf("overlap read hit %d cached chunks, want %d", cache.hits, shared)
 	}
 	coldStudy, err := mevscope.AnalyzeDataset(cold, 1)
 	if err != nil {
@@ -266,14 +281,7 @@ func TestReadRangeSharedSegments(t *testing.T) {
 	}
 	// Re-read the first range fully warm: every chunk cached, reports
 	// byte-identical to the cold read's.
-	cached, _, err := archive.ReadRangeWith(dir, 8, 12, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.hits != shared+len(coldKeys) {
-		t.Errorf("fully warm re-read hit %d chunks in total, want %d", cache.hits, shared+len(coldKeys))
-	}
-	cachedStudy, err := mevscope.AnalyzeDataset(cached, 1)
+	cachedStudy, err := mevscope.AnalyzeDataset(read(8, 12), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +290,6 @@ func TestReadRangeSharedSegments(t *testing.T) {
 	mevscope.WriteReportTo(&b, cachedStudy.Report)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("cache-assembled report differs from the cold read's")
-	}
-	if warm.Chain.Len() == 0 {
-		t.Error("warm read restored nothing")
 	}
 }
 

@@ -11,14 +11,16 @@ import (
 	"mevscope/internal/types"
 )
 
-// Shared is what the single-month reads of one build have in common: the
+// Shared is what the month reads of one build have in common: the
 // manifest, the price series, and the observation network through the
 // build's last month together with its per-month first-occurrence
 // coverage table (p2p.Coverage). RestoreShared reads it once; ReadMonth
-// then decodes only each month's own chunks. A month-by-month build over
-// ReadRange(dir, m, m) would instead re-parse the manifest and prices and
-// re-gather every observation log up to m for every month m — quadratic
-// in the months a build covers.
+// then decodes only each month's own chunks. ReadRangeWith is the same
+// reader over a range: one restore through the slice end, then the
+// slice's months. A month-by-month build over ReadRange(dir, m, m)
+// would instead re-parse the manifest and prices and re-gather every
+// observation log up to m for every month m — quadratic in the months a
+// build covers.
 //
 // A Shared is immutable and safe for concurrent ReadMonth calls. It is
 // meant to live for one build: the network pins every observation log
@@ -34,15 +36,18 @@ type Shared struct {
 	coverage *p2p.Coverage
 }
 
-// RestoreShared reads the state shared by the single-month reads of
-// months up to through (inclusive) of the archive at dir, whose manifest
-// the caller has already loaded: the price series and every vantage's
-// observation log of every segment up to through. It checks the prefix
-// coverage invariant on the way — every record sits in the segment of
-// its first-seen month, as dataset.Partition files it — because the
-// coverage table's prefix sums are exact for each month read against it
-// only under that invariant. opt sizes the log-read pool, routes chunk
-// reads through its cache and records an "archive:restore" span labeled
+// RestoreShared reads the state shared by the month reads of months up
+// to through (inclusive) of the archive at dir, whose manifest the caller
+// has already loaded: the price series and every vantage's observation
+// log of every segment up to through, the observation chunks read only
+// when the observation window has opened by then. Before reading them it
+// checks the prefix coverage invariant across the whole archive — every
+// record sits in the segment of its first-seen month, as
+// dataset.Partition files it — because a network through any month, and
+// the prefix sums of its coverage table, are exact only under that
+// invariant; a misfiled archive is refused with a "first seen in" error,
+// by ReadRangeWith too. opt sizes the log-read pool, routes chunk reads
+// through its cache and records an "archive:restore" span labeled
 // "shared"; Columns must be nil.
 func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptions) (*Shared, error) {
 	if opt.Columns != nil {
@@ -51,6 +56,12 @@ func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 	sp := opt.Span.Child(obs.StageRestore)
 	sp.SetLabel("shared")
 	defer sp.End()
+	return restoreShared(dir, man, through, true, opt, sp)
+}
+
+// restoreShared is RestoreShared recording under sp, with the
+// observation network restored only when network is set.
+func restoreShared(dir string, man *Manifest, through types.Month, network bool, opt ReadOptions, sp *obs.Span) (*Shared, error) {
 	sh := &Shared{dir: dir, man: man, through: through}
 	var err error
 	if sh.prices, err = readPrices(dir, man); err != nil {
@@ -62,28 +73,41 @@ func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 			segs = append(segs, si)
 		}
 	}
-	if len(segs) == 0 || man.Observer == nil || man.Observer.Start > segs[len(segs)-1].LastBlock {
+	if !network || len(segs) == 0 || man.Observer == nil || man.Observer.Start > segs[len(segs)-1].LastBlock {
 		return sh, nil
+	}
+	// Check the filing of every segment, not just those read: a record
+	// filed past through would be missing from the network. The zone maps
+	// bound each chunk's first-seen blocks (0..0 when it is empty), and
+	// every decode verifies them against its records.
+	gtl := man.Timeline.Unanchored()
+	for _, si := range man.Segments {
+		for _, ci := range si.Columns {
+			if colBase(ci.Name) != ColObserved || ci.MaxBlock == 0 {
+				continue
+			}
+			for _, b := range []uint64{ci.MinBlock, ci.MaxBlock} {
+				if m := gtl.MonthOfBlock(b); m != si.Month {
+					return nil, fmt.Errorf("archive: segment %s holds an observation first seen in %s (block %d)",
+						si.Label, m.Label(), b)
+				}
+			}
+		}
 	}
 	logs, err := readObservationLogs(dir, segs, opt, sp)
 	if err != nil {
 		return nil, err
 	}
-	gtl := man.Timeline.Unanchored()
-	vinfos := vantageInfos(man)
+	vinfos := man.Vantages
+	if len(vinfos) == 0 {
+		vinfos = []VantageInfo{{Node: 0}} // implied by an archive without a list
+	}
 	observedV := make([][]p2p.ObservedTx, len(vinfos))
-	for i, si := range segs {
+	for i := range segs {
 		for v, recs := range logs[i] {
-			if v >= len(observedV) {
-				break
+			if v < len(observedV) {
+				observedV[v] = append(observedV[v], recs...)
 			}
-			for _, rec := range recs {
-				if m := gtl.MonthOfBlock(rec.FirstSeenBlock); m != si.Month {
-					return nil, fmt.Errorf("archive: segment %s holds an observation first seen in %s (block %d)",
-						si.Label, m.Label(), rec.FirstSeenBlock)
-				}
-			}
-			observedV[v] = append(observedV[v], recs...)
 		}
 	}
 	for v, vi := range vinfos {
@@ -106,7 +130,7 @@ var blockColumns = columnSet{ColHeaders: true, ColTxs: true, ColReceipts: true, 
 // ReadRange(dir, m, m): under the month stability and prefix coverage
 // invariants (see measure.Partial) the extra logs change no verdict and
 // no coverage count. opt.Columns must be nil; the rest of opt applies as
-// in ReadRangeWith.
+// in ReadRangeWith, whose month reader this is.
 func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, error) {
 	if opt.Columns != nil {
 		return nil, fmt.Errorf("archive: month reads restore whole months; ReadOptions.Columns must be nil")
@@ -114,39 +138,59 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 	if m > sh.through {
 		return nil, fmt.Errorf("archive: month %s is past the shared state's last month %s", m.Label(), sh.through.Label())
 	}
-	var si *SegmentInfo
-	for i := range sh.man.Segments {
-		if sh.man.Segments[i].Month == m {
-			si = &sh.man.Segments[i]
-			break
+	for _, si := range sh.man.Segments {
+		if si.Month == m {
+			rsp := opt.Span.Child(obs.StageRestore)
+			rsp.SetLabel(si.Label)
+			rsp.SetBlocks(si.Blocks.Count)
+			rsp.SetBytes(segBytesFor(si, blockColumns))
+			defer rsp.End()
+			return sh.readMonths([]SegmentInfo{si}, blockColumns, opt, rsp)
 		}
 	}
-	if si == nil {
-		return nil, fmt.Errorf("archive: no segment for month %s", m.Label())
+	return nil, fmt.Errorf("archive: no segment for month %s", m.Label())
+}
+
+// readMonths is the one month reader behind ReadMonth and ReadRangeWith.
+// It decodes the block chunks cols selects (nil: all) of segs —
+// ascending months, none past sh.through — in parallel, assembles them
+// in month order into one dataset on a timeline anchored at the first,
+// checks it against the manifest's block counts and last head, and
+// attaches the shared price series and, when the observation window had
+// opened by the last month, the shared network and coverage table.
+func (sh *Shared) readMonths(segs []SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Dataset, error) {
+	type result struct {
+		seg *dataset.Segment
+		err error
 	}
-	rsp := opt.Span.Child(obs.StageRestore)
-	rsp.SetLabel(si.Label)
-	rsp.SetBlocks(si.Blocks.Count)
-	rsp.SetBytes(segBytesFor(*si, blockColumns))
-	defer rsp.End()
-	seg, err := readSegment(sh.dir, *si, blockColumns, opt, rsp)
-	if err != nil {
-		return nil, err
+	decoded := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
+		seg, err := readSegment(sh.dir, segs[i], cols, opt, rsp)
+		return result{seg, err}
+	})
+	parts := make([]*dataset.Segment, len(decoded))
+	blocks := 0
+	for i, r := range decoded {
+		if r.err != nil {
+			return nil, r.err
+		}
+		parts[i] = r.seg
+		blocks += segs[i].Blocks.Count
 	}
 	tl := sh.man.Timeline
-	tl.StartBlock = tl.FirstBlockOfMonth(m)
-	tl.FirstMonth = m
-	ds, err := dataset.Assemble(tl, sh.man.WETH, []*dataset.Segment{seg})
+	tl.StartBlock = tl.FirstBlockOfMonth(segs[0].Month)
+	tl.FirstMonth = segs[0].Month
+	ds, err := dataset.Assemble(tl, sh.man.WETH, parts)
 	if err != nil {
 		return nil, fmt.Errorf("archive: %w", err)
 	}
-	if ds.Chain.Len() != si.Blocks.Count {
-		return nil, fmt.Errorf("archive: restored %d blocks, manifest says %d", ds.Chain.Len(), si.Blocks.Count)
+	if ds.Chain.Len() != blocks {
+		return nil, fmt.Errorf("archive: restored %d blocks, manifest says %d", ds.Chain.Len(), blocks)
 	}
-	if head := ds.Chain.Head(); head == nil || head.Header.Number != si.LastBlock {
-		return nil, fmt.Errorf("archive: restored head does not match manifest head %d", si.LastBlock)
+	last := segs[len(segs)-1].LastBlock
+	if head := ds.Chain.Head(); head == nil || head.Header.Number != last {
+		return nil, fmt.Errorf("archive: restored head does not match manifest head %d", last)
 	}
-	if sh.vantages != nil && sh.man.Observer.Start <= si.LastBlock {
+	if sh.vantages != nil && sh.man.Observer.Start <= last {
 		ds.Vantages = sh.vantages
 		ds.Observer = sh.vantages[0]
 		ds.Coverage = sh.coverage
@@ -155,27 +199,30 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 	return ds, nil
 }
 
-// vantageInfos is the manifest's vantage list; an archive without one
-// implies one vantage at node 0.
-func vantageInfos(man *Manifest) []VantageInfo {
-	if len(man.Vantages) == 0 {
-		return []VantageInfo{{Node: 0}}
-	}
-	return man.Vantages
-}
-
-// readObservationLogs reads the observation logs of each segment, in
-// segment order and in parallel: out[i][v] is vantage v's log for
-// segs[i]. Only the observed column chunks are read, through the cache
-// when opt has one.
+// readObservationLogs reads every vantage's observation chunk of each
+// segment, in segment order and in parallel, through the cache when opt
+// has one: out[i][v] is vantage v's log for segs[i].
 func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) ([][][]p2p.ObservedTx, error) {
 	type result struct {
 		logs [][]p2p.ObservedTx
 		err  error
 	}
 	res := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
-		primary, extra, err := readObserved(dir, segs[i], opt, rsp)
-		return result{logs: append([][]p2p.ObservedTx{primary}, extra...), err: err}
+		cl := &chunkLoader{dir: dir, si: segs[i], opt: opt, rsp: rsp}
+		defer cl.end()
+		var r result
+		for v := 0; v <= len(segs[i].ObservedV); v++ {
+			name := ColObserved
+			if v > 0 {
+				name = fmt.Sprintf("%s_v%d", ColObserved, v)
+			}
+			ov, err := cl.load(name, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, name) })
+			if err != nil {
+				return result{err: err}
+			}
+			r.logs = append(r.logs, ov.(*colObsData).recs)
+		}
+		return r
 	})
 	out := make([][][]p2p.ObservedTx, len(segs))
 	for i, r := range res {
@@ -185,10 +232,4 @@ func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *o
 		out[i] = r.logs
 	}
 	return out, nil
-}
-
-// segmentLogs lists a decoded segment's per-vantage observation logs,
-// primary first.
-func segmentLogs(seg *dataset.Segment) [][]p2p.ObservedTx {
-	return append([][]p2p.ObservedTx{seg.Observed}, seg.ObservedV...)
 }

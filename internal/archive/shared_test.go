@@ -139,23 +139,26 @@ func TestSharedMonthReadMatchesReadRange(t *testing.T) {
 	}
 }
 
-// TestSharedRefusesMisfiledObservations: the coverage table is exact only
-// when every observation sits in its first-seen month's segment, so the
-// shared restore refuses an archive that files one a month late — one
-// ReadRange still reads.
+// TestSharedRefusesMisfiledObservations: the observation network and its
+// coverage table are exact only when every observation sits in its
+// first-seen month's segment, so an archive that files one a month late
+// is refused — by the shared restore and by ReadRange, the same month
+// reader over a range, with the same error — even by a read that ends
+// before the late segment, whose network would silently lack the record.
 func TestSharedRefusesMisfiledObservations(t *testing.T) {
 	s := multiVantageWorld(t)
 	ds := dataset.FromSim(s)
 	segs := dataset.Partition(ds)
 	// Move the last observation of the first observed month to the front
 	// of the next month's log: counts and record order stay intact.
+	var early types.Month
 	moved := false
 	for i := 0; i+1 < len(segs) && !moved; i++ {
 		if n := len(segs[i].Observed); n > 0 {
 			rec := segs[i].Observed[n-1]
 			segs[i].Observed = segs[i].Observed[:n-1]
 			segs[i+1].Observed = append([]p2p.ObservedTx{rec}, segs[i+1].Observed...)
-			moved = true
+			early, moved = segs[i].Month, true
 		}
 	}
 	if !moved {
@@ -175,11 +178,20 @@ func TestSharedRefusesMisfiledObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := archive.Read(dir); err != nil {
-		t.Fatalf("ReadRange refused the misfiled archive: %v", err)
+	first, last := man.Window()
+	for _, through := range []types.Month{last, early} {
+		_, sharedErr := archive.RestoreShared(dir, man, through, archive.ReadOptions{})
+		if sharedErr == nil || !strings.Contains(sharedErr.Error(), "first seen in") {
+			t.Errorf("shared restore through %s of a misfiled archive: err = %v, want a misfiled-observation error",
+				through.Label(), sharedErr)
+			continue
+		}
+		if _, _, readErr := archive.ReadRange(dir, first, through); readErr == nil || readErr.Error() != sharedErr.Error() {
+			t.Errorf("ReadRange %s..%s of a misfiled archive: err = %v, want the shared restore's %v",
+				first.Label(), through.Label(), readErr, sharedErr)
+		}
 	}
-	_, last := man.Window()
-	if _, err := archive.RestoreShared(dir, man, last, archive.ReadOptions{}); err == nil || !strings.Contains(err.Error(), "first seen in") {
-		t.Errorf("shared restore of a misfiled archive: err = %v, want a misfiled-observation error", err)
+	if _, _, err := archive.Read(dir); err == nil || !strings.Contains(err.Error(), "first seen in") {
+		t.Errorf("Read of a misfiled archive: err = %v, want a misfiled-observation error", err)
 	}
 }

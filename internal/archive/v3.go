@@ -1092,10 +1092,11 @@ func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any
 	return v, nil
 }
 
-// readSegment decodes one month's selected columns into a dataset
-// segment. cols == nil restores everything; a projection decodes only
-// the selected chunks (and counts the rest as skipped), leaving the
-// other fields zero.
+// readSegment decodes one month's selected block columns into a dataset
+// segment. cols == nil restores every block column; a projection decodes
+// only the selected chunks (and counts the rest as skipped), leaving the
+// other fields zero. It never decodes observation chunks: the month's
+// readers take the observation network from their shared restore.
 func readSegment(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
 	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
 	defer cl.end()
@@ -1186,44 +1187,7 @@ func readSegment(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rs
 		}
 		seg.FBBlocks = fv.(*colFBData).recs
 	}
-	if cols.want(ColObserved) {
-		ov, err := cl.load(ColObserved, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, ColObserved) })
-		if err != nil {
-			return nil, err
-		}
-		seg.Observed = ov.(*colObsData).recs
-		for i := range si.ObservedV {
-			name := fmt.Sprintf("%s_v%d", ColObserved, i+1)
-			ev, err := cl.load(name, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, name) })
-			if err != nil {
-				return nil, err
-			}
-			seg.ObservedV = append(seg.ObservedV, ev.(*colObsData).recs)
-		}
-	}
 	return seg, nil
-}
-
-// readObserved reads one segment's observation columns only — the
-// pre-slice path, which needs every vantage's captures but none of the
-// block data.
-func readObserved(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (primary []p2p.ObservedTx, extra [][]p2p.ObservedTx, err error) {
-	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
-	defer cl.end()
-	ov, err := cl.load(ColObserved, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, ColObserved) })
-	if err != nil {
-		return nil, nil, err
-	}
-	primary = ov.(*colObsData).recs
-	for i := range si.ObservedV {
-		name := fmt.Sprintf("%s_v%d", ColObserved, i+1)
-		ev, err := cl.load(name, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, name) })
-		if err != nil {
-			return nil, nil, err
-		}
-		extra = append(extra, ev.(*colObsData).recs)
-	}
-	return primary, extra, nil
 }
 
 // ReadBlock restores a single block by number — the random-access path

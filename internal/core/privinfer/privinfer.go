@@ -148,22 +148,19 @@ func (in *Inferrer) ClassifyTxs(hashes ...types.Hash) Channel {
 	return ChannelPublic
 }
 
-// ClassifySandwich applies the §6.1 sandwich rule: the attacker's two
-// transactions decide the channel; a *private* sandwich additionally
-// requires the victim to have been publicly observed (frontrunning other
-// private transactions is not possible).
+// ClassifySandwich applies the §6.1 sandwich rule: the attacker's front
+// and back transactions alone decide the channel (ClassifyTxs); the
+// victim never does. The paper's private sandwich has a publicly observed
+// victim, since frontrunning another pool's private transaction is not
+// possible, but a sandwich whose victim went unobserved too still folds
+// into private: all three may be one private pool's internal flow, and
+// "unobserved" cannot tell a private victim from a public one every
+// vantage missed. The second result is false outside the window.
 func (in *Inferrer) ClassifySandwich(s detect.Sandwich) (Channel, bool) {
 	if !in.InWindow(s.Block) {
 		return ChannelPublic, false
 	}
-	ch := in.ClassifyTxs(s.FrontTx, s.BackTx)
-	if ch == ChannelPrivate && in.IsPrivateTx(s.VictimTx) {
-		// All three unobserved: consistent with another private pool's
-		// internal flow, but outside the paper's definition — fold into
-		// private anyway (victim privacy is not observable to us either).
-		return ChannelPrivate, true
-	}
-	return ch, true
+	return in.ClassifyTxs(s.FrontTx, s.BackTx), true
 }
 
 // SandwichSplit is the §6.2 accounting over the analysis window.

@@ -42,11 +42,12 @@ type Dataset struct {
 	// restored from legacy archives (Observer then stands alone).
 	Vantages []*p2p.Observer
 	// Coverage, when set, is the per-month first-occurrence table of
-	// Vantages (p2p.Coverage), restored once and shared by every
-	// single-month dataset of one build (archive.Shared). Vantages may
-	// then run past the chain's last month; analysis reads coverage as
-	// the table's prefix through that month. Nil for every other
-	// dataset, whose logs end with its chain.
+	// Vantages (p2p.Coverage), restored with them by the archive reader
+	// (archive.Shared) and shared by every dataset read against that
+	// restore. Vantages may then run past the chain's last month (a
+	// month read of a longer build); analysis reads coverage as the
+	// table's prefix through that month. Nil for datasets not read from
+	// an archive, which analysis tabulates from Vantages.
 	Coverage *p2p.Coverage
 	// View names the observation view the §6 inference classifies
 	// against: "" or "vantage:0" for the primary vantage, "vantage:N",

@@ -205,8 +205,8 @@ func TestServeAssemblyByteIdentical(t *testing.T) {
 // against a return of per-month re-reads: restoring each month's
 // observation network from scratch made chunk-cache lookups grow with
 // the square of the months. A build that restores the shared state once
-// and then reads each month's own chunks looks each archive chunk up at
-// most twice.
+// and then reads each month's own chunks looks each archive chunk up
+// exactly once, and on a cold server every lookup misses.
 func TestColdBuildChunkLookupsLinear(t *testing.T) {
 	dir, _ := assemblyArchives(t)
 	man, err := archive.ReadManifest(dir)
@@ -222,10 +222,9 @@ func TestColdBuildChunkLookupsLinear(t *testing.T) {
 		if code, body := get(t, srv, "/v1/report"); code != http.StatusOK {
 			t.Fatalf("workers %d: full window → %d: %s", workers, code, body)
 		}
-		st := srv.SegmentCacheStats()
-		if lookups := st.Hits + st.Misses; lookups > int64(2*chunks) {
-			t.Errorf("workers %d: cold full-window build made %d chunk-cache lookups for %d archive chunks, want ≤ %d",
-				workers, lookups, chunks, 2*chunks)
+		if st := srv.SegmentCacheStats(); st.Hits != 0 || st.Misses != int64(chunks) {
+			t.Errorf("workers %d: cold full-window build made %d hits and %d misses in the chunk cache for %d archive chunks, want 0 and %d",
+				workers, st.Hits, st.Misses, chunks, chunks)
 		}
 	}
 }

@@ -2,9 +2,9 @@ package query
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
-	"mevscope/internal/core/measure"
 	"mevscope/internal/types"
 )
 
@@ -29,100 +29,6 @@ type Key struct {
 	Projection string
 }
 
-// CacheStats is a point-in-time view of the cache's effectiveness.
-type CacheStats struct {
-	Size      int   `json:"size"`
-	Capacity  int   `json:"capacity"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
-// reportCache is a concurrency-safe LRU of analyzed reports. Reports are
-// immutable once built, so a cached *measure.Report is served to any
-// number of concurrent readers without copying.
-type reportCache struct {
-	mu        sync.Mutex
-	cap       int
-	ll        *list.List
-	items     map[Key]*list.Element
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-// cacheEntry is one LRU element.
-type cacheEntry struct {
-	key Key
-	rep *measure.Report
-}
-
-// newReportCache creates an LRU holding up to capacity reports
-// (minimum 1).
-func newReportCache(capacity int) *reportCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &reportCache{cap: capacity, ll: list.New(), items: make(map[Key]*list.Element)}
-}
-
-// get returns the cached report and promotes it to most-recently-used.
-func (c *reportCache) get(k Key) (*measure.Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).rep, true
-}
-
-// peek is get without the hit/miss accounting — the in-flight dedup's
-// re-check under the server lock, which should not skew the stats a
-// client reads off /v1/cache.
-func (c *reportCache) peek(k Key) (*measure.Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).rep, true
-}
-
-// add inserts (or refreshes) a report, evicting the least-recently-used
-// entry beyond capacity.
-func (c *reportCache) add(k Key, rep *measure.Report) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*cacheEntry).rep = rep
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, rep: rep})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-}
-
-// stats snapshots the counters.
-func (c *reportCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Size: c.ll.Len(), Capacity: c.cap,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-	}
-}
-
 // partialKey identifies one analyzed month partial: which archive,
 // which single month of it, which observation view the inference
 // classified against, which scenario produced it. It is the mid-level
@@ -135,7 +41,23 @@ type partialKey struct {
 	scenario string
 }
 
-// PartialCacheStats is a point-in-time view of the partial LRU: entry
+// chunkKey identifies one decoded column chunk of one archive.
+type chunkKey struct {
+	archive string
+	month   types.Month
+	column  string
+}
+
+// CacheStats is a point-in-time view of the report level's counters.
+type CacheStats struct {
+	Size      int   `json:"size"`
+	Capacity  int   `json:"capacity"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+}
+
+// PartialCacheStats is a point-in-time view of the partial level: entry
 // count, the byte budget and its current use, and the hit counters.
 type PartialCacheStats struct {
 	Size          int   `json:"size"`
@@ -146,113 +68,7 @@ type PartialCacheStats struct {
 	Evictions     int64 `json:"evictions"`
 }
 
-// partialCache is the middle cache level, between the report LRU and the
-// decoded-chunk LRU: a concurrency-safe, byte-accounted LRU of analyzed
-// month partials (measure.Partial). A range request that misses the
-// report LRU assembles its report from the partials of its months,
-// computing only the months not cached here — so overlapping, sliding
-// and adjacent ranges re-pay decoding at most (chunk cache) and analysis
-// never, for the months they share. Partials are immutable
-// once sealed, so one entry feeds any number of concurrent merges
-// without copying. Eviction is by resident bytes (Partial.SizeBytes),
-// never below one entry.
-type partialCache struct {
-	mu        sync.Mutex
-	capBytes  int64
-	ll        *list.List
-	items     map[partialKey]*list.Element
-	bytes     int64
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-// partialEntry is one LRU element.
-type partialEntry struct {
-	key   partialKey
-	p     *measure.Partial
-	bytes int64
-}
-
-// newPartialCache creates a byte-bounded LRU (minimum one entry is
-// always retained, whatever its size).
-func newPartialCache(capBytes int64) *partialCache {
-	if capBytes < 1 {
-		capBytes = 1
-	}
-	return &partialCache{capBytes: capBytes, ll: list.New(), items: make(map[partialKey]*list.Element)}
-}
-
-// get returns the cached partial and promotes it to most-recently-used.
-func (c *partialCache) get(k partialKey) (*measure.Partial, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*partialEntry).p, true
-}
-
-// peek is get without the hit/miss accounting — the in-flight dedup's
-// re-check under the server lock.
-func (c *partialCache) peek(k partialKey) (*measure.Partial, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*partialEntry).p, true
-}
-
-// add inserts (or refreshes) a partial, evicting least-recently-used
-// entries until the byte budget holds (keeping at least one entry).
-func (c *partialCache) add(k partialKey, p *measure.Partial) {
-	size := p.SizeBytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		e := el.Value.(*partialEntry)
-		c.bytes += size - e.bytes
-		e.p, e.bytes = p, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[k] = c.ll.PushFront(&partialEntry{key: k, p: p, bytes: size})
-		c.bytes += size
-	}
-	for c.bytes > c.capBytes && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*partialEntry)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-// stats snapshots the counters.
-func (c *partialCache) stats() PartialCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PartialCacheStats{
-		Size: c.ll.Len(), CapacityBytes: c.capBytes, Bytes: c.bytes,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-	}
-}
-
-// chunkKey identifies one decoded column chunk of one archive.
-type chunkKey struct {
-	archive string
-	month   types.Month
-	column  string
-}
-
-// SegmentCacheStats is a point-in-time view of the chunk LRU: entry
+// SegmentCacheStats is a point-in-time view of the chunk level: entry
 // counters plus the on-disk bytes the cached decodes stand in for.
 type SegmentCacheStats struct {
 	Size      int   `json:"size"`
@@ -263,92 +79,224 @@ type SegmentCacheStats struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// chunkCache is the bottom cache level, under the report and partial
-// LRUs: a concurrency-safe LRU of decoded archive column chunks keyed by
-// (archive, month, column), so a projected read warms exactly the chunks
-// it touched and a later full read (or a different projection) reuses
-// them. A report-cache miss re-runs the measurement pipeline, but
-// overlapping month ranges of the same archive hit here for the decodes
-// they share. Cached values are immutable (hashes cached, column data
-// never mutated after decode), so one entry is assembled into any number
-// of concurrent datasets without copying. Every entry carries the
-// on-disk bytes it stands in for, surfaced in the stats.
+// level is one cache level of the server — reports, month partials and
+// decoded chunks are each one instance. It is a concurrency-safe LRU
+// bounded by entry count (maxEntries > 0) and/or by accounted bytes
+// (maxBytes > 0, each entry sized by size); it never evicts its last
+// entry, whatever its size. Cached values are immutable once published,
+// so one entry is handed to any number of concurrent readers without
+// copying.
 //
-// It implements archive.ChunkCache.
-type chunkCache struct {
+// do collapses concurrent misses for one key into one build: the first
+// caller builds, the rest wait for its result. The lookup, the in-flight
+// check and the registration happen under one lock, and a finished build
+// is published to the LRU in the same critical section that retires its
+// in-flight entry, so a caller always finds one or the other. A
+// panicking build becomes an error for the builder and every waiter,
+// and nothing is cached for it, so the next request rebuilds.
+type level[K comparable, V any] struct {
+	noun       string        // what an entry is, for panic errors
+	maxEntries int           // 0: no entry bound
+	maxBytes   int64         // 0: no byte bound
+	size       func(V) int64 // accounted bytes of one value; nil: none
+
 	mu        sync.Mutex
-	cap       int
 	ll        *list.List
-	items     map[chunkKey]*list.Element
+	items     map[K]*list.Element
+	inflight  map[K]*flight[V]
 	bytes     int64
 	hits      int64
 	misses    int64
 	evictions int64
 }
 
-// chunkEntry is one LRU element; val is the archive decoder's opaque
-// column representation.
-type chunkEntry struct {
-	key   chunkKey
+// entry is one LRU element.
+type entry[K comparable, V any] struct {
+	key   K
+	val   V
+	bytes int64
+}
+
+// flight is one in-progress build that concurrent misses wait on.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+func newLevel[K comparable, V any](noun string, maxEntries int, maxBytes int64, size func(V) int64) *level[K, V] {
+	return &level[K, V]{
+		noun: noun, maxEntries: maxEntries, maxBytes: maxBytes, size: size,
+		ll: list.New(), items: make(map[K]*list.Element), inflight: make(map[K]*flight[V]),
+	}
+}
+
+// lookup returns k's cached value and promotes it to most-recently-used,
+// counting a hit or a miss when count is set. l.mu must be held.
+func (l *level[K, V]) lookup(k K, count bool) (V, bool) {
+	el, ok := l.items[k]
+	switch {
+	case ok && count:
+		l.hits++
+	case count:
+		l.misses++
+	}
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	l.ll.MoveToFront(el)
+	return el.Value.(*entry[K, V]).val, true
+}
+
+// get is a counted lookup.
+func (l *level[K, V]) get(k K) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lookup(k, true)
+}
+
+// peek is a lookup that leaves the hit and miss counters alone.
+func (l *level[K, V]) peek(k K) (V, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.lookup(k, false)
+}
+
+// sizeOf is v's accounted bytes, computed before taking l.mu.
+func (l *level[K, V]) sizeOf(v V) int64 {
+	if l.size == nil {
+		return 0
+	}
+	return l.size(v)
+}
+
+// add inserts (or refreshes) a value, then evicts least-recently-used
+// entries until the level is within its bounds.
+func (l *level[K, V]) add(k K, v V) {
+	size := l.sizeOf(v)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.addLocked(k, v, size)
+}
+
+func (l *level[K, V]) addLocked(k K, v V, size int64) {
+	if el, ok := l.items[k]; ok {
+		e := el.Value.(*entry[K, V])
+		l.bytes += size - e.bytes
+		e.val, e.bytes = v, size
+		l.ll.MoveToFront(el)
+	} else {
+		l.items[k] = l.ll.PushFront(&entry[K, V]{key: k, val: v, bytes: size})
+		l.bytes += size
+	}
+	for l.ll.Len() > 1 && (l.maxEntries > 0 && l.ll.Len() > l.maxEntries || l.maxBytes > 0 && l.bytes > l.maxBytes) {
+		e := l.ll.Remove(l.ll.Back()).(*entry[K, V])
+		delete(l.items, e.key)
+		l.bytes -= e.bytes
+		l.evictions++
+	}
+}
+
+// do resolves k through the level, counting one lookup: the cached
+// value, else the result of the build already in flight for k, else the
+// result of build, which is published on success.
+func (l *level[K, V]) do(k K, build func() (V, error)) (v V, err error) {
+	l.mu.Lock()
+	if cached, ok := l.lookup(k, true); ok {
+		l.mu.Unlock()
+		return cached, nil
+	}
+	if f, ok := l.inflight[k]; ok {
+		l.mu.Unlock()
+		<-f.done
+		return f.val, f.err
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	l.inflight[k] = f
+	l.mu.Unlock()
+
+	// Publish and retire in a defer, so a panicking build still releases
+	// its waiters: otherwise every later request for k would block
+	// forever.
+	var size int64
+	defer func() {
+		if r := recover(); r != nil {
+			var zero V
+			f.val, f.err = zero, fmt.Errorf("query: building %s: panic: %v", l.noun, r)
+		}
+		l.mu.Lock()
+		if f.err == nil {
+			l.addLocked(k, f.val, size)
+		}
+		delete(l.inflight, k)
+		l.mu.Unlock()
+		close(f.done)
+		v, err = f.val, f.err
+	}()
+	if f.val, f.err = build(); f.err == nil {
+		size = l.sizeOf(f.val)
+	}
+	return f.val, f.err
+}
+
+// levelStats is a point-in-time copy of a level's counters and bounds;
+// the exported *Stats types are its per-level views.
+type levelStats struct {
+	size                    int
+	maxEntries              int
+	maxBytes, bytes         int64
+	hits, misses, evictions int64
+}
+
+func (l *level[K, V]) stats() levelStats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return levelStats{
+		size: l.ll.Len(), maxEntries: l.maxEntries, maxBytes: l.maxBytes, bytes: l.bytes,
+		hits: l.hits, misses: l.misses, evictions: l.evictions,
+	}
+}
+
+func (st levelStats) reports() CacheStats {
+	return CacheStats{Size: st.size, Capacity: st.maxEntries, Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
+}
+
+func (st levelStats) partials() PartialCacheStats {
+	return PartialCacheStats{Size: st.size, CapacityBytes: st.maxBytes, Bytes: st.bytes,
+		Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
+}
+
+func (st levelStats) segments() SegmentCacheStats {
+	return SegmentCacheStats{Size: st.size, Capacity: st.maxEntries, Bytes: st.bytes,
+		Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
+}
+
+// chunk is one decoded column chunk — the archive decoder's opaque
+// column representation — with the on-disk bytes it stands in for.
+type chunk struct {
 	val   any
 	bytes int64
 }
 
-// newChunkCache creates an LRU holding up to capacity decoded chunks
-// (minimum 1).
-func newChunkCache(capacity int) *chunkCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &chunkCache{cap: capacity, ll: list.New(), items: make(map[chunkKey]*list.Element)}
+// chunkCache adapts the chunk level to archive.ChunkCache, so a
+// projected read warms exactly the chunks it touched and a later full
+// read, a month read or a shared restore reuses them.
+type chunkCache struct{ *level[chunkKey, chunk] }
+
+func newChunkCache(capacity int) chunkCache {
+	return chunkCache{newLevel[chunkKey](
+		"chunk", capacity, 0, func(c chunk) int64 { return c.bytes })}
 }
 
-// GetChunk returns the cached decode of one column chunk and promotes
-// it to most-recently-used (archive.ChunkCache).
-func (c *chunkCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[chunkKey{dir, m, col}]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*chunkEntry).val, true
+// GetChunk returns the cached decode of one column chunk
+// (archive.ChunkCache).
+func (c chunkCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
+	ch, ok := c.get(chunkKey{dir, m, col})
+	return ch.val, ok
 }
 
-// AddChunk inserts (or refreshes) a decoded column chunk, evicting the
-// least-recently-used entries beyond capacity (archive.ChunkCache).
-func (c *chunkCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := chunkKey{dir, m, col}
-	if el, ok := c.items[k]; ok {
-		e := el.Value.(*chunkEntry)
-		c.bytes += bytes - e.bytes
-		e.val, e.bytes = v, bytes
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.ll.PushFront(&chunkEntry{key: k, val: v, bytes: bytes})
-	c.bytes += bytes
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*chunkEntry)
-		delete(c.items, e.key)
-		c.bytes -= e.bytes
-		c.evictions++
-	}
-}
-
-// stats snapshots the counters.
-func (c *chunkCache) stats() SegmentCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return SegmentCacheStats{
-		Size: c.ll.Len(), Capacity: c.cap, Bytes: c.bytes,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-	}
+// AddChunk caches a decoded column chunk (archive.ChunkCache).
+func (c chunkCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
+	c.add(chunkKey{dir, m, col}, chunk{v, bytes})
 }

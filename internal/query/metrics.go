@@ -351,9 +351,9 @@ func (s *Server) MetricsSnapshot() (MetricsSnapshot, bool) {
 	if lag, ok := s.liveLag(); ok {
 		out.LiveLag = &lag
 	}
-	out.Caches.Reports = s.cache.stats()
-	out.Caches.Partials = s.partials.stats()
-	out.Caches.Segments = s.chunks.stats()
+	out.Caches.Reports = s.CacheStats()
+	out.Caches.Partials = s.PartialCacheStats()
+	out.Caches.Segments = s.SegmentCacheStats()
 	return out, true
 }
 
@@ -512,22 +512,15 @@ func (s *Server) writePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	type cacheRow struct {
-		name                    string
-		hits, misses, evictions int64
-		size                    int
-	}
-	rs, ps, ss := s.cache.stats(), s.partials.stats(), s.chunks.stats()
-	caches := []cacheRow{
-		{"reports", rs.Hits, rs.Misses, rs.Evictions, rs.Size},
-		{"partials", ps.Hits, ps.Misses, ps.Evictions, ps.Size},
-		{"segments", ss.Hits, ss.Misses, ss.Evictions, ss.Size},
-	}
+	caches := []struct {
+		name string
+		st   levelStats
+	}{{"reports", s.reports.stats()}, {"partials", s.partials.stats()}, {"segments", s.chunks.stats()}}
 	if err := p("# HELP mevscope_cache_hits_total Cache hits by level.\n# TYPE mevscope_cache_hits_total counter\n"); err != nil {
 		return err
 	}
 	for _, c := range caches {
-		if err := p("mevscope_cache_hits_total{cache=%q} %d\n", c.name, c.hits); err != nil {
+		if err := p("mevscope_cache_hits_total{cache=%q} %d\n", c.name, c.st.hits); err != nil {
 			return err
 		}
 	}
@@ -535,7 +528,7 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, c := range caches {
-		if err := p("mevscope_cache_misses_total{cache=%q} %d\n", c.name, c.misses); err != nil {
+		if err := p("mevscope_cache_misses_total{cache=%q} %d\n", c.name, c.st.misses); err != nil {
 			return err
 		}
 	}
@@ -543,7 +536,7 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, c := range caches {
-		if err := p("mevscope_cache_evictions_total{cache=%q} %d\n", c.name, c.evictions); err != nil {
+		if err := p("mevscope_cache_evictions_total{cache=%q} %d\n", c.name, c.st.evictions); err != nil {
 			return err
 		}
 	}
@@ -551,15 +544,17 @@ func (s *Server) writePrometheus(w io.Writer) error {
 		return err
 	}
 	for _, c := range caches {
-		if err := p("mevscope_cache_size{cache=%q} %d\n", c.name, c.size); err != nil {
+		if err := p("mevscope_cache_size{cache=%q} %d\n", c.name, c.st.size); err != nil {
 			return err
 		}
 	}
 	if err := p("# HELP mevscope_cache_bytes Resident bytes held by the byte-accounted cache levels.\n# TYPE mevscope_cache_bytes gauge\n"); err != nil {
 		return err
 	}
-	if err := p("mevscope_cache_bytes{cache=\"partials\"} %d\n", ps.Bytes); err != nil {
-		return err
+	for _, c := range caches[1:] { // reports are not byte-accounted
+		if err := p("mevscope_cache_bytes{cache=%q} %d\n", c.name, c.st.bytes); err != nil {
+			return err
+		}
 	}
-	return p("mevscope_cache_bytes{cache=\"segments\"} %d\n", ss.Bytes)
+	return nil
 }

@@ -20,6 +20,11 @@
 // ranges — and a projected read followed by a full one — share decodes
 // instead of re-reading the disk.
 //
+// The three levels are one type (cache.go): a generic LRU bounded by
+// entry count (reports, chunks) or accounted bytes (partials), whose do
+// collapses concurrent report or partial misses for one key into one
+// build and turns a panicking build into an error for every waiter.
+//
 // One observation network serves every month of a build because of
 // month stability: a transaction is never seen pending after it is
 // mined, so logs past a month change none of its §6 verdicts, and the
@@ -52,7 +57,7 @@
 // LRU has evicted it. GET /metrics exposes per-endpoint request counts,
 // status classes, bytes sent, 304 counts and a log-bucket latency
 // histogram (p50/p90/p99), in Prometheus text exposition format by
-// default or as JSON (which also embeds both cache levels' counters).
+// default or as JSON (which also embeds every cache level's counters).
 //
 // A live source (a streaming follower's snapshot function, see
 // Server.SetLive) is served from the same endpoints with ?source=live;
@@ -175,33 +180,15 @@ type Config struct {
 // live source). It is an http.Handler; all state is concurrency-safe.
 type Server struct {
 	cfg      Config
-	cache    *reportCache
-	chunks   *chunkCache
-	partials *partialCache
+	reports  *level[Key, *measure.Report]
+	partials *level[partialKey, *measure.Partial]
+	chunks   chunkCache
 	mux      *http.ServeMux
 	metrics  *metrics // nil when Config.DisableMetrics
 
-	mu        sync.Mutex
-	man       *archive.Manifest // lazily loaded
-	live      *Live
-	inflight  map[Key]*call
-	pinflight map[partialKey]*pcall
-}
-
-// call deduplicates concurrent cache misses for one key: the first
-// request analyzes, the rest wait for its result.
-type call struct {
-	done chan struct{}
-	rep  *measure.Report
-	err  error
-}
-
-// pcall deduplicates concurrent partial-cache misses for one month: the
-// first request analyzes the month, the rest wait for its partial.
-type pcall struct {
-	done chan struct{}
-	p    *measure.Partial
-	err  error
+	mu   sync.Mutex
+	man  *archive.Manifest // lazily loaded
+	live *Live
 }
 
 // New creates a server over the configured archive.
@@ -219,12 +206,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.PartialCacheBytes = 256 << 20
 	}
 	s := &Server{
-		cfg:       cfg,
-		cache:     newReportCache(cfg.CacheSize),
-		chunks:    newChunkCache(cfg.SegmentCacheSize),
-		partials:  newPartialCache(cfg.PartialCacheBytes),
-		inflight:  make(map[Key]*call),
-		pinflight: make(map[partialKey]*pcall),
+		cfg:      cfg,
+		reports:  newLevel[Key, *measure.Report]("report", max(cfg.CacheSize, 1), 0, nil),
+		partials: newLevel[partialKey]("month partial", 0, max(cfg.PartialCacheBytes, 1), (*measure.Partial).SizeBytes),
+		chunks:   newChunkCache(max(cfg.SegmentCacheSize, 1)),
 	}
 	if !cfg.DisableMetrics {
 		s.metrics = newMetrics()
@@ -256,13 +241,13 @@ func (s *Server) SetLive(src Live) {
 }
 
 // CacheStats reports the report cache's hit/miss/eviction counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
+func (s *Server) CacheStats() CacheStats { return s.reports.stats().reports() }
 
 // SegmentCacheStats reports the decoded-chunk cache's counters.
-func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.chunks.stats() }
+func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.chunks.stats().segments() }
 
 // PartialCacheStats reports the month-partial cache's counters.
-func (s *Server) PartialCacheStats() PartialCacheStats { return s.partials.stats() }
+func (s *Server) PartialCacheStats() PartialCacheStats { return s.partials.stats().partials() }
 
 // ServeHTTP dispatches to the /v1 API (and /metrics). GET and HEAD are
 // the only methods — bodies are buffered, so HEAD is the same handler
@@ -439,30 +424,38 @@ func (s *Server) resolveKey(r *http.Request) (Key, error) {
 	}, nil
 }
 
-// report resolves a key to an analyzed report: cache hit, wait on an
-// in-flight build of the same key, or build (then cache). Live keys read
-// the source's height first — cheap by contract — and snapshot only on a
-// miss at that height; archive keys assemble month partials.
-func (s *Server) report(key Key) (rep *measure.Report, err error) {
-	build := s.analyze
-	if key.Live {
-		s.mu.Lock()
-		live := s.live
-		s.mu.Unlock()
-		if live == nil {
-			return nil, &httpError{http.StatusNotFound, "query: no live source configured"}
-		}
-		key.Height = live.Height()
-		// The snapshot is cached under the height it actually covers (the
-		// source may have grown past the probed height); the probed key is
-		// only used to collapse a concurrent burst into one snapshot.
-		build = func(Key) (*measure.Report, error) {
-			rep, height := live.Snapshot()
-			s.cache.add(Key{Live: true, From: key.From, To: key.To, Height: height}, rep)
-			return rep, nil
-		}
+// report resolves a key to an analyzed report through the report level:
+// cache hit, wait on an in-flight build of the same key, or build (then
+// cache). Live keys read the source's height first — cheap by contract —
+// and snapshot only on a miss at that height; archive keys assemble
+// month partials, byte-identical to a full-range analysis of the slice.
+func (s *Server) report(key Key) (*measure.Report, error) {
+	if !key.Live {
+		return s.reports.do(key, func() (*measure.Report, error) {
+			return s.traced(func(sp *obs.Span) (*measure.Report, error) {
+				return s.assembleFromPartials(key, sp)
+			})
+		})
 	}
-	return s.runBuild(key, build)
+	s.mu.Lock()
+	live := s.live
+	s.mu.Unlock()
+	if live == nil {
+		return nil, &httpError{http.StatusNotFound, "query: no live source configured"}
+	}
+	key.Height = live.Height()
+	return s.reports.do(key, func() (*measure.Report, error) {
+		rep, height := live.Snapshot()
+		// The source may have grown past the probed height: cache the
+		// snapshot under the height it actually covers too, so a later
+		// query at that height hits.
+		if height != key.Height {
+			covered := key
+			covered.Height = height
+			s.reports.add(covered, rep)
+		}
+		return rep, nil
+	})
 }
 
 // reportProjected resolves one projectable artifact of an archive key:
@@ -470,68 +463,13 @@ func (s *Server) report(key Key) (rep *measure.Report, err error) {
 // else a column-projected build cached under its own projection key — so
 // a sparse report never masquerades as a full one.
 func (s *Server) reportProjected(key Key, artifact string) (*measure.Report, error) {
-	if rep, ok := s.cache.peek(key); ok {
+	if rep, ok := s.reports.peek(key); ok {
 		return rep, nil
 	}
 	pkey := key
 	pkey.Projection = artifact
-	return s.runBuild(pkey, func(Key) (*measure.Report, error) {
+	return s.reports.do(pkey, func() (*measure.Report, error) {
 		return s.analyzeProjection(key, artifact)
-	})
-}
-
-// runBuild resolves a key through the cache and the in-flight dedup:
-// cache hit, wait on a concurrent build of the same key, or build (then
-// cache).
-func (s *Server) runBuild(key Key, build func(Key) (*measure.Report, error)) (rep *measure.Report, err error) {
-	if rep, ok := s.cache.get(key); ok {
-		return rep, nil
-	}
-	s.mu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		return c.rep, c.err
-	}
-	// Re-check the cache under the lock: a builder publishes (cache.add)
-	// and retires its in-flight entry between our miss above and here, and
-	// without this second look we would rebuild an already-cached report.
-	if rep, ok := s.cache.peek(key); ok {
-		s.mu.Unlock()
-		return rep, nil
-	}
-	c := &call{done: make(chan struct{})}
-	s.inflight[key] = c
-	s.mu.Unlock()
-
-	// Publish and retire in a defer so a panicking build (net/http
-	// recovers handler panics) still releases the waiters — otherwise
-	// every later request for this key would block forever. The cache add
-	// happens before the in-flight delete: a request arriving in between
-	// must find one or the other, never neither.
-	defer func() {
-		if r := recover(); r != nil {
-			c.rep, c.err = nil, fmt.Errorf("query: building report: panic: %v", r)
-			rep, err = c.rep, c.err
-		}
-		if c.err == nil && c.rep != nil && !key.Live {
-			s.cache.add(key, c.rep)
-		}
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	c.rep, c.err = build(key)
-	return c.rep, c.err
-}
-
-// analyze is the cold path: the key's report assembled from month
-// partials (assembleFromPartials), byte-identical to a full-range
-// analysis of the same slice.
-func (s *Server) analyze(key Key) (*measure.Report, error) {
-	return s.traced(func(sp *obs.Span) (*measure.Report, error) {
-		return s.assembleFromPartials(key, sp)
 	})
 }
 
@@ -553,12 +491,12 @@ func (s *Server) traced(build func(sp *obs.Span) (*measure.Report, error)) (*mea
 }
 
 // assembleFromPartials builds a range report by merging the month
-// partials of every month the key covers. Cached months resolve inline,
-// one partial-cache lookup each; only the misses do work. They share one
-// archive.Shared — the price series and the observation network through
-// the last missing month, restored once per build, lazily by whichever
-// miss first needs it — and fan out across the worker pool, each through
-// the partial in-flight dedup. Months the archive has no segment for are
+// partials of every month the key covers, each resolved through the
+// partial level, so only the months no earlier build analyzed do work.
+// Those share one archive.Shared — the price series and the observation
+// network through the last month the scan found missing, restored once
+// per build, lazily by whichever miss first needs it — and fan out
+// across the worker pool. Months the archive has no segment for are
 // skipped (matching the month gaps a full-range restore would surface as
 // a restore error — MergePartials rejects the resulting discontinuity
 // the same way).
@@ -571,88 +509,52 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 	for _, seg := range man.Segments {
 		archived[seg.Month] = true
 	}
-	var parts []*measure.Partial
 	var keys []partialKey
-	var missing []int // indices into parts and keys
+	var parts []*measure.Partial // the scan's cached partials, nil where missing
+	missing, last := 0, key.From
 	for m := key.From; m <= key.To; m++ {
 		if !archived[m] {
 			continue
 		}
 		pk := partialKey{archive: key.Archive, month: m, view: key.View, scenario: key.Scenario}
-		p, ok := s.partials.get(pk)
+		p, ok := s.partials.peek(pk)
 		if ok {
 			psp := sp.Child(obs.StagePartial)
 			psp.SetLabel(m.Label() + ":cached")
 			psp.End()
 		} else {
-			missing = append(missing, len(parts))
+			missing, last = missing+1, m
 		}
-		parts = append(parts, p)
 		keys = append(keys, pk)
+		parts = append(parts, p)
 	}
-	if len(missing) > 0 {
-		// Months × inner workers stays within the configured pool: the
-		// months split it, and each month's analysis gets an equal share.
-		// The shared restore may use all of it — every month waits on it.
-		workers := parallel.Workers(s.cfg.Workers)
-		outer := min(workers, len(missing))
-		inner := workers / outer
-		last := keys[missing[len(missing)-1]].month
-		shared := sync.OnceValues(func() (*archive.Shared, error) {
-			return archive.RestoreShared(key.Archive, man, last,
-				archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: sp})
-		})
-		errs := parallel.Map(len(missing), outer, func(i int) error {
-			var err error
-			parts[missing[i]], err = s.partial(keys[missing[i]], shared, inner, sp)
-			return err
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+	// Missing months × inner workers stays within the configured pool:
+	// the months split it, and each month's analysis gets an equal share.
+	// The shared restore may use all of it — every month waits on it.
+	workers := parallel.Workers(s.cfg.Workers)
+	outer := min(workers, max(missing, 1))
+	inner := workers / outer
+	shared := sync.OnceValues(func() (*archive.Shared, error) {
+		return archive.RestoreShared(key.Archive, man, last,
+			archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: sp})
+	})
+	errs := parallel.Map(len(keys), outer, func(i int) error {
+		scanned := parts[i]
+		var err error
+		parts[i], err = s.partials.do(keys[i], func() (*measure.Partial, error) {
+			if scanned != nil {
+				return scanned, nil // evicted since the scan: republish it
 			}
+			return s.buildPartial(keys[i], shared, inner, sp)
+		})
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return measure.MergePartials(parts, key.View, s.cfg.Workers, sp)
-}
-
-// partial resolves one month whose partial-cache lookup missed: wait on
-// an in-flight analysis of the same month, or analyze (then cache). It
-// runs on a worker-pool goroutine, so it recovers its own panics.
-func (s *Server) partial(pk partialKey, shared func() (*archive.Shared, error), workers int, sp *obs.Span) (p *measure.Partial, err error) {
-	s.mu.Lock()
-	if c, ok := s.pinflight[pk]; ok {
-		s.mu.Unlock()
-		<-c.done
-		return c.p, c.err
-	}
-	// Re-check under the lock, mirroring runBuild: a concurrent builder
-	// publishes and retires between the caller's miss and here.
-	if p, ok := s.partials.peek(pk); ok {
-		s.mu.Unlock()
-		return p, nil
-	}
-	c := &pcall{done: make(chan struct{})}
-	s.pinflight[pk] = c
-	s.mu.Unlock()
-
-	// Publish before retiring, in a defer, so a panicking analysis still
-	// releases the waiters (see runBuild).
-	defer func() {
-		if r := recover(); r != nil {
-			c.p, c.err = nil, fmt.Errorf("query: building month partial: panic: %v", r)
-			p, err = c.p, c.err
-		}
-		if c.err == nil && c.p != nil {
-			s.partials.add(pk, c.p)
-		}
-		s.mu.Lock()
-		delete(s.pinflight, pk)
-		s.mu.Unlock()
-		close(c.done)
-	}()
-	c.p, c.err = s.buildPartial(pk, shared, workers, sp)
-	return c.p, c.err
 }
 
 // buildPartial is the partial cold path: the month's own chunks (warmed
@@ -986,5 +888,5 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		Reports  CacheStats        `json:"reports"`
 		Partials PartialCacheStats `json:"partials"`
 		Segments SegmentCacheStats `json:"segments"`
-	}{s.cache.stats(), s.partials.stats(), s.chunks.stats()})
+	}{s.CacheStats(), s.PartialCacheStats(), s.SegmentCacheStats()})
 }
