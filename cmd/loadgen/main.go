@@ -149,8 +149,9 @@ var mixKinds = map[string][]string{
 		"/v1/artifact/fig9?format=json",
 		"/v1/artifact/bundles?format=csv",
 	},
-	// projected rotates the header-level artifacts a projection-wired
-	// server builds from a column-projected restore — the cheap cold path.
+	// projected rotates the header-level artifacts (the ones
+	// measure.ProjectionColumns names), served off the same full-window
+	// report as every other artifact.
 	"projected": {
 		"/v1/artifact/fig4?format=json",
 		"/v1/artifact/fig5?format=json",
@@ -531,10 +532,9 @@ func run(cfg *config) (*Output, error) {
 	name := cfg.url
 	if cfg.from != "" {
 		srv, err := query.New(query.Config{
-			Archive:           cfg.from,
-			Workers:           cfg.parallel,
-			AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
-			AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
+			Archive:        cfg.from,
+			Workers:        cfg.parallel,
+			AnalyzePartial: mevscope.AnalyzeDatasetPartial,
 		})
 		if err != nil {
 			return nil, err

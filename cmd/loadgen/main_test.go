@@ -124,7 +124,7 @@ func TestRunAgainstArchive(t *testing.T) {
 // TestRunSlidingWindowMix drives the dynamic kinds end to end over a
 // four-month archive: sliding-window resolves to overlapping month
 // windows off the manifest, block resolves to archived point lookups,
-// projected exercises the column-projected artifact path — and the
+// projected adds header-level artifacts of the full-window report — and the
 // overlap means the month-partial cache must record hits, which is
 // exactly what CI's -require-partial-hits gate asserts.
 func TestRunSlidingWindowMix(t *testing.T) {

@@ -54,8 +54,12 @@
 // graph, each with its own first-seen log; -view picks which combination
 // of them the §6 private-transaction inference classifies against.
 //
-// Sections: all (default), table1, fig3, fig4, fig5, fig6, fig7, fig8,
-// fig9, bundles, negatives, private.
+// Sections: all (default) or any artifact name of the report model
+// (measure.ArtifactNames: table1, fig3 … fig9, mevsplit, bundles,
+// negatives, damage, concentration, private_links, vantage_sensitivity);
+// private is an alias of private_links. One section prints exactly what
+// GET /v1/artifact/NAME?format=text serves, and an unknown name is
+// rejected before any work runs.
 //
 // Scenarios: baseline, no-flashbots, hashpower-skew, high-private,
 // post-london, single-vantage, multi-vantage-union, degraded-observer.
@@ -129,6 +133,25 @@ func checkScenario(name string) error {
 	return err
 }
 
+// checkSection resolves a -section value before any work runs: "all" or
+// an artifact name of the report model, case-insensitively, with
+// "private" kept as an alias of "private_links". A typo is a usage
+// error listing the valid names, not a failure after the whole run.
+func checkSection(section string) (string, error) {
+	name := strings.ToLower(section)
+	if name == "private" {
+		name = "private_links"
+	}
+	names := measure.ArtifactNames()
+	for _, n := range append([]string{"all"}, names...) {
+		if n == name {
+			return name, nil
+		}
+	}
+	return "", fmt.Errorf("unknown section %q (valid: all, %s; private is an alias of private_links)",
+		section, strings.Join(names, ", "))
+}
+
 // checkObservation validates the observation-network flags up front so a
 // typo'd topology or view is a usage error, not a failed run.
 func checkObservation(vantages int, topology, view string) error {
@@ -169,6 +192,10 @@ func runStudy(args []string) {
 	if err := checkObservation(*vantages, *topology, *view); err != nil {
 		fail(2, err)
 	}
+	sec, err := checkSection(*section)
+	if err != nil {
+		fail(2, err)
+	}
 	rec := newTracer("study", *traceFile, *progress)
 
 	opts := mevscope.Options{
@@ -204,7 +231,7 @@ func runStudy(args []string) {
 	}
 	rsp := rec.root().Child(obs.StageRender)
 	writeCSV(study, *csvDir, *quiet)
-	printSection(study, *section)
+	printSection(study, sec)
 	rsp.End()
 	rec.finish()
 }
@@ -339,6 +366,10 @@ func runAnalyze(args []string) {
 	if err := dataset.CheckView(*view); err != nil {
 		fail(2, err)
 	}
+	sec, err := checkSection(*section)
+	if err != nil {
+		fail(2, err)
+	}
 	lo, hi, err := resolveRange(*from, *months)
 	if err != nil {
 		fail(2, err)
@@ -380,7 +411,7 @@ func runAnalyze(args []string) {
 	}
 	rsp := rec.root().Child(obs.StageRender)
 	writeCSV(study, *csvDir, *quiet)
-	printSection(study, *section)
+	printSection(study, sec)
 	rsp.End()
 	rec.finish()
 }
@@ -493,7 +524,6 @@ func runServe(args []string) {
 	}
 	srv, err := query.New(query.Config{
 		Archive:           *from,
-		AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
 		AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
 		Workers:           *parallelism,
 		CacheSize:         *cacheSize,
@@ -596,70 +626,17 @@ func writeCSV(study *mevscope.Study, dir string, quiet bool) {
 	}
 }
 
-// printSection renders one artifact (or the whole report) to stdout.
+// printSection renders the whole report ("all") or one artifact of it
+// to stdout; section is a name checkSection accepted. One artifact
+// prints as measure.WriteText renders it, byte for byte what
+// /v1/artifact/NAME?format=text serves.
 func printSection(study *mevscope.Study, section string) {
-	switch strings.ToLower(section) {
-	case "all":
+	if section == "all" {
 		study.WriteReport(os.Stdout)
-	case "table1":
-		fmt.Print(study.Report.Table1.Format())
-	case "fig3":
-		for _, row := range study.Report.Fig3 {
-			fmt.Printf("%8s %5d/%5d %6.1f%%\n", row.Month, row.FlashbotsBlocks, row.TotalBlocks, 100*row.Ratio())
-		}
-	case "fig4":
-		for _, mv := range study.Report.Fig4 {
-			fmt.Printf("%8s %6.1f%%\n", mv.Month, 100*mv.Value)
-		}
-	case "fig5":
-		f := study.Report.Fig5
-		fmt.Printf("thresholds: %v\n", f.Thresholds)
-		for i, m := range f.Months {
-			fmt.Printf("%8s %v\n", m, f.Counts[i])
-		}
-	case "fig6":
-		for _, row := range study.Report.Fig6.Rows {
-			fmt.Printf("%8s fb=%d nonfb=%d gas=%.1f gwei\n", row.Month, row.FlashbotsSand, row.NonFlashbotsSand, row.AvgGasPriceGwei)
-		}
-		fmt.Printf("corr(nonFB sandwiches, gas) = %.3f\n", study.Report.Fig6.CorrNonFB)
-	case "fig7":
-		for _, row := range study.Report.Fig7.Rows {
-			fmt.Printf("%8s searchers=%v txs=%v\n", row.Month, row.Searchers, row.Txs)
-		}
-	case "fig8":
-		f := study.Report.Fig8
-		fmt.Printf("miners    non-FB: %s\nminers    FB:     %s\nsearchers non-FB: %s\nsearchers FB:     %s\n",
-			f.MinerNonFB, f.MinerFB, f.SearcherNonFB, f.SearcherFB)
-	case "fig9":
-		if study.Report.Fig9 == nil {
-			fmt.Println("no observation window in this run")
-			return
-		}
-		sp := study.Report.Fig9.Split
-		fmt.Printf("total=%d flashbots=%.1f%% private=%.1f%% public=%.1f%%\n",
-			sp.Total, 100*sp.FlashbotsShare(), 100*sp.PrivateShare(), 100*sp.PublicShare())
-	case "bundles":
-		b := study.Report.Bundles
-		fmt.Printf("bundles=%d blocks=%d mean/block=%.2f median=%.0f single-tx=%.1f%% max-txs=%d types=%v\n",
-			b.Bundles, b.FlashbotsBlocks, b.BundlesPerBlock.Mean, b.BundlesPerBlock.Median,
-			100*b.SingleTxShare(), b.MaxBundleTxs, b.ByType)
-	case "negatives":
-		n := study.Report.Negatives
-		fmt.Printf("unprofitable %d of %d FB sandwiches (%.2f%%), loss %.2f ETH\n",
-			n.Unprofitable, n.FlashbotsSandwiches, 100*n.Share(), n.TotalLossETH)
-	case "private":
-		for _, l := range study.Report.PrivateLinks {
-			m, single := l.SingleMiner()
-			tag := fmt.Sprintf("%d miners", len(l.Miners))
-			if single {
-				tag = "single miner " + m.String()
-			}
-			fmt.Printf("%s %4d private sandwiches (%s)\n", l.Account, l.Total, tag)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mevscope: unknown section %q\n", section)
-		os.Exit(2)
+		return
 	}
+	a, _ := study.Report.Artifact(section)
+	measure.WriteText(os.Stdout, a)
 }
 
 func pick(v, def int) int {

@@ -13,6 +13,7 @@ import (
 
 	"mevscope"
 	"mevscope/internal/archive"
+	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
 	"mevscope/internal/query"
 	"mevscope/internal/scenario"
@@ -43,6 +44,35 @@ func TestCheckScenarioAcceptsValidNames(t *testing.T) {
 	for _, good := range append(scenario.Names(), "", "BASELINE", "No-Flashbots") {
 		if err := checkScenario(good); err != nil {
 			t.Errorf("scenario %q rejected: %v", good, err)
+		}
+	}
+}
+
+// TestCheckSection: every artifact name of the report model (any case),
+// "all" and the "private" alias pass -section's up-front check, each
+// resolving to the name printSection renders; a typo is rejected with
+// every valid name listed.
+func TestCheckSection(t *testing.T) {
+	good := map[string]string{"all": "all", "ALL": "all", "private": "private_links", "Fig3": "fig3"}
+	for _, name := range measure.ArtifactNames() {
+		good[name] = name
+	}
+	for in, want := range good {
+		got, err := checkSection(in)
+		if err != nil || got != want {
+			t.Errorf("checkSection(%q) = (%q, %v), want (%q, nil)", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"fig33", "privat", "table 1", ""} {
+		_, err := checkSection(bad)
+		if err == nil {
+			t.Errorf("section %q accepted; want rejection", bad)
+			continue
+		}
+		for _, name := range measure.ArtifactNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error for %q does not list valid section %q: %v", bad, name, err)
+			}
 		}
 	}
 }

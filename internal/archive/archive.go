@@ -6,10 +6,9 @@
 //
 // Every data file is a column chunk (colcodec.go): one file per (month,
 // column) with column-appropriate codecs (delta varints, dictionaries,
-// presence-mask payloads) and per-chunk zone maps in the manifest, so
-// reads decode only the columns — and touch only the chunks — a query
-// needs (ReadOptions.Columns). The price series is one more chunk at the
-// archive root:
+// presence-mask payloads) and a per-chunk zone map in the manifest that
+// every decode checks against its payload. The price series is one more
+// chunk at the archive root:
 //
 //	<dir>/
 //	  manifest.json          version 4, timeline, WETH, checksums, zone maps
@@ -36,16 +35,19 @@
 // it completes, so `mevscope archive -live` writes segments while the
 // world grows instead of serializing everything at the end.
 //
-// There is one reader. RestoreShared restores what a run of months
-// shares — the price series and, once the observation window has opened
-// by its last month, every vantage's observation log through that month
-// with its coverage table — and Shared.ReadMonth decodes one month's
-// block chunks against it; ReadRangeWith is the same restore and the
-// same month assembly over a range. Observation chunks are decoded only
-// by that restore, and only once the window is open. Because each
-// record must sit in its first-seen month's segment (dataset.Partition's
-// layout), a misfiled archive is refused by every read that restores the
-// misfiled segment's observations.
+// There is one reader, and every read decodes whole months. RestoreShared
+// restores what a run of months shares — the price series and, once the
+// observation window has opened by its last month, every vantage's
+// observation log through that month with its coverage table — and
+// Shared.ReadMonth decodes one month's block chunks against it;
+// ReadRangeWith is the same restore and the same month assembly over a
+// range, and ReadBlockFrom looks one block up in its month's assembly.
+// One function, readSegment, builds blocks from decoded chunks for all
+// of them. Observation chunks are decoded only by the shared restore,
+// and only once the window is open. Because each record must sit in its
+// first-seen month's segment (dataset.Partition's layout), a misfiled
+// archive is refused by every read that restores the misfiled segment's
+// observations.
 package archive
 
 import (
@@ -56,7 +58,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
+	"strings"
 
 	"mevscope/internal/dataset"
 	"mevscope/internal/obs"
@@ -236,8 +238,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // ChunkCache caches decoded column chunks across reads. internal/query
-// plugs its LRU in here so overlapping month ranges — and a projected
-// read followed by a full one — share the chunks they both decode
+// plugs its LRU in here so overlapping month ranges — and block lookups
+// in months a report build decoded — share the chunks they both decode
 // instead of re-reading the disk; a nil cache reads every chunk fresh.
 // The cached value is the decoder's immutable column representation —
 // opaque to callers, who store and return it as-is. Implementations must
@@ -250,26 +252,24 @@ type ChunkCache interface {
 	AddChunk(dir string, m types.Month, col string, v any, bytes int64)
 }
 
-// ReadStats, when attached to ReadOptions, accumulates byte-level
-// accounting of a read: how much stored data was decoded, and how many
-// chunks the projection and zone maps skipped or the cache served. Safe
-// for concurrent use (reads decode in parallel).
-type ReadStats struct {
-	// DecodedBytes counts stored (compressed) bytes actually decoded.
-	DecodedBytes atomic.Int64
-	// DecodedChunks counts chunk files decoded.
-	DecodedChunks atomic.Int64
-	// SkippedChunks counts chunks skipped without decoding.
-	SkippedChunks atomic.Int64
-	// CachedChunks counts chunks served from cache.
-	CachedChunks atomic.Int64
-}
-
 // segBytes is a segment's total on-disk size per the manifest.
 func segBytes(si SegmentInfo) int64 {
 	var bytes int64
 	for _, ci := range si.Columns {
 		bytes += ci.File.Bytes
+	}
+	return bytes
+}
+
+// blockBytes is the on-disk size of a segment's block chunks: every
+// chunk but the observation logs ("observed", "observed_vN"), which a
+// month read takes from the shared restore.
+func blockBytes(si SegmentInfo) int64 {
+	var bytes int64
+	for _, ci := range si.Columns {
+		if !strings.HasPrefix(ci.Name, ColObserved) {
+			bytes += ci.File.Bytes
+		}
 	}
 	return bytes
 }
@@ -284,7 +284,8 @@ func (m *Manifest) DataBytes() int64 {
 	return bytes
 }
 
-// ReadOptions tune a ReadRangeWith call.
+// ReadOptions tune an archive read: ReadRangeWith, RestoreShared,
+// Shared.ReadMonth and ReadBlockFrom.
 type ReadOptions struct {
 	// Workers sizes the parallel segment-decode pool (< 1 = all cores).
 	Workers int
@@ -297,17 +298,6 @@ type ReadOptions struct {
 	// "archive:column" child per chunk decoded (cache hits record
 	// nothing). Nil disables recording at zero cost (internal/obs).
 	Span *obs.Span
-	// Columns projects the read onto a column subset (see ColumnNames):
-	// only the selected columns are decoded and populated, and the rest
-	// of each segment's chunks are skipped on disk. Nil restores
-	// everything. The set is closed over its dependencies (headers always
-	// load; logs pull receipts; receipts and txs travel together), a
-	// projection without "observed" skips the observer restore entirely,
-	// and the resulting dataset records the projection in its Projection
-	// field.
-	Columns []string
-	// Stats, when non-nil, accumulates decode-byte accounting.
-	Stats *ReadStats
 }
 
 // Read restores the full dataset from a segmented archive, verifying
@@ -328,12 +318,12 @@ func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, e
 // ReadRangeWith is ReadRange with a tunable decode pool and an optional
 // chunk cache. It is the month reader of Shared.ReadMonth run over a
 // range: the state the range shares is restored first — the price
-// series, plus, when the projection keeps "observed" and the observation
-// window has opened by the slice end, every vantage's observation log of
-// every segment through the slice end together with its coverage table
-// (see RestoreShared) — then the selected segments' block chunks decode
-// in parallel (each month's chunks are independent) and are assembled in
-// month order, so the result is identical to a sequential read. The
+// series, plus, when the observation window has opened by the slice end,
+// every vantage's observation log of every segment through the slice end
+// together with its coverage table (see RestoreShared) — then the
+// selected segments' block chunks decode in parallel (each month's
+// chunks are independent) and are assembled in month order, so the
+// result is identical to a sequential read. The
 // observation logs run from the archive's first month, not just the
 // sliced ones, because a transaction first seen near a month boundary
 // can be mined in the next month, and dropping its record would silently
@@ -344,10 +334,6 @@ func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, e
 // file is checksum-verified.
 func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.Dataset, *Manifest, error) {
 	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	cols, norm, err := normalizeColumns(opt.Columns)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -369,31 +355,18 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		blocks, bytes := 0, int64(0)
 		for _, si := range segs {
 			blocks += si.Blocks.Count
-			bytes += segBytesFor(si, cols)
+			bytes += segBytes(si)
 		}
 		rsp.SetBlocks(blocks)
 		rsp.SetBytes(bytes)
 	}
-	sh, err := restoreShared(dir, man, to, cols.want(ColObserved), opt, rsp)
+	sh, err := restoreShared(dir, man, to, opt, rsp)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := sh.readMonths(segs, cols, opt, rsp)
+	ds, err := sh.readMonths(segs, opt, rsp)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds.Projection = norm
 	return ds, man, nil
-}
-
-// segBytesFor is the on-disk size a read of si under a projection
-// actually covers: the selected chunks' bytes.
-func segBytesFor(si SegmentInfo, cols columnSet) int64 {
-	var bytes int64
-	for _, ci := range si.Columns {
-		if cols.want(ci.Name) {
-			bytes += ci.File.Bytes
-		}
-	}
-	return bytes
 }

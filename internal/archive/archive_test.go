@@ -116,41 +116,89 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBlock: the random-access path (zone-map chunk selection)
-// returns the same sealed block a full restore does, at segment edges
-// and inside segments.
+// TestReadBlock: a block lookup (ReadBlockFrom) and a full restore
+// (Read) both return the sim chain's own block, compared as the JSON
+// /v1/block serves, at segment edges, inside segments and for an empty
+// block. No simulated block is empty, so the test seals one by hand at
+// the head of a Months-limited world, where it opens a segment of its
+// own; its transaction and receipt lists are nil, as the miner leaves
+// an empty block's, and must read back nil, not empty.
 func TestReadBlock(t *testing.T) {
-	s := world(t)
-	dir := t.TempDir()
-	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
-		t.Fatal(err)
-	}
-	head := s.Chain.Head().Header.Number
-	start := s.Chain.Timeline.StartBlock
-	for _, n := range []uint64{start, start + 1, start + 63, start + 64, (start + head) / 2, head} {
-		got, err := archive.ReadBlock(dir, n)
-		if err != nil {
-			t.Fatalf("ReadBlock(%d): %v", n, err)
-		}
-		want, err := s.Chain.ByNumber(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Hash() != want.Hash() {
-			t.Errorf("ReadBlock(%d) hash differs from the chain's", n)
-		}
-	}
-	if _, err := archive.ReadBlock(dir, head+1); err == nil {
-		t.Error("block beyond the archive served")
-	}
-	// The manifest-reusing variant resolves the same blocks.
-	man, err := archive.ReadManifest(dir)
+	cfg := sim.DefaultConfig(17)
+	cfg.BlocksPerMonth = 25
+	cfg.Months = 3
+	s, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := archive.ReadBlockFrom(dir, man, start+1)
-	if err != nil || got.Header.Number != start+1 {
-		t.Errorf("ReadBlockFrom(%d) = (%v, %v)", start+1, got, err)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Chain
+	n := c.NextNumber()
+	empty := &types.Block{Header: types.Header{
+		Number:     n,
+		ParentHash: c.Head().Hash(),
+		Time:       c.Timeline.TimeOfBlock(n),
+		Miner:      types.Address{1},
+		BaseFee:    c.NextBaseFee(),
+		GasLimit:   c.GasLimit,
+	}}
+	empty.Seal()
+	if err := c.Append(empty); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := man.Segments[len(man.Segments)-1]; last.FirstBlock != n || last.LastBlock != n {
+		t.Fatalf("fixture: the empty block %d should be alone in the last segment, which holds %d..%d",
+			n, last.FirstBlock, last.LastBlock)
+	}
+	restored, _, err := archive.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asJSON := func(b *types.Block) string {
+		t.Helper()
+		raw, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	checked := map[uint64]bool{}
+	for _, si := range man.Segments {
+		for _, num := range []uint64{si.FirstBlock, (si.FirstBlock + si.LastBlock) / 2, si.LastBlock} {
+			if checked[num] {
+				continue
+			}
+			checked[num] = true
+			simBlock, err := c.ByNumber(num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := asJSON(simBlock)
+			got, err := archive.ReadBlockFrom(dir, man, num, archive.ReadOptions{})
+			if err != nil {
+				t.Fatalf("ReadBlockFrom(%d): %v", num, err)
+			}
+			if js := asJSON(got); js != want {
+				t.Errorf("ReadBlockFrom(%d) differs from the sim's block:\n got  %.300s\n want %.300s", num, js, want)
+			}
+			full, err := restored.Chain.ByNumber(num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if js := asJSON(full); js != want {
+				t.Errorf("restored block %d differs from the sim's block:\n got  %.300s\n want %.300s", num, js, want)
+			}
+		}
+	}
+	if _, err := archive.ReadBlockFrom(dir, man, n+1, archive.ReadOptions{}); err == nil {
+		t.Error("block beyond the archive served")
 	}
 }
 

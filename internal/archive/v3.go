@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"mevscope/internal/dataset"
@@ -28,14 +26,15 @@ import (
 //
 // The manifest records one ColumnInfo per chunk: the file's integrity
 // record plus a zone map (month, min/max block, min/max gas price) that
-// lets ReadBlock pick chunks and projection reads skip columns without
-// decoding a byte. Receipt TxHash is not stored — receipts align
-// positionally with transactions, so the reader derives it, and the
-// writer refuses any segment where the stored receipt identity drifts
-// from the recomputed transaction hash.
+// every decode recomputes and checks; the shared restore also reads the
+// observation chunks' zones to check their filing before decoding any.
+// Receipt TxHash is not stored — receipts align positionally with
+// transactions, so the reader derives it, and the writer refuses any
+// segment where the stored receipt identity drifts from the recomputed
+// transaction hash.
 
 // Column names of the segment chunks. Extra vantages store under
-// "observed_v1", "observed_v2", … and project under ColObserved.
+// "observed_v1", "observed_v2", ….
 const (
 	ColHeaders   = "headers"
 	ColTxs       = "txs"
@@ -44,64 +43,6 @@ const (
 	ColFlashbots = "flashbots"
 	ColObserved  = "observed"
 )
-
-// ColumnNames lists the selectable columns in storage order.
-func ColumnNames() []string {
-	return []string{ColHeaders, ColTxs, ColReceipts, ColLogs, ColFlashbots, ColObserved}
-}
-
-// colBase maps a chunk column name to its selectable column:
-// "observed_v2" → "observed", everything else to itself.
-func colBase(name string) string {
-	if strings.HasPrefix(name, ColObserved+"_v") {
-		return ColObserved
-	}
-	return name
-}
-
-// columnSet is a normalized projection: nil selects everything.
-type columnSet map[string]bool
-
-// normalizeColumns validates and closes a projection over its
-// dependencies: headers are always included (they carry the block
-// skeleton everything hangs off), logs need receipts, and receipts and
-// transactions travel together — receipts are positionally 1:1 with
-// transactions and their identity (TxHash) is derived from them.
-func normalizeColumns(cols []string) (columnSet, []string, error) {
-	if cols == nil {
-		return nil, nil, nil
-	}
-	known := make(map[string]bool, 6)
-	for _, c := range ColumnNames() {
-		known[c] = true
-	}
-	set := columnSet{ColHeaders: true}
-	for _, c := range cols {
-		if !known[c] {
-			return nil, nil, fmt.Errorf("archive: unknown column %q (want one of %s)",
-				c, strings.Join(ColumnNames(), ", "))
-		}
-		set[c] = true
-	}
-	if set[ColLogs] {
-		set[ColReceipts] = true
-	}
-	if set[ColReceipts] {
-		set[ColTxs] = true
-	}
-	if set[ColTxs] {
-		set[ColReceipts] = true
-	}
-	norm := make([]string, 0, len(set))
-	for c := range set {
-		norm = append(norm, c)
-	}
-	sort.Strings(norm)
-	return set, norm, nil
-}
-
-// want reports whether a chunk column is selected (nil = everything).
-func (s columnSet) want(name string) bool { return s == nil || s[colBase(name)] }
 
 // findColumn locates a segment's chunk record by column name.
 func findColumn(si SegmentInfo, name string) (ColumnInfo, error) {
@@ -1060,9 +1001,6 @@ func (cl *chunkLoader) end() { cl.dsp.End() }
 func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any, error) {
 	if cl.opt.Cache != nil {
 		if v, ok := cl.opt.Cache.GetChunk(cl.dir, cl.si.Month, name); ok {
-			if cl.opt.Stats != nil {
-				cl.opt.Stats.CachedChunks.Add(1)
-			}
 			return v, nil
 		}
 	}
@@ -1082,71 +1020,55 @@ func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any
 	if err != nil {
 		return nil, err
 	}
-	if cl.opt.Stats != nil {
-		cl.opt.Stats.DecodedBytes.Add(ci.File.Bytes)
-		cl.opt.Stats.DecodedChunks.Add(1)
-	}
 	if cl.opt.Cache != nil {
 		cl.opt.Cache.AddChunk(cl.dir, cl.si.Month, name, v, ci.File.Bytes)
 	}
 	return v, nil
 }
 
-// readSegment decodes one month's selected block columns into a dataset
-// segment. cols == nil restores every block column; a projection decodes
-// only the selected chunks (and counts the rest as skipped), leaving the
-// other fields zero. It never decodes observation chunks: the month's
-// readers take the observation network from their shared restore.
-func readSegment(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
+// readSegment decodes one month's block chunks — headers, transactions,
+// receipts, logs and the Flashbots records — into a dataset segment. It
+// is the one place a block is assembled from decoded chunks: month
+// reads, range reads and block lookups all go through it. An empty
+// block's transaction and receipt lists stay nil, as the miner leaves
+// them. It never decodes observation chunks: the month's readers take
+// the observation network from their shared restore.
+func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
 	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
 	defer cl.end()
-
-	if opt.Stats != nil {
-		for _, ci := range si.Columns {
-			if !cols.want(ci.Name) {
-				opt.Stats.SkippedChunks.Add(1)
-			}
-		}
-	}
 
 	hv, err := cl.load(ColHeaders, func(ci ColumnInfo) (any, error) { return decodeHeadersCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}
 	hd := hv.(*colHeadersData)
-
-	var txs *colTxsData
-	var rcpts *colReceiptsData
-	if cols.want(ColTxs) {
-		tv, err := cl.load(ColTxs, func(ci ColumnInfo) (any, error) { return decodeTxsCol(dir, ci) })
-		if err != nil {
-			return nil, err
-		}
-		txs = tv.(*colTxsData)
-		rv, err := cl.load(ColReceipts, func(ci ColumnInfo) (any, error) { return decodeReceiptsCol(dir, ci) })
-		if err != nil {
-			return nil, err
-		}
-		rcpts = rv.(*colReceiptsData)
-		if len(txs.txs) != hd.totalTxs || len(rcpts.rcpts) != hd.totalTxs {
-			return nil, fmt.Errorf("archive: segment %s has %d txs and %d receipts, headers say %d",
-				si.Label, len(txs.txs), len(rcpts.rcpts), hd.totalTxs)
-		}
+	tv, err := cl.load(ColTxs, func(ci ColumnInfo) (any, error) { return decodeTxsCol(dir, ci) })
+	if err != nil {
+		return nil, err
 	}
-	var logs *colLogsData
-	if cols.want(ColLogs) {
-		lv, err := cl.load(ColLogs, func(ci ColumnInfo) (any, error) { return decodeLogsCol(dir, ci) })
-		if err != nil {
-			return nil, err
-		}
-		logs = lv.(*colLogsData)
-		if len(logs.logs) != hd.totalTxs {
-			return nil, fmt.Errorf("archive: segment %s has logs for %d receipts, headers say %d",
-				si.Label, len(logs.logs), hd.totalTxs)
-		}
+	txs := tv.(*colTxsData)
+	rv, err := cl.load(ColReceipts, func(ci ColumnInfo) (any, error) { return decodeReceiptsCol(dir, ci) })
+	if err != nil {
+		return nil, err
+	}
+	rcpts := rv.(*colReceiptsData)
+	lv, err := cl.load(ColLogs, func(ci ColumnInfo) (any, error) { return decodeLogsCol(dir, ci) })
+	if err != nil {
+		return nil, err
+	}
+	logs := lv.(*colLogsData)
+	// The header tx counts sum to totalTxs, so once every column has that
+	// many rows no block's slice can overrun it.
+	if len(txs.txs) != hd.totalTxs || len(rcpts.rcpts) != hd.totalTxs || len(logs.logs) != hd.totalTxs {
+		return nil, fmt.Errorf("archive: segment %s has %d txs, %d receipts and logs for %d receipts, headers say %d",
+			si.Label, len(txs.txs), len(rcpts.rcpts), len(logs.logs), hd.totalTxs)
+	}
+	fv, err := cl.load(ColFlashbots, func(ci ColumnInfo) (any, error) { return decodeFlashbotsCol(dir, ci) })
+	if err != nil {
+		return nil, err
 	}
 
-	seg := &dataset.Segment{Month: si.Month}
+	seg := &dataset.Segment{Month: si.Month, FBBlocks: fv.(*colFBData).recs}
 	seg.Blocks = make([]*types.Block, len(hd.numbers))
 	base := 0
 	for i := range seg.Blocks {
@@ -1159,151 +1081,46 @@ func readSegment(dir string, si SegmentInfo, cols columnSet, opt ReadOptions, rs
 			GasLimit:   hd.gasLimits[i],
 			GasUsed:    hd.gasUseds[i],
 		}}
-		cnt := hd.txCounts[i]
-		if txs != nil {
-			if base+cnt > len(txs.txs) {
-				return nil, fmt.Errorf("archive: segment %s tx counts overrun the tx column", si.Label)
-			}
+		if cnt := hd.txCounts[i]; cnt > 0 {
 			b.Txs = txs.txs[base : base+cnt : base+cnt]
 			b.Receipts = make([]*types.Receipt, cnt)
-			for j := 0; j < cnt; j++ {
+			for j := range b.Receipts {
 				r := rcpts.rcpts[base+j] // copy; the cached chunk stays pristine
 				r.TxHash = b.Txs[j].Hash()
-				if logs != nil {
-					r.Logs = logs.logs[base+j]
-				}
+				r.Logs = logs.logs[base+j]
 				b.Receipts[j] = &r
 			}
+			base += cnt
 		}
-		base += cnt
 		b.Seal()
 		seg.Blocks[i] = b
-	}
-
-	if cols.want(ColFlashbots) {
-		fv, err := cl.load(ColFlashbots, func(ci ColumnInfo) (any, error) { return decodeFlashbotsCol(dir, ci) })
-		if err != nil {
-			return nil, err
-		}
-		seg.FBBlocks = fv.(*colFBData).recs
 	}
 	return seg, nil
 }
 
-// ReadBlock restores a single block by number — the random-access path
-// the zone maps exist for. The fetch trades the read paths' full-segment
-// restore for speed; every chunk it decodes is still checksum-verified.
-func ReadBlock(dir string, number uint64) (*types.Block, error) {
-	man, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	return ReadBlockFrom(dir, man, number)
-}
-
-// ReadBlockFrom is ReadBlock against an already-loaded manifest — the
-// repeated-lookup path, where re-parsing the manifest (which carries
-// every chunk's zone map) would otherwise dominate the lookup. The zone
-// maps pick exactly the chunks whose block range holds the target, so
-// the flashbots, observed and price chunks are never touched, and a
-// chunk whose zone excludes the block is skipped without decoding.
-func ReadBlockFrom(dir string, man *Manifest, number uint64) (*types.Block, error) {
-	var si *SegmentInfo
-	for i := range man.Segments {
-		if s := &man.Segments[i]; s.FirstBlock <= number && number <= s.LastBlock {
-			si = s
-			break
+// ReadBlockFrom restores block number from the archive at dir, whose
+// manifest the caller has already loaded — the repeated-lookup path,
+// where re-parsing the manifest would otherwise dominate. It reads the
+// block's month through readSegment, the month readers' assembly, so
+// the block is exactly the one a full restore holds, and it goes
+// through opt's chunk cache when it has one: a lookup in a month an
+// earlier read decoded touches no disk. Every chunk it does decode is
+// checksum-verified.
+func ReadBlockFrom(dir string, man *Manifest, number uint64, opt ReadOptions) (*types.Block, error) {
+	for _, si := range man.Segments {
+		if number < si.FirstBlock || number > si.LastBlock {
+			continue
 		}
-	}
-	if si == nil {
-		return nil, fmt.Errorf("archive: no segment holds block %d", number)
-	}
-	inZone := func(name string) (ColumnInfo, bool, error) {
-		ci, err := findColumn(*si, name)
-		if err != nil {
-			return ColumnInfo{}, false, err
-		}
-		return ci, ci.File.Count > 0 && ci.MinBlock <= number && number <= ci.MaxBlock, nil
-	}
-	hci, ok, err := inZone(ColHeaders)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("archive: block %d missing from segment %s", number, si.Label)
-	}
-	hd, err := decodeHeadersCol(dir, hci)
-	if err != nil {
-		return nil, err
-	}
-	idx := -1
-	base := 0
-	for i, n := range hd.numbers {
-		if n == number {
-			idx = i
-			break
-		}
-		base += hd.txCounts[i]
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("archive: block %d missing from segment %s", number, si.Label)
-	}
-	b := &types.Block{Header: types.Header{
-		Number:     hd.numbers[idx],
-		ParentHash: hd.parents[idx],
-		Time:       time.Unix(0, hd.times[idx]).UTC(),
-		Miner:      hd.miners[idx],
-		BaseFee:    hd.baseFees[idx],
-		GasLimit:   hd.gasLimits[idx],
-		GasUsed:    hd.gasUseds[idx],
-	}}
-	cnt := hd.txCounts[idx]
-	if cnt > 0 {
-		tci, ok, err := inZone(ColTxs)
+		seg, err := readSegment(dir, si, opt, opt.Span)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			txs, err := decodeTxsCol(dir, tci)
-			if err != nil {
-				return nil, err
-			}
-			if base+cnt > len(txs.txs) {
-				return nil, fmt.Errorf("archive: segment %s tx counts overrun the tx column", si.Label)
-			}
-			b.Txs = txs.txs[base : base+cnt : base+cnt]
-		}
-		rci, ok, err := inZone(ColReceipts)
-		if err != nil {
-			return nil, err
-		}
-		if ok && len(b.Txs) == cnt {
-			rcpts, err := decodeReceiptsCol(dir, rci)
-			if err != nil {
-				return nil, err
-			}
-			var logs *colLogsData
-			if lci, lok, err := inZone(ColLogs); err != nil {
-				return nil, err
-			} else if lok {
-				if logs, err = decodeLogsCol(dir, lci); err != nil {
-					return nil, err
-				}
-			}
-			if base+cnt > len(rcpts.rcpts) {
-				return nil, fmt.Errorf("archive: segment %s receipt rows overrun the receipt column", si.Label)
-			}
-			b.Receipts = make([]*types.Receipt, cnt)
-			for j := 0; j < cnt; j++ {
-				r := rcpts.rcpts[base+j]
-				r.TxHash = b.Txs[j].Hash()
-				if logs != nil && base+j < len(logs.logs) {
-					r.Logs = logs.logs[base+j]
-				}
-				b.Receipts[j] = &r
+		for _, b := range seg.Blocks {
+			if b.Header.Number == number {
+				return b, nil
 			}
 		}
+		return nil, fmt.Errorf("archive: block %d missing from segment %s", number, si.Label)
 	}
-	b.Seal()
-	return b, nil
+	return nil, fmt.Errorf("archive: no segment holds block %d", number)
 }

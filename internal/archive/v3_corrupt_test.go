@@ -243,23 +243,4 @@ func TestArchiveV3RefusesCorruption(t *testing.T) {
 		})
 		refusePrices(t, dir, `holds column "prizes"`)
 	})
-
-	t.Run("projection skips the corrupt chunk", func(t *testing.T) {
-		// The flip side of refusal: a projected read never decodes the
-		// columns it skips, so corruption there is invisible to it while
-		// the full restore still refuses.
-		dir, man := write(t)
-		tamper(t, dir, column(t, man, archive.ColTxs).File, func(raw []byte) []byte {
-			raw[len(raw)/2] ^= 0x40
-			return raw
-		})
-		first, last := man.Window()
-		_, _, err := archive.ReadRangeWith(dir, first, last, archive.ReadOptions{
-			Columns: []string{archive.ColHeaders, archive.ColFlashbots},
-		})
-		if err != nil {
-			t.Errorf("projected read decoded the corrupt txs chunk: %v", err)
-		}
-		refuse(t, dir, "archive:")
-	})
 }

@@ -554,8 +554,8 @@ func Build(in Inputs, inf *privinfer.Inferrer) *Report {
 }
 
 // builderSpec declares one report artifact: its span label, the archive
-// columns a column-projected build of it needs (nil = the full dataset),
-// whether it needs the §6 inferrer, and the builder itself. Builders are
+// columns its builder reads (nil = the full dataset), whether it needs
+// the §6 inferrer, and the builder itself. Builders are
 // independent read-only passes over the inputs; each writes a distinct
 // Report field, which keeps the fan-out assembly deterministic.
 type builderSpec struct {
@@ -569,7 +569,7 @@ type builderSpec struct {
 	run      func(in Inputs, acc *Accumulator, inf *privinfer.Inferrer, r *Report)
 }
 
-// headerCols is the projection the header-and-relay artifacts share:
+// headerCols are the columns the header-and-relay artifacts read:
 // "headers" and "flashbots" name archive columns (archive.ColHeaders,
 // archive.ColFlashbots — spelled out here so measure does not import the
 // storage layer).
@@ -609,10 +609,11 @@ var builderSpecs = []builderSpec{
 	}},
 }
 
-// ProjectionColumns returns the archive columns a projected build of the
-// named artifact needs, or nil when the artifact requires a complete
-// dataset (or is unknown). Callers pass the result to
-// archive.ReadOptions.Columns so a cold build decodes only those columns.
+// ProjectionColumns returns the archive columns the named artifact's
+// builder reads, or nil when the artifact requires a complete dataset
+// (or is unknown). A non-nil result marks the header-level artifacts
+// BuildProjection accepts; archive reads always decode whole months, so
+// no read takes the result as a column subset.
 func ProjectionColumns(artifact string) []string {
 	for i := range builderSpecs {
 		if builderSpecs[i].name == artifact && builderSpecs[i].cols != nil {
@@ -650,11 +651,11 @@ func buildWith(in Inputs, acc *Accumulator, inf *privinfer.Inferrer) *Report {
 	return runBuilders(in, acc, inf, specs)
 }
 
-// BuildProjection builds only the named artifacts into an otherwise-zero
-// Report. Every requested artifact must be projectable (ProjectionColumns
-// non-nil); the inputs need only the columns the artifacts declare, so
-// callers feed it a column-projected dataset restore. The artifact values
-// it does build are identical to a full Build's.
+// BuildProjection builds a subset of a full dataset's artifacts — only
+// the named ones — into an otherwise-zero Report. Every requested
+// artifact must be header-level (ProjectionColumns non-nil), so the
+// inputs need no detection, profit or inference results. The artifact
+// values it does build are identical to a full Build's.
 func BuildProjection(in Inputs, artifacts []string) (*Report, error) {
 	var specs []builderSpec
 	for _, name := range artifacts {

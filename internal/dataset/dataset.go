@@ -7,8 +7,11 @@
 // The measurement pipeline (mevscope.AnalyzeDataset, internal/stream)
 // consumes only this view, which is what makes a world simulate-once,
 // analyze-many: internal/archive persists a Dataset to disk and restores
-// it bit-compatibly, so `mevscope analyze -from <dir>` reproduces the
-// original run's report without re-simulating.
+// it bit-compatibly — every block as the simulator sealed it, down to an
+// empty block's nil transaction and receipt lists — so `mevscope analyze
+// -from <dir>` reproduces the original run's report without
+// re-simulating. A restored Dataset is always complete: archive reads
+// decode whole months, never a column subset.
 package dataset
 
 import (
@@ -57,12 +60,6 @@ type Dataset struct {
 	Prices *prices.Series
 	// WETH anchors the detectors' buy/sell direction.
 	WETH types.Address
-	// Projection, when non-empty, lists the archive columns this dataset
-	// was restored with (sorted) — a column-projected read populated only
-	// those fields, so full-pipeline analyses must refuse it and
-	// projection-aware builders must check their columns are covered.
-	// Empty means a complete dataset.
-	Projection []string
 }
 
 // FromSim extracts the measurement dataset from a completed (or still

@@ -67,14 +67,13 @@ func assemblyArchives(tb testing.TB) (multiVantage, degraded string) {
 }
 
 // newServeLikeServer configures a fresh server the way `mevscope serve`
-// does: all three analysis hooks, default caches, metrics on.
+// does: the month analysis hook, default caches, metrics on.
 func newServeLikeServer(tb testing.TB, dir string, workers int) *query.Server {
 	tb.Helper()
 	srv, err := query.New(query.Config{
-		Archive:           dir,
-		AnalyzeProjection: mevscope.AnalyzeDatasetProjection,
-		AnalyzePartial:    mevscope.AnalyzeDatasetPartial,
-		Workers:           workers,
+		Archive:        dir,
+		AnalyzePartial: mevscope.AnalyzeDatasetPartial,
+		Workers:        workers,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -69,28 +69,6 @@ func BenchmarkServeColdReportMultiVantage(b *testing.B) {
 	}
 }
 
-// BenchmarkServeColdArtifactProjected measures the projected cold serve:
-// a header-level artifact decodes only the headers and flashbots
-// chunks, so this is the number the projection path is judged by
-// against BenchmarkServeColdReportV3.
-func BenchmarkServeColdArtifactProjected(b *testing.B) {
-	dir := testArchive(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		srv, err := query.New(query.Config{
-			Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial,
-			AnalyzeProjection: mevscope.AnalyzeDatasetProjection, Workers: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		benchGet(b, srv, "/v1/artifact/fig3?format=json")
-	}
-}
-
 // overlappingRangeURLs is the sliding-window query mix: 6-month report
 // windows stepping one month at a time across the whole archive. Every
 // URL is a distinct report key, so the report LRU never helps — the

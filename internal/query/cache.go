@@ -23,10 +23,6 @@ type Key struct {
 	Scenario string
 	Live     bool
 	Height   uint64
-	// Projection names the single artifact a column-projected build
-	// covers ("" = a full report). A projected report is sparse, so it
-	// must never be cached under — or served from — the full-report key.
-	Projection string
 }
 
 // partialKey identifies one analyzed month partial: which archive,
@@ -279,9 +275,9 @@ type chunk struct {
 	bytes int64
 }
 
-// chunkCache adapts the chunk level to archive.ChunkCache, so a
-// projected read warms exactly the chunks it touched and a later full
-// read, a month read or a shared restore reuses them.
+// chunkCache adapts the chunk level to archive.ChunkCache, so the chunks
+// a shared restore, a month read or a block lookup decodes are reused by
+// whichever of them touches the chunk next.
 type chunkCache struct{ *level[chunkKey, chunk] }
 
 func newChunkCache(capacity int) chunkCache {

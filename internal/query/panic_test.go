@@ -17,7 +17,7 @@ import (
 )
 
 // TestPanickingBuildFailsEveryWaiter pins the panic path both cache
-// levels share. A projection build (report level, on the handler
+// levels share. A live snapshot (report level, on the handler
 // goroutine) and a month analysis (partial level, on a worker-pool
 // goroutine, where an unrecovered panic would take the whole server
 // down) each panic on their first call, while a burst of concurrent
@@ -35,16 +35,20 @@ func TestPanickingBuildFailsEveryWaiter(t *testing.T) {
 		name string
 		url  string
 		cfg  func(first func()) query.Config
+		live func(first func()) query.Live // nil: no live source
 	}{
 		{
 			name: "report level",
-			url:  "/v1/artifact/fig3?format=json&months=2021-01..2021-02",
-			cfg: func(first func()) query.Config {
-				return query.Config{
-					AnalyzePartial: mevscope.AnalyzeDatasetPartial,
-					AnalyzeProjection: func(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error) {
+			url:  "/v1/artifact/fig3?format=json&source=live",
+			cfg: func(func()) query.Config {
+				return query.Config{AnalyzePartial: mevscope.AnalyzeDatasetPartial}
+			},
+			live: func(first func()) query.Live {
+				return query.Live{
+					Height: func() uint64 { return 1 },
+					Snapshot: func() (*measure.Report, uint64) {
 						first()
-						return mevscope.AnalyzeDatasetProjection(ds, workers, artifacts, sp)
+						return &measure.Report{}, 1
 					},
 				}
 			},
@@ -67,17 +71,21 @@ func TestPanickingBuildFailsEveryWaiter(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			release := make(chan struct{})
 			var calls atomic.Int64
-			cfg := tc.cfg(func() {
+			first := func() {
 				if calls.Add(1) == 1 {
 					<-release
 					panic("boom: " + tc.name)
 				}
-			})
+			}
+			cfg := tc.cfg(first)
 			cfg.Archive = testArchive(t)
 			cfg.Workers = 2 // two missing months: the partial builds run on pool goroutines
 			srv, err := query.New(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.live != nil {
+				srv.SetLive(tc.live(first))
 			}
 
 			var wg sync.WaitGroup

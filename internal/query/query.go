@@ -7,18 +7,20 @@
 // Request flow: the month range of the URL selects archive segments,
 // the measurement pipeline analyzes the slice once, and the resulting
 // report is cached in a concurrency-safe LRU keyed by (archive, month
-// range, view, scenario). Repeated queries for any artifact of the same
-// slice — any format — skip the pipeline entirely and re-encode the
-// cached report's structured artifact model (measure.Artifact). Beneath
-// the report LRU sit two more levels. A report miss is assembled from
-// per-month partials (Config.AnalyzePartial): cached months come from
-// the partial LRU, and the missing months of one build share a single
-// restore of the price series and of the observation network through
-// the last missing month (archive.RestoreShared), then each reads only
-// its own column chunks and is analyzed on the worker pool. At the
-// bottom, an LRU of decoded archive column chunks lets overlapping
-// ranges — and a projected read followed by a full one — share decodes
-// instead of re-reading the disk.
+// range, view, scenario). Every artifact of a key is served off that
+// one report: repeated queries for any artifact of the same slice — any
+// format — skip the pipeline entirely and re-encode the cached report's
+// structured artifact model (measure.Artifact). Beneath the report LRU
+// sit two more levels. A report miss is assembled from per-month
+// partials (Config.AnalyzePartial): cached months come from the partial
+// LRU, and the missing months of one build share a single restore of
+// the price series and of the observation network through the last
+// missing month (archive.RestoreShared), then each reads only its own
+// column chunks and is analyzed on the worker pool. At the bottom, an
+// LRU of decoded archive column chunks lets overlapping ranges share
+// decodes instead of re-reading the disk; /v1/block lookups read their
+// month through the same LRU, so a lookup in a month a build decoded
+// touches no disk.
 //
 // The three levels are one type (cache.go): a generic LRU bounded by
 // entry count (reports, chunks) or accounted bytes (partials), whose do
@@ -97,11 +99,11 @@ import (
 // only so existing Config literals that set Analyze still compile.
 type AnalyzeFunc func(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Report, error)
 
-// ProjectionFunc builds only the named projectable artifacts from a
-// column-projected dataset restore (archive.ReadOptions.Columns).
-// `mevscope serve` wires it to mevscope.AnalyzeDatasetProjection; when
-// set, single-artifact queries for projectable artifacts decode only the
-// columns the artifact declares instead of restoring the full slice.
+// ProjectionFunc builds a subset of a dataset's report artifacts.
+//
+// Deprecated: the server serves every artifact of a key off its one
+// report and never calls a ProjectionFunc; the type stays only so
+// existing Config literals that set AnalyzeProjection still compile.
 type ProjectionFunc func(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error)
 
 // PartialFunc analyzes one single-month dataset — a month read against
@@ -138,9 +140,10 @@ type Config struct {
 	// Deprecated: report builds always assemble month partials through
 	// AnalyzePartial; setting Analyze has no effect.
 	Analyze AnalyzeFunc
-	// AnalyzeProjection, when set, builds projectable artifacts from a
-	// column-projected restore. Optional: without it a projectable
-	// artifact is served off the full report like every other artifact.
+	// AnalyzeProjection is never called.
+	//
+	// Deprecated: every artifact is served off its key's report; setting
+	// AnalyzeProjection has no effect.
 	AnalyzeProjection ProjectionFunc
 	// AnalyzePartial analyzes one month into a mergeable partial; every
 	// report-cache miss assembles its report from per-month partials,
@@ -153,8 +156,8 @@ type Config struct {
 	// Workers sizes the analysis worker pool (< 1 selects every core):
 	// it bounds a partial assembly's fan-out — the missing months of one
 	// build run concurrently, with months × per-month workers never
-	// exceeding it — and is passed through to the shared restore, to
-	// AnalyzeProjection, to the projected decode and to the merge.
+	// exceeding it — and is passed through to the shared restore and to
+	// the merge.
 	Workers int
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
@@ -431,11 +434,7 @@ func (s *Server) resolveKey(r *http.Request) (Key, error) {
 // month partials, byte-identical to a full-range analysis of the slice.
 func (s *Server) report(key Key) (*measure.Report, error) {
 	if !key.Live {
-		return s.reports.do(key, func() (*measure.Report, error) {
-			return s.traced(func(sp *obs.Span) (*measure.Report, error) {
-				return s.assembleFromPartials(key, sp)
-			})
-		})
+		return s.reports.do(key, func() (*measure.Report, error) { return s.build(key) })
 	}
 	s.mu.Lock()
 	live := s.live
@@ -458,31 +457,16 @@ func (s *Server) report(key Key) (*measure.Report, error) {
 	})
 }
 
-// reportProjected resolves one projectable artifact of an archive key:
-// the already-cached full report when the LRU has it (free and complete),
-// else a column-projected build cached under its own projection key — so
-// a sparse report never masquerades as a full one.
-func (s *Server) reportProjected(key Key, artifact string) (*measure.Report, error) {
-	if rep, ok := s.reports.peek(key); ok {
-		return rep, nil
-	}
-	pkey := key
-	pkey.Projection = artifact
-	return s.reports.do(pkey, func() (*measure.Report, error) {
-		return s.analyzeProjection(key, artifact)
-	})
-}
-
-// traced runs one cold build under a flight-recorder trace when metrics
-// are on; a successful build's stage durations feed the
-// mevscope_stage_seconds histograms.
-func (s *Server) traced(build func(sp *obs.Span) (*measure.Report, error)) (*measure.Report, error) {
+// build runs one cold archive report build, assembleFromPartials, under
+// a flight-recorder trace when metrics are on; a successful build's
+// stage durations feed the mevscope_stage_seconds histograms.
+func (s *Server) build(key Key) (*measure.Report, error) {
 	var tr *obs.Trace
 	if s.metrics != nil {
 		tr = obs.New("build")
 	}
 	sp := tr.Root()
-	rep, err := build(sp)
+	rep, err := s.assembleFromPartials(key, sp)
 	if err == nil {
 		sp.End()
 		s.metrics.observeTrace(tr)
@@ -576,26 +560,6 @@ func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, err
 	}
 	ds.View = pk.view
 	return s.cfg.AnalyzePartial(ds, workers, psp)
-}
-
-// analyzeProjection is the projected cold path: restore only the columns
-// the artifact declares (the other column chunks are never read, let
-// alone decoded) and build just that artifact. The column chunks it
-// decodes warm the same cache month reads use.
-func (s *Server) analyzeProjection(key Key, artifact string) (*measure.Report, error) {
-	return s.traced(func(sp *obs.Span) (*measure.Report, error) {
-		ds, _, err := archive.ReadRangeWith(key.Archive, key.From, key.To,
-			archive.ReadOptions{
-				Workers: s.cfg.Workers,
-				Cache:   s.chunks,
-				Span:    sp,
-				Columns: measure.ProjectionColumns(artifact),
-			})
-		if err != nil {
-			return nil, err
-		}
-		return s.cfg.AnalyzeProjection(ds, s.cfg.Workers, []string{artifact}, sp)
-	})
 }
 
 // respond writes one fully-buffered response: encode runs to completion
@@ -751,12 +715,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	if notModified(w, r, etag) {
 		return
 	}
-	var rep *measure.Report
-	if s.cfg.AnalyzeProjection != nil && !key.Live && measure.ProjectionColumns(name) != nil {
-		rep, err = s.reportProjected(key, name)
-	} else {
-		rep, err = s.report(key)
-	}
+	rep, err := s.report(key)
 	if err != nil {
 		fail(w, err)
 		return
@@ -842,8 +801,9 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // handleBlock serves one block by number as JSON — a point lookup that
 // reuses the server's cached manifest (archive.ReadBlockFrom), so a hot
 // loop of block queries parses the manifest once, not once per request.
-// The lookup decodes only the column chunks whose zone maps contain the
-// block.
+// The lookup reads the block's month through the server's chunk cache:
+// it decodes only the month's block chunks no earlier build or lookup
+// decoded, and warms them for the next.
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	man, err := s.manifest()
 	if err != nil {
@@ -872,7 +832,7 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("query: no archived segment holds block %d", n)})
 		return
 	}
-	b, err := archive.ReadBlockFrom(s.cfg.Archive, man, n)
+	b, err := archive.ReadBlockFrom(s.cfg.Archive, man, n, archive.ReadOptions{Cache: s.chunks})
 	if err != nil {
 		fail(w, err)
 		return

@@ -656,9 +656,12 @@ func TestSegmentCacheEviction(t *testing.T) {
 	}
 }
 
-// TestBlockEndpoint: /v1/block serves single blocks straight off the
-// manifest's zone maps — no report build, no full restore — and turns
-// out-of-range or malformed numbers into 404/400, not 500.
+// TestBlockEndpoint: /v1/block serves single blocks without a report
+// build, reading the block's month through the server's chunk cache,
+// and turns out-of-range or malformed numbers into 404/400, not 500. On
+// a fresh server the first lookup in a month misses exactly that
+// month's block chunks and a second lookup there misses none; after a
+// full-window report, every lookup is served from cached chunks.
 func TestBlockEndpoint(t *testing.T) {
 	dir := testArchive(t)
 	man, err := archive.ReadManifest(dir)
@@ -674,7 +677,19 @@ func TestBlockEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := man.Segments[len(man.Segments)/2].FirstBlock
+	// blockChunks counts a segment's block chunks: every chunk but the
+	// observation logs, which only a report build's shared restore reads.
+	blockChunks := func(si archive.SegmentInfo) int64 {
+		var n int64
+		for _, ci := range si.Columns {
+			if !strings.HasPrefix(ci.Name, archive.ColObserved) {
+				n++
+			}
+		}
+		return n
+	}
+	seg := man.Segments[len(man.Segments)/2]
+	want := seg.FirstBlock
 	status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
 	if status != http.StatusOK {
 		t.Fatalf("block %d → %d: %s", want, status, body)
@@ -691,6 +706,34 @@ func TestBlockEndpoint(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
 	}
+	first := srv.SegmentCacheStats()
+	if first.Misses != blockChunks(seg) || first.Hits != 0 {
+		t.Errorf("first lookup in %s: %d chunk misses and %d hits, want %d and 0",
+			seg.Label, first.Misses, first.Hits, blockChunks(seg))
+	}
+	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", seg.LastBlock)); status != http.StatusOK {
+		t.Fatalf("block %d → %d", seg.LastBlock, status)
+	}
+	second := srv.SegmentCacheStats()
+	if second.Misses != first.Misses || second.Hits != first.Hits+blockChunks(seg) {
+		t.Errorf("second lookup in %s: chunk cache %+v after %+v, want %d more hits and no misses",
+			seg.Label, second, first, blockChunks(seg))
+	}
+	if status, body := get(t, srv, "/v1/report"); status != http.StatusOK {
+		t.Fatalf("full-window report → %d: %s", status, body)
+	}
+	before := srv.SegmentCacheStats()
+	var lookups int64
+	for _, si := range man.Segments {
+		if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", si.FirstBlock)); status != http.StatusOK {
+			t.Fatalf("block %d → %d", si.FirstBlock, status)
+		}
+		lookups += blockChunks(si)
+	}
+	if after := srv.SegmentCacheStats(); after.Misses != before.Misses || after.Hits != before.Hits+lookups {
+		t.Errorf("lookups after a full-window report: chunk cache %+v after %+v, want %d more hits and no misses",
+			after, before, lookups)
+	}
 	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
 		t.Errorf("past-head block → %d, want 404", status)
 	}
@@ -702,70 +745,52 @@ func TestBlockEndpoint(t *testing.T) {
 	}
 }
 
-// TestProjectedArtifactMatchesFull: with the projection hook installed,
-// a projectable artifact is built from a column projection — the full pipeline never runs — and its response body is
-// byte-identical to the same artifact served off a full report build.
+// TestProjectedArtifactMatchesFull: every artifact of a key comes from
+// its one report. After a report request for a key, the header-level
+// artifacts — fig3, bundles and concentration, in every format — cost
+// no month analysis and no report build, and carry the same bytes and
+// ETag as on a fresh server, where the first of them builds the key's
+// report.
 func TestProjectedArtifactMatchesFull(t *testing.T) {
-	dir := testArchive(t)
-	var fullCalls, projCalls atomic.Int64
-	full, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	const months = "2021-01..2021-06"
+	var calls atomic.Int64
+	warm := newServer(t, 0, &calls)
+	if code, body := get(t, warm, "/v1/report?format=text&months="+months); code != http.StatusOK {
+		t.Fatalf("report → %d: %s", code, body)
 	}
-	proj, err := query.New(query.Config{
-		Archive:        dir,
-		AnalyzePartial: countingPartial(&fullCalls),
-		AnalyzeProjection: func(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error) {
-			projCalls.Add(1)
-			if len(ds.Projection) == 0 {
-				t.Error("projection build got a non-projected dataset")
+	analyses, reports := calls.Load(), builds(t, warm)
+	fresh := newServer(t, 0, nil)
+	for _, name := range []string{"fig3", "bundles", "concentration"} {
+		for _, format := range []string{"json", "csv", "text"} {
+			url := fmt.Sprintf("/v1/artifact/%s?format=%s&months=%s", name, format, months)
+			got := getWith(t, warm, http.MethodGet, url, nil)
+			want := getWith(t, fresh, http.MethodGet, url, nil)
+			if got.Code != http.StatusOK || want.Code != http.StatusOK {
+				t.Fatalf("%s → %d after the report, %d on a fresh server", url, got.Code, want.Code)
 			}
-			return mevscope.AnalyzeDatasetProjection(ds, workers, artifacts, sp)
-		},
-		Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, url := range []string{
-		"/v1/artifact/fig3?format=json",
-		"/v1/artifact/bundles?format=csv",
-		"/v1/artifact/concentration?format=text&from=2021-01&to=2021-06",
-	} {
-		fullStatus, fullBody := get(t, full, url)
-		projStatus, projBody := get(t, proj, url)
-		if fullStatus != http.StatusOK || projStatus != http.StatusOK {
-			t.Fatalf("%s → full %d, projected %d", url, fullStatus, projStatus)
-		}
-		if fullBody != projBody {
-			t.Errorf("%s: projected body differs from full build", url)
+			if got.Body.String() != want.Body.String() {
+				t.Errorf("%s: body differs from a fresh server's", url)
+			}
+			if tag := got.Header().Get("ETag"); tag == "" || tag != want.Header().Get("ETag") {
+				t.Errorf("%s: ETag %q, a fresh server's %q", url, tag, want.Header().Get("ETag"))
+			}
 		}
 	}
-	if fullCalls.Load() != 0 {
-		t.Errorf("projected server ran the full pipeline %d times", fullCalls.Load())
+	if got := calls.Load() - analyses; got != 0 {
+		t.Errorf("artifacts after the report ran %d month analyses, want 0", got)
 	}
-	if projCalls.Load() == 0 {
-		t.Error("projection hook never ran")
+	if got := builds(t, warm) - reports; got != 0 {
+		t.Errorf("artifacts after the report ran %d report builds, want 0", got)
 	}
-	// A non-projectable artifact falls back to the full pipeline.
-	if status, _ := get(t, proj, "/v1/artifact/fig6?format=json"); status != http.StatusOK {
-		t.Fatalf("non-projectable artifact → %d", status)
-	}
-	if got, want := fullCalls.Load(), archivedMonths(t, dir, ""); got != want {
-		t.Errorf("non-projectable artifact ran %d month analyses, want %d (each archived month once)", got, want)
-	}
-	// Repeats are report-cache hits, not rebuilds.
-	before := projCalls.Load()
-	get(t, proj, "/v1/artifact/fig3?format=json")
-	if projCalls.Load() != before {
-		t.Error("repeated projected artifact rebuilt instead of hitting the cache")
+	if got := builds(t, fresh); got != 1 {
+		t.Errorf("a fresh server built %d reports for one key's artifacts, want 1", got)
 	}
 }
 
 // TestChunkCacheGranularV3: the decode cache holds individual column
-// chunks — more entries than the archive has
-// months — so a projected read and a later full read share the chunks
-// they overlap on.
+// chunks — more entries than the archive has months — so a shared
+// restore, a month read and a block lookup share the chunks they
+// overlap on.
 func TestChunkCacheGranularV3(t *testing.T) {
 	dir := testArchive(t)
 	srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})

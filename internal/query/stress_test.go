@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"mevscope"
+	"mevscope/internal/archive"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
 	"mevscope/internal/obs"
@@ -164,5 +167,75 @@ func TestConcurrentStressLRUDedup(t *testing.T) {
 	}
 	if art.Latency.Count != totalRequests {
 		t.Errorf("latency observations = %d, want %d", art.Latency.Count, totalRequests)
+	}
+}
+
+// TestConcurrentBlockLookupsDuringColdBuild: block lookups and report
+// builds share decoded chunks through the chunk cache — a lookup may
+// decode a chunk a concurrent build then reads, or read one the build
+// decoded. Lookups of the first, a middle and the last block of every
+// month run concurrently with a cold full-window report build on the
+// same Workers: 2 server; under -race, every block body must equal the
+// full restore's block as the server encodes it, and the report must
+// equal a fresh server's.
+func TestConcurrentBlockLookupsDuringColdBuild(t *testing.T) {
+	dir := testArchive(t)
+	restored, man, err := archive.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]string{}
+	for _, si := range man.Segments {
+		for _, n := range []uint64{si.FirstBlock, (si.FirstBlock + si.LastBlock) / 2, si.LastBlock} {
+			b, err := restored.Chain.ByNumber(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(b); err != nil {
+				t.Fatal(err)
+			}
+			want[n] = buf.String()
+		}
+	}
+	newSrv := func() *query.Server {
+		srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv := newSrv()
+
+	var wg sync.WaitGroup
+	errs := make(chan string, len(want)+1)
+	var report string
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		code, body := get(t, srv, "/v1/report?format=text")
+		if code != http.StatusOK {
+			errs <- fmt.Sprintf("full-window report → %d: %s", code, body)
+		}
+		report = body
+	}()
+	for n, body := range want {
+		wg.Add(1)
+		go func(n uint64, want string) {
+			defer wg.Done()
+			if code, got := get(t, srv, fmt.Sprintf("/v1/block?number=%d", n)); code != http.StatusOK || got != want {
+				errs <- fmt.Sprintf("block %d → %d, body equal to the full restore's: %v", n, code, got == want)
+			}
+		}(n, body)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if code, ref := get(t, newSrv(), "/v1/report?format=text"); code != http.StatusOK || report != ref {
+		t.Errorf("report built alongside block lookups differs from a fresh server's (fresh → %d)", code)
 	}
 }

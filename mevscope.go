@@ -52,7 +52,6 @@ package mevscope
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"mevscope/internal/core/detect"
 	"mevscope/internal/core/measure"
@@ -278,10 +277,6 @@ func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inp
 	if ds.Chain == nil || ds.Chain.Head() == nil {
 		return measure.Inputs{}, nil, fmt.Errorf("mevscope: dataset has no blocks")
 	}
-	if len(ds.Projection) > 0 {
-		return measure.Inputs{}, nil, fmt.Errorf("mevscope: dataset is a column projection (%s); the full pipeline needs a complete restore",
-			strings.Join(ds.Projection, ","))
-	}
 	workers = parallel.Workers(workers)
 	c := ds.Chain
 
@@ -317,34 +312,15 @@ func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inp
 	return in, inf, nil
 }
 
-// AnalyzeDatasetProjection builds only the named report artifacts from a
-// dataset, skipping detection, profit resolution and inference entirely.
-// Every artifact must be projectable (measure.ProjectionColumns non-nil),
-// and when ds carries a column projection (restored via
-// archive.ReadOptions.Columns) it must cover the columns the artifacts
-// declare. The artifact values are identical to a full AnalyzeDataset's;
-// the rest of the returned report is zero.
+// AnalyzeDatasetProjection builds a subset of a full dataset's report
+// artifacts — the header-level ones measure.BuildProjection accepts —
+// skipping detection, profit resolution and inference entirely. The
+// artifact values are identical to a full AnalyzeDataset's; the rest of
+// the returned report is zero. No serving path calls it: the query
+// layer serves every artifact off its key's full report.
 func AnalyzeDatasetProjection(ds *dataset.Dataset, workers int, artifacts []string, sp *obs.Span) (*measure.Report, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
 		return nil, fmt.Errorf("mevscope: dataset has no blocks")
-	}
-	if len(ds.Projection) > 0 {
-		have := map[string]bool{}
-		for _, c := range ds.Projection {
-			have[c] = true
-		}
-		for _, a := range artifacts {
-			cols := measure.ProjectionColumns(a)
-			if cols == nil {
-				return nil, fmt.Errorf("mevscope: artifact %q is not projectable", a)
-			}
-			for _, c := range cols {
-				if !have[c] {
-					return nil, fmt.Errorf("mevscope: artifact %q needs column %q, dataset projection has only %s",
-						a, c, strings.Join(ds.Projection, ","))
-				}
-			}
-		}
 	}
 	in := measure.Inputs{
 		Chain:    ds.Chain,
