@@ -12,6 +12,7 @@ import (
 	"mevscope/internal/core/detect"
 	"mevscope/internal/core/privinfer"
 	"mevscope/internal/core/profit"
+	"mevscope/internal/dataset"
 	"mevscope/internal/flashbots"
 	"mevscope/internal/obs"
 	"mevscope/internal/p2p"
@@ -20,28 +21,36 @@ import (
 	"mevscope/internal/types"
 )
 
-// Inputs carries everything the aggregations read. Observer may be nil
-// when no pending-transaction capture exists (Figure 9 and §6 are then
-// skipped).
+// Inputs carries everything the aggregations read. Without Vantages
+// (no pending-transaction capture) Figure 9 and §6 are skipped.
 type Inputs struct {
 	Chain    *chain.Chain
 	FBBlocks []flashbots.BlockRecord
 	FBSet    map[types.Hash]flashbots.BundleType
 	Detect   *detect.Result
 	Profits  []profit.Record
+	// Observer was the resolved observation view.
+	//
+	// Deprecated: no builder reads it; Inferrer resolves View over
+	// Vantages. It stays only so existing Inputs literals that set it
+	// still compile.
 	Observer privinfer.Observer
 	// Vantages are the per-vantage observation logs of the whole
-	// observation network (Vantages[0] is the primary); empty when the
-	// run has no capture. The vantage-sensitivity artifact reads them.
+	// observation network, in configuration order (Vantages[0] is the
+	// primary); empty when the run has no capture. The §6 inferrer and
+	// the vantage-sensitivity artifact read them.
 	Vantages []*p2p.Observer
-	// Coverage, when set, is the first-occurrence table of Vantages
-	// (p2p.NewCoverage under the unanchored timeline), computed once and
-	// shared by every month of a build. Vantages may then extend past the
-	// chain head: coverage stats read the table's prefix through the
-	// head's month. Nil tabulates Vantages on demand.
+	// Coverage, when set, is the first-occurrence table of the network
+	// Vantages come from (p2p.NewCoverage under the unanchored timeline),
+	// computed once and shared by every month of a build. Vantages may
+	// then extend past the chain head — coverage stats read the table's
+	// prefix through the head's month — or, in a month-partial merge,
+	// hold only the records a verdict reads. Nil tabulates Vantages on
+	// demand.
 	Coverage *p2p.Coverage
-	// View names the observation view Observer was resolved from, for
-	// artifact labelling.
+	// View names the observation view the §6 inference classifies
+	// against (see dataset.ResolveViewOf); it also labels the
+	// vantage-sensitivity artifact.
 	View string
 	WETH types.Address
 
@@ -63,6 +72,24 @@ func (in Inputs) workers() int {
 		return 1
 	}
 	return in.Workers
+}
+
+// Inferrer builds the §6 inferrer a report over the inputs classifies
+// with: View resolved over Vantages by dataset.ResolveViewOf, and an
+// analysis window from PrivateWindowStartMonth to the chain head. It is
+// nil, with no error, when the inputs have no vantages. Full builds and
+// month-partial merges both build their inferrer here.
+func (in Inputs) Inferrer() (*privinfer.Inferrer, error) {
+	view, err := dataset.ResolveViewOf(in.View, in.Vantages)
+	if view == nil || err != nil {
+		return nil, err
+	}
+	c := in.Chain
+	winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
+	inf := privinfer.New(c, view, in.FBSet, winStart, c.Head().Header.Number)
+	inf.Workers = in.Workers
+	inf.Span = in.Span
+	return inf, nil
 }
 
 // MinerSetOnChain derives the set of coinbase addresses that ever produced

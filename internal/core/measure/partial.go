@@ -1,35 +1,41 @@
 package measure
 
 // Month partials: the memoization unit of the serving tier's third cache
-// level. A Partial freezes the post-analysis state of every measurement
-// stage for exactly one study month — scanner extractions, profit
-// records, inference verdicts and the accumulator's chain aggregates —
-// so a range request can assemble its report by merging the partials of
-// its months instead of re-running detect→profit→privinfer over blocks
-// it has analyzed before.
+// level. A Partial freezes what the report builders read of exactly one
+// study month — scanner extractions, profit records, the accumulator's
+// chain aggregates and the month's observation capture — so a range
+// request can assemble its report by merging the partials of its months
+// instead of re-running detect→profit over blocks it has analyzed before.
 //
-// The merge is deterministic and exact: every per-month slice is
-// concatenated in the same order the full-range pipeline would have
-// produced it (detections in block order, profit records kind-major),
-// the accumulator is reconstituted from the frozen per-month aggregates,
-// and inference verdicts are replayed through privinfer.FromVerdicts so
-// the §6 builders see the same classifications a live observer would
-// have produced. The result is byte-identical to a full-range analysis —
-// the property the query layer's partial cache relies on.
+// A partial holds no §6 verdict, so one partial per month serves every
+// observation view. Its capture is, for each vantage, that vantage's
+// records of the transactions a verdict reads (sandwich front and back
+// transactions, arbitrage and liquidation transactions), plus the
+// network's first-occurrence coverage table (p2p.Coverage) through the
+// month. A merge restores each vantage from its records across the
+// range, resolves the view over them with dataset.ResolveViewOf, and
+// runs the inferrer and builders a full build runs (Inputs.Inferrer,
+// buildWith).
 //
-// Two invariants make a month's partial independent of how much of the
-// observation network its analysis was handed, so one network restored
-// through a build's last month serves every month of the build:
+// The merge is deterministic and exact: detections concatenate in block
+// order and profit records kind-major, as the full-range pipeline emits
+// them, the accumulator is reconstituted from the frozen per-month
+// aggregates, and two invariants make the restored network agree with
+// the full range's on every lookup a verdict or BuildVantageSensitivity
+// makes:
 //
-//   - Month stability of verdicts. A transaction is never observed
-//     pending after it is mined, so observation logs past month m add
-//     nothing to the verdicts of transactions mined in m: any network
-//     reaching at least m's end classifies m exactly like the full one.
+//   - Month stability. A transaction is never observed pending after it
+//     is mined, so every record of a transaction mined in month m is
+//     filed at or before m, and any network restored through m or later
+//     holds it. A month gets a network exactly when the observer started
+//     by its last block, whichever build reads it, so the range has a
+//     network exactly when its last partial has a capture.
 //   - Prefix coverage. dataset.Partition files every observation under
 //     its first-seen month, so what the network had seen by the end of
-//     month m is the prefix through m of its per-month first-occurrence
-//     table (p2p.Coverage); the vantage stats read that prefix, whatever
-//     months the table spans beyond m.
+//     month m is the prefix through m of its first-occurrence table. A
+//     partial keeps that prefix, with the rows past its month zeroed, so
+//     the last partial of a range carries the range's coverage table,
+//     however far the network its analysis was handed ran.
 //
 // Partials serialize to JSON (every field is exported); the round trip
 // preserves everything a merge reads.
@@ -38,13 +44,15 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"mevscope/internal/chain"
 	"mevscope/internal/core/detect"
-	"mevscope/internal/core/privinfer"
 	"mevscope/internal/core/profit"
+	"mevscope/internal/dataset"
 	"mevscope/internal/flashbots"
 	"mevscope/internal/obs"
+	"mevscope/internal/p2p"
 	"mevscope/internal/types"
 )
 
@@ -88,28 +96,32 @@ type Partial struct {
 	ArbitrageProfits   []profit.Record `json:"arbitrage_profits,omitempty"`
 	LiquidationProfits []profit.Record `json:"liquidation_profits,omitempty"`
 
-	// HasVerdicts records whether the month was analyzed under an open
-	// observation window; when false the verdict slices are empty and a
-	// merge synthesizes out-of-window verdicts.
-	HasVerdicts bool `json:"has_verdicts"`
-	// Per-detection §6.1 classifications, index-aligned with the
-	// detection slices above.
-	SandwichVerdicts    []privinfer.Verdict `json:"sandwich_verdicts,omitempty"`
-	ArbitrageVerdicts   []privinfer.Verdict `json:"arbitrage_verdicts,omitempty"`
-	LiquidationVerdicts []privinfer.Verdict `json:"liquidation_verdicts,omitempty"`
+	// Captures holds one entry per vantage of the month's observation
+	// network, in configuration order; empty when the month has no
+	// network (the observer had not started by its last block).
+	Captures []Capture `json:"captures,omitempty"`
+	// Coverage is the network's first-occurrence table through Month —
+	// the counts of later months zeroed — with one vantage row per
+	// capture.
+	Coverage p2p.Coverage `json:"coverage"`
+}
 
-	// Vantages is the vantage-sensitivity analysis of this month. Its
-	// observation counts are the network's coverage through the month's
-	// end — a prefix sum of the first-occurrence table — so the last
-	// partial of a merged range carries the range's coverage stats while
-	// the private-sandwich counts sum across months.
-	Vantages VantageSensitivity `json:"vantages"`
+// Capture is one vantage's share of a month partial: its graph position,
+// its observation window and its records of the month's verdict
+// transactions, in detection order — what p2p.RestoreVantage rebuilds
+// the vantage from for a merge's §6 lookups.
+type Capture struct {
+	Node    int              `json:"node"`
+	Start   uint64           `json:"start"`
+	Stop    uint64           `json:"stop"`
+	Records []p2p.ObservedTx `json:"records,omitempty"`
 }
 
 // NewPartial freezes a single-month analysis. The inputs must cover
 // exactly one study month (the chain's first and last blocks fall in the
-// same month); inf may be nil when the month has no observation window.
-func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
+// same month). Their view is ignored: the partial keeps the month's
+// capture of every vantage in in.Vantages, which may run past the month.
+func NewPartial(in Inputs) (*Partial, error) {
 	if in.Chain == nil || in.Chain.Head() == nil {
 		return nil, fmt.Errorf("measure: partial needs a non-empty chain")
 	}
@@ -135,6 +147,7 @@ func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
 	for i, b := range blocks {
 		p.Headers[i] = b.Header
 	}
+	var txs []types.Hash
 	if in.Detect != nil {
 		p.Sandwiches = in.Detect.Sandwiches
 		p.Arbitrages = in.Detect.Arbitrages
@@ -146,6 +159,7 @@ func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
 		sort.Slice(p.FlashLoanTxs, func(i, j int) bool {
 			return bytes.Compare(p.FlashLoanTxs[i][:], p.FlashLoanTxs[j][:]) < 0
 		})
+		txs = verdictTxs(in.Detect)
 	}
 	for _, r := range in.Profits {
 		switch r.Kind {
@@ -157,70 +171,100 @@ func NewPartial(in Inputs, inf *privinfer.Inferrer) (*Partial, error) {
 			p.LiquidationProfits = append(p.LiquidationProfits, r)
 		}
 	}
-	if inf != nil && in.Detect != nil {
-		p.HasVerdicts = true
-		p.SandwichVerdicts, p.ArbitrageVerdicts, p.LiquidationVerdicts = inf.Verdicts(in.Detect)
+	if len(in.Vantages) == 0 {
+		return p, nil
 	}
-	// The vantage analysis is computed under the unanchored timeline: a
-	// single-month restore is anchored at its month, and
-	// Timeline.MonthOfBlock clamps anything below the anchor to it —
-	// which would collapse earlier observation months into this one. The
-	// merge re-clamps true months to the assembled range's own anchor,
-	// reproducing exactly what a full-range analysis computes.
-	gin := in
-	gc := *in.Chain
-	gc.Timeline = tl.Unanchored()
-	gin.Chain = &gc
-	p.Vantages = BuildVantageSensitivity(gin)
+	for _, v := range in.Vantages {
+		c := Capture{Node: v.Node()}
+		c.Start, c.Stop = v.Window()
+		for _, h := range txs {
+			if r, ok := v.Record(h); ok {
+				c.Records = append(c.Records, r)
+			}
+		}
+		p.Captures = append(p.Captures, c)
+	}
+	cov := coverage(in)
+	p.Coverage.Vantages = make([][types.StudyMonths]int, len(cov.Vantages))
+	for i := range cov.Vantages {
+		copy(p.Coverage.Vantages[i][:first+1], cov.Vantages[i][:first+1])
+	}
+	copy(p.Coverage.Union[:first+1], cov.Union[:first+1])
 	return p, nil
 }
 
+// verdictTxs lists the transactions a §6 verdict reads — sandwich front
+// and back transactions, then arbitrage and liquidation transactions —
+// each once, in detection order.
+func verdictTxs(res *detect.Result) []types.Hash {
+	seen := make(map[types.Hash]bool)
+	var out []types.Hash
+	add := func(h types.Hash) {
+		if !seen[h] {
+			seen[h] = true
+			out = append(out, h)
+		}
+	}
+	for _, s := range res.Sandwiches {
+		add(s.FrontTx)
+		add(s.BackTx)
+	}
+	for _, a := range res.Arbitrages {
+		add(a.Tx)
+	}
+	for _, l := range res.Liquidations {
+		add(l.Tx)
+	}
+	return out
+}
+
 // SizeBytes estimates the partial's resident size for byte-accounted
-// cache eviction. It is an approximation (struct sizes, slice headers
-// and map overhead are folded into per-element constants), deliberately
-// erring high so the cache stays within budget.
+// cache eviction: every array it retains at its element size times its
+// capacity, plus an eighth for allocator size-class rounding, so the
+// estimate errs high and the cache stays within budget.
 func (p *Partial) SizeBytes() int64 {
-	const (
-		headerSize    = 96
-		fbTxSize      = 48
-		sandwichSize  = 256
-		arbitrageSize = 192
-		liqSize       = 192
-		recordSize    = 160
-		verdictSize   = 2
-		hashSize      = 32
-	)
-	n := int64(512) // struct + slice headers
-	n += int64(len(p.Headers)) * headerSize
-	n += int64(len(p.Gas)) * 8
+	n := int64(unsafe.Sizeof(*p))
+	n += arrayBytes(p.Headers) + arrayBytes(p.Gas) + arrayBytes(p.FBBlocks)
 	for i := range p.FBBlocks {
-		n += 96 + int64(len(p.FBBlocks[i].Txs))*fbTxSize
+		n += arrayBytes(p.FBBlocks[i].Txs)
 	}
-	n += int64(len(p.Sandwiches)) * sandwichSize
+	n += arrayBytes(p.Sandwiches) + arrayBytes(p.Arbitrages) + arrayBytes(p.Liquidations)
 	for i := range p.Arbitrages {
-		n += arbitrageSize + int64(len(p.Arbitrages[i].Pools))*20
+		n += arrayBytes(p.Arbitrages[i].Pools)
 	}
-	n += int64(len(p.Liquidations)) * liqSize
-	n += int64(len(p.FlashLoanTxs)) * hashSize
-	n += int64(len(p.SandwichProfits)+len(p.ArbitrageProfits)+len(p.LiquidationProfits)) * recordSize
-	n += int64(len(p.SandwichVerdicts)+len(p.ArbitrageVerdicts)+len(p.LiquidationVerdicts)) * verdictSize
-	for i := range p.Vantages.Vantages {
-		n += 64 + int64(len(p.Vantages.Vantages[i].PerMonth))*16
+	n += arrayBytes(p.FlashLoanTxs)
+	for _, recs := range [][]profit.Record{p.SandwichProfits, p.ArbitrageProfits, p.LiquidationProfits} {
+		n += arrayBytes(recs)
+		for i := range recs {
+			n += arrayBytes(recs[i].Txs)
+		}
 	}
-	n += 64 + int64(len(p.Vantages.Union.PerMonth))*16
-	return n
+	n += arrayBytes(p.Captures) + arrayBytes(p.Coverage.Vantages)
+	for i := range p.Captures {
+		n += arrayBytes(p.Captures[i].Records)
+	}
+	return n + n/8
+}
+
+// arrayBytes is the size of the array backing s.
+func arrayBytes[T any](s []T) int64 {
+	var zero T
+	return int64(unsafe.Sizeof(zero)) * int64(cap(s))
 }
 
 // MergePartials assembles the report of a contiguous month range from
-// its frozen partials. view labels the merged vantage-sensitivity
-// artifact (the observation view the partials were analyzed under);
-// workers and sp parameterize the builder fan-out exactly like a full
-// Build. The report is byte-identical to a full-range analysis of the
-// same months under the same view.
+// its frozen partials, classifying against view. It restores each
+// vantage from its records across the range, takes the last partial's
+// coverage table as the range's, and then runs what a full Build runs:
+// Inputs.Inferrer and the builder fan-out, parameterized by workers and
+// sp. The report is byte-identical to a full-range analysis of the same
+// months under the same view, whatever views the partials' months were
+// analyzed under.
 func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*Report, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("measure: merge of zero partials")
 	}
+	vantages := 0 // captured by an earlier month
 	for i, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("measure: nil partial at index %d", i)
@@ -231,6 +275,15 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		if want := parts[0].Month + types.Month(i); p.Month != want {
 			return nil, fmt.Errorf("measure: partials not contiguous: index %d is month %d, want %d", i, p.Month, want)
 		}
+		if len(p.Coverage.Vantages) != len(p.Captures) {
+			return nil, fmt.Errorf("measure: month %s captures %d vantages but its coverage table has %d",
+				p.Month.Label(), len(p.Captures), len(p.Coverage.Vantages))
+		}
+		if vantages > 0 && len(p.Captures) != vantages {
+			return nil, fmt.Errorf("measure: month %s captures %d vantages, an earlier month %d",
+				p.Month.Label(), len(p.Captures), vantages)
+		}
+		vantages = max(vantages, len(p.Captures))
 	}
 
 	// Rebuild the header-level chain over the first partial's anchoring.
@@ -282,12 +335,7 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		}
 		fb = append(fb, p.FBBlocks...)
 	}
-	fbset := make(map[types.Hash]flashbots.BundleType)
-	for i := range fb {
-		for _, tx := range fb[i].Txs {
-			fbset[tx.Hash] = tx.BundleType
-		}
-	}
+	fbset := dataset.FBSetOf(fb)
 
 	// Profit records kind-major, each kind in month order — the exact
 	// emission order of the full-range resolver.
@@ -321,43 +369,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		acc.months[p.Month] = agg
 	}
 
-	// Replay inference verdicts. The range has an inferrer exactly when
-	// its last month was analyzed under an open observation window (the
-	// window, once open, never closes before the head). Months sealed
-	// before the window opened contribute synthesized out-of-window
-	// verdicts — the zero Verdict, which is what classifying them live
-	// would produce.
-	var inf *privinfer.Inferrer
-	if parts[len(parts)-1].HasVerdicts {
-		sandV := make([]privinfer.Verdict, 0, nSand)
-		arbV := make([]privinfer.Verdict, 0, nArb)
-		liqV := make([]privinfer.Verdict, 0, nLiq)
-		for _, p := range parts {
-			if p.HasVerdicts {
-				if len(p.SandwichVerdicts) != len(p.Sandwiches) ||
-					len(p.ArbitrageVerdicts) != len(p.Arbitrages) ||
-					len(p.LiquidationVerdicts) != len(p.Liquidations) {
-					return nil, fmt.Errorf("measure: month %d verdicts misaligned with detections", p.Month)
-				}
-				sandV = append(sandV, p.SandwichVerdicts...)
-				arbV = append(arbV, p.ArbitrageVerdicts...)
-				liqV = append(liqV, p.LiquidationVerdicts...)
-			} else {
-				sandV = sandV[:len(sandV)+len(p.Sandwiches)]
-				arbV = arbV[:len(arbV)+len(p.Arbitrages)]
-				liqV = liqV[:len(liqV)+len(p.Liquidations)]
-			}
-		}
-		var err error
-		inf, err = privinfer.FromVerdicts(c, res, sandV, arbV, liqV)
-		if err != nil {
-			return nil, err
-		}
-		inf.FBSet = fbset
-		inf.Workers = workers
-		inf.Span = sp
-	}
-
 	in := Inputs{
 		Chain:    c,
 		FBBlocks: fb,
@@ -369,75 +380,21 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		Workers:  workers,
 		Span:     sp,
 	}
-	vs := mergeVantageSensitivity(parts, view)
-
-	// The vantage-sensitivity artifact is the one builder that cannot
-	// re-run over a merged dataset (it classifies against the raw
-	// observation logs, which partials do not retain); its merged value
-	// is assembled from the frozen per-month analyses instead. Every
-	// other builder runs through the normal fan-out.
-	specs := make([]builderSpec, 0, len(builderSpecs))
-	for _, spec := range builderSpecs {
-		if spec.needsInf && inf == nil {
-			continue
-		}
-		if spec.name == "vantages" {
-			spec.run = func(_ Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) {
-				r.VantageSensitivity = vs
+	if last := parts[len(parts)-1]; len(last.Captures) > 0 {
+		records := make([][]p2p.ObservedTx, len(last.Captures))
+		for _, p := range parts {
+			for v := range p.Captures {
+				records[v] = append(records[v], p.Captures[v].Records...)
 			}
 		}
-		specs = append(specs, spec)
-	}
-	return runBuilders(in, acc, inf, specs), nil
-}
-
-// mergeVantageSensitivity assembles the range's vantage-sensitivity
-// artifact from the per-month analyses. Observation coverage (Observed,
-// PerMonth) is a prefix property — each partial counts the network's
-// coverage through its own month — so the last partial with vantages
-// carries the whole range's coverage; the window-sandwich private counts
-// are per-month and sum across partials.
-func mergeVantageSensitivity(parts []*Partial, view string) VantageSensitivity {
-	var last *VantageSensitivity
-	for i := range parts {
-		if len(parts[i].Vantages.Vantages) > 0 {
-			last = &parts[i].Vantages
+		for v, cp := range last.Captures {
+			in.Vantages = append(in.Vantages, p2p.RestoreVantage(cp.Node, records[v], cp.Start, cp.Stop))
 		}
+		in.Coverage = &last.Coverage
 	}
-	if last == nil {
-		return VantageSensitivity{View: view}
+	inf, err := in.Inferrer()
+	if err != nil {
+		return nil, err
 	}
-	// Partials carry PerMonth under the global anchoring; re-clamp to
-	// the assembled range's first month, the way the range's own
-	// timeline would have mapped observations recorded before it.
-	from := parts[0].Month
-	clampMonths := func(pm map[types.Month]int) map[types.Month]int {
-		out := make(map[types.Month]int, len(pm))
-		for m, n := range pm {
-			if m < from {
-				m = from
-			}
-			out[m] += n
-		}
-		return out
-	}
-	out := VantageSensitivity{View: view}
-	out.Vantages = make([]VantageStat, len(last.Vantages))
-	copy(out.Vantages, last.Vantages)
-	for i := range out.Vantages {
-		out.Vantages[i].PrivateSandwiches = 0
-		out.Vantages[i].PerMonth = clampMonths(out.Vantages[i].PerMonth)
-	}
-	out.Union = last.Union
-	out.Union.PrivateSandwiches = 0
-	out.Union.PerMonth = clampMonths(out.Union.PerMonth)
-	for _, p := range parts {
-		for i := range p.Vantages.Vantages {
-			if i < len(out.Vantages) {
-				out.Vantages[i].PrivateSandwiches += p.Vantages.Vantages[i].PrivateSandwiches
-			}
-		}
-		out.Union.PrivateSandwiches += p.Vantages.Union.PrivateSandwiches
-	}
-	return out
+	return buildWith(in, acc, inf), nil
 }

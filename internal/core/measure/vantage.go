@@ -61,16 +61,27 @@ func (v VantageSensitivity) Months() []types.Month {
 	return out
 }
 
+// coverage is the first-occurrence table of the inputs' network:
+// in.Coverage, or one tabulated from in.Vantages under the unanchored
+// timeline.
+func coverage(in Inputs) *p2p.Coverage {
+	if in.Coverage != nil && len(in.Coverage.Vantages) == len(in.Vantages) {
+		return in.Coverage
+	}
+	return p2p.NewCoverage(in.Chain.Timeline.Unanchored(), in.Vantages...)
+}
+
 // BuildVantageSensitivity classifies the window sandwiches against every
 // vantage alone and against the union view. Zero-valued without
 // vantages (runs whose observation window never opened).
 //
 // Coverage (Observed, PerMonth) is the network's first-occurrence table
-// — in.Coverage, or one tabulated from in.Vantages — summed through the
-// chain head's month, with earlier months folded into the timeline's
-// first month the way it maps observations recorded before it. Full
-// builds and month partials both read coverage this way; the prefix sum
-// keeps a partial exact when its network runs past its month.
+// (coverage) summed through the chain head's month, with earlier months
+// folded into the timeline's first month the way it maps observations
+// recorded before it. Full builds and month-partial merges both read
+// coverage this way; the prefix sum keeps a build exact when its network
+// runs past the head, and a merge exact though its vantages hold only
+// the records a verdict reads.
 func BuildVantageSensitivity(in Inputs) VantageSensitivity {
 	out := VantageSensitivity{View: in.View}
 	if len(in.Vantages) == 0 || in.Chain == nil || in.Chain.Head() == nil || in.Detect == nil {
@@ -79,10 +90,7 @@ func BuildVantageSensitivity(in Inputs) VantageSensitivity {
 	head := in.Chain.Head().Header.Number
 	tl := in.Chain.Timeline
 	winStart := tl.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-	cov := in.Coverage
-	if cov == nil || len(cov.Vantages) != len(in.Vantages) {
-		cov = p2p.NewCoverage(tl.Unanchored(), in.Vantages...)
-	}
+	cov := coverage(in)
 	from, through := tl.FirstMonth, tl.MonthOfBlock(head)
 	stat := func(index, node int, view privinfer.Observer, row *[types.StudyMonths]int) VantageStat {
 		inf := privinfer.New(in.Chain, view, in.FBSet, winStart, head)

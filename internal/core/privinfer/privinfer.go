@@ -7,7 +7,6 @@
 package privinfer
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -230,69 +229,6 @@ func (in *Inferrer) liqVerdict(l detect.Liquidation) verdict {
 		return verdict{}
 	}
 	return verdict{ch: in.ClassifyTxs(l.Tx), ok: true}
-}
-
-// Verdict is one exported classification outcome: the inferred channel
-// and whether the detection fell inside the analysis window. It is the
-// serializable form of the incremental verdict logs — what a sealed
-// month partial (internal/core/measure) stores so a merged range can
-// reuse the month's inference without an observer.
-type Verdict struct {
-	Channel Channel `json:"channel"`
-	OK      bool    `json:"ok"`
-}
-
-// Verdicts classifies the complete sweep and returns the per-detection
-// outcomes in detection order — sandwiches, arbitrages, liquidations.
-// Verdicts are stable (observer records are append-only, Flashbots
-// membership is fixed at inclusion, the window start is fixed), so the
-// returned slices are valid snapshots of the month's inference.
-func (in *Inferrer) Verdicts(res *detect.Result) (sandwiches, arbitrages, liquidations []Verdict) {
-	export := func(vs []verdict) []Verdict {
-		out := make([]Verdict, len(vs))
-		for i, v := range vs {
-			out[i] = Verdict{Channel: v.ch, OK: v.ok}
-		}
-		return out
-	}
-	return export(in.classifySandwiches(res.Sandwiches)),
-		export(in.classifyArbs(res.Arbitrages)),
-		export(in.classifyLiqs(res.Liquidations))
-}
-
-// FromVerdicts builds an Inferrer whose classifications are served from
-// precomputed verdicts instead of an observer: the verdict slices are
-// installed as complete incremental logs over res, so SplitSandwiches,
-// SplitAll and LinkPrivateSandwiches return exactly what an Inferrer
-// that classified res live would — the merged-partial assembly path.
-// Each verdict slice must be exactly as long as its detection slice
-// (verdict i belongs to detection i).
-func FromVerdicts(c *chain.Chain, res *detect.Result, sand, arb, liq []Verdict) (*Inferrer, error) {
-	if len(sand) != len(res.Sandwiches) || len(arb) != len(res.Arbitrages) || len(liq) != len(res.Liquidations) {
-		return nil, fmt.Errorf("privinfer: verdict counts (%d, %d, %d) do not match detections (%d, %d, %d)",
-			len(sand), len(arb), len(liq), len(res.Sandwiches), len(res.Arbitrages), len(res.Liquidations))
-	}
-	imp := func(vs []Verdict) []verdict {
-		out := make([]verdict, len(vs))
-		for i, v := range vs {
-			out[i] = verdict{ch: v.Channel, ok: v.OK}
-		}
-		return out
-	}
-	in := &Inferrer{Chain: c, FBSet: map[types.Hash]flashbots.BundleType{}}
-	in.sandLog, in.fedSand = imp(sand), len(sand)
-	in.arbLog, in.fedArb = imp(arb), len(arb)
-	in.liqLog, in.fedLiq = imp(liq), len(liq)
-	if len(res.Sandwiches) > 0 {
-		in.fedSandKey = &res.Sandwiches[0]
-	}
-	if len(res.Arbitrages) > 0 {
-		in.fedArbKey = &res.Arbitrages[0]
-	}
-	if len(res.Liquidations) > 0 {
-		in.fedLiqKey = &res.Liquidations[0]
-	}
-	return in, nil
 }
 
 // Feed classifies every detection appended to res since the previous Feed

@@ -80,23 +80,24 @@ func CheckViewFor(spec string, vantages int) error {
 	return err
 }
 
-// ResolveView materializes the dataset's selected observation view. It
-// returns nil (and no error) when the dataset has no observation capture
-// at all — the §6 sections are then skipped, exactly like the nil
-// Observer always behaved.
+// ResolveView materializes the dataset's selected observation view over
+// its vantage list (ResolveViewOf).
 func (ds *Dataset) ResolveView() (p2p.RecordView, error) {
-	vs := ds.VantageList()
+	return ResolveViewOf(ds.View, ds.VantageList())
+}
+
+// ResolveViewOf materializes view spec over an observation network's
+// vantages, in configuration order — the one implementation of the view
+// grammar, behind the inferrer of full builds and month-partial merges
+// alike (measure.Inputs.Inferrer). It returns nil (and no error) when
+// there are no vantages at all — the §6 sections are then skipped — but
+// still validates the spec's syntax, so a typo is surfaced even on runs
+// whose window never opened.
+func ResolveViewOf(spec string, vs []*p2p.Observer) (p2p.RecordView, error) {
 	if len(vs) == 0 {
-		if ds.View != "" {
-			// Validate the spec anyway so a typo is surfaced even on runs
-			// whose window never opened.
-			if err := CheckView(ds.View); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
+		return nil, CheckView(spec)
 	}
-	pv, err := parseView(ds.View, len(vs))
+	pv, err := parseView(spec, len(vs))
 	if err != nil {
 		return nil, err
 	}

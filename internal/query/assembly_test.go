@@ -131,8 +131,12 @@ func (rb *referenceBodies) body(r monthRange, view, format string) []byte {
 // server and mixes cached and missing months differently: the full
 // window cold, then sliding 6-month windows over the warm months; single
 // months first, then a range straddling the observation window's
-// opening and the full window, whose missing months are non-contiguous.
-// Every view the world supports runs at 1, 2 and 4 workers.
+// opening, one inside the window and the full window, whose missing
+// months are non-contiguous.
+// One server serves a case under every view the world supports in
+// turn, so all but the first view merge partials another view analyzed;
+// which view goes first rotates across the servers, which run at 1, 2
+// and 4 workers.
 func TestServeAssemblyByteIdentical(t *testing.T) {
 	mv, deg := assemblyArchives(t)
 	worlds := []struct{ name, dir string }{
@@ -155,6 +159,7 @@ func TestServeAssemblyByteIdentical(t *testing.T) {
 			gapped := []monthRange{
 				{first, first}, {obsStart - 1, obsStart - 1}, {obsStart + 1, obsStart + 1}, {last, last},
 				{obsStart - 2, obsStart + 2},
+				{obsStart + 1, last},
 				full,
 			}
 			cases := []struct {
@@ -164,15 +169,19 @@ func TestServeAssemblyByteIdentical(t *testing.T) {
 				{"cold-then-sliding", coldThenSliding},
 				{"singles-then-gapped", gapped},
 			}
-			vantages := len(man.Vantages)
-			ref := &referenceBodies{tb: t, dir: w.dir, memo: map[string][]byte{}}
+			var views []string
 			for _, view := range []string{"", "union", "vantage:1", "quorum:2"} {
-				if dataset.CheckViewFor(view, vantages) != nil {
-					continue // the world has too few vantages for this view
+				if dataset.CheckViewFor(view, len(man.Vantages)) == nil {
+					views = append(views, view) // the world has enough vantages for it
 				}
-				for _, workers := range []int{1, 2, 4} {
-					for _, tc := range cases {
-						srv := newServeLikeServer(t, w.dir, workers)
+			}
+			ref := &referenceBodies{tb: t, dir: w.dir, memo: map[string][]byte{}}
+			rotation := 0
+			for _, workers := range []int{1, 2, 4} {
+				for _, tc := range cases {
+					srv := newServeLikeServer(t, w.dir, workers)
+					for i := range views {
+						view := views[(rotation+i)%len(views)]
 						for _, r := range tc.ranges {
 							formats := []string{"text"}
 							if r == full {
@@ -185,15 +194,16 @@ func TestServeAssemblyByteIdentical(t *testing.T) {
 									t.Fatalf("%s → %d: %s", url, code, body)
 								}
 								if want := ref.body(r, view, format); body != string(want) {
-									t.Errorf("view %q, workers %d, case %s: %s differs from the full-range analysis",
-										view, workers, tc.name, url)
+									t.Errorf("view %q (%s first), workers %d, case %s: %s differs from the full-range analysis",
+										view, views[rotation%len(views)], workers, tc.name, url)
 								}
 							}
 						}
 					}
+					rotation++
 				}
 			}
-			if vantages > 1 && bytes.Equal(ref.body(full, "union", "text"), ref.body(full, "vantage:1", "text")) {
+			if len(man.Vantages) > 1 && bytes.Equal(ref.body(full, "union", "text"), ref.body(full, "vantage:1", "text")) {
 				t.Error("union and vantage:1 reports are identical: the world is too small for views to matter")
 			}
 		})

@@ -18,7 +18,8 @@ type Key struct {
 	Archive  string
 	From, To types.Month
 	// View is the observation view ("", "union", "quorum:K",
-	// "vantage:N"); each view is its own analysis and cache entry.
+	// "vantage:N"); each view is its own report entry, merged from the
+	// same month partials as every other view.
 	View     string
 	Scenario string
 	Live     bool
@@ -26,14 +27,14 @@ type Key struct {
 }
 
 // partialKey identifies one analyzed month partial: which archive,
-// which single month of it, which observation view the inference
-// classified against, which scenario produced it. It is the mid-level
-// cache key — finer than a report (one month, not a range), coarser
-// than a decoded chunk (analysis output, not storage).
+// which single month of it, which scenario produced it. It has no view:
+// a partial keeps the month's capture of every vantage, and each merge
+// classifies it under its own key's view. It is the mid-level cache key —
+// finer than a report (one month, not a range), coarser than a decoded
+// chunk (analysis output, not storage).
 type partialKey struct {
 	archive  string
 	month    types.Month
-	view     string
 	scenario string
 }
 

@@ -46,7 +46,9 @@
 //
 // The view parameter selects which observation view of a multi-vantage
 // archive the §6 inference classifies against (default: the primary
-// vantage); each view is analyzed and cached independently.
+// vantage). Each view caches its own report, but month partials carry
+// no view: every view's report merges the same partials, so a view
+// first asked for a range another view has analyzed only merges.
 //
 // Every response body is encoded fully before the first byte is sent:
 // Content-Length is always set, a mid-encode failure is a real 500 (not
@@ -500,7 +502,7 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 		if !archived[m] {
 			continue
 		}
-		pk := partialKey{archive: key.Archive, month: m, view: key.View, scenario: key.Scenario}
+		pk := partialKey{archive: key.Archive, month: m, scenario: key.Scenario}
 		p, ok := s.partials.peek(pk)
 		if ok {
 			psp := sp.Child(obs.StagePartial)
@@ -543,7 +545,7 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 
 // buildPartial is the partial cold path: the month's own chunks (warmed
 // by and warming the shared decode cache) read against the build's
-// shared archive state, analyzed under the key's view. Each computed
+// shared archive state, analyzed once for every view. Each computed
 // month gets an analyze:partial span, so a trace of an assembled build
 // shows exactly which months were memoized.
 func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, error), workers int, sp *obs.Span) (*measure.Partial, error) {
@@ -558,7 +560,6 @@ func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, err
 	if err != nil {
 		return nil, err
 	}
-	ds.View = pk.view
 	return s.cfg.AnalyzePartial(ds, workers, psp)
 }
 

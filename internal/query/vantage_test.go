@@ -112,7 +112,7 @@ func TestViewParamValidation(t *testing.T) {
 
 // TestViewSelection: the union view observes at least as much as any
 // single vantage, so it classifies no more sandwiches as private; each
-// view is its own cache entry, built from its own month partials.
+// view is its own report entry, both merged from one analysis per month.
 func TestViewSelection(t *testing.T) {
 	var calls atomic.Int64
 	srv := newMultiVantageServer(t, &calls)
@@ -148,14 +148,14 @@ func TestViewSelection(t *testing.T) {
 		t.Errorf("union view classifies more private (%d) than vantage 0 (%d)", privateU, privateV0)
 	}
 	months := archivedMonths(t, multiVantageArchive(t), "")
-	if got, n := calls.Load(), builds(t, srv); got != 2*months || n != 2 {
-		t.Errorf("%d month analyses in %d builds, want %d in 2 (each month once per view)", got, n, 2*months)
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 2 {
+		t.Errorf("%d month analyses in %d builds, want %d in 2 (each month once for both views)", got, n, months)
 	}
 	// Re-querying either view hits the cache.
 	fig9("union")
 	fig9("vantage:0")
-	if got, n := calls.Load(), builds(t, srv); got != 2*months || n != 2 {
-		t.Errorf("after re-query: %d month analyses in %d builds, want %d in 2", got, n, 2*months)
+	if got, n := calls.Load(), builds(t, srv); got != months || n != 2 {
+		t.Errorf("after re-query: %d month analyses in %d builds, want %d in 2", got, n, months)
 	}
 }
 

@@ -315,7 +315,6 @@ func (f *Follower) Report() *measure.Report {
 		Span:    sp,
 	}
 	if f.inf != nil {
-		in.Observer = f.obs
 		in.Vantages = f.vantages
 	}
 	return f.acc.Report(in, f.inf)

@@ -63,7 +63,6 @@ import (
 	"mevscope/internal/parallel"
 	"mevscope/internal/scenario"
 	"mevscope/internal/sim"
-	"mevscope/internal/types"
 )
 
 // Options configures a full study run.
@@ -243,7 +242,11 @@ func AnalyzeDataset(ds *dataset.Dataset, workers int) (*Study, error) {
 // per-worker busy time — under the given parent. A nil parent selects
 // the exact untraced path; the report is byte-identical either way.
 func AnalyzeDatasetTraced(ds *dataset.Dataset, workers int, sp *obs.Span) (*Study, error) {
-	in, inf, err := analysisInputs(ds, workers, sp)
+	in, err := analysisInputs(ds, workers, sp)
+	if err != nil {
+		return nil, err
+	}
+	inf, err := in.Inferrer()
 	if err != nil {
 		return nil, err
 	}
@@ -256,26 +259,30 @@ func AnalyzeDatasetTraced(ds *dataset.Dataset, workers int, sp *obs.Span) (*Stud
 // the memoization unit of the query layer's partial cache. The dataset
 // must cover exactly one study month: an archive.ReadRange of [m, m],
 // or an archive.Shared.ReadMonth of m, whose observation network may run
-// past m and carries the build's shared coverage table. Under the month
-// stability and prefix coverage invariants (see measure.Partial) the
-// partial's verdicts and coverage stats are exactly what a full-range
-// analysis computes for that month either way, and
-// measure.MergePartials assembles contiguous partials into a report
-// byte-identical to AnalyzeDataset over the same range.
+// past m and carries the build's shared coverage table. ds.View is
+// validated and otherwise ignored: the partial keeps the month's capture
+// of every vantage, so one partial serves every view. Under the month
+// stability and prefix coverage invariants (see measure.Partial) either
+// dataset yields the same partial, and measure.MergePartials assembles
+// contiguous partials into a report byte-identical to AnalyzeDataset
+// over the same range under any view.
 func AnalyzeDatasetPartial(ds *dataset.Dataset, workers int, sp *obs.Span) (*measure.Partial, error) {
-	in, inf, err := analysisInputs(ds, workers, sp)
+	if _, err := ds.ResolveView(); err != nil {
+		return nil, err
+	}
+	in, err := analysisInputs(ds, workers, sp)
 	if err != nil {
 		return nil, err
 	}
-	return measure.NewPartial(in, inf)
+	return measure.NewPartial(in)
 }
 
 // analysisInputs runs what a full build and a month partial share: the
-// detector sweep, profit resolution and the §6 inferrer over the
-// dataset's resolved observation view (nil when it has no capture).
-func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inputs, *privinfer.Inferrer, error) {
+// detector sweep and profit resolution, with the dataset's observation
+// network and view attached for the §6 inference.
+func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inputs, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
-		return measure.Inputs{}, nil, fmt.Errorf("mevscope: dataset has no blocks")
+		return measure.Inputs{}, fmt.Errorf("mevscope: dataset has no blocks")
 	}
 	workers = parallel.Workers(workers)
 	c := ds.Chain
@@ -284,7 +291,7 @@ func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inp
 	comp := profit.New(c, ds.Prices, ds.WETH, ds.FBSet)
 	profits := comp.ResolveAllParallelSpan(res, workers, sp)
 
-	in := measure.Inputs{
+	return measure.Inputs{
 		Chain:    c,
 		FBBlocks: ds.FBBlocks,
 		FBSet:    ds.FBSet,
@@ -296,20 +303,7 @@ func analysisInputs(ds *dataset.Dataset, workers int, sp *obs.Span) (measure.Inp
 		Coverage: ds.Coverage,
 		View:     ds.View,
 		Span:     sp,
-	}
-	view, err := ds.ResolveView()
-	if err != nil {
-		return measure.Inputs{}, nil, err
-	}
-	var inf *privinfer.Inferrer
-	if view != nil {
-		in.Observer = view
-		winStart := c.Timeline.FirstBlockOfMonth(types.PrivateWindowStartMonth)
-		inf = privinfer.New(c, view, ds.FBSet, winStart, c.Head().Header.Number)
-		inf.Workers = workers
-		inf.Span = sp
-	}
-	return in, inf, nil
+	}, nil
 }
 
 // AnalyzeDatasetProjection builds a subset of a full dataset's report

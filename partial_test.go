@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mevscope/internal/archive"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
+	"mevscope/internal/p2p"
 	"mevscope/internal/types"
 )
 
@@ -21,10 +23,9 @@ func renderReport(t *testing.T, rep *measure.Report) []byte {
 	return buf.Bytes()
 }
 
-// analyzeRangePartials analyzes each month of [from, to] alone and
-// merges the partials — the query layer's assembly path, minus the
-// caches.
-func analyzeRangePartials(t *testing.T, dir string, from, to types.Month, view string, roundTrip bool) *measure.Report {
+// monthPartials analyzes every month of [from, to] alone under view —
+// the query layer's partial path, minus the caches.
+func monthPartials(t *testing.T, dir string, from, to types.Month, view string) []*measure.Partial {
 	t.Helper()
 	var parts []*measure.Partial
 	for m := from; m <= to; m++ {
@@ -37,39 +38,45 @@ func analyzeRangePartials(t *testing.T, dir string, from, to types.Month, view s
 		if err != nil {
 			t.Fatalf("month %s: %v", m.Label(), err)
 		}
-		if roundTrip {
-			raw, err := json.Marshal(p)
-			if err != nil {
-				t.Fatalf("month %s: marshal partial: %v", m.Label(), err)
-			}
-			rt := &measure.Partial{}
-			if err := json.Unmarshal(raw, rt); err != nil {
-				t.Fatalf("month %s: unmarshal partial: %v", m.Label(), err)
-			}
-			p = rt
-		}
 		parts = append(parts, p)
 	}
-	rep, err := measure.MergePartials(parts, view, 2, nil)
-	if err != nil {
-		t.Fatalf("merge %s..%s: %v", from.Label(), to.Label(), err)
+	return parts
+}
+
+// jsonRoundTrip passes each partial through its JSON encoding.
+func jsonRoundTrip(t *testing.T, parts []*measure.Partial) []*measure.Partial {
+	t.Helper()
+	out := make([]*measure.Partial, len(parts))
+	for i, p := range parts {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("month %s: marshal partial: %v", p.Month.Label(), err)
+		}
+		out[i] = &measure.Partial{}
+		if err := json.Unmarshal(raw, out[i]); err != nil {
+			t.Fatalf("month %s: unmarshal partial: %v", p.Month.Label(), err)
+		}
 	}
-	return rep
+	return out
 }
 
 // TestPartialAssemblyByteIdentical is the correctness pin of the
 // month-partial memoization: for every scenario × view × range, a
 // report assembled from single-month partials must be byte-identical
-// to the full-range analysis — including a JSON round trip of every
-// partial, proving the serialized form loses nothing a merge reads.
+// to the full-range analysis. Each month is analyzed once, under a view
+// no merge asks for, and its partial merged under every view, so a
+// partial must serve views it was not analyzed under; the first range
+// merges JSON round trips of the partials, proving the serialized form
+// loses nothing a merge reads.
 func TestPartialAssemblyByteIdentical(t *testing.T) {
 	cases := []struct {
 		scenario string
+		analyzed string // the view every month is analyzed under
 		views    []string
 	}{
-		{"", []string{""}},
-		{"degraded-observer", []string{""}},
-		{"multi-vantage-union", []string{"", "union", "vantage:1", "quorum:2"}},
+		{"", "union", []string{""}},
+		{"degraded-observer", "union", []string{""}},
+		{"multi-vantage-union", "vantage:2", []string{"", "union", "vantage:1", "quorum:2"}},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range cases {
@@ -96,6 +103,7 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 				{last, last},                             // a single month
 				{types.ObservationStartMonth - 1, last},  // straddles the window opening
 				{first, types.ObservationStartMonth - 1}, // entirely before the window
+				{types.ObservationStartMonth + 1, last},  // entirely inside the window
 			}
 			for i := 0; i < 3; i++ {
 				a := first + types.Month(rng.Intn(int(last-first+1)))
@@ -105,6 +113,8 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 				}
 				ranges = append(ranges, span{a, b})
 			}
+			parts := monthPartials(t, dir, first, last, tc.analyzed)
+			roundTripped := jsonRoundTrip(t, parts)
 
 			for _, view := range tc.views {
 				for ri, r := range ranges {
@@ -118,10 +128,17 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := renderReport(t, fst.Report)
-					// Round-trip every partial through JSON on the first
-					// range of each view; merge in-memory partials on the
-					// rest.
-					got := renderReport(t, analyzeRangePartials(t, dir, r.from, r.to, view, ri == 0))
+					// Merge the JSON round trips on the first range of
+					// each view, the in-memory partials on the rest.
+					src := parts
+					if ri == 0 {
+						src = roundTripped
+					}
+					rep, err := measure.MergePartials(src[r.from-first:r.to-first+1], view, 2, nil)
+					if err != nil {
+						t.Fatalf("merge %s..%s: %v", r.from.Label(), r.to.Label(), err)
+					}
+					got := renderReport(t, rep)
 					if !bytes.Equal(got, want) {
 						gotLines := bytes.Split(got, []byte("\n"))
 						wantLines := bytes.Split(want, []byte("\n"))
@@ -187,5 +204,97 @@ func TestMergePartialsRejectsGaps(t *testing.T) {
 	}
 	if _, err := measure.MergePartials(nil, "", 2, nil); err == nil {
 		t.Fatal("MergePartials accepted zero partials")
+	}
+}
+
+// TestMergePartialsRejectsMismatchedCaptures pins the capture contract
+// of a merge: a capture without a matching coverage table, and months
+// that capture different vantage counts, are errors, never panics.
+func TestMergePartialsRejectsMismatchedCaptures(t *testing.T) {
+	st, err := Run(Options{Seed: 7, BlocksPerMonth: 20, Scenario: "multi-vantage-union"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(st.Sim), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, last := man.Window()
+	parts := monthPartials(t, dir, last-1, last, "")
+	if _, err := measure.MergePartials(parts, "union", 2, nil); err != nil {
+		t.Fatalf("consistent partials: %v", err)
+	}
+	uncovered := *parts[1]
+	uncovered.Coverage = p2p.Coverage{}
+	narrowed := *parts[1]
+	narrowed.Captures = narrowed.Captures[:1]
+	narrowed.Coverage.Vantages = narrowed.Coverage.Vantages[:1]
+	narrowedFirst := *parts[0]
+	narrowedFirst.Captures = narrowedFirst.Captures[:1]
+	narrowedFirst.Coverage.Vantages = narrowedFirst.Coverage.Vantages[:1]
+	for _, tc := range []struct {
+		name  string
+		parts []*measure.Partial
+	}{
+		{"a capture without a coverage table", []*measure.Partial{parts[0], &uncovered}},
+		{"fewer vantages in the later month", []*measure.Partial{parts[0], &narrowed}},
+		{"fewer vantages in the earlier month", []*measure.Partial{&narrowedFirst, parts[1]}},
+	} {
+		if _, err := measure.MergePartials(tc.parts, "union", 2, nil); err == nil {
+			t.Errorf("%s: MergePartials accepted it", tc.name)
+		}
+	}
+}
+
+// TestPartialSizeBytesCoversHeap pins the partial cache's byte
+// accounting to the heap: the partials of every month of a 1-vantage
+// and a 4-vantage world must report at least the heap they retain, and
+// at most half again as much.
+func TestPartialSizeBytesCoversHeap(t *testing.T) {
+	for _, scenario := range []string{"", "multi-vantage-union"} {
+		st, err := Run(Options{Seed: 7, BlocksPerMonth: 50, Scenario: scenario})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		man, err := archive.Write(dir, dataset.FromSim(st.Sim), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := man.Window()
+		parts := make([]*measure.Partial, 0, last-first+1)
+		heap := func() int64 {
+			var ms runtime.MemStats
+			// Two cycles: the second frees what the first left in
+			// sync.Pool victim caches.
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		before := heap()
+		for m := first; m <= last; m++ {
+			ds, _, err := archive.ReadRange(dir, m, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := AnalyzeDatasetPartial(ds, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		retained := heap() - before
+		var sized int64
+		for _, p := range parts {
+			sized += p.SizeBytes()
+		}
+		ratio := float64(sized) / float64(retained)
+		t.Logf("scenario %q: %d partials size %d B, retain %d B (ratio %.3f)", scenario, len(parts), sized, retained, ratio)
+		if ratio < 1 || ratio > 1.5 {
+			t.Errorf("scenario %q: partials size %d B but retain %d B of heap (ratio %.2f, want 1..1.5)",
+				scenario, sized, retained, ratio)
+		}
 	}
 }
