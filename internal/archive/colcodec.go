@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"mevscope/internal/events"
 	"mevscope/internal/types"
 )
 
@@ -195,6 +197,11 @@ func writeChunk(root, segDir, col string, rows int, w *colWriter) (FileInfo, err
 // colReader walks a decoded chunk body with its dictionaries. Every
 // accessor is bounds-checked and sets a sticky error instead of
 // panicking; callers check err after (or during) their decode loops.
+//
+// The body lives in a pooled buffer that release hands back for the
+// next chunk, so nothing a decoder returns may alias it: accessors
+// return addresses, hashes and numbers by value, and a caller of raw
+// copies the bytes out (readLog into the arena).
 type colReader struct {
 	addrs  []types.Address
 	hashes []types.Hash
@@ -202,6 +209,20 @@ type colReader struct {
 	body   []byte
 	off    int
 	err    error
+	// buf owns body; nil once released or when the body is not pooled.
+	buf *bytes.Buffer
+	// arena holds the topics and data of the logs readLog rebuilds.
+	arena events.Arena
+}
+
+// release returns the body to the chunk pool. Every decoder calls it
+// (deferred) once readChunk succeeds; r reads nothing afterwards.
+func (r *colReader) release() {
+	if r.buf != nil {
+		chunkBodyPool.Put(r.buf)
+		r.buf = nil
+	}
+	r.body = nil
 }
 
 func (r *colReader) fail(format string, args ...any) {
@@ -303,17 +324,18 @@ func (r *colReader) done() error {
 	return nil
 }
 
-// Chunk-decode scratch pools. A read decodes many small chunk files —
-// five block chunks per month plus one observation chunk per vantage —
-// and a fresh 64 KiB bufio buffer pair plus a fresh gzip inflater per
-// chunk dominated its allocation profile. The readers are fully
-// resettable, so they recycle across chunks and across the parallel
-// segment-decode workers. Only the scratch recycles: the decoded body
-// and dictionaries are retained by the returned colReader and must
-// never enter a pool.
+// Chunk-decode pools. A read decodes many chunk files — five block
+// chunks per month plus one observation chunk per vantage — and a fresh
+// 64 KiB bufio buffer pair, a fresh gzip inflater and a body grown by
+// doubling per chunk dominated its allocation profile. All of them
+// recycle across chunks and across the parallel segment-decode workers:
+// the readers and inflater as soon as readChunk returns, the body buffer
+// when the decoder calls colReader.release. The dictionaries are not
+// pooled; they are small, and the returned colReader keeps them.
 var (
 	chunkBufPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 	chunkGzipPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
+	chunkBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
 
 // countingReader counts the bytes drawn through it.
@@ -332,7 +354,12 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // SHA-256 is computed on the fly while the stream drains — one read
 // pass — and compared against the manifest before any row is released.
 // wantCol guards against a chunk file renamed or cross-linked on disk.
-func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
+//
+// The body is inflated into a buffer from chunkBodyPool. The caller
+// owns it until it calls release on the returned reader, which every
+// decoder defers; since the buffer then decodes another chunk, no value
+// a decoder returns may point into the body (see colReader).
+func readChunk(root string, fi FileInfo, wantCol string) (_ *colReader, err error) {
 	path := filepath.Join(root, filepath.FromSlash(fi.Name))
 	f, err := os.Open(path)
 	if err != nil {
@@ -409,14 +436,20 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 		return nil, fmt.Errorf("archive: %s claims %d rows (corrupt count)", fi.Name, rows)
 	}
 	r.rows = int(rows)
-	body, err := io.ReadAll(io.LimitReader(zbr, maxChunkSize+1))
-	if err != nil {
+	body := chunkBodyPool.Get().(*bytes.Buffer)
+	body.Reset()
+	defer func() {
+		if err != nil {
+			chunkBodyPool.Put(body)
+		}
+	}()
+	if _, err := body.ReadFrom(io.LimitReader(zbr, maxChunkSize+1)); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
-	if len(body) > maxChunkSize {
+	if body.Len() > maxChunkSize {
 		return nil, fmt.Errorf("archive: %s body exceeds the %d-byte chunk cap (corrupt)", fi.Name, maxChunkSize)
 	}
-	r.body = body
+	r.buf, r.body = body, body.Bytes()
 	if err := zr.Close(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", fi.Name, err)
 	}
@@ -430,6 +463,11 @@ func readChunk(root string, fi FileInfo, wantCol string) (*colReader, error) {
 	}
 	if r.rows != fi.Count {
 		return nil, fmt.Errorf("archive: %s has %d rows, manifest says %d", fi.Name, r.rows, fi.Count)
+	}
+	// Every column spends at least one body byte per row, so decoders
+	// may size their row arrays by rows once it is bounded by the body.
+	if r.rows > len(r.body) {
+		return nil, fmt.Errorf("archive: %s claims %d rows in a %d-byte body (corrupt)", fi.Name, r.rows, len(r.body))
 	}
 	return r, nil
 }

@@ -39,8 +39,9 @@ func writeTestChunk(tb testing.TB) (root string, fi FileInfo) {
 	return root, fi
 }
 
-// decodeTestChunk runs one full readChunk and drains the rows, so the
-// measured region covers everything a column decoder pays per chunk.
+// decodeTestChunk runs one full readChunk, drains the rows and releases
+// the body as every column decoder does, so the measured region covers
+// everything a decoder pays per chunk.
 func decodeTestChunk(tb testing.TB, root string, fi FileInfo) {
 	const rows = 512
 	r, err := readChunk(root, fi, ColHeaders)
@@ -56,6 +57,7 @@ func decodeTestChunk(tb testing.TB, root string, fi FileInfo) {
 	if err := r.done(); err != nil {
 		tb.Fatal(err)
 	}
+	r.release()
 }
 
 // TestChunkDecodeAllocs pins the steady-state allocation cost of one

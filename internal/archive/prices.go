@@ -68,6 +68,7 @@ func readPrices(dir string, man *Manifest) (*prices.Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	toks := make([]types.Address, r.rows)
 	for i := range toks {
 		toks[i] = r.addr()

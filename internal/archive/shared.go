@@ -99,18 +99,23 @@ func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 	if len(vinfos) == 0 {
 		vinfos = []VantageInfo{{Node: 0}} // implied by an archive without a list
 	}
-	observedV := make([][]p2p.ObservedTx, len(vinfos))
-	for i := range segs {
-		for v, recs := range logs[i] {
-			if v < len(observedV) {
-				observedV[v] = append(observedV[v], recs...)
+	// Every cold build waits on this step, so the vantages restore in
+	// parallel, each from one presized concatenation of its logs.
+	sh.vantages = parallel.MapSpan(sp, len(vinfos), opt.Workers, func(v int) *p2p.Observer {
+		n := 0
+		for i := range segs {
+			if v < len(logs[i]) {
+				n += len(logs[i][v])
 			}
 		}
-	}
-	for v, vi := range vinfos {
-		sh.vantages = append(sh.vantages,
-			p2p.RestoreVantage(vi.Node, observedV[v], man.Observer.Start, man.Observer.Stop))
-	}
+		recs := make([]p2p.ObservedTx, 0, n)
+		for i := range segs {
+			if v < len(logs[i]) {
+				recs = append(recs, logs[i][v]...)
+			}
+		}
+		return p2p.RestoreVantage(vinfos[v].Node, recs, man.Observer.Start, man.Observer.Stop)
+	})
 	sh.coverage = p2p.NewCoverage(gtl, sh.vantages...)
 	return sh, nil
 }

@@ -385,39 +385,42 @@ func (w *colWriter) writeLog(lg types.Log) {
 	w.raw(lg.Data)
 }
 
-// readLog decodes one log row written by writeLog.
+// readLog decodes one log row written by writeLog, cutting its topics
+// and data from the reader's arena. A raw row's data is copied out of
+// the body.
 func (r *colReader) readLog() types.Log {
+	a := &r.arena
 	switch tag := r.byte1(); tag {
 	case logShapeTransfer:
 		ev := events.Transfer{Token: r.addr(), From: r.addr(), To: r.addr()}
 		ev.Amount = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeSwap:
 		ev := events.Swap{Pool: r.addr(), Sender: r.addr(), Recipient: r.addr(),
 			TokenIn: r.addr(), TokenOut: r.addr()}
 		ev.AmountIn = types.Amount(r.uvarint())
 		ev.AmountOut = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeSync:
 		ev := events.Sync{Pool: r.addr()}
 		ev.ReserveA = types.Amount(r.uvarint())
 		ev.ReserveB = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeLiqAave, logShapeLiqCompound:
 		ev := events.Liquidation{Protocol: r.addr(), Liquidator: r.addr(), Borrower: r.addr(),
 			DebtToken: r.addr(), CollateralToken: r.addr(), Compound: tag == logShapeLiqCompound}
 		ev.DebtRepaid = types.Amount(r.uvarint())
 		ev.CollateralOut = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeFlashLoan:
 		ev := events.FlashLoan{Protocol: r.addr(), Initiator: r.addr(), Token: r.addr()}
 		ev.Amount = types.Amount(r.uvarint())
 		ev.Fee = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeOracle:
 		ev := events.OracleUpdate{Oracle: r.addr(), Token: r.addr()}
 		ev.Price = types.Amount(r.uvarint())
-		return ev.Log()
+		return ev.LogIn(a)
 	case logShapeRaw:
 		var lg types.Log
 		lg.Address = r.addr()
@@ -427,14 +430,15 @@ func (r *colReader) readLog() types.Log {
 			return types.Log{}
 		}
 		if nt > 0 {
-			lg.Topics = make([]types.Hash, nt)
+			lg.Topics = a.Topics(int(nt))
 			for k := range lg.Topics {
 				lg.Topics[k] = r.hash()
 			}
 		}
 		nd := r.uvarint()
 		if raw := r.raw(int(nd)); len(raw) > 0 {
-			lg.Data = append([]byte(nil), raw...)
+			lg.Data = a.Data(len(raw))
+			copy(lg.Data, raw)
 		}
 		return lg
 	default:
@@ -586,6 +590,8 @@ type colTxsData struct{ txs []*types.Transaction }
 // chunks stay immutable.
 type colReceiptsData struct{ rcpts []types.Receipt }
 
+// colLogsData holds each receipt's logs as a capped window into one
+// slab, their topics and data cut from the chunk's events.Arena.
 type colLogsData struct{ logs [][]types.Log }
 
 type colFBData struct{ recs []flashbots.BlockRecord }
@@ -628,6 +634,7 @@ func decodeHeadersCol(dir string, ci ColumnInfo) (*colHeadersData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	d := &colHeadersData{
 		numbers:   make([]uint64, n),
@@ -713,10 +720,12 @@ func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
+	slab := make([]types.Transaction, n)
 	txs := make([]*types.Transaction, n)
 	for i := range txs {
-		txs[i] = &types.Transaction{}
+		txs[i] = &slab[i]
 	}
 	for _, tx := range txs {
 		tx.Nonce = r.uvarint()
@@ -774,6 +783,7 @@ func decodeReceiptsCol(dir string, ci ColumnInfo) (*colReceiptsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	rcpts := make([]types.Receipt, n)
 	for i := range rcpts {
@@ -815,8 +825,10 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	counts := make([]int, n)
+	total := 0
 	for i := range counts {
 		c := r.uvarint()
 		if c > uint64(len(r.body)) {
@@ -824,6 +836,16 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 			break
 		}
 		counts[i] = int(c)
+		total += int(c)
+	}
+	// Every log row takes at least one byte, so a count sum past the
+	// bytes left is corrupt — refuse it before sizing the slab by it.
+	if r.err == nil && total > len(r.body)-r.off {
+		r.fail("log counts sum to %d, more than the %d body bytes left (corrupt)", total, len(r.body)-r.off)
+	}
+	var all []types.Log
+	if r.err == nil {
+		all = make([]types.Log, total)
 	}
 	logs := make([][]types.Log, n)
 	for i, c := range counts {
@@ -833,7 +855,8 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 		if c == 0 {
 			continue
 		}
-		ls := make([]types.Log, c)
+		ls := all[:c:c]
+		all = all[c:]
 		for j := range ls {
 			ls[j] = r.readLog()
 		}
@@ -850,6 +873,7 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	recs := make([]flashbots.BlockRecord, n)
 	var prevNum uint64
@@ -922,6 +946,7 @@ func decodeObservedCol(dir string, ci ColumnInfo, name string) (*colObsData, err
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	n := r.rows
 	recs := make([]p2p.ObservedTx, n)
 	for i := range recs {
@@ -1070,9 +1095,15 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 
 	seg := &dataset.Segment{Month: si.Month, FBBlocks: fv.(*colFBData).recs}
 	seg.Blocks = make([]*types.Block, len(hd.numbers))
+	// The blocks, this read's receipt copies (the cached chunk stays
+	// pristine) and the blocks' receipt views each come from one slab.
+	blocks := make([]types.Block, len(hd.numbers))
+	copies := append([]types.Receipt(nil), rcpts.rcpts...)
+	views := make([]*types.Receipt, len(copies))
 	base := 0
 	for i := range seg.Blocks {
-		b := &types.Block{Header: types.Header{
+		b := &blocks[i]
+		b.Header = types.Header{
 			Number:     hd.numbers[i],
 			ParentHash: hd.parents[i],
 			Time:       time.Unix(0, hd.times[i]).UTC(),
@@ -1080,17 +1111,17 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 			BaseFee:    hd.baseFees[i],
 			GasLimit:   hd.gasLimits[i],
 			GasUsed:    hd.gasUseds[i],
-		}}
+		}
 		if cnt := hd.txCounts[i]; cnt > 0 {
-			b.Txs = txs.txs[base : base+cnt : base+cnt]
-			b.Receipts = make([]*types.Receipt, cnt)
-			for j := range b.Receipts {
-				r := rcpts.rcpts[base+j] // copy; the cached chunk stays pristine
-				r.TxHash = b.Txs[j].Hash()
-				r.Logs = logs.logs[base+j]
-				b.Receipts[j] = &r
+			end := base + cnt
+			b.Txs = txs.txs[base:end:end]
+			b.Receipts = views[base:end:end]
+			for j := base; j < end; j++ {
+				copies[j].TxHash = txs.txs[j].Hash()
+				copies[j].Logs = logs.logs[j]
+				views[j] = &copies[j]
 			}
-			base += cnt
+			base = end
 		}
 		b.Seal()
 		seg.Blocks[i] = b

@@ -21,26 +21,52 @@ import (
 	"mevscope/internal/types"
 )
 
-// txSwaps extracts the decoded Swap events of one transaction.
-func txSwaps(rcpt *types.Receipt) []events.Swap {
-	var out []events.Swap
-	for _, l := range rcpt.Logs {
-		if s, ok := events.DecodeSwap(l); ok {
-			out = append(out, s)
-		}
-	}
-	return out
+// txEvents are the Swap, FlashLoan and liquidation events one
+// transaction emitted, in log order; empty for a failed transaction,
+// whose logs no detector reads.
+type txEvents struct {
+	swaps   []events.Swap
+	flashes []events.FlashLoan
+	liqs    []events.Liquidation
 }
 
-// txFlashLoans extracts the decoded FlashLoan events of one transaction.
-func txFlashLoans(rcpt *types.Receipt) []events.FlashLoan {
-	var out []events.FlashLoan
-	for _, l := range rcpt.Logs {
-		if f, ok := events.DecodeFlashLoan(l); ok {
-			out = append(out, f)
+// blockEvents decodes a block's events in one pass over each receipt's
+// logs, into flat slices that every detector then reads. A Scanner
+// reuses one across blocks, so steady-state scanning allocates only
+// what the detectors report.
+type blockEvents struct {
+	swaps   []events.Swap
+	flashes []events.FlashLoan
+	liqs    []events.Liquidation
+	txs     []txEvents // per receipt, windows into the three slices
+
+	buys, sells []sandwichCandidate // sandwich-matching scratch
+}
+
+// decode fills be.txs with the events of every receipt of b. A window
+// taken before an append moves its slice stays valid: the old array is
+// never written again.
+func (be *blockEvents) decode(b *types.Block) {
+	be.swaps, be.flashes, be.liqs, be.txs = be.swaps[:0], be.flashes[:0], be.liqs[:0], be.txs[:0]
+	for _, rcpt := range b.Receipts {
+		s, f, l := len(be.swaps), len(be.flashes), len(be.liqs)
+		if rcpt.Status == types.StatusSuccess {
+			for _, lg := range rcpt.Logs {
+				if ev, ok := events.DecodeSwap(lg); ok {
+					be.swaps = append(be.swaps, ev)
+				} else if ev, ok := events.DecodeFlashLoan(lg); ok {
+					be.flashes = append(be.flashes, ev)
+				} else if ev, ok := events.DecodeLiquidation(lg); ok {
+					be.liqs = append(be.liqs, ev)
+				}
+			}
 		}
+		be.txs = append(be.txs, txEvents{
+			swaps:   be.swaps[s:len(be.swaps):len(be.swaps)],
+			flashes: be.flashes[f:len(be.flashes):len(be.flashes)],
+			liqs:    be.liqs[l:len(be.liqs):len(be.liqs)],
+		})
 	}
-	return out
 }
 
 // Sandwich is one detected sandwich attack (Definition 1).
@@ -89,25 +115,28 @@ const AmountTolerance = 100 // 1 %
 // anchors the "buy then sell" direction, as in the paper's detectors
 // which track ether in/out of the attacker.
 func SandwichesInBlock(b *types.Block, weth types.Address) []Sandwich {
+	var be blockEvents
+	be.decode(b)
+	return be.sandwiches(b, weth, nil)
+}
+
+// sandwiches appends the sandwiches of the decoded block b to out.
+func (be *blockEvents) sandwiches(b *types.Block, weth types.Address, out []Sandwich) []Sandwich {
 	// Collect single-swap transactions (multi-hop swaps are arbitrage
 	// shaped and excluded from the sandwich heuristic).
-	var buys, sells []sandwichCandidate
-	for i, rcpt := range b.Receipts {
-		if rcpt.Status != types.StatusSuccess {
+	buys, sells := be.buys[:0], be.sells[:0]
+	for i, ev := range be.txs {
+		if len(ev.swaps) != 1 {
 			continue
 		}
-		swaps := txSwaps(rcpt)
-		if len(swaps) != 1 {
-			continue
-		}
-		c := sandwichCandidate{txIdx: i, tx: b.Txs[i], swap: swaps[0]}
-		if swaps[0].TokenIn == weth {
+		c := sandwichCandidate{txIdx: i, tx: b.Txs[i], swap: ev.swaps[0]}
+		if c.swap.TokenIn == weth {
 			buys = append(buys, c)
-		} else if swaps[0].TokenOut == weth {
+		} else if c.swap.TokenOut == weth {
 			sells = append(sells, c)
 		}
 	}
-	var out []Sandwich
+	be.buys, be.sells = buys, sells
 	used := map[int]bool{}
 	for _, back := range sells {
 		if used[back.txIdx] {
@@ -190,12 +219,15 @@ func (a *Arbitrage) Gain() types.Amount { return a.AmountOut - a.AmountIn }
 // transaction with more than one swap event whose hops chain into a closed
 // loop.
 func ArbitragesInBlock(b *types.Block) []Arbitrage {
-	var out []Arbitrage
-	for i, rcpt := range b.Receipts {
-		if rcpt.Status != types.StatusSuccess {
-			continue
-		}
-		swaps := txSwaps(rcpt)
+	var be blockEvents
+	be.decode(b)
+	return be.arbitrages(b, nil)
+}
+
+// arbitrages appends the arbitrages of the decoded block b to out.
+func (be *blockEvents) arbitrages(b *types.Block, out []Arbitrage) []Arbitrage {
+	for i, ev := range be.txs {
+		swaps := ev.swaps
 		if len(swaps) < 2 {
 			continue
 		}
@@ -225,12 +257,13 @@ func ArbitragesInBlock(b *types.Block) []Arbitrage {
 			AmountIn:  swaps[0].AmountIn,
 			AmountOut: swaps[len(swaps)-1].AmountOut,
 		}
-		for _, sw := range swaps {
-			arb.Pools = append(arb.Pools, sw.Pool)
+		arb.Pools = make([]types.Address, len(swaps))
+		for k, sw := range swaps {
+			arb.Pools[k] = sw.Pool
 		}
-		if fls := txFlashLoans(rcpt); len(fls) > 0 {
+		if len(ev.flashes) > 0 {
 			arb.FlashLoan = true
-			arb.FlashFee = fls[0].Fee
+			arb.FlashFee = ev.flashes[0].Fee
 		}
 		out = append(out, arb)
 	}
@@ -260,38 +293,32 @@ type Liquidation struct {
 
 // LiquidationsInBlock extracts liquidation events from one block.
 func LiquidationsInBlock(b *types.Block) []Liquidation {
-	var out []Liquidation
-	for i, rcpt := range b.Receipts {
-		if rcpt.Status != types.StatusSuccess {
-			continue
-		}
-		var liqs []Liquidation
-		for _, l := range rcpt.Logs {
-			ev, ok := events.DecodeLiquidation(l)
-			if !ok {
-				continue
-			}
-			liqs = append(liqs, Liquidation{
+	var be blockEvents
+	be.decode(b)
+	return be.liquidations(b, nil)
+}
+
+// liquidations appends the liquidations of the decoded block b to out.
+func (be *blockEvents) liquidations(b *types.Block, out []Liquidation) []Liquidation {
+	for i, ev := range be.txs {
+		for _, lq := range ev.liqs {
+			l := Liquidation{
 				Block:      b.Header.Number,
 				Month:      types.MonthOf(b.Header.Time),
-				Liquidator: ev.Liquidator,
-				Borrower:   ev.Borrower,
-				Protocol:   ev.Protocol,
+				Liquidator: lq.Liquidator,
+				Borrower:   lq.Borrower,
+				Protocol:   lq.Protocol,
 				Tx:         b.Txs[i].Hash(),
 				TxIndex:    i,
-				DebtToken:  ev.DebtToken, CollateralToken: ev.CollateralToken,
-				DebtRepaid: ev.DebtRepaid, CollateralOut: ev.CollateralOut,
-				Compound: ev.Compound,
-			})
-		}
-		if len(liqs) > 0 {
-			if fls := txFlashLoans(rcpt); len(fls) > 0 {
-				for k := range liqs {
-					liqs[k].FlashLoan = true
-					liqs[k].FlashFee = fls[0].Fee
-				}
+				DebtToken:  lq.DebtToken, CollateralToken: lq.CollateralToken,
+				DebtRepaid: lq.DebtRepaid, CollateralOut: lq.CollateralOut,
+				Compound: lq.Compound,
 			}
-			out = append(out, liqs...)
+			if len(ev.flashes) > 0 {
+				l.FlashLoan = true
+				l.FlashFee = ev.flashes[0].Fee
+			}
+			out = append(out, l)
 		}
 	}
 	return out
@@ -305,21 +332,6 @@ type Result struct {
 	// FlashLoanTxs is every transaction that emitted a FlashLoan event,
 	// whether or not an MEV detector matched it.
 	FlashLoanTxs map[types.Hash]bool
-}
-
-// scanBlock runs every detector over one block, appending into res.
-func scanBlock(res *Result, b *types.Block, weth types.Address) {
-	res.Sandwiches = append(res.Sandwiches, SandwichesInBlock(b, weth)...)
-	res.Arbitrages = append(res.Arbitrages, ArbitragesInBlock(b)...)
-	res.Liquidations = append(res.Liquidations, LiquidationsInBlock(b)...)
-	for i, rcpt := range b.Receipts {
-		if rcpt.Status != types.StatusSuccess {
-			continue
-		}
-		if len(txFlashLoans(rcpt)) > 0 {
-			res.FlashLoanTxs[b.Txs[i].Hash()] = true
-		}
-	}
 }
 
 // merge appends other's findings onto res, preserving block order when
@@ -341,6 +353,7 @@ func (res *Result) merge(other *Result) {
 type Scanner struct {
 	weth types.Address
 	res  *Result
+	ev   blockEvents
 }
 
 // NewScanner creates a Scanner anchored on the WETH address.
@@ -352,7 +365,16 @@ func NewScanner(weth types.Address) *Scanner {
 // must be fed in ascending height order for the Result to match a batch
 // sweep byte for byte.
 func (s *Scanner) Feed(b *types.Block) {
-	scanBlock(s.res, b, s.weth)
+	res := s.res
+	s.ev.decode(b)
+	res.Sandwiches = s.ev.sandwiches(b, s.weth, res.Sandwiches)
+	res.Arbitrages = s.ev.arbitrages(b, res.Arbitrages)
+	res.Liquidations = s.ev.liquidations(b, res.Liquidations)
+	for i, ev := range s.ev.txs {
+		if len(ev.flashes) > 0 {
+			res.FlashLoanTxs[b.Txs[i].Hash()] = true
+		}
+	}
 }
 
 // Result returns the live accumulated sweep. The pointer stays valid (and

@@ -40,6 +40,59 @@ func putAmt(b []byte, off int, a types.Amount) {
 	binary.BigEndian.PutUint64(b[off:off+8], uint64(a))
 }
 
+// Arena cuts the topic and data slices of encoded logs from shared
+// slabs, so a decoder that rebuilds thousands of logs allocates a few
+// large arrays instead of two small ones per log. The zero Arena is
+// ready to use, and a nil *Arena allocates every slice on its own. Each
+// slice it returns is capped at its length, so appending to one log's
+// topics or data never writes into another's. An Arena is not safe for
+// concurrent use, and a slab stays live while any log cut from it does.
+type Arena struct {
+	topics []types.Hash // unused tail of the current topic slab
+	data   []byte       // unused tail of the current data slab
+}
+
+// Slab sizes: 16 KiB of topics and 8 KiB of data. A request larger
+// than a slab gets its own array.
+const (
+	arenaTopicSlab = 512
+	arenaDataSlab  = 8 << 10
+)
+
+// Topics returns n zeroed topic slots.
+func (a *Arena) Topics(n int) []types.Hash {
+	if a == nil || n > arenaTopicSlab {
+		return make([]types.Hash, n)
+	}
+	if n > len(a.topics) {
+		a.topics = make([]types.Hash, arenaTopicSlab)
+	}
+	t := a.topics[:n:n]
+	a.topics = a.topics[n:]
+	return t
+}
+
+// Data returns n zeroed data bytes.
+func (a *Arena) Data(n int) []byte {
+	if a == nil || n > arenaDataSlab {
+		return make([]byte, n)
+	}
+	if n > len(a.data) {
+		a.data = make([]byte, arenaDataSlab)
+	}
+	d := a.data[:n:n]
+	a.data = a.data[n:]
+	return d
+}
+
+// newLog builds a log of the given emitter and topics with a zeroed
+// data field of n bytes, all cut from a.
+func newLog(a *Arena, addr types.Address, n int, topics ...types.Hash) types.Log {
+	t := a.Topics(len(topics))
+	copy(t, topics)
+	return types.Log{Address: addr, Topics: t, Data: a.Data(n)}
+}
+
 // Transfer is an ERC-20 transfer event emitted by the token contract.
 type Transfer struct {
 	Token    types.Address // emitting contract
@@ -48,14 +101,13 @@ type Transfer struct {
 }
 
 // Log encodes the event.
-func (e Transfer) Log() types.Log {
-	data := make([]byte, 8)
-	putAmt(data, 0, e.Amount)
-	return types.Log{
-		Address: e.Token,
-		Topics:  []types.Hash{SigTransfer, e.From.Hash(), e.To.Hash()},
-		Data:    data,
-	}
+func (e Transfer) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e Transfer) LogIn(a *Arena) types.Log {
+	l := newLog(a, e.Token, 8, SigTransfer, e.From.Hash(), e.To.Hash())
+	putAmt(l.Data, 0, e.Amount)
+	return l
 }
 
 // DecodeTransfer parses a Transfer event; ok is false for other logs.
@@ -83,17 +135,16 @@ type Swap struct {
 }
 
 // Log encodes the event.
-func (e Swap) Log() types.Log {
-	data := make([]byte, 20+20+8+8)
-	copy(data[0:], e.TokenIn[:])
-	copy(data[20:], e.TokenOut[:])
-	putAmt(data, 40, e.AmountIn)
-	putAmt(data, 48, e.AmountOut)
-	return types.Log{
-		Address: e.Pool,
-		Topics:  []types.Hash{SigSwap, e.Sender.Hash(), e.Recipient.Hash()},
-		Data:    data,
-	}
+func (e Swap) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e Swap) LogIn(a *Arena) types.Log {
+	l := newLog(a, e.Pool, 20+20+8+8, SigSwap, e.Sender.Hash(), e.Recipient.Hash())
+	copy(l.Data[0:], e.TokenIn[:])
+	copy(l.Data[20:], e.TokenOut[:])
+	putAmt(l.Data, 40, e.AmountIn)
+	putAmt(l.Data, 48, e.AmountOut)
+	return l
 }
 
 // DecodeSwap parses a Swap event; ok is false for other logs.
@@ -119,11 +170,14 @@ type Sync struct {
 }
 
 // Log encodes the event.
-func (e Sync) Log() types.Log {
-	data := make([]byte, 16)
-	putAmt(data, 0, e.ReserveA)
-	putAmt(data, 8, e.ReserveB)
-	return types.Log{Address: e.Pool, Topics: []types.Hash{SigSync}, Data: data}
+func (e Sync) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e Sync) LogIn(a *Arena) types.Log {
+	l := newLog(a, e.Pool, 16, SigSync)
+	putAmt(l.Data, 0, e.ReserveA)
+	putAmt(l.Data, 8, e.ReserveB)
+	return l
 }
 
 // DecodeSync parses a Sync event; ok is false for other logs.
@@ -149,21 +203,20 @@ type Liquidation struct {
 }
 
 // Log encodes the event with the protocol-appropriate signature.
-func (e Liquidation) Log() types.Log {
+func (e Liquidation) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e Liquidation) LogIn(a *Arena) types.Log {
 	sig := SigLiquidationCall
 	if e.Compound {
 		sig = SigLiquidateBorrow
 	}
-	data := make([]byte, 20+20+8+8)
-	copy(data[0:], e.DebtToken[:])
-	copy(data[20:], e.CollateralToken[:])
-	putAmt(data, 40, e.DebtRepaid)
-	putAmt(data, 48, e.CollateralOut)
-	return types.Log{
-		Address: e.Protocol,
-		Topics:  []types.Hash{sig, e.Liquidator.Hash(), e.Borrower.Hash()},
-		Data:    data,
-	}
+	l := newLog(a, e.Protocol, 20+20+8+8, sig, e.Liquidator.Hash(), e.Borrower.Hash())
+	copy(l.Data[0:], e.DebtToken[:])
+	copy(l.Data[20:], e.CollateralToken[:])
+	putAmt(l.Data, 40, e.DebtRepaid)
+	putAmt(l.Data, 48, e.CollateralOut)
+	return l
 }
 
 // DecodeLiquidation parses either liquidation event; ok is false otherwise.
@@ -202,16 +255,15 @@ type FlashLoan struct {
 }
 
 // Log encodes the event.
-func (e FlashLoan) Log() types.Log {
-	data := make([]byte, 20+8+8)
-	copy(data[0:], e.Token[:])
-	putAmt(data, 20, e.Amount)
-	putAmt(data, 28, e.Fee)
-	return types.Log{
-		Address: e.Protocol,
-		Topics:  []types.Hash{SigFlashLoan, e.Initiator.Hash()},
-		Data:    data,
-	}
+func (e FlashLoan) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e FlashLoan) LogIn(a *Arena) types.Log {
+	l := newLog(a, e.Protocol, 20+8+8, SigFlashLoan, e.Initiator.Hash())
+	copy(l.Data[0:], e.Token[:])
+	putAmt(l.Data, 20, e.Amount)
+	putAmt(l.Data, 28, e.Fee)
+	return l
 }
 
 // DecodeFlashLoan parses a FlashLoan event; ok is false for other logs.
@@ -237,11 +289,14 @@ type OracleUpdate struct {
 }
 
 // Log encodes the event.
-func (e OracleUpdate) Log() types.Log {
-	data := make([]byte, 20+8)
-	copy(data[0:], e.Token[:])
-	putAmt(data, 20, e.Price)
-	return types.Log{Address: e.Oracle, Topics: []types.Hash{SigOracleUpdate}, Data: data}
+func (e OracleUpdate) Log() types.Log { return e.LogIn(nil) }
+
+// LogIn encodes the event with its topics and data cut from a.
+func (e OracleUpdate) LogIn(a *Arena) types.Log {
+	l := newLog(a, e.Oracle, 20+8, SigOracleUpdate)
+	copy(l.Data[0:], e.Token[:])
+	putAmt(l.Data, 20, e.Price)
+	return l
 }
 
 // DecodeOracleUpdate parses an oracle update; ok is false for other logs.

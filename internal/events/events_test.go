@@ -1,6 +1,7 @@
 package events
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -124,5 +125,39 @@ func TestSwapRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLogInArena: an arena-cut log equals the one Log builds, for every
+// event shape, and its slices are capped so an append to one log cannot
+// overwrite the next one cut from the same slab.
+func TestLogInArena(t *testing.T) {
+	evs := []interface{ LogIn(*Arena) types.Log }{
+		Transfer{Token: a(1), From: a(2), To: a(3), Amount: 4},
+		Swap{Pool: a(1), Sender: a(2), Recipient: a(5), TokenIn: a(3), TokenOut: a(4), AmountIn: 6, AmountOut: 7},
+		Sync{Pool: a(1), ReserveA: 8, ReserveB: 9},
+		Liquidation{Protocol: a(1), Liquidator: a(2), Borrower: a(3), DebtToken: a(4), CollateralToken: a(5), DebtRepaid: 1, CollateralOut: 2},
+		Liquidation{Protocol: a(1), Liquidator: a(2), Borrower: a(3), Compound: true},
+		FlashLoan{Protocol: a(1), Initiator: a(2), Token: a(3), Amount: 10, Fee: 1},
+		OracleUpdate{Oracle: a(1), Token: a(2), Price: 11},
+	}
+	var arena Arena
+	var cut []types.Log
+	for _, ev := range evs {
+		cut = append(cut, ev.LogIn(&arena))
+	}
+	for i, ev := range evs {
+		want := ev.LogIn(nil)
+		if !reflect.DeepEqual(cut[i], want) {
+			t.Errorf("event %d: arena log %+v, want %+v", i, cut[i], want)
+		}
+		if cap(cut[i].Topics) != len(cut[i].Topics) || cap(cut[i].Data) != len(cut[i].Data) {
+			t.Errorf("event %d: arena slices not capped at their length", i)
+		}
+	}
+	_ = append(cut[0].Topics, types.Hash{0xff})
+	_ = append(cut[0].Data, 0xff)
+	if want := evs[1].LogIn(nil); !reflect.DeepEqual(cut[1], want) {
+		t.Error("append to one arena log changed the next")
 	}
 }

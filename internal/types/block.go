@@ -1,6 +1,7 @@
 package types
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"time"
 )
@@ -29,23 +30,30 @@ type Block struct {
 	hash Hash
 }
 
-// Seal computes and caches the block hash. Call after the block contents
-// are final.
+// Seal computes and caches the block hash: SHA-256 of the header fields
+// followed by every transaction hash, assembled into one preimage (on the
+// stack for blocks of up to blockPreimageStackTxs transactions).
 func (b *Block) Seal() {
-	var buf [8 + 32 + 8 + 20 + 8]byte
-	binary.BigEndian.PutUint64(buf[0:], b.Header.Number)
-	copy(buf[8:], b.Header.ParentHash[:])
-	binary.BigEndian.PutUint64(buf[40:], uint64(b.Header.Time.Unix()))
-	copy(buf[48:], b.Header.Miner[:])
-	binary.BigEndian.PutUint64(buf[68:], uint64(b.Header.BaseFee))
-	chunks := make([][]byte, 0, 1+len(b.Txs))
-	chunks = append(chunks, buf[:])
+	var stack [76 + 32*blockPreimageStackTxs]byte
+	pre := stack[:0]
+	if n := 76 + 32*len(b.Txs); n > len(stack) {
+		pre = make([]byte, 0, n)
+	}
+	pre = binary.BigEndian.AppendUint64(pre, b.Header.Number)
+	pre = append(pre, b.Header.ParentHash[:]...)
+	pre = binary.BigEndian.AppendUint64(pre, uint64(b.Header.Time.Unix()))
+	pre = append(pre, b.Header.Miner[:]...)
+	pre = binary.BigEndian.AppendUint64(pre, uint64(b.Header.BaseFee))
 	for _, tx := range b.Txs {
 		h := tx.Hash()
-		chunks = append(chunks, h[:])
+		pre = append(pre, h[:]...)
 	}
-	b.hash = HashData(chunks...)
+	b.hash = sha256.Sum256(pre)
 }
+
+// blockPreimageStackTxs is how many transaction hashes Seal's stack
+// buffer holds.
+const blockPreimageStackTxs = 32
 
 // Hash returns the sealed block hash; zero until Seal is called.
 func (b *Block) Hash() Hash { return b.hash }

@@ -1,6 +1,9 @@
 package types
 
-import "encoding/binary"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
 
 // TxKind labels the high-level shape of a transaction's payload. It stands
 // in for contract call data: the executor dispatches on it, but detectors
@@ -137,30 +140,38 @@ type Transaction struct {
 }
 
 // Hash returns the transaction hash, computed on first call and cached.
+// The preimage is the fixed header fields followed by the payload digest
+// (appendPayloadDigest), built in a stack buffer and hashed in one
+// sha256.Sum256 call, so hashing allocates nothing unless a payload's
+// hops, payouts or nesting outgrow the buffer.
 func (tx *Transaction) Hash() Hash {
 	if !tx.hash.IsZero() {
 		return tx.hash
 	}
-	var buf [8 + 20 + 20 + 8 + 8 + 8 + 8 + 8 + 8 + 1]byte
-	binary.BigEndian.PutUint64(buf[0:], tx.Nonce)
-	copy(buf[8:], tx.From[:])
-	copy(buf[28:], tx.To[:])
-	binary.BigEndian.PutUint64(buf[48:], uint64(tx.Value))
-	binary.BigEndian.PutUint64(buf[56:], tx.GasLimit)
-	binary.BigEndian.PutUint64(buf[64:], uint64(tx.GasPrice))
-	binary.BigEndian.PutUint64(buf[72:], uint64(tx.FeeCap))
-	binary.BigEndian.PutUint64(buf[80:], uint64(tx.TipCap))
-	binary.BigEndian.PutUint64(buf[88:], uint64(tx.CoinbaseTip))
-	buf[96] = byte(tx.Payload.Kind)
-	tx.hash = HashData(buf[:], payloadDigest(&tx.Payload))
+	var stack [txPreimageStack]byte
+	b := appendU64(stack[:0], tx.Nonce)
+	b = append(b, tx.From[:]...)
+	b = append(b, tx.To[:]...)
+	b = appendU64(b, uint64(tx.Value))
+	b = appendU64(b, tx.GasLimit)
+	b = appendU64(b, uint64(tx.GasPrice))
+	b = appendU64(b, uint64(tx.FeeCap))
+	b = appendU64(b, uint64(tx.TipCap))
+	b = appendU64(b, uint64(tx.CoinbaseTip))
+	b = append(b, byte(tx.Payload.Kind))
+	tx.hash = sha256.Sum256(appendPayloadDigest(b, &tx.Payload))
 	return tx.hash
 }
 
-func payloadDigest(p *Payload) []byte {
-	if p == nil {
-		return nil
-	}
-	b := make([]byte, 0, 128)
+// txPreimageStack sizes Hash's stack buffer: the 97-byte header plus a
+// flash loan wrapping a multi-hop swap (two 137-byte payload digests and
+// a few 12-byte hops) fit.
+const txPreimageStack = 512
+
+// appendPayloadDigest appends p's digest to b: every field in a fixed
+// order, addresses of the venue-scoped fields truncated to 4 bytes, then
+// the inner payload's digest.
+func appendPayloadDigest(b []byte, p *Payload) []byte {
 	b = append(b, byte(p.Kind))
 	b = append(b, p.Token[:]...)
 	b = append(b, p.Recipient[:]...)
@@ -189,15 +200,13 @@ func payloadDigest(p *Payload) []byte {
 	b = appendU64(b, uint64(p.AmountA))
 	b = appendU64(b, uint64(p.AmountB))
 	if p.Inner != nil {
-		b = append(b, payloadDigest(p.Inner)...)
+		b = appendPayloadDigest(b, p.Inner)
 	}
 	return b
 }
 
 func appendU64(b []byte, v uint64) []byte {
-	var t [8]byte
-	binary.BigEndian.PutUint64(t[:], v)
-	return append(b, t[:]...)
+	return binary.BigEndian.AppendUint64(b, v)
 }
 
 // ResetHash clears the cached hash after a field mutation (e.g. a gas
