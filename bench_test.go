@@ -1,11 +1,12 @@
 // Benchmarks: one per table and figure of the paper. Each benchmark
 // regenerates its artifact from a shared simulated world and reports the
 // headline numbers via b.ReportMetric, so `go test -bench=. -benchmem`
-// doubles as the experiment harness (see EXPERIMENTS.md for the
-// paper-vs-measured record produced at full scale).
+// doubles as the experiment harness (ROADMAP item 11 plans the
+// paper-vs-measured scorecard).
 package mevscope
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -52,8 +53,14 @@ func benchSetup(b *testing.B) {
 }
 
 // BenchmarkSimulation measures the world generator itself: blocks
-// simulated per op (3 months at 60 blocks/month).
+// simulated per op (3 months at 60 blocks/month). It reports blocks per
+// CPU-second of the whole process (getrusage), the simulator speed
+// figure minesim leads with, and allocations per block.
 func BenchmarkSimulation(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cpu0 := processCPU()
+	blocks := 0
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(int64(i))
 		cfg.BlocksPerMonth = 60
@@ -65,7 +72,14 @@ func BenchmarkSimulation(b *testing.B) {
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
 		}
+		blocks += s.Chain.Len()
 	}
+	cpu := processCPU() - cpu0
+	runtime.ReadMemStats(&after)
+	if cpu > 0 {
+		b.ReportMetric(float64(blocks)/cpu.Seconds(), "blocks/cpu-s")
+	}
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(blocks), "allocs/block")
 }
 
 // BenchmarkDetectorScan measures the full §3.1 heuristic sweep over the

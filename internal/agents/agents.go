@@ -371,27 +371,31 @@ type ArbPlan struct {
 func FindArbPlans(w *World, maxPlans int, capital types.Amount) []ArbPlan {
 	var plans []ArbPlan
 	venues := w.Venues.Venues()
+	// Quoting writes no state, so each venue's pool and spot prices for a
+	// token hold for the whole venue×venue scan of that token.
+	pools := make([]*dex.Pool, len(venues))
+	sell := make([]float64, len(venues)) // WETH per token
 	for _, token := range w.Tokens {
-		for i, va := range venues {
-			pa, ok := va.Pool(w.WETH, token)
-			if !ok {
+		for i, v := range venues {
+			pools[i], _ = v.Pool(w.WETH, token)
+			if pools[i] != nil {
+				sell[i] = pools[i].SpotPrice(w.St, token)
+			}
+		}
+		for i, pa := range pools {
+			if pa == nil {
 				continue
 			}
-			for j, vb := range venues {
-				if i == j {
-					continue
-				}
-				pb, ok := vb.Pool(w.WETH, token)
-				if !ok {
+			buyPrice := pa.SpotPrice(w.St, w.WETH) // token per WETH on A
+			for j, pb := range pools {
+				if i == j || pb == nil {
 					continue
 				}
 				// Cheap pre-filter on spot prices before exact sizing.
-				buyPrice := pa.SpotPrice(w.St, w.WETH) // token per WETH on A
-				sellPrice := pb.SpotPrice(w.St, token) // WETH per token on B
-				if buyPrice <= 0 || sellPrice <= 0 || buyPrice*sellPrice <= 1.008 {
+				if buyPrice <= 0 || sell[j] <= 0 || buyPrice*sell[j] <= 1.008 {
 					continue
 				}
-				plan, ok := sizeArb(w, va.Addr, vb.Addr, token, capital)
+				plan, ok := sizeArb(w, venues[i].Addr, venues[j].Addr, token, capital)
 				if ok {
 					plans = append(plans, plan)
 				}
@@ -411,17 +415,17 @@ func FindArbPlans(w *World, maxPlans int, capital types.Amount) []ArbPlan {
 }
 
 func sizeArb(w *World, venueA, venueB types.Address, token types.Address, capital types.Amount) (ArbPlan, bool) {
-	hops := []types.SwapHop{
+	hops := [2]types.SwapHop{
 		{Venue: venueA, TokenIn: w.WETH, TokenOut: token},
 		{Venue: venueB, TokenIn: token, TokenOut: w.WETH},
 	}
-	best := ArbPlan{Hops: hops}
+	var best ArbPlan
 	found := false
-	for _, x := range []types.Amount{types.Ether, 4 * types.Ether, 12 * types.Ether, 30 * types.Ether} {
+	for _, x := range [...]types.Amount{types.Ether, 4 * types.Ether, 12 * types.Ether, 30 * types.Ether} {
 		if x > capital {
 			break
 		}
-		out, err := w.Ex.QuotePath(hops, x)
+		out, err := w.Ex.QuotePath(hops[:], x)
 		if err != nil {
 			continue
 		}
@@ -430,6 +434,9 @@ func sizeArb(w *World, venueA, venueB types.Address, token types.Address, capita
 			best.AmountIn, best.ExpectedGross = x, gross
 			found = true
 		}
+	}
+	if found {
+		best.Hops = append([]types.SwapHop(nil), hops[:]...)
 	}
 	return best, found
 }

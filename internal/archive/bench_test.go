@@ -2,6 +2,7 @@ package archive_test
 
 import (
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -133,5 +134,31 @@ func TestArchiveV3CompressionRatio(t *testing.T) {
 	t.Logf("disk bytes: %d (budget %d)", manV3.DataBytes(), v3DiskBudget)
 	if got := manV3.DataBytes(); got > v3DiskBudget {
 		t.Errorf("archive is %d bytes, over the %d-byte budget", got, v3DiskBudget)
+	}
+}
+
+// writeAllocBudget bounds what archive.Write of the bpm-50 world may
+// allocate. A fresh 64 KiB bufio writer and a fresh BestCompression gzip
+// writer (about 0.9 MB of deflate state) per chunk took the write to
+// 157 MB; pooled, it takes about 35 MB, and about 63 MB under the race
+// detector, where sync.Pool drops some Puts.
+const writeAllocBudget = 90_000_000
+
+// TestArchiveWriteAllocs pins the pooled chunk compressors: one archive
+// write of the bpm-50 world stays within writeAllocBudget.
+func TestArchiveWriteAllocs(t *testing.T) {
+	ds := benchDataset(t)
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := archive.Write(dir, ds, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("archive.Write allocated %.1f MB", float64(got)/1e6)
+	if got > writeAllocBudget {
+		t.Errorf("archive.Write allocated %d bytes, want ≤ %d (are the chunk writers still pooled?)", got, writeAllocBudget)
 	}
 }

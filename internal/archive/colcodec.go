@@ -134,7 +134,9 @@ func writeChunk(root, segDir, col string, rows int, w *colWriter) (FileInfo, err
 		return FileInfo{}, err
 	}
 	err = func() error {
-		bw := bufio.NewWriterSize(f, 1<<16)
+		bw := chunkBufWriterPool.Get().(*bufio.Writer)
+		bw.Reset(f)
+		defer chunkBufWriterPool.Put(bw)
 		if _, err := bw.WriteString(colMagic); err != nil {
 			return err
 		}
@@ -147,10 +149,9 @@ func writeChunk(root, segDir, col string, rows int, w *colWriter) (FileInfo, err
 		if _, err := bw.WriteString(col); err != nil {
 			return err
 		}
-		zw, err := gzip.NewWriterLevel(bw, gzip.BestCompression)
-		if err != nil {
-			return err
-		}
+		zw := chunkGzipWriterPool.Get().(*gzip.Writer)
+		zw.Reset(bw)
+		defer chunkGzipWriterPool.Put(zw)
 		var lenBuf [binary.MaxVarintLen64]byte
 		writeUvarint := func(v uint64) error {
 			n := binary.PutUvarint(lenBuf[:], v)
@@ -332,10 +333,22 @@ func (r *colReader) done() error {
 // the readers and inflater as soon as readChunk returns, the body buffer
 // when the decoder calls colReader.release. The dictionaries are not
 // pooled; they are small, and the returned colReader keeps them.
+//
+// The chunk-encode pools do the same for writeChunk: a 64 KiB bufio
+// writer and a BestCompression gzip writer, whose deflate state is
+// about 0.9 MB. Reset gives a pooled writer the state of a fresh one at
+// the same level, so every chunk file is byte-identical to a fresh
+// writer's.
 var (
 	chunkBufPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 	chunkGzipPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 	chunkBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+	chunkBufWriterPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
+	chunkGzipWriterPool = sync.Pool{New: func() any {
+		zw, _ := gzip.NewWriterLevel(nil, gzip.BestCompression) // a valid level: never fails
+		return zw
+	}}
 )
 
 // countingReader counts the bytes drawn through it.

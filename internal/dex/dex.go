@@ -14,7 +14,7 @@ package dex
 import (
 	"errors"
 	"fmt"
-	"math/big"
+	"math/bits"
 	"sort"
 
 	"mevscope/internal/state"
@@ -67,11 +67,15 @@ func NewVenue(name string, feeBps int) *Venue {
 }
 
 // Pool is a constant-product pair on a venue. Reserves are read from the
-// ledger at the pool address.
+// ledger at the pool address, through ledger slots the pool keeps.
 type Pool struct {
 	Venue          *Venue
 	Addr           types.Address
 	TokenA, TokenB types.Address // sorted
+
+	st    *state.State // the ledger slotA and slotB index
+	slotA state.Slot
+	slotB state.Slot
 }
 
 // EnsurePool returns the venue's pool for the token pair, creating the
@@ -116,13 +120,31 @@ func (v *Venue) Pools() []*Pool {
 	return out
 }
 
+// ReserveSlots returns the ledger slots of the pool's TokenA and TokenB
+// reserves in st. The pool resolves them on first use and keeps them
+// while it is used with the same ledger.
+func (p *Pool) ReserveSlots(st *state.State) (a, b state.Slot) {
+	if p.st != st {
+		p.st, p.slotA, p.slotB = st, st.TokenSlot(p.TokenA, p.Addr), st.TokenSlot(p.TokenB, p.Addr)
+	}
+	return p.slotA, p.slotB
+}
+
 // Reserves returns the current ledger balances of both pool tokens.
 func (p *Pool) Reserves(st *state.State) (ra, rb types.Amount) {
-	return st.TokenBalance(p.TokenA, p.Addr), st.TokenBalance(p.TokenB, p.Addr)
+	a, b := p.ReserveSlots(st)
+	return st.At(a), st.At(b)
 }
 
 // Reserve returns the reserve of one token (which must be TokenA or TokenB).
 func (p *Pool) Reserve(st *state.State, token types.Address) types.Amount {
+	a, b := p.ReserveSlots(st)
+	switch token {
+	case p.TokenA:
+		return st.At(a)
+	case p.TokenB:
+		return st.At(b)
+	}
 	return st.TokenBalance(token, p.Addr)
 }
 
@@ -138,7 +160,7 @@ func (p *Pool) Other(token types.Address) types.Address {
 func (p *Pool) Has(token types.Address) bool { return token == p.TokenA || token == p.TokenB }
 
 // AmountOut computes the constant-product output for an exact input,
-// after the venue fee. It uses big.Int internally to avoid overflow.
+// after the venue fee, with Quote.
 func (p *Pool) AmountOut(st *state.State, tokenIn types.Address, in types.Amount) (types.Amount, error) {
 	if in <= 0 {
 		return 0, ErrInsufficientInput
@@ -151,14 +173,57 @@ func (p *Pool) AmountOut(st *state.State, tokenIn types.Address, in types.Amount
 	if rin <= 0 || rout <= 0 {
 		return 0, ErrEmptyPool
 	}
-	// out = rout * in*(10000-fee) / (rin*10000 + in*(10000-fee))
-	feeNum := big.NewInt(int64(10000 - p.Venue.FeeBps))
-	inF := new(big.Int).Mul(big.NewInt(int64(in)), feeNum)
-	num := new(big.Int).Mul(big.NewInt(int64(rout)), inF)
-	den := new(big.Int).Mul(big.NewInt(int64(rin)), big.NewInt(10000))
-	den.Add(den, inF)
-	out := num.Div(num, den)
-	return types.Amount(out.Int64()), nil
+	return Quote(rin, rout, in, p.Venue.FeeBps), nil
+}
+
+// Quote is the constant-product output for an exact input in against
+// reserves rin and rout after a fee of feeBps basis points,
+// ⌊rout·in·(10000−feeBps) / (rin·10000 + in·(10000−feeBps))⌋. The
+// numerator needs up to ~140 bits and the denominator more than 64 once
+// rin passes ~1.8e15, so Quote works in fixed-width words with math/bits
+// and is exact for every positive input. It returns 0 when an input is
+// not positive or the fee takes the whole input.
+func Quote(rin, rout, in types.Amount, feeBps int) types.Amount {
+	if rin <= 0 || rout <= 0 || in <= 0 || feeBps >= 10000 {
+		return 0
+	}
+	f := uint64(10000 - feeBps)
+	fHi, fLo := bits.Mul64(uint64(in), f) // in·f
+	h, n0 := bits.Mul64(uint64(rout), fLo)
+	n2, m := bits.Mul64(uint64(rout), fHi)
+	n1, c := bits.Add64(h, m, 0)
+	n2 += c                                  // (n2,n1,n0) = rout·in·f
+	d1, d0 := bits.Mul64(uint64(rin), 10000) // (d1,d0) = rin·10000 + in·f
+	d0, c = bits.Add64(d0, fLo, 0)
+	d1 += fHi + c
+	return types.Amount(div192(n2, n1, n0, d1, d0))
+}
+
+// div192 returns ⌊(n2,n1,n0) / (d1,d0)⌋ for a quotient below 2^63, which
+// Quote's is: it is below rout.
+func div192(n2, n1, n0, d1, d0 uint64) uint64 {
+	if d1 == 0 { // then n2 is 0 and n1 < d0
+		q, _ := bits.Div64(n1, n0, d0)
+		return q
+	}
+	// Knuth's algorithm D for one quotient word: normalize d1's top bit
+	// set, estimate from the top words, which overshoots by at most 2,
+	// and step down while q·d exceeds n, that is while q·d0 exceeds the
+	// remainder r·2^64 + n0. Once r overflows a word it cannot.
+	s := uint(bits.LeadingZeros64(d1))
+	d1, d0 = d1<<s|d0>>(64-s), d0<<s
+	n2, n1, n0 = n2<<s|n1>>(64-s), n1<<s|n0>>(64-s), n0<<s
+	q, r := bits.Div64(n2, n1, d1)
+	for {
+		if ph, pl := bits.Mul64(q, d0); ph < r || ph == r && pl <= n0 {
+			return q
+		}
+		q--
+		var c uint64
+		if r, c = bits.Add64(r, d1, 0); c != 0 {
+			return q
+		}
+	}
 }
 
 // SpotPrice returns the marginal price of tokenOut per tokenIn as a float,

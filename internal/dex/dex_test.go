@@ -321,3 +321,52 @@ func TestRoundTripNeverProfitsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPoolReservesFollowTheLedger checks that a pool's kept reserve slots
+// belong to one ledger: the same pool read against another ledger reads
+// that ledger's reserves, before and after swaps on either.
+func TestPoolReservesFollowTheLedger(t *testing.T) {
+	st1, _, p, weth, dai, _ := setup(t)
+	st2 := state.New()
+	st2.RegisterToken("WETH", 18)
+	st2.RegisterToken("DAI", 18)
+	for i := uint64(0); i < 5; i++ { // lay st2's slots out differently from st1's
+		st2.Mint(types.DeriveAddress("other", i), types.Amount(i+1))
+	}
+	lp := types.DeriveAddress("lp", 1)
+	st2.MintToken(weth, lp, 10*types.Ether)
+	st2.MintToken(dai, lp, 30*types.Ether)
+	if err := p.AddLiquidity(st2, lp, 10*types.Ether, 30*types.Ether); err != nil {
+		t.Fatal(err)
+	}
+	trader := types.DeriveAddress("trader", 0)
+	st1.MintToken(weth, trader, types.Ether)
+	if _, err := p.Swap(st1, trader, weth, types.Ether, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*state.State{st1, st2, st1} {
+		ra, rb := p.Reserves(st)
+		if ra != st.TokenBalance(p.TokenA, p.Addr) || rb != st.TokenBalance(p.TokenB, p.Addr) {
+			t.Fatalf("reserves %v/%v do not match the ledger's %v/%v", ra, rb,
+				st.TokenBalance(p.TokenA, p.Addr), st.TokenBalance(p.TokenB, p.Addr))
+		}
+	}
+	if p.Reserve(st2, weth) != 10*types.Ether || p.Reserve(st2, dai) != 30*types.Ether {
+		t.Error("the second ledger's reserves leaked from the first")
+	}
+}
+
+// TestZeroTokenPoolSideReadsZero checks that a pool side of the zero
+// token, which no ledger can hold, reads 0 rather than the pool's ether.
+func TestZeroTokenPoolSideReadsZero(t *testing.T) {
+	st := state.New()
+	x := st.RegisterToken("X", 18)
+	p := NewVenue("V", 30).EnsurePool(types.ZeroAddress, x)
+	st.Mint(p.Addr, types.Ether)
+	if got := p.Reserve(st, types.ZeroAddress); got != 0 {
+		t.Errorf("zero-token reserve = %v, want 0", got)
+	}
+	if ra, rb := p.Reserves(st); ra != 0 || rb != 0 {
+		t.Errorf("reserves = %v/%v, want 0/0", ra, rb)
+	}
+}

@@ -105,6 +105,11 @@ type BlockCtx struct {
 // Executor applies transactions to an Env.
 type Executor struct {
 	Env Env
+
+	revs     []reverter   // Env's journaled stores, built by reverters
+	revProts int          // lending protocols revs covers
+	arena    events.Arena // topics and data of executed transactions' logs
+	logs     []types.Log  // the running transaction's logs
 }
 
 // New creates an executor over the environment.
@@ -224,7 +229,17 @@ type reverter interface {
 	Commit()
 }
 
+// reverters returns the Env's journaled stores: the ledger, the oracle
+// and every lending protocol. The list is built once and rebuilt only
+// when the lending registry grows.
 func (ex *Executor) reverters() []reverter {
+	prots := 0
+	if ex.Env.Lending != nil {
+		prots = len(ex.Env.Lending.Protocols())
+	}
+	if ex.revs != nil && prots == ex.revProts {
+		return ex.revs
+	}
 	revs := []reverter{ex.Env.State}
 	if ex.Env.Oracle != nil {
 		revs = append(revs, ex.Env.Oracle)
@@ -234,16 +249,23 @@ func (ex *Executor) reverters() []reverter {
 			revs = append(revs, p)
 		}
 	}
+	ex.revs, ex.revProts = revs, prots
 	return revs
 }
 
-// run dispatches the payload. It returns the logs emitted on success.
+// run dispatches the payload. It returns the logs emitted on success, in
+// a slice of their own (nil when there are none) whose topics and data
+// come from the executor's arena.
 func (ex *Executor) run(ctx BlockCtx, tx *types.Transaction) ([]types.Log, error) {
-	var logs []types.Log
-	err := ex.runPayload(ctx, tx.From, &tx.Payload, tx.Value, tx.To, &logs)
-	if err != nil {
+	ex.logs = ex.logs[:0]
+	if err := ex.runPayload(ctx, tx.From, &tx.Payload, tx.Value, tx.To, &ex.logs); err != nil {
 		return nil, err
 	}
+	if len(ex.logs) == 0 {
+		return nil, nil
+	}
+	logs := make([]types.Log, len(ex.logs))
+	copy(logs, ex.logs)
 	return logs, nil
 }
 
@@ -261,7 +283,7 @@ func (ex *Executor) runPayload(ctx BlockCtx, from types.Address, p *types.Payloa
 		if err := st.TransferToken(p.Token, from, p.Recipient, p.Amount); err != nil {
 			return err
 		}
-		*logs = append(*logs, events.Transfer{Token: p.Token, From: from, To: p.Recipient, Amount: p.Amount}.Log())
+		*logs = append(*logs, events.Transfer{Token: p.Token, From: from, To: p.Recipient, Amount: p.Amount}.LogIn(&ex.arena))
 		return nil
 
 	case types.TxSwap, types.TxMultiSwap:
@@ -279,7 +301,7 @@ func (ex *Executor) runPayload(ctx BlockCtx, from types.Address, p *types.Payloa
 			return errors.New("evmlite: no oracle configured")
 		}
 		ex.Env.Oracle.SetPrice(p.OracleToken, p.OraclePrice)
-		*logs = append(*logs, events.OracleUpdate{Oracle: ex.Env.Oracle.Addr, Token: p.OracleToken, Price: p.OraclePrice}.Log())
+		*logs = append(*logs, events.OracleUpdate{Oracle: ex.Env.Oracle.Addr, Token: p.OracleToken, Price: p.OraclePrice}.LogIn(&ex.arena))
 		return nil
 
 	case types.TxMinerPayout:
@@ -304,7 +326,7 @@ func (ex *Executor) runPayload(ctx BlockCtx, from types.Address, p *types.Payloa
 			return err
 		}
 		ra, rb := pool.Reserves(st)
-		*logs = append(*logs, events.Sync{Pool: pool.Addr, ReserveA: ra, ReserveB: rb}.Log())
+		*logs = append(*logs, events.Sync{Pool: pool.Addr, ReserveA: ra, ReserveB: rb}.LogIn(&ex.arena))
 		return nil
 
 	case types.TxNoop:
@@ -337,16 +359,16 @@ func (ex *Executor) runSwapPath(from types.Address, p *types.Payload, logs *[]ty
 			return 0, fmt.Errorf("evmlite: hop %d: %w", i, err)
 		}
 		*logs = append(*logs,
-			events.Transfer{Token: res.TokenIn, From: from, To: pool.Addr, Amount: res.AmountIn}.Log(),
-			events.Transfer{Token: res.TokenOut, From: pool.Addr, To: from, Amount: res.AmountOut}.Log(),
+			events.Transfer{Token: res.TokenIn, From: from, To: pool.Addr, Amount: res.AmountIn}.LogIn(&ex.arena),
+			events.Transfer{Token: res.TokenOut, From: pool.Addr, To: from, Amount: res.AmountOut}.LogIn(&ex.arena),
 			events.Swap{
 				Pool: pool.Addr, Sender: from, Recipient: from,
 				TokenIn: res.TokenIn, TokenOut: res.TokenOut,
 				AmountIn: res.AmountIn, AmountOut: res.AmountOut,
-			}.Log(),
+			}.LogIn(&ex.arena),
 		)
 		ra, rb := pool.Reserves(st)
-		*logs = append(*logs, events.Sync{Pool: pool.Addr, ReserveA: ra, ReserveB: rb}.Log())
+		*logs = append(*logs, events.Sync{Pool: pool.Addr, ReserveA: ra, ReserveB: rb}.LogIn(&ex.arena))
 		amt = res.AmountOut
 	}
 	if p.MinOut > 0 && amt < p.MinOut {
@@ -368,14 +390,14 @@ func (ex *Executor) runLiquidate(from types.Address, p *types.Payload, logs *[]t
 		return err
 	}
 	*logs = append(*logs,
-		events.Transfer{Token: res.DebtToken, From: from, To: prot.Addr, Amount: res.DebtRepaid}.Log(),
-		events.Transfer{Token: res.CollateralToken, From: prot.Addr, To: from, Amount: res.CollateralOut}.Log(),
+		events.Transfer{Token: res.DebtToken, From: from, To: prot.Addr, Amount: res.DebtRepaid}.LogIn(&ex.arena),
+		events.Transfer{Token: res.CollateralToken, From: prot.Addr, To: from, Amount: res.CollateralOut}.LogIn(&ex.arena),
 		events.Liquidation{
 			Protocol: res.Protocol, Liquidator: res.Liquidator, Borrower: res.Borrower,
 			DebtToken: res.DebtToken, CollateralToken: res.CollateralToken,
 			DebtRepaid: res.DebtRepaid, CollateralOut: res.CollateralOut,
 			Compound: res.Compound,
-		}.Log(),
+		}.LogIn(&ex.arena),
 	)
 	return nil
 }
@@ -396,7 +418,7 @@ func (ex *Executor) runFlashLoan(ctx BlockCtx, from types.Address, p *types.Payl
 	if err := prot.FlashBorrow(st, from, p.FlashToken, p.FlashAmount); err != nil {
 		return err
 	}
-	*logs = append(*logs, events.Transfer{Token: p.FlashToken, From: prot.Addr, To: from, Amount: p.FlashAmount}.Log())
+	*logs = append(*logs, events.Transfer{Token: p.FlashToken, From: prot.Addr, To: from, Amount: p.FlashAmount}.LogIn(&ex.arena))
 	if p.Inner != nil {
 		if err := ex.runPayload(ctx, from, p.Inner, 0, types.ZeroAddress, logs); err != nil {
 			return fmt.Errorf("evmlite: flash-loan inner: %w", err)
@@ -406,29 +428,30 @@ func (ex *Executor) runFlashLoan(ctx BlockCtx, from types.Address, p *types.Payl
 		return fmt.Errorf("evmlite: flash-loan repay: %w", err)
 	}
 	*logs = append(*logs,
-		events.Transfer{Token: p.FlashToken, From: from, To: prot.Addr, Amount: p.FlashAmount + fee}.Log(),
-		events.FlashLoan{Protocol: prot.Addr, Initiator: from, Token: p.FlashToken, Amount: p.FlashAmount, Fee: fee}.Log(),
+		events.Transfer{Token: p.FlashToken, From: from, To: prot.Addr, Amount: p.FlashAmount + fee}.LogIn(&ex.arena),
+		events.FlashLoan{Protocol: prot.Addr, Initiator: from, Token: p.FlashToken, Amount: p.FlashAmount, Fee: fee}.LogIn(&ex.arena),
 	)
 	return nil
 }
 
-// QuotePath simulates a swap path against current reserves without mutating
-// state, returning the final output. Searcher agents use it to size MEV
-// opportunities the way real bots simulate against their local node.
+// QuotePath returns what executing the exact-input swap path would pay
+// out for amountIn, the way searcher bots simulate against their local
+// node, without writing any state. It walks the hops over dex.Quote,
+// reading reserves through the ones the walk has already moved, so a
+// path that revisits a pool sees that pool's moved reserves. It fails
+// exactly when execution by a holder of amountIn of the first hop's
+// token would: an empty path, an unknown venue or pair, an empty pool, a
+// non-positive amount or output, or a hop that does not spend the
+// previous hop's output. No pool holds an unregistered token, so a path
+// that starts with one fails on an empty pool.
 func (ex *Executor) QuotePath(hops []types.SwapHop, amountIn types.Amount) (types.Amount, error) {
-	st := ex.Env.State
-	st.Snapshot()
-	defer st.Revert()
-	amt := amountIn
-	// Quoting must account for hop-by-hop reserve movement, so execute the
-	// transfers against a scratch holder under the snapshot.
-	holder := types.DeriveAddress("evmlite:quote", 0)
 	if len(hops) == 0 {
 		return 0, errors.New("evmlite: empty path")
 	}
-	if err := st.MintToken(hops[0].TokenIn, holder, amt); err != nil {
-		return 0, err
-	}
+	st := ex.Env.State
+	var buf [8]moved
+	ov := buf[:0]
+	held, amt := hops[0].TokenIn, amountIn
 	for i, hop := range hops {
 		v, ok := ex.Env.Venues.ByAddr(hop.Venue)
 		if !ok {
@@ -438,11 +461,42 @@ func (ex *Executor) QuotePath(hops []types.SwapHop, amountIn types.Amount) (type
 		if !ok {
 			return 0, dex.ErrNoPool
 		}
-		res, err := pool.Swap(st, holder, hop.TokenIn, amt, 0)
-		if err != nil {
-			return 0, fmt.Errorf("evmlite: quote hop %d: %w", i, err)
+		sin, sout := pool.ReserveSlots(st)
+		if hop.TokenIn != pool.TokenA {
+			sin, sout = sout, sin
 		}
-		amt = res.AmountOut
+		rin, rout := reserve(st, ov, sin), reserve(st, ov, sout)
+		if rin <= 0 || rout <= 0 {
+			return 0, fmt.Errorf("evmlite: quote hop %d: %w", i, dex.ErrEmptyPool)
+		}
+		out := dex.Quote(rin, rout, amt, v.FeeBps) // 0 for a non-positive amt
+		if out <= 0 {
+			return 0, fmt.Errorf("evmlite: quote hop %d: %w", i, dex.ErrInsufficientInput)
+		}
+		if hop.TokenIn != held {
+			return 0, fmt.Errorf("evmlite: quote hop %d spends %v, not the %v the path holds", i, hop.TokenIn.Short(), held.Short())
+		}
+		ov = append(ov, moved{sin, rin + amt})
+		ov = append(ov, moved{sout, reserve(st, ov, sout) - out})
+		held, amt = hop.TokenOut, out
 	}
 	return amt, nil
+}
+
+// moved is a reserve a quote walk has moved: its ledger slot and the
+// balance the walk left there.
+type moved struct {
+	slot state.Slot
+	bal  types.Amount
+}
+
+// reserve reads a ledger slot through a quote walk's moves, the latest
+// move of the slot first.
+func reserve(st *state.State, ov []moved, slot state.Slot) types.Amount {
+	for i := len(ov) - 1; i >= 0; i-- {
+		if ov[i].slot == slot {
+			return ov[i].bal
+		}
+	}
+	return st.At(slot)
 }

@@ -500,3 +500,64 @@ func TestEtherConservationAcrossTxs(t *testing.T) {
 		t.Errorf("ether not conserved: %v -> %v", total, w.st.TotalEther())
 	}
 }
+
+// TestReceiptLogsOwnTheirSlices checks the executor's log slabs: a
+// receipt without logs keeps Logs nil, and every slice of a receipt's
+// logs is capped at its length, so appending to one receipt's logs,
+// topics or data can never write into another's.
+func TestReceiptLogsOwnTheirSlices(t *testing.T) {
+	w := newWorld(t)
+	alice := types.DeriveAddress("alice", 0)
+	w.fund(alice, 10*types.Ether)
+	w.st.MintToken(w.weth, alice, 10*types.Ether)
+	plain := &types.Transaction{
+		From: alice, To: types.DeriveAddress("bob", 0), Value: 1, GasLimit: GasTransfer, GasPrice: types.Gwei,
+		Payload: types.Payload{Kind: types.TxTransfer},
+	}
+	rcpt, err := w.ex.Apply(w.ctx(), plain, 0)
+	if err != nil || rcpt.Status != types.StatusSuccess {
+		t.Fatalf("apply: %+v %v", rcpt, err)
+	}
+	if rcpt.Logs != nil {
+		t.Errorf("a transfer's receipt has %d logs, want nil", len(rcpt.Logs))
+	}
+	for i := 0; i < 3; i++ {
+		tx := &types.Transaction{
+			Nonce: uint64(1 + i), From: alice, GasLimit: GasSwapBase + GasSwapPerHop, GasPrice: types.Gwei,
+			Payload: types.Payload{
+				Kind:     types.TxSwap,
+				Hops:     []types.SwapHop{{Venue: w.uni.Addr, TokenIn: w.weth, TokenOut: w.dai}},
+				AmountIn: types.Ether,
+			},
+		}
+		r, err := w.ex.Apply(w.ctx(), tx, 1+i)
+		if err != nil || r.Status != types.StatusSuccess || len(r.Logs) == 0 {
+			t.Fatalf("apply: %+v %v", r, err)
+		}
+		if cap(r.Logs) != len(r.Logs) {
+			t.Errorf("receipt %d: logs capacity %d, length %d", i, cap(r.Logs), len(r.Logs))
+		}
+		for j, l := range r.Logs {
+			if cap(l.Topics) != len(l.Topics) || cap(l.Data) != len(l.Data) {
+				t.Errorf("receipt %d log %d: topics %d/%d, data %d/%d (length/capacity)", i, j,
+					len(l.Topics), cap(l.Topics), len(l.Data), cap(l.Data))
+			}
+		}
+	}
+}
+
+// TestRevertersFollowLendingRegistry checks that the executor reuses its
+// list of journaled stores and rebuilds it when a protocol registers.
+func TestRevertersFollowLendingRegistry(t *testing.T) {
+	w := newWorld(t)
+	revs := w.ex.reverters()
+	if again := w.ex.reverters(); len(again) != len(revs) || &again[0] != &revs[0] {
+		t.Fatal("reverters rebuilt without a new protocol")
+	}
+	dydx := lending.New(lending.Config{Name: "dYdX", LiqThresholdBps: 8000, LiqBonusBps: 500, CloseFactorBps: 5000, FlashLoanFeeBps: 2}, w.ex.Env.Oracle)
+	w.ex.Env.Lending.Add(dydx)
+	grown := w.ex.reverters()
+	if len(grown) != len(revs)+1 || grown[len(grown)-1] != reverter(dydx) {
+		t.Fatalf("after a registration: %d reverters, want %d ending in the new protocol", len(grown), len(revs)+1)
+	}
+}

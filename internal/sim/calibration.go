@@ -6,7 +6,8 @@ import "mevscope/internal/types"
 // behaviour. The values are chosen so the *measured* outputs of the
 // pipeline land near the shapes the paper reports (adoption and hashrate
 // curves, the April-2021 gas dip, the profit-distribution shift, the
-// private/public split); EXPERIMENTS.md records measured-vs-paper.
+// private/public split). No scorecard of measured-vs-paper values exists
+// yet; ROADMAP item 11 plans one.
 type MonthCal struct {
 	// Trader behaviour.
 	TraderTxPerBlock float64 // mean public swaps per block

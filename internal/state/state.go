@@ -1,6 +1,12 @@
 // Package state holds the mutable world state of the simulated chain:
 // ether balances, ERC-20 style token balances and the token registry.
 //
+// Every balance lives in one slot of a flat array. A (token, holder) pair
+// gets its slot on its first write, or when Slot asks for it, and ether
+// is filed under the zero token. Code that reads one balance often, as a
+// pool reads its reserves, keeps the slot and reads it with At, which
+// costs an index instead of a map lookup.
+//
 // State supports nested snapshots so the executor can revert failed
 // transactions (and failed flash-loan inner calls) atomically, exactly as
 // the EVM does.
@@ -22,10 +28,20 @@ type Token struct {
 	Decimals int
 }
 
-// State is the account/token ledger. The zero value is not usable; call New.
+// Slot indexes one balance in a State's ledger. A slot stays valid, and
+// keeps naming the same (token, holder) pair, for the life of its State.
+type Slot int32
+
+// State is the account/token ledger. The zero value is not usable; call
+// New.
+//
+// The journal records each written slot's previous balance, so Revert is
+// array writes with no hashing. Reverting a slot created after the
+// snapshot sets it back to zero rather than removing it; no exported read
+// can tell a zero slot from a missing one.
 type State struct {
-	eth    map[types.Address]types.Amount
-	tokens map[types.Address]map[types.Address]types.Amount // token → holder → balance
+	bal    []types.Amount
+	slots  map[cell]Slot
 	reg    map[types.Address]Token
 	symbol map[string]types.Address
 
@@ -33,18 +49,20 @@ type State struct {
 	snaps   []int // journal lengths at snapshot points
 }
 
+// cell names one balance: holder's balance of token, ether under the zero
+// token.
+type cell struct{ token, holder types.Address }
+
 type journalEntry struct {
-	token  types.Address // zero for ETH
-	holder types.Address
-	prev   types.Amount
-	had    bool
+	slot Slot
+	prev types.Amount
 }
 
 // New creates an empty ledger.
 func New() *State {
 	return &State{
-		eth:    make(map[types.Address]types.Amount),
-		tokens: make(map[types.Address]map[types.Address]types.Amount),
+		bal:    make([]types.Amount, 1), // slot 0: TokenSlot's zero-token slot, never written
+		slots:  make(map[cell]Slot),
 		reg:    make(map[types.Address]Token),
 		symbol: make(map[string]types.Address),
 	}
@@ -59,7 +77,6 @@ func (s *State) RegisterToken(symbol string, decimals int) types.Address {
 	addr := types.DeriveAddress("token:"+symbol, 0)
 	s.reg[addr] = Token{Addr: addr, Symbol: symbol, Decimals: decimals}
 	s.symbol[symbol] = addr
-	s.tokens[addr] = make(map[types.Address]types.Amount)
 	return addr
 }
 
@@ -90,47 +107,76 @@ func (s *State) Tokens() []Token {
 	return out
 }
 
-// Balance returns the ether balance of an account.
-func (s *State) Balance(a types.Address) types.Amount { return s.eth[a] }
-
-// TokenBalance returns the balance of token held by holder.
-func (s *State) TokenBalance(token, holder types.Address) types.Amount {
-	m := s.tokens[token]
-	if m == nil {
-		return 0
+// Slot returns the slot of holder's balance of token, the zero token
+// meaning ether, and creates an empty one on first use. Nothing checks
+// that token is registered: the token operations below still refuse an
+// unregistered token whatever slots exist.
+func (s *State) Slot(token, holder types.Address) Slot {
+	k := cell{token, holder}
+	if i, ok := s.slots[k]; ok {
+		return i
 	}
-	return m[holder]
+	i := Slot(len(s.bal))
+	s.slots[k] = i
+	s.bal = append(s.bal, 0)
+	return i
 }
 
-func (s *State) record(token, holder types.Address) {
-	if len(s.snaps) == 0 {
-		return // no open snapshot: no need to journal
-	}
-	var prev types.Amount
-	var had bool
+// TokenSlot is Slot for a token balance. The zero token is no token, so
+// it gets a slot that holds 0 forever instead of holder's ether.
+func (s *State) TokenSlot(token, holder types.Address) Slot {
 	if token.IsZero() {
-		prev, had = s.eth[holder]
-	} else if m := s.tokens[token]; m != nil {
-		prev, had = m[holder]
+		return 0
 	}
-	s.journal = append(s.journal, journalEntry{token: token, holder: holder, prev: prev, had: had})
+	return s.Slot(token, holder)
+}
+
+// At returns the balance held in a slot.
+func (s *State) At(i Slot) types.Amount { return s.bal[i] }
+
+// get reads a balance without creating its slot.
+func (s *State) get(token, holder types.Address) types.Amount {
+	if i, ok := s.slots[cell{token, holder}]; ok {
+		return s.bal[i]
+	}
+	return 0
+}
+
+// add credits amt (which may be negative) to a slot, journaling the
+// previous balance while a snapshot is open.
+func (s *State) add(i Slot, amt types.Amount) {
+	if len(s.snaps) > 0 {
+		s.journal = append(s.journal, journalEntry{slot: i, prev: s.bal[i]})
+	}
+	s.bal[i] += amt
+}
+
+// Balance returns the ether balance of an account.
+func (s *State) Balance(a types.Address) types.Amount { return s.get(types.ZeroAddress, a) }
+
+// TokenBalance returns the balance of token held by holder. The zero
+// token is not a token: its balance is always 0.
+func (s *State) TokenBalance(token, holder types.Address) types.Amount {
+	if token.IsZero() {
+		return 0
+	}
+	return s.get(token, holder)
 }
 
 // Mint credits ether to an account out of thin air (genesis funding and
 // block rewards).
 func (s *State) Mint(a types.Address, amt types.Amount) {
-	s.record(types.ZeroAddress, a)
-	s.eth[a] += amt
+	s.add(s.Slot(types.ZeroAddress, a), amt)
 }
 
 // Burn destroys ether from an account (EIP-1559 base-fee burn). It fails
 // if the balance is insufficient.
 func (s *State) Burn(a types.Address, amt types.Amount) error {
-	if s.eth[a] < amt {
-		return fmt.Errorf("state: burn %v from %v: insufficient balance %v", amt, a.Short(), s.eth[a])
+	i := s.Slot(types.ZeroAddress, a)
+	if s.bal[i] < amt {
+		return fmt.Errorf("state: burn %v from %v: insufficient balance %v", amt, a.Short(), s.bal[i])
 	}
-	s.record(types.ZeroAddress, a)
-	s.eth[a] -= amt
+	s.add(i, -amt)
 	return nil
 }
 
@@ -139,38 +185,34 @@ func (s *State) Transfer(from, to types.Address, amt types.Amount) error {
 	if amt < 0 {
 		return fmt.Errorf("state: negative transfer %v", amt)
 	}
-	if s.eth[from] < amt {
-		return fmt.Errorf("state: transfer %v from %v: insufficient balance %v", amt, from.Short(), s.eth[from])
+	i := s.Slot(types.ZeroAddress, from)
+	if s.bal[i] < amt {
+		return fmt.Errorf("state: transfer %v from %v: insufficient balance %v", amt, from.Short(), s.bal[i])
 	}
-	s.record(types.ZeroAddress, from)
-	s.record(types.ZeroAddress, to)
-	s.eth[from] -= amt
-	s.eth[to] += amt
+	s.add(i, -amt)
+	s.add(s.Slot(types.ZeroAddress, to), amt)
 	return nil
 }
 
 // MintToken credits token units to a holder (pool seeding, loan drawdown).
 func (s *State) MintToken(token, holder types.Address, amt types.Amount) error {
-	m := s.tokens[token]
-	if m == nil {
+	if _, ok := s.reg[token]; !ok {
 		return fmt.Errorf("state: mint of unregistered token %v", token.Short())
 	}
-	s.record(token, holder)
-	m[holder] += amt
+	s.add(s.Slot(token, holder), amt)
 	return nil
 }
 
 // BurnToken destroys token units held by holder.
 func (s *State) BurnToken(token, holder types.Address, amt types.Amount) error {
-	m := s.tokens[token]
-	if m == nil {
+	if _, ok := s.reg[token]; !ok {
 		return fmt.Errorf("state: burn of unregistered token %v", token.Short())
 	}
-	if m[holder] < amt {
-		return fmt.Errorf("state: burn %v of %v from %v: balance %v", amt, token.Short(), holder.Short(), m[holder])
+	i := s.Slot(token, holder)
+	if s.bal[i] < amt {
+		return fmt.Errorf("state: burn %v of %v from %v: balance %v", amt, token.Short(), holder.Short(), s.bal[i])
 	}
-	s.record(token, holder)
-	m[holder] -= amt
+	s.add(i, -amt)
 	return nil
 }
 
@@ -180,17 +222,15 @@ func (s *State) TransferToken(token, from, to types.Address, amt types.Amount) e
 	if amt < 0 {
 		return fmt.Errorf("state: negative token transfer %v", amt)
 	}
-	m := s.tokens[token]
-	if m == nil {
+	if _, ok := s.reg[token]; !ok {
 		return fmt.Errorf("state: transfer of unregistered token %v", token.Short())
 	}
-	if m[from] < amt {
-		return fmt.Errorf("state: transfer %v of %v from %v: balance %v", amt, token.Short(), from.Short(), m[from])
+	i := s.Slot(token, from)
+	if s.bal[i] < amt {
+		return fmt.Errorf("state: transfer %v of %v from %v: balance %v", amt, token.Short(), from.Short(), s.bal[i])
 	}
-	s.record(token, from)
-	s.record(token, to)
-	m[from] -= amt
-	m[to] += amt
+	s.add(i, -amt)
+	s.add(s.Slot(token, to), amt)
 	return nil
 }
 
@@ -211,19 +251,7 @@ func (s *State) Revert() {
 	s.snaps = s.snaps[:len(s.snaps)-1]
 	for i := len(s.journal) - 1; i >= mark; i-- {
 		e := s.journal[i]
-		if e.token.IsZero() {
-			if e.had {
-				s.eth[e.holder] = e.prev
-			} else {
-				delete(s.eth, e.holder)
-			}
-		} else if m := s.tokens[e.token]; m != nil {
-			if e.had {
-				m[e.holder] = e.prev
-			} else {
-				delete(m, e.holder)
-			}
-		}
+		s.bal[e.slot] = e.prev
 	}
 	s.journal = s.journal[:mark]
 }
@@ -242,19 +270,22 @@ func (s *State) Commit() {
 }
 
 // TotalEther sums all ether balances; conservation checks use it.
-func (s *State) TotalEther() types.Amount {
-	var sum types.Amount
-	for _, v := range s.eth {
-		sum += v
+func (s *State) TotalEther() types.Amount { return s.total(types.ZeroAddress) }
+
+// TotalToken sums all balances of one token. The zero token sums to 0.
+func (s *State) TotalToken(token types.Address) types.Amount {
+	if token.IsZero() {
+		return 0
 	}
-	return sum
+	return s.total(token)
 }
 
-// TotalToken sums all balances of one token.
-func (s *State) TotalToken(token types.Address) types.Amount {
+func (s *State) total(token types.Address) types.Amount {
 	var sum types.Amount
-	for _, v := range s.tokens[token] {
-		sum += v
+	for k, i := range s.slots {
+		if k.token == token {
+			sum += s.bal[i]
+		}
 	}
 	return sum
 }
