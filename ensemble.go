@@ -9,83 +9,28 @@ import (
 	"mevscope/internal/core/measure"
 	"mevscope/internal/obs"
 	"mevscope/internal/parallel"
-	"mevscope/internal/stats"
-	"mevscope/internal/types"
 )
 
-// CellStat is one report cell aggregated across an ensemble: the
-// mean/stddev (and range) of that cell over the per-seed runs.
-type CellStat struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-}
-
-// cellOf summarizes per-seed samples into a cell.
-func cellOf(xs []float64) CellStat {
-	s := stats.Summarize(xs)
-	return CellStat{N: s.N, Mean: s.Mean, Std: s.Std, Min: s.Min, Max: s.Max}
-}
-
-// String renders the cell as mean ± stddev.
-func (c CellStat) String() string {
-	return fmt.Sprintf("%.2f ± %.2f", c.Mean, c.Std)
-}
-
-// MonthStat is one month of an ensemble-aggregated series.
-type MonthStat struct {
-	Month types.Month
-	Value CellStat
-}
-
-// EnsembleTable1Row aggregates one Table 1 strategy row across seeds.
-type EnsembleTable1Row struct {
-	Strategy      string
-	Extractions   CellStat
-	ViaFlashbots  CellStat
-	ViaFlashLoans CellStat
-	ViaBoth       CellStat
-}
-
-// Ensemble is the merged outcome of a multi-seed scenario sweep: every
-// table cell carries a mean and standard deviation over the seeds instead
-// of the point estimate a single replay gives.
+// Ensemble is a multi-seed scenario sweep: the per-seed reports, and a
+// merged view of them that mirrors Report.Artifact/Artifacts, with every
+// numeric cell the mean ± standard deviation over the seeds.
 type Ensemble struct {
 	Scenario string
 	// Seeds are the run seeds in ascending order; the merge is computed in
 	// this order, so the result is independent of submission order and of
 	// the parallelism the runs executed with.
 	Seeds []int64
-
-	// Table1 holds the sandwiching/arbitrage/liquidation rows plus the
-	// total row, in the paper's order.
-	Table1 []EnsembleTable1Row
-	// Fig3Ratio is the monthly Flashbots block share.
-	Fig3Ratio []MonthStat
-	// Fig4Hashrate is the monthly Flashbots hashrate estimate.
-	Fig4Hashrate []MonthStat
-
-	// Figure 9 channel shares over the runs whose observation window
-	// opened (Fig9Runs of len(Seeds)).
-	Fig9Runs       int
-	FlashbotsShare CellStat
-	PrivateShare   CellStat
-	PublicShare    CellStat
-
-	// Headline scalars.
-	BundlesPerBlock CellStat
-	NegativeShare   CellStat
-	Top2Share       CellStat
+	// Reports are the per-seed reports, in Seeds order.
+	Reports []*measure.Report
 }
 
 // RunEnsemble simulates one study per seed under the named scenario,
-// fanning runs across min(parallelism, len(seeds)) goroutines, and merges
-// the per-seed reports into mean/stddev cells. parallelism < 1 selects
+// fanning runs across min(parallelism, len(seeds)) goroutines, and keeps
+// the per-seed reports for the merged view. parallelism < 1 selects
 // runtime.NumCPU(). The merge iterates seeds in ascending order and each
 // run is deterministic in its seed alone, so the result does not depend on
-// seed order or parallelism.
+// seed order or parallelism. A seed listed twice is an error: it would
+// count one run twice and shrink every standard deviation.
 func RunEnsemble(seeds []int64, scenarioName string, parallelism int) (*Ensemble, error) {
 	return RunEnsembleWith(Options{Scenario: scenarioName}, seeds, parallelism)
 }
@@ -103,6 +48,11 @@ func RunEnsembleWith(base Options, seeds []int64, parallelism int) (*Ensemble, e
 	}
 	sorted := append([]int64(nil), seeds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("mevscope: seed %d listed twice", sorted[i])
+		}
+	}
 
 	// Split the pool between the seed fan-out and each run's own
 	// analysis: with fewer seeds than workers, the leftover cores go to
@@ -119,8 +69,8 @@ func RunEnsembleWith(base Options, seeds []int64, parallelism int) (*Ensemble, e
 		}
 	}
 	type outcome struct {
-		study *Study
-		err   error
+		report *measure.Report
+		err    error
 	}
 	outcomes := parallel.MapSpan(base.Span, len(sorted), fanOut, func(i int) outcome {
 		opts := base
@@ -130,191 +80,54 @@ func RunEnsembleWith(base Options, seeds []int64, parallelism int) (*Ensemble, e
 		opts.Span = rsp
 		st, err := Run(opts)
 		rsp.End()
-		return outcome{study: st, err: err}
+		if err != nil {
+			return outcome{err: err}
+		}
+		return outcome{report: st.Report}
 	})
-	studies := make([]*Study, len(outcomes))
+	ens := &Ensemble{Scenario: base.Scenario, Seeds: sorted, Reports: make([]*measure.Report, len(outcomes))}
+	if ens.Scenario == "" {
+		ens.Scenario = "baseline"
+	}
 	for i, o := range outcomes {
 		if o.err != nil {
 			return nil, fmt.Errorf("mevscope: seed %d: %w", sorted[i], o.err)
 		}
-		studies[i] = o.study
+		ens.Reports[i] = o.report
 	}
-	ens := mergeStudies(studies)
-	ens.Scenario = base.Scenario
-	if ens.Scenario == "" {
-		ens.Scenario = "baseline"
-	}
-	ens.Seeds = sorted
 	return ens, nil
 }
 
-// mergeStudies folds per-seed reports into ensemble cells. Studies must be
-// ordered (ascending seed); every aggregation reads them in slice order.
-func mergeStudies(studies []*Study) *Ensemble {
-	ens := &Ensemble{}
-
-	// Table 1: strategy rows plus total, cell by cell.
-	nRows := len(studies[0].Report.Table1.Rows)
-	for ri := 0; ri <= nRows; ri++ {
-		var row EnsembleTable1Row
-		var ex, fb, fl, both []float64
-		for _, st := range studies {
-			t := st.Report.Table1
-			r := t.Total
-			if ri < nRows {
-				r = t.Rows[ri]
-			}
-			row.Strategy = r.Strategy
-			ex = append(ex, float64(r.Extractions))
-			fb = append(fb, float64(r.ViaFlashbots))
-			fl = append(fl, float64(r.ViaFlashLoans))
-			both = append(both, float64(r.ViaBoth))
+// Artifact merges the named artifact of every seed's report
+// (measure.MergeArtifacts); false for an unknown name. A seed whose
+// Figure 9 window saw no sandwiches contributes no fig9 rows: its channel
+// shares are 0/0, not a measurement.
+func (e *Ensemble) Artifact(name string) (measure.Artifact, bool) {
+	runs := make([]measure.Artifact, 0, len(e.Reports))
+	for _, r := range e.Reports {
+		a, ok := r.Artifact(name)
+		if !ok {
+			return measure.Artifact{}, false
 		}
-		row.Extractions = cellOf(ex)
-		row.ViaFlashbots = cellOf(fb)
-		row.ViaFlashLoans = cellOf(fl)
-		row.ViaBoth = cellOf(both)
-		ens.Table1 = append(ens.Table1, row)
+		if name == "fig9" && (r.Fig9 == nil || r.Fig9.Split.Total == 0) {
+			a.Rows = nil
+		}
+		runs = append(runs, a)
 	}
-
-	// Monthly series: months present in any run, ascending.
-	ens.Fig3Ratio = mergeMonthly(studies, func(st *Study) []MonthValuePair {
-		out := make([]MonthValuePair, 0, len(st.Report.Fig3))
-		for _, r := range st.Report.Fig3 {
-			out = append(out, MonthValuePair{Month: r.Month, Value: r.Ratio()})
-		}
-		return out
-	})
-	ens.Fig4Hashrate = mergeMonthly(studies, func(st *Study) []MonthValuePair {
-		out := make([]MonthValuePair, 0, len(st.Report.Fig4))
-		for _, mv := range st.Report.Fig4 {
-			out = append(out, MonthValuePair{Month: mv.Month, Value: mv.Value})
-		}
-		return out
-	})
-
-	// Figure 9 shares, over runs with an observation window.
-	var fbs, privs, pubs []float64
-	for _, st := range studies {
-		f9 := st.Report.Fig9
-		if f9 == nil || f9.Split.Total == 0 {
-			continue
-		}
-		ens.Fig9Runs++
-		fbs = append(fbs, f9.Split.FlashbotsShare())
-		privs = append(privs, f9.Split.PrivateShare())
-		pubs = append(pubs, f9.Split.PublicShare())
-	}
-	ens.FlashbotsShare = cellOf(fbs)
-	ens.PrivateShare = cellOf(privs)
-	ens.PublicShare = cellOf(pubs)
-
-	// Headline scalars.
-	var bpb, neg, top2 []float64
-	for _, st := range studies {
-		bpb = append(bpb, st.Report.Bundles.BundlesPerBlock.Mean)
-		neg = append(neg, st.Report.Negatives.Share())
-		top2 = append(top2, st.Report.Concentration.Top2Share)
-	}
-	ens.BundlesPerBlock = cellOf(bpb)
-	ens.NegativeShare = cellOf(neg)
-	ens.Top2Share = cellOf(top2)
-	return ens
+	return measure.MergeArtifacts(runs), true
 }
 
-// MonthValuePair is one month's scalar from a single run, used when
-// merging monthly series across seeds.
-type MonthValuePair struct {
-	Month types.Month
-	Value float64
-}
-
-// mergeMonthly aggregates a per-run monthly series cell by cell.
-func mergeMonthly(studies []*Study, series func(*Study) []MonthValuePair) []MonthStat {
-	perMonth := map[types.Month][]float64{}
-	for _, st := range studies {
-		for _, p := range series(st) {
-			perMonth[p.Month] = append(perMonth[p.Month], p.Value)
-		}
-	}
-	months := make([]types.Month, 0, len(perMonth))
-	for m := range perMonth {
-		months = append(months, m)
-	}
-	sort.Slice(months, func(i, j int) bool { return months[i] < months[j] })
-	out := make([]MonthStat, 0, len(months))
-	for _, m := range months {
-		out = append(out, MonthStat{Month: m, Value: cellOf(perMonth[m])})
+// Artifacts merges every artifact of the reports, in paper order: the
+// names and order of Report.Artifacts, with mean ± stddev cells ({"mean":
+// …, "std": …} in JSON) and a seeds column on every row artifact.
+func (e *Ensemble) Artifacts() []measure.Artifact {
+	names := measure.ArtifactNames()
+	out := make([]measure.Artifact, 0, len(names))
+	for _, name := range names {
+		a, _ := e.Artifact(name)
+		out = append(out, a)
 	}
 	return out
-}
-
-// annotated converts the cell into an ensemble-annotated artifact value:
-// the mean with the cross-seed standard deviation attached.
-func (c CellStat) annotated() measure.Value { return measure.MeanStd(c.Mean, c.Std) }
-
-// Artifacts exposes the merged ensemble through the same structured
-// artifact model single-run reports use: every mean±stddev cell becomes
-// an annotated value ({"mean": …, "std": …} in JSON), so downstream
-// consumers read ensembles and point estimates through one schema.
-func (e *Ensemble) Artifacts() []measure.Artifact {
-	table1 := measure.Artifact{
-		Name:  "ensemble_table1",
-		Title: "Table 1 (mean ± stddev per cell)",
-		Columns: []measure.Column{
-			{Name: "strategy", Kind: measure.KindString},
-			{Name: "extractions", Kind: measure.KindFloat},
-			{Name: "via_flashbots", Kind: measure.KindFloat},
-			{Name: "via_flash_loans", Kind: measure.KindFloat},
-			{Name: "via_both", Kind: measure.KindFloat},
-		},
-	}
-	for _, r := range e.Table1 {
-		table1.Rows = append(table1.Rows, []measure.Value{
-			measure.Str(r.Strategy), r.Extractions.annotated(), r.ViaFlashbots.annotated(),
-			r.ViaFlashLoans.annotated(), r.ViaBoth.annotated(),
-		})
-	}
-	monthly := func(name, title, col string, series []MonthStat) measure.Artifact {
-		a := measure.Artifact{
-			Name:  name,
-			Title: title,
-			Columns: []measure.Column{
-				{Name: "month", Kind: measure.KindMonth}, {Name: col, Kind: measure.KindFloat},
-			},
-		}
-		for _, ms := range series {
-			a.Rows = append(a.Rows, []measure.Value{measure.MonthCell(ms.Month), ms.Value.annotated()})
-		}
-		return a
-	}
-	fig9 := measure.Artifact{
-		Name:  "ensemble_fig9",
-		Title: "Figure 9: window sandwich channels",
-		Scalars: []measure.Scalar{
-			{Name: "runs", Value: measure.Int(e.Fig9Runs)},
-			{Name: "seeds", Value: measure.Int(len(e.Seeds))},
-			{Name: "flashbots_share", Value: e.FlashbotsShare.annotated()},
-			{Name: "private_share", Value: e.PrivateShare.annotated()},
-			{Name: "public_share", Value: e.PublicShare.annotated()},
-		},
-	}
-	scalars := measure.Artifact{
-		Name:  "ensemble_scalars",
-		Title: "headline scalars",
-		Scalars: []measure.Scalar{
-			{Name: "bundles_per_block", Value: e.BundlesPerBlock.annotated()},
-			{Name: "negative_share", Value: e.NegativeShare.annotated()},
-			{Name: "top2_share", Value: e.Top2Share.annotated()},
-		},
-	}
-	return []measure.Artifact{
-		table1,
-		monthly("ensemble_fig3", "Figure 3: Flashbots block ratio per month", "ratio", e.Fig3Ratio),
-		monthly("ensemble_fig4", "Figure 4: estimated Flashbots hashrate per month", "hashrate", e.Fig4Hashrate),
-		fig9,
-		scalars,
-	}
 }
 
 // Format renders the ensemble summary as text, in paper order.
@@ -324,48 +137,48 @@ func (e *Ensemble) Format() string {
 	return b.String()
 }
 
-// WriteSummary writes the ensemble report to w — a walk over the
-// ensemble's artifact model, like the single-run text renderer.
+// WriteSummary writes the ensemble's headline sections to w — Table 1,
+// the Figure 3 and 4 monthly series, the Figure 9 channel shares and the
+// headline scalars — each read off the merged artifacts.
 func (e *Ensemble) WriteSummary(w io.Writer) {
-	arts := map[string]measure.Artifact{}
-	for _, a := range e.Artifacts() {
-		arts[a.Name] = a
+	merged := func(name string) measure.Artifact {
+		a, _ := e.Artifact(name)
+		return a
 	}
 	cell := func(v measure.Value) string { return fmt.Sprintf("%.2f ± %.2f", v.Float, v.Std) }
 
 	fmt.Fprintf(w, "=== Ensemble: scenario %q over %d seeds %v ===\n\n", e.Scenario, len(e.Seeds), e.Seeds)
 
-	t1 := arts["ensemble_table1"]
-	fmt.Fprintf(w, "--- %s ---\n", t1.Title)
+	fmt.Fprintln(w, "--- Table 1 (mean ± stddev per cell) ---")
 	fmt.Fprintf(w, "%-12s %18s %18s %18s %14s\n", "MEV Strategy", "Extractions", "Via Flashbots", "Via Flash Loans", "Via Both")
-	for _, row := range t1.Rows {
+	for _, row := range merged("table1").Rows {
 		fmt.Fprintf(w, "%-12s %18s %18s %18s %14s\n",
 			row[0].Str, cell(row[1]), cell(row[2]), cell(row[3]), cell(row[4]))
 	}
 	fmt.Fprintln(w)
 
-	for _, name := range []string{"ensemble_fig3", "ensemble_fig4"} {
-		a := arts[name]
+	for _, series := range []struct{ name, column string }{{"fig3", "ratio"}, {"fig4", "flashbots_hashrate"}} {
+		a := merged(series.name)
+		col := a.Column(series.column)
 		fmt.Fprintf(w, "--- %s ---\n", a.Title)
 		for _, row := range a.Rows {
-			fmt.Fprintf(w, "%8s  %6.1f%% ± %4.1f%%\n", row[0].Month, 100*row[1].Float, 100*row[1].Std)
+			fmt.Fprintf(w, "%8s  %6.1f%% ± %4.1f%%\n", row[0].Month, 100*row[col].Float, 100*row[col].Std)
 		}
 		fmt.Fprintln(w)
 	}
 
-	if f9 := arts["ensemble_fig9"]; f9.Scalar("runs").Int > 0 {
-		fb, priv, pub := f9.Scalar("flashbots_share"), f9.Scalar("private_share"), f9.Scalar("public_share")
+	if f9 := merged("fig9"); len(f9.Rows) > 0 {
+		share, seeds := f9.Column("share"), f9.Column("seeds")
+		fb, priv, pub := f9.Rows[0][share], f9.Rows[1][share], f9.Rows[2][share]
 		fmt.Fprintf(w, "--- Figure 9: window sandwich channels (%d/%d runs) ---\n",
-			f9.Scalar("runs").Int, f9.Scalar("seeds").Int)
+			f9.Rows[0][seeds].Int, len(e.Seeds))
 		fmt.Fprintf(w, "via Flashbots %5.1f%% ± %4.1f%% | private %5.1f%% ± %4.1f%% | public %5.1f%% ± %4.1f%%\n\n",
 			100*fb.Float, 100*fb.Std, 100*priv.Float, 100*priv.Std, 100*pub.Float, 100*pub.Std)
 	}
 
-	sc := arts["ensemble_scalars"]
-	fmt.Fprintf(w, "--- %s ---\n", sc.Title)
-	fmt.Fprintf(w, "bundles/block:            %s\n", cell(sc.Scalar("bundles_per_block")))
-	fmt.Fprintf(w, "unprofitable FB share:    %.2f%% ± %.2f%%\n",
-		100*sc.Scalar("negative_share").Float, 100*sc.Scalar("negative_share").Std)
-	fmt.Fprintf(w, "top-2 miner share:        %.1f%% ± %.1f%%\n",
-		100*sc.Scalar("top2_share").Float, 100*sc.Scalar("top2_share").Std)
+	neg, top2 := merged("negatives").Scalar("share"), merged("concentration").Scalar("top2_share")
+	fmt.Fprintln(w, "--- headline scalars ---")
+	fmt.Fprintf(w, "bundles/block:            %s\n", cell(merged("bundles").Scalar("bundles_per_block_mean")))
+	fmt.Fprintf(w, "unprofitable FB share:    %.2f%% ± %.2f%%\n", 100*neg.Float, 100*neg.Std)
+	fmt.Fprintf(w, "top-2 miner share:        %.1f%% ± %.1f%%\n", 100*top2.Float, 100*top2.Std)
 }

@@ -37,5 +37,12 @@ func main() {
 	noFB.WriteSummary(os.Stdout)
 
 	fmt.Printf("\nFlashbots extractions: baseline %s vs no-flashbots %s\n",
-		ens.Table1[3].ViaFlashbots, noFB.Table1[3].ViaFlashbots)
+		totalViaFlashbots(ens), totalViaFlashbots(noFB))
+}
+
+// totalViaFlashbots reads the merged Table 1 total row's Flashbots cell.
+func totalViaFlashbots(e *mevscope.Ensemble) string {
+	t1, _ := e.Artifact("table1")
+	v := t1.Rows[len(t1.Rows)-1][t1.Column("via_flashbots")]
+	return fmt.Sprintf("%.2f ± %.2f", v.Float, v.Std)
 }

@@ -434,8 +434,3 @@ func ScanParallelSpan(c *chain.Chain, weth types.Address, from, to uint64, worke
 func ScanAll(c *chain.Chain, weth types.Address) *Result {
 	return Scan(c, weth, c.Timeline.StartBlock, c.Timeline.EndBlock())
 }
-
-// ScanAllParallel sweeps the whole chain across a worker pool.
-func ScanAllParallel(c *chain.Chain, weth types.Address, workers int) *Result {
-	return ScanParallel(c, weth, c.Timeline.StartBlock, c.Timeline.EndBlock(), workers)
-}

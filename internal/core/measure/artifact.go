@@ -76,21 +76,12 @@ func str(s string) Value         { return Value{Kind: KindString, Str: s} }
 func cint(n int) Value           { return Value{Kind: KindInt, Int: int64(n)} }
 func cfloat(x float64) Value     { return Value{Kind: KindFloat, Float: x} }
 func cmonth(m types.Month) Value { return Value{Kind: KindMonth, Month: m} }
+
+// MeanStd builds an ensemble-annotated cell: the mean over runs, with
+// their standard deviation.
 func MeanStd(mean, sd float64) Value {
 	return Value{Kind: KindFloat, Float: mean, Std: sd, HasStd: true}
 }
-
-// Str builds a string cell.
-func Str(s string) Value { return str(s) }
-
-// Int builds an integer cell.
-func Int(n int) Value { return cint(n) }
-
-// Float builds a float cell.
-func Float(x float64) Value { return cfloat(x) }
-
-// MonthCell builds a month cell.
-func MonthCell(m types.Month) Value { return cmonth(m) }
 
 // Text renders the cell the way the CSV exporters always have: integers
 // verbatim, floats with six decimals, months as axis labels.

@@ -1,55 +1,18 @@
 package measure
 
-// CSV exporters: every figure's underlying series in a plottable form, so
-// downstream users can regenerate the paper's plots with any tool. The
-// per-figure methods and WriteCSVDir are thin lookups into the structured
-// artifact model — one generic encoder (Artifact.WriteCSV) replaces the
-// hand-maintained per-figure writers, so the CSV output cannot drift from
-// the JSON and text encodings of the same artifact.
+// CSV export: every figure's underlying series in a plottable form, so
+// downstream users can regenerate the paper's plots with any tool.
+// WriteCSVDir walks the structured artifact model and encodes each
+// artifact with the one generic encoder (Artifact.WriteCSV); a single
+// figure is Report.Artifact(name) followed by WriteCSV. The CSV output
+// therefore cannot drift from the JSON and text encodings of the same
+// artifact.
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
-
-// artifactCSV encodes one named artifact as CSV.
-func (r *Report) artifactCSV(w io.Writer, name string) error {
-	a, ok := r.Artifact(name)
-	if !ok {
-		return fmt.Errorf("measure: no artifact %q", name)
-	}
-	return a.WriteCSV(w)
-}
-
-// Fig3CSV writes the monthly block-ratio series.
-func (r *Report) Fig3CSV(w io.Writer) error { return r.artifactCSV(w, "fig3") }
-
-// Fig4CSV writes the monthly hashrate estimate.
-func (r *Report) Fig4CSV(w io.Writer) error { return r.artifactCSV(w, "fig4") }
-
-// Fig5CSV writes the miners-with-n-blocks distribution.
-func (r *Report) Fig5CSV(w io.Writer) error { return r.artifactCSV(w, "fig5") }
-
-// Fig6CSV writes the sandwich/gas-price series.
-func (r *Report) Fig6CSV(w io.Writer) error { return r.artifactCSV(w, "fig6") }
-
-// Fig7CSV writes the per-type searcher and transaction series.
-func (r *Report) Fig7CSV(w io.Writer) error { return r.artifactCSV(w, "fig7") }
-
-// Fig8CSV writes the four profit-distribution summaries.
-func (r *Report) Fig8CSV(w io.Writer) error { return r.artifactCSV(w, "fig8") }
-
-// Fig9CSV writes the private/public split; a header-only file when no
-// observation window existed.
-func (r *Report) Fig9CSV(w io.Writer) error { return r.artifactCSV(w, "fig9") }
-
-// Table1CSV writes the MEV dataset overview.
-func (r *Report) Table1CSV(w io.Writer) error { return r.artifactCSV(w, "table1") }
-
-// BundlesCSV writes the §4.1 bundle-type counts.
-func (r *Report) BundlesCSV(w io.Writer) error { return r.artifactCSV(w, "bundles") }
 
 // WriteCSVDir writes every artifact of the model as <dir>/<name>.csv —
 // tabular artifacts with their column schema as header, scalar-only
@@ -58,14 +21,14 @@ func (r *Report) WriteCSVDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, name := range ArtifactNames() {
-		f, err := os.Create(filepath.Join(dir, name+".csv"))
+	for _, a := range r.Artifacts() {
+		f, err := os.Create(filepath.Join(dir, a.Name+".csv"))
 		if err != nil {
 			return err
 		}
-		if err := r.artifactCSV(f, name); err != nil {
+		if err := a.WriteCSV(f); err != nil {
 			_ = f.Close() // encode error wins; the file is junk either way
-			return fmt.Errorf("measure: write %s.csv: %w", name, err)
+			return fmt.Errorf("measure: write %s.csv: %w", a.Name, err)
 		}
 		if err := f.Close(); err != nil {
 			return err

@@ -3,7 +3,7 @@ package measure
 import (
 	"bytes"
 	"encoding/csv"
-	"io"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,22 +41,21 @@ func TestCSVExportersShapes(t *testing.T) {
 	r := sampleReport()
 	cases := []struct {
 		name   string
-		fn     func(*Report) (string, error)
 		header string
 		lines  int
 	}{
-		{"table1", render((*Report).Table1CSV), "strategy,", 5},
-		{"fig3", render((*Report).Fig3CSV), "month,flashbots_blocks", 2},
-		{"fig4", render((*Report).Fig4CSV), "month,flashbots_hashrate", 2},
-		{"fig5", render((*Report).Fig5CSV), "month,ge_1,ge_2", 2},
-		{"fig6", render((*Report).Fig6CSV), "month,flashbots_sandwiches", 2},
-		{"fig7", render((*Report).Fig7CSV), "month,sandwiches_searchers", 2},
-		{"fig8", render((*Report).Fig8CSV), "subpopulation,", 5},
-		{"fig9", render((*Report).Fig9CSV), "channel,sandwiches,share", 4},
-		{"bundles", render((*Report).BundlesCSV), "bundle_type,count", 4},
+		{"table1", "strategy,", 5},
+		{"fig3", "month,flashbots_blocks", 2},
+		{"fig4", "month,flashbots_hashrate", 2},
+		{"fig5", "month,ge_1,ge_2", 2},
+		{"fig6", "month,flashbots_sandwiches", 2},
+		{"fig7", "month,sandwiches_searchers", 2},
+		{"fig8", "subpopulation,", 5},
+		{"fig9", "channel,sandwiches,share", 4},
+		{"bundles", "bundle_type,count", 4},
 	}
 	for _, c := range cases {
-		out, err := c.fn(r)
+		out, err := artifactCSV(r, c.name)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -69,24 +68,25 @@ func TestCSVExportersShapes(t *testing.T) {
 	}
 }
 
-func render(fn func(*Report, io.Writer) error) func(*Report) (string, error) {
-	return func(r *Report) (string, error) {
-		var buf bytes.Buffer
-		if err := fn(r, &buf); err != nil {
-			return "", err
-		}
-		return buf.String(), nil
+// artifactCSV renders the named artifact of r as CSV.
+func artifactCSV(r *Report, name string) (string, error) {
+	a, ok := r.Artifact(name)
+	if !ok {
+		return "", fmt.Errorf("no artifact %q", name)
 	}
+	var buf bytes.Buffer
+	err := a.WriteCSV(&buf)
+	return buf.String(), err
 }
 
 func TestFig9CSVWithoutWindow(t *testing.T) {
 	r := sampleReport()
 	r.Fig9 = nil
-	var buf bytes.Buffer
-	if err := r.Fig9CSV(&buf); err != nil {
+	out, err := artifactCSV(r, "fig9")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimSpace(buf.String()); got != "channel,sandwiches,share" {
+	if got := strings.TrimSpace(out); got != "channel,sandwiches,share" {
 		t.Errorf("header-only expected, got %q", got)
 	}
 }

@@ -304,14 +304,6 @@ func (o *Observer) observe(tx *types.Transaction, origin int, block uint64, at t
 	return true
 }
 
-// RestoreObserver rebuilds a node-0 observer from persisted records and
-// window bounds — how internal/archive resurrects the pending-transaction
-// capture so a re-analysis classifies private transactions exactly like
-// the original run.
-func RestoreObserver(records []ObservedTx, start, stop uint64) *Observer {
-	return RestoreVantage(0, records, start, stop)
-}
-
 // RestoreVantage rebuilds one vantage of the observation network from
 // its persisted record log, window bounds and node position. Restored
 // vantages never record; they only answer Seen/Record queries.

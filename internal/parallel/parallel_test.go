@@ -146,10 +146,14 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 func BenchmarkMapDisabledTracer(b *testing.B) {
 	fn := func(i int) int { return i * i }
 	b.ReportAllocs()
-	for b.Loop() {
-		MapSpan(nil, 256, 1, fn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapSink = MapSpan(nil, 256, 1, fn)
 	}
 }
+
+// mapSink keeps the benchmarked MapSpan calls from being optimized away.
+var mapSink []int
 
 // BenchmarkMapTraced measures the enabled path at one worker: the only
 // addition over the disabled path is two clock reads and one atomic add
@@ -159,7 +163,8 @@ func BenchmarkMapTraced(b *testing.B) {
 	sp := tr.Root().Child("stage")
 	fn := func(i int) int { return i * i }
 	b.ReportAllocs()
-	for b.Loop() {
-		MapSpan(sp, 256, 1, fn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapSink = MapSpan(sp, 256, 1, fn)
 	}
 }

@@ -26,8 +26,8 @@
 //
 // Beyond the single replay, named scenarios (internal/scenario) rewrite
 // the world — no-flashbots, hashpower-skew, high-private, post-london —
-// and RunEnsemble sweeps many seeds per scenario, merging the reports
-// with mean/stddev per table cell:
+// and RunEnsemble sweeps many seeds per scenario, merging every cell of
+// every artifact into a mean and standard deviation over the seeds:
 //
 //	ens, err := mevscope.RunEnsemble([]int64{1, 2, 3, 4, 5}, "no-flashbots", 4)
 //	if err != nil { ... }
@@ -45,8 +45,10 @@
 // scalar summary stats). The text renderer behind WriteReportTo, the CSV
 // and JSON encoders, and the `mevscope serve` HTTP API (internal/query)
 // all walk that one model, so every output format is an encoding of the
-// same value; ensemble reports expose the same model with mean±stddev
-// annotations per cell (Ensemble.Artifacts).
+// same value. Ensembles expose the same model: Ensemble.Artifact and
+// Ensemble.Artifacts merge each artifact across the seeds' reports
+// (measure.MergeArtifacts), with mean±stddev cells and a seeds column
+// counting the runs behind each row.
 package mevscope
 
 import (

@@ -2,8 +2,10 @@ package mevscope
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
+	"mevscope/internal/core/measure"
 	"mevscope/internal/sim"
 )
 
@@ -122,28 +124,48 @@ func TestRunEnsembleStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ens.Table1) != 4 {
-		t.Fatalf("Table1 rows = %d, want 4 (three strategies + total)", len(ens.Table1))
+	t1, _ := ens.Artifact("table1")
+	if len(t1.Rows) != 4 {
+		t.Fatalf("Table1 rows = %d, want 4 (three strategies + total)", len(t1.Rows))
 	}
-	total := ens.Table1[3]
-	if total.Strategy != "Total" {
-		t.Errorf("last row = %q", total.Strategy)
+	total := t1.Rows[3]
+	if total[0].Str != "Total" {
+		t.Errorf("last row = %q", total[0].Str)
 	}
-	if total.Extractions.N != 2 {
-		t.Errorf("cell N = %d, want 2", total.Extractions.N)
+	if n := total[t1.Column("seeds")].Int; n != 2 {
+		t.Errorf("row seeds = %d, want 2", n)
 	}
-	if total.Extractions.Mean <= 0 {
+	ex := total[t1.Column("extractions")]
+	if ex.Float <= 0 {
 		t.Error("no extractions measured")
 	}
-	if total.Extractions.Mean < total.Extractions.Min || total.Extractions.Mean > total.Extractions.Max {
-		t.Error("mean outside min/max")
+	lo, hi := ensembleRange(ens, func(r *measure.Report) int { return r.Table1.Total.Extractions })
+	if ex.Float < lo || ex.Float > hi {
+		t.Errorf("mean %v outside per-seed range [%v, %v]", ex.Float, lo, hi)
 	}
-	if len(ens.Fig3Ratio) == 0 || len(ens.Fig4Hashrate) == 0 {
+	fig3, _ := ens.Artifact("fig3")
+	fig4, _ := ens.Artifact("fig4")
+	if len(fig3.Rows) == 0 || len(fig4.Rows) == 0 {
 		t.Error("monthly series missing")
 	}
-	if ens.Fig9Runs != 2 {
-		t.Errorf("Fig9 runs = %d, want 2 (observer live at this scale)", ens.Fig9Runs)
+	fig9, _ := ens.Artifact("fig9")
+	if len(fig9.Rows) == 0 || fig9.Rows[0][fig9.Column("seeds")].Int != 2 {
+		t.Errorf("Fig9 rows = %v, want 2 runs each (observer live at this scale)", fig9.Rows)
 	}
+}
+
+// ensembleRange is the per-seed minimum and maximum of one report cell.
+func ensembleRange(ens *Ensemble, cell func(*measure.Report) int) (lo, hi float64) {
+	for i, r := range ens.Reports {
+		x := float64(cell(r))
+		if i == 0 || x < lo {
+			lo = x
+		}
+		if i == 0 || x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
 }
 
 // TestRunEnsembleScenario runs the no-Flashbots ablation ensemble and
@@ -156,11 +178,13 @@ func TestRunEnsembleScenario(t *testing.T) {
 	if ens.Scenario != "no-flashbots" {
 		t.Errorf("scenario = %q", ens.Scenario)
 	}
-	total := ens.Table1[3]
-	if total.ViaFlashbots.Mean != 0 || total.ViaFlashbots.Max != 0 {
-		t.Errorf("no-flashbots world still shows Flashbots extractions: %+v", total.ViaFlashbots)
+	t1, _ := ens.Artifact("table1")
+	total := t1.Rows[len(t1.Rows)-1]
+	fb := total[t1.Column("via_flashbots")]
+	if _, hi := ensembleRange(ens, func(r *measure.Report) int { return r.Table1.Total.ViaFlashbots }); fb.Float != 0 || hi != 0 {
+		t.Errorf("no-flashbots world still shows Flashbots extractions: %+v (per-seed max %v)", fb, hi)
 	}
-	if total.Extractions.Mean == 0 {
+	if total[t1.Column("extractions")].Float == 0 {
 		t.Error("MEV should persist in the public auction")
 	}
 }
@@ -171,5 +195,8 @@ func TestRunEnsembleRejectsBadInput(t *testing.T) {
 	}
 	if _, err := RunEnsemble([]int64{1}, "not-a-scenario", 1); err == nil {
 		t.Error("unknown scenario should error")
+	}
+	if _, err := RunEnsemble([]int64{1, 1}, "baseline", 1); err == nil || !strings.Contains(err.Error(), "seed 1") {
+		t.Errorf("duplicate seed should error naming it, got %v", err)
 	}
 }

@@ -92,7 +92,7 @@ func TestArtifactFormatsConsistent(t *testing.T) {
 		t.Fatal("fig3 artifact missing")
 	}
 	var csvBuf bytes.Buffer
-	if err := st.Report.Fig3CSV(&csvBuf); err != nil {
+	if err := a.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(strings.TrimSpace(csvBuf.String()), "\n")
