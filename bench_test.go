@@ -398,3 +398,31 @@ func ablationAvgGas(b *testing.B, seed int64, disable bool) float64 {
 	}
 	return sum / float64(n)
 }
+
+var (
+	mergeBenchOnce   sync.Once
+	mergeBenchParts  []*measure.Partial
+	mergeBenchReport *measure.Report
+)
+
+// BenchmarkMergePartials measures one full-window merge of warm month
+// partials — the work a report-cache miss over cached months does — on
+// the serving benchmark's world: seed 1, 100 blocks per month, 4
+// vantages. Run it with -benchmem.
+func BenchmarkMergePartials(b *testing.B) {
+	mergeBenchOnce.Do(func() {
+		mergeBenchParts = archivedPartials(b, Options{Seed: 1, BlocksPerMonth: 100, Vantages: 4})
+	})
+	if len(mergeBenchParts) == 0 {
+		b.Fatal("merge bench world failed to build")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := measure.MergePartials(mergeBenchParts, "", 1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mergeBenchReport = rep
+	}
+}

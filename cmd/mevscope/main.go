@@ -64,8 +64,10 @@
 // Scenarios: baseline, no-flashbots, hashpower-skew, high-private,
 // post-london, single-vantage, multi-vantage-union, degraded-observer.
 // With -seeds, one study runs per seed under the scenario and the merged
-// report carries mean ± stddev per table cell. An unknown scenario name
-// is rejected up front with the valid names listed.
+// report carries mean ± stddev per table cell; a repeated seed, a
+// -section other than all and a -csv directory are usage errors. An
+// unknown scenario name is rejected up front with the valid names
+// listed.
 package main
 
 import (
@@ -196,6 +198,15 @@ func runStudy(args []string) {
 	if err != nil {
 		fail(2, err)
 	}
+	var seedList []int64
+	if *seeds != "" {
+		if seedList, err = parseSeeds(*seeds); err != nil {
+			fail(2, err)
+		}
+		if err := checkEnsemble(sec, *csvDir); err != nil {
+			fail(2, err)
+		}
+	}
 	rec := newTracer("study", *traceFile, *progress)
 
 	opts := mevscope.Options{
@@ -210,8 +221,8 @@ func runStudy(args []string) {
 		fail(2, err)
 	}
 
-	if *seeds != "" {
-		runEnsemble(opts, *seeds, *parallelism, *quiet)
+	if seedList != nil {
+		runEnsemble(opts, seedList, *parallelism, *quiet)
 		rec.finish()
 		return
 	}
@@ -646,13 +657,23 @@ func pick(v, def int) int {
 	return def
 }
 
-// runEnsemble parses the seed list, fans the runs out and prints the
-// merged mean ± stddev report.
-func runEnsemble(base mevscope.Options, seedList string, parallelism int, quiet bool) {
-	seeds, err := parseSeeds(seedList)
-	if err != nil {
-		fail(2, err)
+// checkEnsemble refuses the study flags -seeds cannot honour: an
+// ensemble prints only its mean ± stddev summary (Table 1, Figures 3, 4
+// and 9, the headline scalars) to stdout, so a single -section or a -csv
+// directory would be silently dropped.
+func checkEnsemble(section, csvDir string) error {
+	if section != "all" {
+		return fmt.Errorf("-seeds prints the ensemble's mean ± stddev summary (Table 1, Figures 3, 4 and 9, headline scalars); it cannot print -section %s", section)
 	}
+	if csvDir != "" {
+		return fmt.Errorf("-seeds prints the ensemble's mean ± stddev summary to stdout; it writes no -csv directory")
+	}
+	return nil
+}
+
+// runEnsemble fans the runs out and prints the merged mean ± stddev
+// report.
+func runEnsemble(base mevscope.Options, seeds []int64, parallelism int, quiet bool) {
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "mevscope: ensemble of %d seeds under scenario %s at %d blocks/month...\n",
 			len(seeds), base.Scenario, base.BlocksPerMonth)
@@ -670,10 +691,11 @@ func runEnsemble(base mevscope.Options, seedList string, parallelism int, quiet 
 	rsp.End()
 }
 
-// parseSeeds parses a comma-separated int64 list.
+// parseSeeds parses a comma-separated int64 list of distinct seeds.
 func parseSeeds(s string) ([]int64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int64, 0, len(parts))
+	seen := make(map[int64]bool, len(parts))
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -683,6 +705,10 @@ func parseSeeds(s string) ([]int64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad seed %q in -seeds", p)
 		}
+		if seen[v] {
+			return nil, fmt.Errorf("seed %d listed twice in -seeds", v)
+		}
+		seen[v] = true
 		out = append(out, v)
 	}
 	if len(out) == 0 {

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,6 +77,90 @@ func TestCheckSection(t *testing.T) {
 				t.Errorf("error for %q does not list valid section %q: %v", bad, name, err)
 			}
 		}
+	}
+}
+
+// TestCheckEnsemble: -seeds prints only its mean ± stddev summary, so
+// every section but "all" and any -csv directory are usage errors naming
+// what -seeds prints.
+func TestCheckEnsemble(t *testing.T) {
+	if err := checkEnsemble("all", ""); err != nil {
+		t.Errorf("checkEnsemble(all, no csv) = %v, want nil", err)
+	}
+	for _, tc := range []struct{ section, csv string }{
+		{"fig9", ""},
+		{"table1", ""},
+		{"private_links", ""},
+		{"all", "out"},
+		{"fig3", "out"},
+	} {
+		err := checkEnsemble(tc.section, tc.csv)
+		if err == nil {
+			t.Errorf("-seeds with -section %s -csv %q accepted; want rejection", tc.section, tc.csv)
+			continue
+		}
+		if !strings.Contains(err.Error(), "-seeds prints the ensemble's mean ± stddev summary") {
+			t.Errorf("-section %s -csv %q: error does not say what -seeds prints: %v", tc.section, tc.csv, err)
+		}
+	}
+}
+
+// TestParseSeeds: a seed list parses in order; a repeated seed is an
+// error naming it, like any other malformed list.
+func TestParseSeeds(t *testing.T) {
+	got, err := parseSeeds(" 3, 1,,7 ")
+	if err != nil || fmt.Sprint(got) != "[3 1 7]" {
+		t.Errorf("parseSeeds(\" 3, 1,,7 \") = (%v, %v), want ([3 1 7], nil)", got, err)
+	}
+	for in, want := range map[string]string{
+		"1,1":   "seed 1 listed twice in -seeds",
+		"4,2,4": "seed 4 listed twice in -seeds",
+		"1,x":   `bad seed "x" in -seeds`,
+		" , ":   "-seeds given but no seeds parsed",
+	} {
+		if _, err := parseSeeds(in); err == nil || err.Error() != want {
+			t.Errorf("parseSeeds(%q) error = %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestSeedsUsageExits2: the command refuses a repeated seed, a single
+// -section and a -csv directory under -seeds before any run: it exits 2
+// with one "mevscope:" prefix, prints nothing on stdout and creates no
+// CSV directory. The test re-runs its own binary as the command, passing
+// the command line after "--".
+func TestSeedsUsageExits2(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "mevscope" {
+		runStudy(args[1:])
+		t.Fatal("runStudy returned instead of exiting with a usage error")
+	}
+	csv := filepath.Join(t.TempDir(), "csv")
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-seeds", "1,1", "-bpm", "10"}, "mevscope: seed 1 listed twice in -seeds\n"},
+		{[]string{"-seeds", "1,2", "-bpm", "10", "-months", "3", "-section", "fig9"},
+			"mevscope: -seeds prints the ensemble's mean ± stddev summary (Table 1, Figures 3, 4 and 9, headline scalars); it cannot print -section fig9\n"},
+		{[]string{"-seeds", "1,2", "-bpm", "10", "-months", "3", "-csv", csv},
+			"mevscope: -seeds prints the ensemble's mean ± stddev summary to stdout; it writes no -csv directory\n"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestSeedsUsageExits2$", "--", "mevscope"}, tc.args...)...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("mevscope %s: exit %v, want status 2 (stderr %q)", strings.Join(tc.args, " "), err, stderr.String())
+			continue
+		}
+		if stderr.String() != tc.msg || stdout.Len() != 0 {
+			t.Errorf("mevscope %s: stderr %q, stdout %q; want stderr %q and no stdout",
+				strings.Join(tc.args, " "), stderr.String(), stdout.String(), tc.msg)
+		}
+	}
+	if _, err := os.Stat(csv); !os.IsNotExist(err) {
+		t.Errorf("-seeds with -csv created %s (stat: %v)", csv, err)
 	}
 }
 

@@ -247,8 +247,10 @@ func ReadManifest(dir string) (*Manifest, error) {
 type ChunkCache interface {
 	// GetChunk returns the cached decode of (dir, month, column).
 	GetChunk(dir string, m types.Month, col string) (any, bool)
-	// AddChunk caches a freshly decoded column chunk; bytes is its
-	// on-disk size.
+	// AddChunk caches a freshly decoded column chunk; bytes is the heap
+	// the decode retains — every array it holds at its element size times
+	// its capacity, plus an eighth for allocator size-class rounding — not
+	// its on-disk size, which is several times smaller.
 	AddChunk(dir string, m types.Month, col string, v any, bytes int64)
 }
 

@@ -211,7 +211,7 @@ func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *o
 			if v > 0 {
 				name = fmt.Sprintf("%s_v%d", ColObserved, v)
 			}
-			ov, err := cl.load(name, func(ci ColumnInfo) (any, error) { return decodeObservedCol(dir, ci, name) })
+			ov, err := cl.load(name, func(ci ColumnInfo) (chunkData, error) { return decodeObservedCol(dir, ci, name) })
 			if err != nil {
 				return result{err: err}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"time"
+	"unsafe"
 
 	"mevscope/internal/dataset"
 	"mevscope/internal/events"
@@ -591,12 +592,81 @@ type colTxsData struct{ txs []*types.Transaction }
 type colReceiptsData struct{ rcpts []types.Receipt }
 
 // colLogsData holds each receipt's logs as a capped window into one
-// slab, their topics and data cut from the chunk's events.Arena.
-type colLogsData struct{ logs [][]types.Log }
+// slab, their topics and data cut from the chunk's events.Arena, whose
+// arrays total arenaBytes.
+type colLogsData struct {
+	logs       [][]types.Log
+	arenaBytes int64
+}
 
 type colFBData struct{ recs []flashbots.BlockRecord }
 
 type colObsData struct{ recs []p2p.ObservedTx }
+
+// chunkData is a decoded column chunk, one of the shapes above.
+// heapBytes is every array the chunk retains at its element size times
+// its capacity, each shared slab counted once; a ChunkCache accounts the
+// chunk at that plus an eighth for allocator size-class rounding, as
+// Partial.SizeBytes counts a month partial.
+type chunkData interface{ heapBytes() int64 }
+
+// arrayBytes is the size of the array backing s.
+func arrayBytes[T any](s []T) int64 {
+	var zero T
+	return int64(unsafe.Sizeof(zero)) * int64(cap(s))
+}
+
+func (d *colHeadersData) heapBytes() int64 {
+	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.numbers) + arrayBytes(d.parents) +
+		arrayBytes(d.times) + arrayBytes(d.miners) + arrayBytes(d.baseFees) +
+		arrayBytes(d.gasLimits) + arrayBytes(d.gasUseds) + arrayBytes(d.txCounts)
+}
+
+// heapBytes counts the transactions' one slab through txs, whose every
+// pointer addresses one slab element.
+func (d *colTxsData) heapBytes() int64 {
+	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.txs) + int64(len(d.txs))*int64(unsafe.Sizeof(types.Transaction{}))
+	for _, tx := range d.txs {
+		n += payloadBytes(&tx.Payload)
+	}
+	return n
+}
+
+// payloadBytes is the heap a payload's hops, payouts and inner payloads
+// hold.
+func payloadBytes(p *types.Payload) int64 {
+	n := arrayBytes(p.Hops) + arrayBytes(p.Payouts)
+	if p.Inner != nil {
+		n += int64(unsafe.Sizeof(*p.Inner)) + payloadBytes(p.Inner)
+	}
+	return n
+}
+
+func (d *colReceiptsData) heapBytes() int64 {
+	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.rcpts)
+}
+
+// heapBytes counts the log slab through the receipts' capped windows,
+// which partition it.
+func (d *colLogsData) heapBytes() int64 {
+	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.logs) + d.arenaBytes
+	for _, ls := range d.logs {
+		n += arrayBytes(ls)
+	}
+	return n
+}
+
+func (d *colFBData) heapBytes() int64 {
+	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.recs)
+	for i := range d.recs {
+		n += arrayBytes(d.recs[i].Txs)
+	}
+	return n
+}
+
+func (d *colObsData) heapBytes() int64 {
+	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.recs)
+}
 
 // zoneError reports a chunk whose decoded payload disagrees with the
 // manifest's zone map — the zone maps steer chunk skipping, so a drifted
@@ -865,7 +935,7 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", ci.File.Name, err)
 	}
-	return &colLogsData{logs: logs}, nil
+	return &colLogsData{logs: logs, arenaBytes: r.arena.Bytes()}, nil
 }
 
 func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
@@ -1023,7 +1093,7 @@ func (cl *chunkLoader) end() { cl.dsp.End() }
 
 // load returns the decoded chunk for a column, consulting the chunk
 // cache first. dec decodes a verified chunk file on a miss.
-func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any, error) {
+func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (chunkData, error)) (any, error) {
 	if cl.opt.Cache != nil {
 		if v, ok := cl.opt.Cache.GetChunk(cl.dir, cl.si.Month, name); ok {
 			return v, nil
@@ -1046,7 +1116,8 @@ func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (any, error)) (any
 		return nil, err
 	}
 	if cl.opt.Cache != nil {
-		cl.opt.Cache.AddChunk(cl.dir, cl.si.Month, name, v, ci.File.Bytes)
+		n := v.heapBytes()
+		cl.opt.Cache.AddChunk(cl.dir, cl.si.Month, name, v, n+n/8)
 	}
 	return v, nil
 }
@@ -1062,22 +1133,22 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
 	defer cl.end()
 
-	hv, err := cl.load(ColHeaders, func(ci ColumnInfo) (any, error) { return decodeHeadersCol(dir, ci) })
+	hv, err := cl.load(ColHeaders, func(ci ColumnInfo) (chunkData, error) { return decodeHeadersCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}
 	hd := hv.(*colHeadersData)
-	tv, err := cl.load(ColTxs, func(ci ColumnInfo) (any, error) { return decodeTxsCol(dir, ci) })
+	tv, err := cl.load(ColTxs, func(ci ColumnInfo) (chunkData, error) { return decodeTxsCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}
 	txs := tv.(*colTxsData)
-	rv, err := cl.load(ColReceipts, func(ci ColumnInfo) (any, error) { return decodeReceiptsCol(dir, ci) })
+	rv, err := cl.load(ColReceipts, func(ci ColumnInfo) (chunkData, error) { return decodeReceiptsCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}
 	rcpts := rv.(*colReceiptsData)
-	lv, err := cl.load(ColLogs, func(ci ColumnInfo) (any, error) { return decodeLogsCol(dir, ci) })
+	lv, err := cl.load(ColLogs, func(ci ColumnInfo) (chunkData, error) { return decodeLogsCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}
@@ -1088,7 +1159,7 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 		return nil, fmt.Errorf("archive: segment %s has %d txs, %d receipts and logs for %d receipts, headers say %d",
 			si.Label, len(txs.txs), len(rcpts.rcpts), len(logs.logs), hd.totalTxs)
 	}
-	fv, err := cl.load(ColFlashbots, func(ci ColumnInfo) (any, error) { return decodeFlashbotsCol(dir, ci) })
+	fv, err := cl.load(ColFlashbots, func(ci ColumnInfo) (chunkData, error) { return decodeFlashbotsCol(dir, ci) })
 	if err != nil {
 		return nil, err
 	}

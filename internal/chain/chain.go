@@ -41,14 +41,23 @@ type Chain struct {
 }
 
 // New creates an empty chain over the timeline.
-func New(tl types.Timeline) *Chain {
-	return &Chain{
+func New(tl types.Timeline) *Chain { return NewSized(tl, 0) }
+
+// NewSized creates an empty chain over the timeline presized for n
+// blocks, so appending them grows neither the block list nor the hash
+// index.
+func NewSized(tl types.Timeline, n int) *Chain {
+	c := &Chain{
 		Timeline:       tl,
-		byHash:         make(map[types.Hash]*types.Block),
+		byHash:         make(map[types.Hash]*types.Block, n),
 		txIndex:        make(map[types.Hash]TxLocation),
 		InitialBaseFee: 50 * types.Gwei,
 		GasLimit:       15_000_000,
 	}
+	if n > 0 {
+		c.blocks = make([]*types.Block, 0, n)
+	}
+	return c
 }
 
 // Len is the number of stored blocks.

@@ -26,9 +26,14 @@ import (
 type Inputs struct {
 	Chain    *chain.Chain
 	FBBlocks []flashbots.BlockRecord
-	FBSet    map[types.Hash]flashbots.BundleType
-	Detect   *detect.Result
-	Profits  []profit.Record
+	// FBSet maps transactions the Flashbots records list to their bundle
+	// types. Only the §6 inference reads it, and only for verdict
+	// transactions, so a month-partial merge holds just the verdict
+	// transactions the partials recorded (Partial.FBVerdictTxs); full
+	// builds and the follower hold every Flashbots transaction.
+	FBSet   map[types.Hash]flashbots.BundleType
+	Detect  *detect.Result
+	Profits []profit.Record
 	// Observer was the resolved observation view.
 	//
 	// Deprecated: no builder reads it; Inferrer resolves View over
@@ -195,7 +200,7 @@ func (r Fig3Row) Ratio() float64 {
 // BuildFigure3 computes the monthly Flashbots vs non-Flashbots block
 // proportion.
 func BuildFigure3(in Inputs) []Fig3Row {
-	return figure3(in, accumulate(in, false))
+	return figure3(accumulate(in, false))
 }
 
 // ---------------------------------------------------------------------------
@@ -228,6 +233,11 @@ type Fig5 struct {
 // multiplied by blocksPerMonth/190000 (mainnet months are ≈190k blocks),
 // with a floor of 1.
 func BuildFigure5(in Inputs) Fig5 {
+	return figure5(in, accumulate(in, false))
+}
+
+// figure5 is BuildFigure5 over precomputed aggregates.
+func figure5(in Inputs, acc *Accumulator) Fig5 {
 	paper := []int{1, 10, 100, 1_000, 10_000}
 	factor := float64(in.Chain.Timeline.BlocksPerMonth) / 190_000.0
 	thresholds := make([]int, len(paper))
@@ -252,7 +262,7 @@ func BuildFigure5(in Inputs) Fig5 {
 	}
 	f := Fig5{Thresholds: thresholds}
 	for m := types.Month(0); m < types.StudyMonths; m++ {
-		if len(in.Chain.BlocksInMonth(m)) == 0 {
+		if acc.months[m].blocks == 0 {
 			continue
 		}
 		row := make([]int, len(thresholds))
@@ -332,57 +342,7 @@ type Fig7 struct {
 // month. "other" covers Flashbots transactions not matched by any MEV
 // detector — order-dependent or MEV-protected trades.
 func BuildFigure7(in Inputs) Fig7 {
-	mevTx := map[types.Hash]string{}
-	kindKey := map[profit.Kind]string{
-		profit.KindSandwich:    "sandwiches",
-		profit.KindArbitrage:   "arbitrages",
-		profit.KindLiquidation: "liquidations",
-	}
-	for _, r := range in.Profits {
-		if !r.ViaFlashbots {
-			continue
-		}
-		key := kindKey[r.Kind]
-		for _, h := range r.Txs {
-			mevTx[h] = key
-		}
-	}
-	rows := map[types.Month]*Fig7Row{}
-	searcherSets := map[types.Month]map[string]map[types.Address]bool{}
-	get := func(m types.Month) (*Fig7Row, map[string]map[types.Address]bool) {
-		if rows[m] == nil {
-			rows[m] = &Fig7Row{Month: m, Searchers: map[string]int{}, Txs: map[string]int{}}
-			searcherSets[m] = map[string]map[types.Address]bool{}
-		}
-		return rows[m], searcherSets[m]
-	}
-	for _, rec := range in.FBBlocks {
-		m := in.Chain.Timeline.MonthOfBlock(rec.BlockNumber)
-		row, sets := get(m)
-		for _, tx := range rec.Txs {
-			key, ok := mevTx[tx.Hash]
-			if !ok {
-				key = "other"
-			}
-			row.Txs[key]++
-			if sets[key] == nil {
-				sets[key] = map[types.Address]bool{}
-			}
-			sets[key][tx.EOA] = true
-		}
-	}
-	var f Fig7
-	for m := types.Month(0); m < types.StudyMonths; m++ {
-		row, ok := rows[m]
-		if !ok {
-			continue
-		}
-		for key, set := range searcherSets[m] {
-			row.Searchers[key] = len(set)
-		}
-		f.Rows = append(f.Rows, *row)
-	}
-	return f
+	return figure7(accumulate(in, false))
 }
 
 // ---------------------------------------------------------------------------
@@ -470,43 +430,7 @@ func (s BundleStats) SingleTxShare() float64 {
 
 // BuildBundleStats aggregates the public blocks API dataset.
 func BuildBundleStats(in Inputs) BundleStats {
-	out := BundleStats{ByType: map[string]int{}}
-	var perBlock, perBundle []float64
-	for _, rec := range in.FBBlocks {
-		type bkey struct{ id uint64 }
-		sizes := map[bkey]int{}
-		btype := map[bkey]flashbots.BundleType{}
-		for _, tx := range rec.Txs {
-			k := bkey{tx.BundleID}
-			sizes[k]++
-			btype[k] = tx.BundleType
-		}
-		if len(sizes) == 0 {
-			continue
-		}
-		out.FlashbotsBlocks++
-		perBlock = append(perBlock, float64(len(sizes)))
-		keys := make([]bkey, 0, len(sizes))
-		for k := range sizes {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i].id < keys[j].id })
-		for _, k := range keys {
-			n := sizes[k]
-			out.Bundles++
-			perBundle = append(perBundle, float64(n))
-			if n == 1 {
-				out.SingleTxBundles++
-			}
-			if n > out.MaxBundleTxs {
-				out.MaxBundleTxs = n
-			}
-			out.ByType[btype[k].String()]++
-		}
-	}
-	out.BundlesPerBlock = stats.Summarize(perBlock)
-	out.TxsPerBundle = stats.Summarize(perBundle)
-	return out
+	return bundleStats(accumulate(in, false))
 }
 
 // ---------------------------------------------------------------------------
@@ -604,15 +528,15 @@ var headerCols = []string{"headers", "flashbots"}
 
 var builderSpecs = []builderSpec{
 	{"table1", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Table1 = BuildTable1(in) }},
-	{"fig3", headerCols, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig3 = figure3(in, acc) }},
+	{"fig3", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig3 = figure3(acc) }},
 	{"fig4", headerCols, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig4 = figure4(in, acc) }},
-	{"fig5", headerCols, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig5 = BuildFigure5(in) }},
+	{"fig5", headerCols, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig5 = figure5(in, acc) }},
 	{"fig6", nil, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig6 = figure6(in, acc) }},
-	{"fig7", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig7 = BuildFigure7(in) }},
+	{"fig7", nil, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig7 = figure7(acc) }},
 	{"fig8", nil, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) {
 		r.Fig8 = figure8(in, acc.minerSet)
 	}},
-	{"bundles", headerCols, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Bundles = BuildBundleStats(in) }},
+	{"bundles", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Bundles = bundleStats(acc) }},
 	{"negatives", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) {
 		r.Negatives = BuildNegativeProfits(in)
 	}},

@@ -2,10 +2,14 @@ package measure
 
 // Month partials: the memoization unit of the serving tier's third cache
 // level. A Partial freezes what the report builders read of exactly one
-// study month — scanner extractions, profit records, the accumulator's
-// chain aggregates and the month's observation capture — so a range
-// request can assemble its report by merging the partials of its months
-// instead of re-running detect→profit over blocks it has analyzed before.
+// study month — scanner extractions, profit records, the month's block
+// headers and hashes, its summary (the gas count, sum and median, the
+// Figure 7 counts and the bundle statistics, MonthSummary), the
+// Flashbots membership of its verdict transactions and its observation
+// capture — so a range request can assemble its report by merging the
+// partials of its months instead of re-running detect→profit over
+// blocks it has analyzed before, and the merge only combines what each
+// month already derived.
 //
 // A partial holds no §6 verdict, so one partial per month serves every
 // observation view. Its capture is, for each vantage, that vantage's
@@ -15,13 +19,15 @@ package measure
 // month. A merge restores each vantage from its records across the
 // range, resolves the view over them with dataset.ResolveViewOf, and
 // runs the inferrer and builders a full build runs (Inputs.Inferrer,
-// buildWith).
+// buildWith). A verdict reads Flashbots membership only of the same
+// transactions, so the merge's Inputs.FBSet holds just those.
 //
 // The merge is deterministic and exact: detections concatenate in block
 // order and profit records kind-major, as the full-range pipeline emits
-// them, the accumulator is reconstituted from the frozen per-month
-// aggregates, and two invariants make the restored network agree with
-// the full range's on every lookup a verdict or BuildVantageSensitivity
+// them, the accumulator is reconstituted from the frozen month
+// summaries, the header-level chain keeps the hashes the month's read
+// sealed, and two invariants make the restored network agree with the
+// full range's on every lookup a verdict or BuildVantageSensitivity
 // makes:
 //
 //   - Month stability. A transaction is never observed pending after it
@@ -49,7 +55,6 @@ import (
 	"mevscope/internal/chain"
 	"mevscope/internal/core/detect"
 	"mevscope/internal/core/profit"
-	"mevscope/internal/dataset"
 	"mevscope/internal/flashbots"
 	"mevscope/internal/obs"
 	"mevscope/internal/p2p"
@@ -69,15 +74,22 @@ type Partial struct {
 
 	// Headers are the month's block headers in height order — enough to
 	// rebuild the header-level chain the builders consult (month
-	// boundaries, per-block miners).
+	// boundaries, per-block miners). Hashes holds each block's hash as
+	// the month's read sealed it, one per header, so the rebuilt chain's
+	// blocks carry the hashes of the full restore's.
 	Headers []types.Header `json:"headers"`
-	// GasSum and Gas freeze the month's receipt gas-price aggregate
-	// (the Figure 6 sweep) exactly as the accumulator computed it.
-	GasSum float64   `json:"gas_sum"`
-	Gas    []float64 `json:"gas,omitempty"`
+	Hashes  []types.Hash   `json:"hashes"`
+	// Summary is the month's summary exactly as the accumulator derived
+	// it: the receipt gas count, sum and median (Figure 6), the Figure 7
+	// counts and the bundle statistics.
+	Summary MonthSummary `json:"summary"`
 
 	// FBBlocks are the month's Flashbots public-API records.
 	FBBlocks []flashbots.BlockRecord `json:"fb_blocks,omitempty"`
+	// FBVerdictTxs is the Flashbots membership of the month's verdict
+	// transactions: each one the Flashbots records list, with its bundle
+	// type, in verdict order — all a merge's §6 inference looks up.
+	FBVerdictTxs []FlashbotsTx `json:"fb_verdict_txs,omitempty"`
 
 	// Detector extractions, in block order.
 	Sandwiches   []detect.Sandwich    `json:"sandwiches,omitempty"`
@@ -104,6 +116,13 @@ type Partial struct {
 	// the counts of later months zeroed — with one vantage row per
 	// capture.
 	Coverage p2p.Coverage `json:"coverage"`
+}
+
+// FlashbotsTx is one transaction's Flashbots membership: the bundle type
+// the Flashbots records list it under.
+type FlashbotsTx struct {
+	Hash types.Hash           `json:"hash"`
+	Type flashbots.BundleType `json:"type"`
 }
 
 // Capture is one vantage's share of a month partial: its graph position,
@@ -138,14 +157,15 @@ func NewPartial(in Inputs) (*Partial, error) {
 		Month:    first,
 		Timeline: tl,
 		WETH:     in.WETH,
-		GasSum:   agg.gasSum,
-		Gas:      agg.gas,
+		Summary:  agg.MonthSummary,
 		FBBlocks: in.FBBlocks,
 	}
 	blocks := in.Chain.Blocks()
 	p.Headers = make([]types.Header, len(blocks))
+	p.Hashes = make([]types.Hash, len(blocks))
 	for i, b := range blocks {
 		p.Headers[i] = b.Header
+		p.Hashes[i] = b.Hash()
 	}
 	var txs []types.Hash
 	if in.Detect != nil {
@@ -160,6 +180,11 @@ func NewPartial(in Inputs) (*Partial, error) {
 			return bytes.Compare(p.FlashLoanTxs[i][:], p.FlashLoanTxs[j][:]) < 0
 		})
 		txs = verdictTxs(in.Detect)
+	}
+	for _, h := range txs {
+		if t, ok := in.FBSet[h]; ok {
+			p.FBVerdictTxs = append(p.FBVerdictTxs, FlashbotsTx{h, t})
+		}
 	}
 	for _, r := range in.Profits {
 		switch r.Kind {
@@ -224,7 +249,8 @@ func verdictTxs(res *detect.Result) []types.Hash {
 // estimate errs high and the cache stays within budget.
 func (p *Partial) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*p))
-	n += arrayBytes(p.Headers) + arrayBytes(p.Gas) + arrayBytes(p.FBBlocks)
+	n += arrayBytes(p.Headers) + arrayBytes(p.Hashes) + arrayBytes(p.FBBlocks) + arrayBytes(p.FBVerdictTxs)
+	n += arrayBytes(p.Summary.BundlesPerBlock) + arrayBytes(p.Summary.TxsPerBundle)
 	for i := range p.FBBlocks {
 		n += arrayBytes(p.FBBlocks[i].Txs)
 	}
@@ -275,6 +301,10 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		if want := parts[0].Month + types.Month(i); p.Month != want {
 			return nil, fmt.Errorf("measure: partials not contiguous: index %d is month %d, want %d", i, p.Month, want)
 		}
+		if len(p.Hashes) != len(p.Headers) {
+			return nil, fmt.Errorf("measure: month %s holds %d block hashes for %d headers",
+				p.Month.Label(), len(p.Hashes), len(p.Headers))
+		}
 		if len(p.Coverage.Vantages) != len(p.Captures) {
 			return nil, fmt.Errorf("measure: month %s captures %d vantages but its coverage table has %d",
 				p.Month.Label(), len(p.Captures), len(p.Coverage.Vantages))
@@ -286,38 +316,21 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		vantages = max(vantages, len(p.Captures))
 	}
 
-	// Rebuild the header-level chain over the first partial's anchoring.
-	tl := parts[0].Timeline
-	c := chain.New(tl)
-	var nHeaders int
-	for _, p := range parts {
-		nHeaders += len(p.Headers)
+	c, err := mergedChain(parts)
+	if err != nil {
+		return nil, err
 	}
-	blocks := make([]types.Block, nHeaders)
-	bi := 0
-	for _, p := range parts {
-		for i := range p.Headers {
-			b := &blocks[bi]
-			bi++
-			b.Header = p.Headers[i]
-			b.Seal()
-			if err := c.Append(b); err != nil {
-				return nil, fmt.Errorf("measure: merge chain: %w", err)
-			}
-		}
-	}
-	if c.Head() == nil {
-		return nil, fmt.Errorf("measure: merged partials hold no blocks")
-	}
+	tl := c.Timeline
 
 	// Concatenate detections in month order, preallocated.
-	var nSand, nArb, nLiq, nFlash, nFB int
+	var nSand, nArb, nLiq, nFlash, nFB, nFBTxs int
 	for _, p := range parts {
 		nSand += len(p.Sandwiches)
 		nArb += len(p.Arbitrages)
 		nLiq += len(p.Liquidations)
 		nFlash += len(p.FlashLoanTxs)
 		nFB += len(p.FBBlocks)
+		nFBTxs += len(p.FBVerdictTxs)
 	}
 	res := &detect.Result{
 		Sandwiches:   make([]detect.Sandwich, 0, nSand),
@@ -326,6 +339,7 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		FlashLoanTxs: make(map[types.Hash]bool, nFlash),
 	}
 	fb := make([]flashbots.BlockRecord, 0, nFB)
+	fbset := make(map[types.Hash]flashbots.BundleType, nFBTxs)
 	for _, p := range parts {
 		res.Sandwiches = append(res.Sandwiches, p.Sandwiches...)
 		res.Arbitrages = append(res.Arbitrages, p.Arbitrages...)
@@ -334,8 +348,10 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 			res.FlashLoanTxs[h] = true
 		}
 		fb = append(fb, p.FBBlocks...)
+		for _, t := range p.FBVerdictTxs {
+			fbset[t.Hash] = t.Type
+		}
 	}
-	fbset := dataset.FBSetOf(fb)
 
 	// Profit records kind-major, each kind in month order — the exact
 	// emission order of the full-range resolver.
@@ -354,14 +370,14 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		profits = append(profits, p.LiquidationProfits...)
 	}
 
-	// Reconstitute the accumulator from the frozen per-month aggregates:
-	// blocks and miners come from the headers, the gas sweep from the
-	// stored aggregate. (accumulate() is unusable here — the rebuilt
-	// chain is header-only and carries no receipts.)
+	// Reconstitute the accumulator from the frozen month summaries:
+	// blocks and miners come from the headers. (accumulate() is unusable
+	// here — the rebuilt chain is header-only and carries no receipts.)
 	acc := &Accumulator{tl: tl, weth: parts[0].WETH, minerSet: make(map[types.Address]bool), fb: fb}
+	miners := make([]types.Address, c.Len())
 	for _, p := range parts {
-		agg := monthAgg{blocks: len(p.Headers), gasSum: p.GasSum, gas: p.Gas}
-		agg.miners = make([]types.Address, len(p.Headers))
+		agg := monthAgg{blocks: len(p.Headers), MonthSummary: p.Summary}
+		agg.miners, miners = miners[:len(p.Headers):len(p.Headers)], miners[len(p.Headers):]
 		for i := range p.Headers {
 			agg.miners[i] = p.Headers[i].Miner
 			acc.minerSet[p.Headers[i].Miner] = true
@@ -397,4 +413,32 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		return nil, err
 	}
 	return buildWith(in, acc, inf), nil
+}
+
+// mergedChain rebuilds the header-level chain of contiguous partials over
+// the first one's anchoring, each block sealed with the hash its month's
+// read computed.
+func mergedChain(parts []*Partial) (*chain.Chain, error) {
+	var n int
+	for _, p := range parts {
+		n += len(p.Headers)
+	}
+	c := chain.NewSized(parts[0].Timeline, n)
+	blocks := make([]types.Block, n)
+	bi := 0
+	for _, p := range parts {
+		for i := range p.Headers {
+			b := &blocks[bi]
+			bi++
+			b.Header = p.Headers[i]
+			b.SealWith(p.Hashes[i])
+			if err := c.Append(b); err != nil {
+				return nil, fmt.Errorf("measure: merge chain: %w", err)
+			}
+		}
+	}
+	if c.Head() == nil {
+		return nil, fmt.Errorf("measure: merged partials hold no blocks")
+	}
+	return c, nil
 }

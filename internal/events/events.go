@@ -10,6 +10,7 @@ package events
 
 import (
 	"encoding/binary"
+	"unsafe"
 
 	"mevscope/internal/types"
 )
@@ -50,6 +51,7 @@ func putAmt(b []byte, off int, a types.Amount) {
 type Arena struct {
 	topics []types.Hash // unused tail of the current topic slab
 	data   []byte       // unused tail of the current data slab
+	bytes  int64        // size of every array allocated so far
 }
 
 // Slab sizes: 16 KiB of topics and 8 KiB of data. A request larger
@@ -61,11 +63,16 @@ const (
 
 // Topics returns n zeroed topic slots.
 func (a *Arena) Topics(n int) []types.Hash {
-	if a == nil || n > arenaTopicSlab {
+	if a == nil {
+		return make([]types.Hash, n)
+	}
+	if n > arenaTopicSlab {
+		a.bytes += int64(n) * int64(unsafe.Sizeof(types.Hash{}))
 		return make([]types.Hash, n)
 	}
 	if n > len(a.topics) {
 		a.topics = make([]types.Hash, arenaTopicSlab)
+		a.bytes += arenaTopicSlab * int64(unsafe.Sizeof(types.Hash{}))
 	}
 	t := a.topics[:n:n]
 	a.topics = a.topics[n:]
@@ -74,16 +81,25 @@ func (a *Arena) Topics(n int) []types.Hash {
 
 // Data returns n zeroed data bytes.
 func (a *Arena) Data(n int) []byte {
-	if a == nil || n > arenaDataSlab {
+	if a == nil {
+		return make([]byte, n)
+	}
+	if n > arenaDataSlab {
+		a.bytes += int64(n)
 		return make([]byte, n)
 	}
 	if n > len(a.data) {
 		a.data = make([]byte, arenaDataSlab)
+		a.bytes += arenaDataSlab
 	}
 	d := a.data[:n:n]
 	a.data = a.data[n:]
 	return d
 }
+
+// Bytes is the size of every array the arena has allocated: its slabs,
+// the unused tails included, and the requests too large for a slab.
+func (a *Arena) Bytes() int64 { return a.bytes }
 
 // newLog builds a log of the given emitter and topics with a zeroed
 // data field of n bytes, all cut from a.

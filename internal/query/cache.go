@@ -66,7 +66,9 @@ type PartialCacheStats struct {
 }
 
 // SegmentCacheStats is a point-in-time view of the chunk level: entry
-// counters plus the on-disk bytes the cached decodes stand in for.
+// counters plus the heap the cached decodes retain, as
+// archive.ChunkCache's AddChunk accounts it. The level is bounded by
+// entry count, not by these bytes.
 type SegmentCacheStats struct {
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
@@ -270,7 +272,7 @@ func (st levelStats) segments() SegmentCacheStats {
 }
 
 // chunk is one decoded column chunk — the archive decoder's opaque
-// column representation — with the on-disk bytes it stands in for.
+// column representation — with the heap bytes it retains.
 type chunk struct {
 	val   any
 	bytes int64

@@ -154,15 +154,19 @@ func (f *Follower) Feed(b *types.Block, fbRec *flashbots.BlockRecord) error {
 	f.next = b.Header.Number + 1
 	f.fed++
 
+	tl := f.chain.Timeline
+	m := tl.MonthOfBlock(b.Header.Number)
+	if b.Header.Number != tl.EndBlock() && tl.MonthOfBlock(b.Header.Number+1) == m {
+		return nil
+	}
+	// The month's last block: every detection and profit record of the
+	// month exists, so its summary is final.
+	f.acc.SealMonth(m, f.tracker.Records())
 	if f.OnMonthEnd != nil {
-		tl := f.chain.Timeline
-		m := tl.MonthOfBlock(b.Header.Number)
-		if b.Header.Number == tl.EndBlock() || tl.MonthOfBlock(b.Header.Number+1) != m {
-			rsp := f.span.Child(obspkg.StageRotate)
-			rsp.SetLabel(m.Label())
-			f.OnMonthEnd(m, f)
-			rsp.End()
-		}
+		rsp := f.span.Child(obspkg.StageRotate)
+		rsp.SetLabel(m.Label())
+		f.OnMonthEnd(m, f)
+		rsp.End()
 	}
 	return nil
 }
@@ -300,8 +304,9 @@ func (f *Follower) Dataset() *dataset.Dataset {
 
 // Report snapshots the full report for the fed range. After feeding
 // blocks [start, n] it is byte-identical to the batch pipeline run over
-// the same world truncated at n; the aggregates are already up to date,
-// so only the final builder fan-out runs.
+// the same world truncated at n. Every completed month's summary was
+// derived when its last block was fed, so a snapshot derives only the
+// open month's before the final builder fan-out runs.
 func (f *Follower) Report() *measure.Report {
 	sp := f.span.Child(obspkg.StageSnapshot)
 	defer sp.End()

@@ -51,6 +51,11 @@ func (b *Block) Seal() {
 	b.hash = sha256.Sum256(pre)
 }
 
+// SealWith marks a copy of a sealed block sealed with the hash Seal
+// computed for the original, so a header-only copy keeps its block's hash
+// without the transactions Seal would need.
+func (b *Block) SealWith(h Hash) { b.hash = h }
+
 // blockPreimageStackTxs is how many transaction hashes Seal's stack
 // buffer holds.
 const blockPreimageStackTxs = 32

@@ -25,7 +25,7 @@ func renderReport(t *testing.T, rep *measure.Report) []byte {
 
 // monthPartials analyzes every month of [from, to] alone under view —
 // the query layer's partial path, minus the caches.
-func monthPartials(t *testing.T, dir string, from, to types.Month, view string) []*measure.Partial {
+func monthPartials(t testing.TB, dir string, from, to types.Month, view string) []*measure.Partial {
 	t.Helper()
 	var parts []*measure.Partial
 	for m := from; m <= to; m++ {
@@ -41,6 +41,23 @@ func monthPartials(t *testing.T, dir string, from, to types.Month, view string) 
 		parts = append(parts, p)
 	}
 	return parts
+}
+
+// archivedPartials simulates a world, archives it and analyzes every
+// archived month alone into a partial, in month order.
+func archivedPartials(tb testing.TB, opts Options) []*measure.Partial {
+	tb.Helper()
+	st, err := Run(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	man, err := archive.Write(dir, dataset.FromSim(st.Sim), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	first, last := man.Window()
+	return monthPartials(tb, dir, first, last, "")
 }
 
 // jsonRoundTrip passes each partial through its JSON encoding.
@@ -298,3 +315,28 @@ func TestPartialSizeBytesCoversHeap(t *testing.T) {
 		}
 	}
 }
+
+// TestMergePartialsAllocs bounds a full-window merge's allocations on a
+// 4-vantage world. A merge combines each month's frozen summary, so its
+// allocations grow with the months and vantages merged, not with the
+// blocks, Flashbots records or bundles the months hold.
+func TestMergePartialsAllocs(t *testing.T) {
+	parts := archivedPartials(t, Options{Seed: 1, BlocksPerMonth: 50, Vantages: 4})
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		_, err = measure.MergePartials(parts, "", 1, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("full-window merge of %d partials: %.0f allocations", len(parts), allocs)
+	if allocs > mergeAllocsBound {
+		t.Errorf("full-window merge allocates %.0f times, want ≤ %d", allocs, mergeAllocsBound)
+	}
+}
+
+// mergeAllocsBound is TestMergePartialsAllocs's ceiling: a merge that
+// combines month summaries measured 579 allocations on its world, one
+// that re-derived them from every block, Flashbots record and bundle
+// 2,141.
+const mergeAllocsBound = 900
