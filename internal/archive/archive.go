@@ -27,13 +27,15 @@
 // `mevscope archive`.
 //
 // A world is simulated once, archived, and re-analyzed many times: Write
-// persists a dataset.Dataset (months encoded in parallel), Read/ReadRange
-// restore one bit-compatibly (segments decoded in parallel, every file
-// checksum-verified), and `mevscope analyze -from <dir>` reproduces the
-// original run's report without re-simulating. StreamWriter is the
-// live-rotation path: a streaming follower hands it each study month as
-// it completes, so `mevscope archive -live` writes segments while the
-// world grows instead of serializing everything at the end.
+// persists a dataset.Dataset, Read/ReadRange restore one bit-compatibly
+// (segments decoded in parallel, every file checksum-verified), and
+// `mevscope analyze -from <dir>` reproduces the original run's report
+// without re-simulating. StreamWriter is the live-rotation path: a
+// streaming follower hands it each study month as it completes, so
+// `mevscope archive -live` writes segments while the world grows instead
+// of serializing everything at the end. Every write, one rotated month
+// or a whole batch, runs all of its (month, column) chunk encoders on
+// one worker pool, each chunk deflated at chunkLevel.
 //
 // There is one reader, and every read decodes whole months. RestoreShared
 // restores what a run of months shares — the price series and, once the
@@ -171,9 +173,10 @@ func SegmentLabel(m types.Month) string { return m.Label() }
 
 // Write persists a dataset into dir, returning the manifest. meta carries
 // free-form provenance (seed, scenario, scale) for the manifest; it does
-// not affect restoration. Months are encoded in parallel — each
-// segment's chunks are independent — and the manifest is written last,
-// so a crashed Write leaves no manifest and Read refuses the directory.
+// not affect restoration. Every chunk of every month is encoded on one
+// worker pool — the chunks are independent — and the manifest is written
+// last, so a crashed Write leaves no manifest and Read refuses the
+// directory.
 func Write(dir string, ds *dataset.Dataset, meta map[string]string) (*Manifest, error) {
 	if ds.Chain == nil || ds.Chain.Head() == nil {
 		return nil, fmt.Errorf("archive: dataset has no blocks")

@@ -116,6 +116,62 @@ func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	}
 }
 
+var (
+	rotateOnce sync.Once
+	rotateDS   *dataset.Dataset
+	rotateSeg  *dataset.Segment
+	rotateErr  error
+)
+
+// BenchmarkArchiveRotate measures one live rotation: each op writes the
+// last month of the seed-1 bpm-100 world, live-follow's, through
+// StreamWriter.WriteSegment into a fresh directory. The month's chunks
+// encode on one pool, so the op gains from a second core (-cpu 1,2).
+func BenchmarkArchiveRotate(b *testing.B) {
+	rotateOnce.Do(func() {
+		cfg, err := mevscope.Options{Seed: 1, BlocksPerMonth: 100}.Config()
+		if err != nil {
+			rotateErr = err
+			return
+		}
+		s, err := sim.New(cfg)
+		if err != nil {
+			rotateErr = err
+			return
+		}
+		if rotateErr = s.Run(); rotateErr == nil {
+			rotateDS = dataset.FromSim(s)
+			segs := dataset.Partition(rotateDS)
+			rotateSeg = segs[len(segs)-1]
+		}
+	})
+	if rotateErr != nil {
+		b.Fatal(rotateErr)
+	}
+	ds, seg := rotateDS, rotateSeg
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp("", "mevscope-bench-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sw, err := archive.NewStreamWriter(dir, ds.Chain.Timeline, ds.WETH, archive.DefaultFormat, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := sw.WriteSegment(seg); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(len(seg.Blocks)), "blocks/op")
+}
+
 // v3DiskBudget is the on-disk budget of the Seed 7 bpm-50 world: the
 // last measured size of that world's v2 archive (6,817,547 data bytes)
 // divided by 3, the "at least 3× smaller than v2" bar the v3 encoding
@@ -138,10 +194,12 @@ func TestArchiveV3CompressionRatio(t *testing.T) {
 }
 
 // writeAllocBudget bounds what archive.Write of the bpm-50 world may
-// allocate. A fresh 64 KiB bufio writer and a fresh BestCompression gzip
-// writer (about 0.9 MB of deflate state) per chunk took the write to
-// 157 MB; pooled, it takes about 35 MB, and about 63 MB under the race
-// detector, where sync.Pool drops some Puts.
+// allocate. A fresh 64 KiB bufio writer and a fresh gzip writer (about
+// 0.9 MB of deflate state) per chunk took the write to 157 MB. Pooled,
+// it takes about 35 MB, and about 70 MB under the race detector, where
+// sync.Pool drops some Puts. The write encodes every chunk of every
+// month on one worker pool at chunkLevel, so about one writer pair per
+// worker is in use at a time.
 const writeAllocBudget = 90_000_000
 
 // TestArchiveWriteAllocs pins the pooled chunk compressors: one archive

@@ -24,7 +24,7 @@ import (
 //	offset 0:  magic "MCOL" (4 bytes, plain)
 //	offset 4:  codec byte 0x03 (plain)
 //	offset 5:  column-name length byte + column name (plain)
-//	then:      gzip stream of sections:
+//	then:      gzip stream of sections, deflated at chunkLevel:
 //	             address dictionary  uvarint count, count × 20 bytes
 //	             hash dictionary     uvarint count, count × 32 bytes
 //	             row count           uvarint
@@ -40,6 +40,11 @@ import (
 // (over the stored bytes) catch corruption, and every dictionary
 // reference is bounds-checked so a bit flip that survives framing is
 // refused rather than mis-attributed.
+//
+// The deflate level is not part of the format: inflate reads a stream
+// of any level, so archives written at BestCompression (level 9, before
+// chunkLevel) still read, and a level change alters the bytes but not
+// the codec byte or the manifest version.
 
 const (
 	// colMagic opens every column-chunk file.
@@ -58,6 +63,21 @@ const (
 	// reason: a corrupt count must not turn into a giant allocation
 	// before the gzip trailer CRC gets a chance to fire.
 	maxDictSize = 1 << 22
+	// chunkLevel is the deflate level of every chunk. A sweep that
+	// recompressed all 139 chunk bodies of the seed-1 bpm-100 archive on
+	// one core (best of 3) chose it:
+	//
+	//	level  time    bytes vs level 9
+	//	9      425 ms  —
+	//	6      233 ms  +0.08%
+	//	5      176 ms  +0.36%
+	//	4      175 ms  +1.25%
+	//	1      108 ms  +5.75%
+	//
+	// Level 5 is the knee: level 4 saves no time over it and costs three
+	// times the bytes, and level 1 breaks the 5% on-disk bound. Inflate
+	// speed does not depend on the level.
+	chunkLevel = 5
 )
 
 // colWriter accumulates one chunk's body while building its address and
@@ -70,6 +90,9 @@ type colWriter struct {
 	hashIdx  map[types.Hash]uint64
 	hashList []types.Hash
 	body     []byte
+	// scratch holds the logs writeLog re-encodes to check a shape; each
+	// is dropped after the comparison, so the slabs are the only cost.
+	scratch events.Arena
 }
 
 func newColWriter() *colWriter {
@@ -335,10 +358,12 @@ func (r *colReader) done() error {
 // pooled; they are small, and the returned colReader keeps them.
 //
 // The chunk-encode pools do the same for writeChunk: a 64 KiB bufio
-// writer and a BestCompression gzip writer, whose deflate state is
-// about 0.9 MB. Reset gives a pooled writer the state of a fresh one at
-// the same level, so every chunk file is byte-identical to a fresh
-// writer's.
+// writer and a chunkLevel gzip writer, whose deflate state is about
+// 0.9 MB. A write encodes all its chunks on one worker pool
+// (writeSegments), so the pools hold about one writer pair per worker.
+// Reset gives a pooled writer the state of a fresh one at the same
+// level, so every chunk file is byte-identical to a fresh writer's
+// whichever worker encodes it.
 var (
 	chunkBufPool  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
 	chunkGzipPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
@@ -346,7 +371,7 @@ var (
 
 	chunkBufWriterPool  = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<16) }}
 	chunkGzipWriterPool = sync.Pool{New: func() any {
-		zw, _ := gzip.NewWriterLevel(nil, gzip.BestCompression) // a valid level: never fails
+		zw, _ := gzip.NewWriterLevel(nil, chunkLevel) // a valid level: never fails
 		return zw
 	}}
 )

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mevscope/internal/dataset"
+	"mevscope/internal/p2p"
 	"mevscope/internal/sim"
 	"mevscope/internal/types"
 )
@@ -59,6 +60,33 @@ func rawLogArchive(tb testing.TB) (string, *Manifest, SegmentInfo) {
 		tb.Fatal(err)
 	}
 	return dir, man, man.Segments[0]
+}
+
+// windowArchive archives a short two-vantage world over months 17–19,
+// so its chunks hold post-London headers, Flashbots records and both
+// vantages' captures from the observation window, and returns the
+// archive's directory and manifest. A smaller trader population keeps
+// every chunk's dictionaries under the fuzzed 256 entries.
+func windowArchive(tb testing.TB) (string, *Manifest) {
+	tb.Helper()
+	cfg := sim.DefaultConfig(11)
+	cfg.BlocksPerMonth = 20
+	cfg.NumTraders = 60
+	cfg.StartMonth, cfg.Months = 17, 3
+	cfg.Net.Vantages = p2p.SpreadVantages(cfg.Net.Nodes, 2, cfg.Net.ObserverMissRate)
+	s, err := sim.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	man, err := Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dir, man
 }
 
 // TestDecodedMonthOutlivesPooledBodies: chunk bodies go back to a pool
@@ -172,25 +200,33 @@ func frameChunk(t *testing.T, root, col string, nAddrs, nHashes uint8, rows uint
 }
 
 // addChunkSeeds seeds f with every month's chunk of column col from
-// rawLogArchive: its dictionary sizes, row count and body. The fuzzed
-// dictionaries stay under 256 entries, as these months' do, so each
-// input frames and inflates quickly.
+// rawLogArchive, then from windowArchive, whose months carry the
+// Flashbots records and captures rawLogArchive's predate: its
+// dictionary sizes, row count and body. The fuzzed dictionaries stay
+// under 256 entries, as these months' do, so each input frames and
+// inflates quickly.
 func addChunkSeeds(f *testing.F, col string) {
 	dir, man, _ := rawLogArchive(f)
-	for _, si := range man.Segments {
-		ci, err := findColumn(si, col)
-		if err != nil {
-			f.Fatal(err)
+	wdir, wman := windowArchive(f)
+	for _, a := range []struct {
+		dir string
+		man *Manifest
+	}{{dir, man}, {wdir, wman}} {
+		for _, si := range a.man.Segments {
+			ci, err := findColumn(si, col)
+			if err != nil {
+				f.Fatal(err)
+			}
+			r, err := readChunk(a.dir, ci.File, col)
+			if err != nil {
+				f.Fatal(err)
+			}
+			if len(r.addrs) > 255 || len(r.hashes) > 255 {
+				f.Fatalf("%s: %d addresses and %d hashes outgrow the fuzzed dictionaries", ci.File.Name, len(r.addrs), len(r.hashes))
+			}
+			f.Add(uint8(len(r.addrs)), uint8(len(r.hashes)), uint16(r.rows), append([]byte(nil), r.body...))
+			r.release()
 		}
-		r, err := readChunk(dir, ci.File, col)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if len(r.addrs) > 255 || len(r.hashes) > 255 {
-			f.Fatalf("%s: %d addresses and %d hashes outgrow the fuzzed dictionaries", ci.File.Name, len(r.addrs), len(r.hashes))
-		}
-		f.Add(uint8(len(r.addrs)), uint8(len(r.hashes)), uint16(r.rows), append([]byte(nil), r.body...))
-		r.release()
 	}
 }
 
@@ -219,6 +255,73 @@ func FuzzDecodeTxsCol(f *testing.F) {
 		d, err := decodeTxsCol(root, ci)
 		if err == nil && len(d.txs) != int(rows) {
 			t.Fatalf("decoded %d transactions from %d rows", len(d.txs), rows)
+		}
+	})
+}
+
+// FuzzDecodeHeadersCol: any headers-chunk body decodes to an error or to
+// one header per row whose tx counts sum to totalTxs, never a panic.
+func FuzzDecodeHeadersCol(f *testing.F) {
+	addChunkSeeds(f, ColHeaders)
+	root := f.TempDir()
+	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
+		ci := frameChunk(t, root, ColHeaders, nAddrs, nHashes, rows, body)
+		d, err := decodeHeadersCol(root, ci)
+		if err != nil {
+			return
+		}
+		if len(d.numbers) != int(rows) || len(d.txCounts) != int(rows) {
+			t.Fatalf("decoded %d headers and %d tx counts from %d rows", len(d.numbers), len(d.txCounts), rows)
+		}
+		sum := 0
+		for _, c := range d.txCounts {
+			sum += c
+		}
+		if sum != d.totalTxs {
+			t.Fatalf("tx counts sum to %d, totalTxs says %d", sum, d.totalTxs)
+		}
+	})
+}
+
+// FuzzDecodeReceiptsCol: any receipts-chunk body decodes to an error or
+// to one receipt per row, never a panic.
+func FuzzDecodeReceiptsCol(f *testing.F) {
+	addChunkSeeds(f, ColReceipts)
+	root := f.TempDir()
+	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
+		ci := frameChunk(t, root, ColReceipts, nAddrs, nHashes, rows, body)
+		d, err := decodeReceiptsCol(root, ci)
+		if err == nil && len(d.rcpts) != int(rows) {
+			t.Fatalf("decoded %d receipts from %d rows", len(d.rcpts), rows)
+		}
+	})
+}
+
+// FuzzDecodeFlashbotsCol: any Flashbots-chunk body decodes to an error
+// or to one block record per row, never a panic or a bundle list its
+// bytes cannot back.
+func FuzzDecodeFlashbotsCol(f *testing.F) {
+	addChunkSeeds(f, ColFlashbots)
+	root := f.TempDir()
+	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
+		ci := frameChunk(t, root, ColFlashbots, nAddrs, nHashes, rows, body)
+		d, err := decodeFlashbotsCol(root, ci)
+		if err == nil && len(d.recs) != int(rows) {
+			t.Fatalf("decoded %d Flashbots records from %d rows", len(d.recs), rows)
+		}
+	})
+}
+
+// FuzzDecodeObservedCol: any observation-chunk body decodes to an error
+// or to one capture per row, never a panic.
+func FuzzDecodeObservedCol(f *testing.F) {
+	addChunkSeeds(f, ColObserved)
+	root := f.TempDir()
+	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
+		ci := frameChunk(t, root, ColObserved, nAddrs, nHashes, rows, body)
+		d, err := decodeObservedCol(root, ci, ColObserved)
+		if err == nil && len(d.recs) != int(rows) {
+			t.Fatalf("decoded %d captures from %d rows", len(d.recs), rows)
 		}
 	})
 }

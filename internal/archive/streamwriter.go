@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 
 	"mevscope/internal/dataset"
-	"mevscope/internal/obs"
-	"mevscope/internal/parallel"
 	"mevscope/internal/types"
 )
 
@@ -18,9 +16,11 @@ import (
 // it completes, so a long collection run's memory-to-disk handoff is
 // spread over the run instead of paid all at once at the end; Finalize
 // writes whatever months remain, the price history and the manifest.
-// The batch Write path runs on the same writer (everything
-// is "remaining" at Finalize, encoded in parallel), so a rotated archive
-// is file-for-file identical to a batch one.
+// The batch Write path runs on the same writer (everything is
+// "remaining" at Finalize), so a rotated archive is file-for-file
+// identical to a batch one. Each write — one rotated month or every
+// remaining one — encodes all its column chunks on one worker pool
+// (writeSegments).
 //
 // A StreamWriter is not safe for concurrent use; the follower's
 // OnMonthEnd hook already serializes months in ascending order.
@@ -34,13 +34,7 @@ type StreamWriter struct {
 	dir  string
 	man  *Manifest
 	done bool
-	span *obs.Span
 }
-
-// SetSpan attaches a tracing parent: each segment written — rotated or
-// finalized — records an "archive:encode" span under it (internal/obs).
-// A nil span (the default) disables recording at zero cost.
-func (w *StreamWriter) SetSpan(sp *obs.Span) { w.span = sp }
 
 // NewStreamWriter creates the archive directory and an empty manifest.
 // format must be DefaultFormat, the one encoding. The manifest is only
@@ -75,33 +69,19 @@ func (w *StreamWriter) WriteSegment(seg *dataset.Segment) error {
 		return fmt.Errorf("archive: segment %s arrived after %s (months must ascend)",
 			seg.Month.Label(), w.man.Segments[n-1].Label)
 	}
-	info, err := w.writeSegmentSpan(w.span, seg)
+	infos, err := writeSegments(w.dir, []*dataset.Segment{seg})
 	if err != nil {
 		return err
 	}
-	w.man.Segments = append(w.man.Segments, info)
+	w.man.Segments = append(w.man.Segments, infos...)
 	return nil
 }
 
-// writeSegmentSpan encodes one segment under an "archive:encode" span
-// carrying the month, block count and bytes landed on disk.
-func (w *StreamWriter) writeSegmentSpan(parent *obs.Span, seg *dataset.Segment) (SegmentInfo, error) {
-	sp := parent.Child(obs.StageEncode)
-	defer sp.End()
-	sp.SetLabel(seg.Month.Label())
-	sp.SetBlocks(len(seg.Blocks))
-	info, err := writeSegment(w.dir, seg)
-	if err == nil {
-		sp.SetBytes(segBytes(info))
-	}
-	return info, err
-}
-
-// Finalize writes every month not yet rotated (encoded in parallel),
-// the price history, the observer window and the manifest, completing
-// the archive. ds is the full collected dataset; months already written
-// by WriteSegment are skipped, so the streaming and batch paths produce
-// identical archives.
+// Finalize writes every month not yet rotated (all their chunks on one
+// worker pool), the price history, the observer window and the
+// manifest, completing the archive. ds is the full collected dataset;
+// months already written by WriteSegment are skipped, so the streaming
+// and batch paths produce identical archives.
 func (w *StreamWriter) Finalize(ds *dataset.Dataset) (*Manifest, error) {
 	if w.done {
 		// Repeated finalize is a no-op: the archive on disk is complete and
@@ -123,20 +103,11 @@ func (w *StreamWriter) Finalize(ds *dataset.Dataset) (*Manifest, error) {
 			pending = append(pending, seg)
 		}
 	}
-	type segResult struct {
-		info SegmentInfo
-		err  error
+	infos, err := writeSegments(w.dir, pending)
+	if err != nil {
+		return nil, err
 	}
-	results := parallel.Map(len(pending), 0, func(i int) segResult {
-		info, err := w.writeSegmentSpan(w.span, pending[i])
-		return segResult{info, err}
-	})
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		w.man.Segments = append(w.man.Segments, r.info)
-	}
+	w.man.Segments = append(w.man.Segments, infos...)
 
 	w.man.Head = head.Header.Number
 	w.man.TotalBlocks = ds.Chain.Len()
@@ -185,7 +156,6 @@ func (w *StreamWriter) Finalize(ds *dataset.Dataset) (*Manifest, error) {
 				obsV[i], i, v.Count())
 		}
 	}
-	var err error
 	if w.man.Prices, err = writePrices(w.dir, ds.Prices); err != nil {
 		return nil, err
 	}

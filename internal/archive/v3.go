@@ -12,6 +12,7 @@ import (
 	"mevscope/internal/flashbots"
 	"mevscope/internal/obs"
 	"mevscope/internal/p2p"
+	"mevscope/internal/parallel"
 	"mevscope/internal/types"
 )
 
@@ -58,10 +59,55 @@ func findColumn(si SegmentInfo, name string) (ColumnInfo, error) {
 // ---------------------------------------------------------------------------
 // Encode
 
-// writeSegment persists one month as per-column chunks and returns its
-// manifest entry: chunk records with zone maps, plus logical document
-// counts in the FileInfo count slots (drift checks, span sizing).
-func writeSegment(root string, seg *dataset.Segment) (SegmentInfo, error) {
+// writeSegments persists months as per-column chunks and returns their
+// manifest entries in order. It checks every month before writing
+// anything, then runs every (month, column) encoder — six columns plus
+// one per extra vantage — on one worker pool, so a single rotated month
+// uses every core and a batch write of many months has no nested pools.
+// Each entry lists its chunks in column order, and a chunk's bytes do
+// not depend on the worker that encodes it.
+func writeSegments(root string, segs []*dataset.Segment) ([]SegmentInfo, error) {
+	type job struct {
+		seg int
+		enc func() (ColumnInfo, error)
+	}
+	infos := make([]SegmentInfo, len(segs))
+	var jobs []job
+	for i, seg := range segs {
+		info, encs, err := segmentEncoders(root, seg)
+		if err != nil {
+			return nil, err
+		}
+		infos[i] = info
+		for _, enc := range encs {
+			jobs = append(jobs, job{i, enc})
+		}
+	}
+	type result struct {
+		ci  ColumnInfo
+		err error
+	}
+	results := parallel.Map(len(jobs), 0, func(j int) result {
+		ci, err := jobs[j].enc()
+		return result{ci, err}
+	})
+	for j, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		si := &infos[jobs[j].seg]
+		si.Columns = append(si.Columns, r.ci)
+	}
+	return infos, nil
+}
+
+// segmentEncoders checks one month and returns its manifest entry, still
+// without chunk records, and its chunk encoders in column order:
+// headers, transactions, receipts, logs, Flashbots records, the primary
+// vantage's captures, then one chunk per extra vantage. The entry's
+// FileInfo count slots hold logical document counts (drift checks, span
+// sizing).
+func segmentEncoders(root string, seg *dataset.Segment) (SegmentInfo, []func() (ColumnInfo, error), error) {
 	label := SegmentLabel(seg.Month)
 	segDir := filepath.Join(root, label)
 	info := SegmentInfo{
@@ -69,18 +115,21 @@ func writeSegment(root string, seg *dataset.Segment) (SegmentInfo, error) {
 		Label:      label,
 		FirstBlock: seg.Blocks[0].Header.Number,
 		LastBlock:  seg.Blocks[len(seg.Blocks)-1].Header.Number,
+		Blocks:     FileInfo{Count: len(seg.Blocks)},
+		Flashbots:  FileInfo{Count: len(seg.FBBlocks)},
+		Observed:   FileInfo{Count: len(seg.Observed)},
 	}
 	// Receipt identity is derived on read, so the stored archive can only
 	// be faithful if it holds at write time — refuse drift here, where
 	// the original data still exists.
 	for _, b := range seg.Blocks {
 		if len(b.Receipts) != len(b.Txs) {
-			return info, fmt.Errorf("archive: segment %s block %d has %d receipts for %d txs",
+			return info, nil, fmt.Errorf("archive: segment %s block %d has %d receipts for %d txs",
 				label, b.Header.Number, len(b.Receipts), len(b.Txs))
 		}
 		for i, rcpt := range b.Receipts {
 			if rcpt.TxHash != b.Txs[i].Hash() {
-				return info, fmt.Errorf("archive: segment %s block %d tx %d: identity drift (receipt %v vs recomputed %v)",
+				return info, nil, fmt.Errorf("archive: segment %s block %d tx %d: identity drift (receipt %v vs recomputed %v)",
 					label, b.Header.Number, i, rcpt.TxHash.Short(), b.Txs[i].Hash().Short())
 			}
 		}
@@ -95,27 +144,12 @@ func writeSegment(root string, seg *dataset.Segment) (SegmentInfo, error) {
 			return encodeObservedCol(root, segDir, seg.Month, ColObserved, seg.Observed)
 		},
 	}
-	for _, enc := range encoders {
-		ci, err := enc()
-		if err != nil {
-			return info, err
-		}
-		info.Columns = append(info.Columns, ci)
-	}
-	for i, recs := range seg.ObservedV {
-		ci, err := encodeObservedCol(root, segDir, seg.Month, fmt.Sprintf("%s_v%d", ColObserved, i+1), recs)
-		if err != nil {
-			return info, err
-		}
-		info.Columns = append(info.Columns, ci)
+	for v := range seg.ObservedV {
+		name, recs := fmt.Sprintf("%s_v%d", ColObserved, v+1), seg.ObservedV[v]
+		encoders = append(encoders, func() (ColumnInfo, error) { return encodeObservedCol(root, segDir, seg.Month, name, recs) })
 		info.ObservedV = append(info.ObservedV, FileInfo{Count: len(recs)})
 	}
-	// Logical counts: no per-kind file stands behind them, but they size
-	// restore spans and back the stream/batch drift checks.
-	info.Blocks.Count = len(seg.Blocks)
-	info.Flashbots.Count = len(seg.FBBlocks)
-	info.Observed.Count = len(seg.Observed)
-	return info, nil
+	return info, encoders, nil
 }
 
 func encodeHeadersCol(root, segDir string, month types.Month, blocks []*types.Block) (ColumnInfo, error) {
@@ -317,9 +351,12 @@ func logEqual(a, b types.Log) bool {
 	return true
 }
 
-// writeLog emits one log row, preferring a structured event shape.
+// writeLog emits one log row, preferring a structured event shape. The
+// shape check re-encodes the event into the writer's scratch arena,
+// which allocates one slab per few hundred logs.
 func (w *colWriter) writeLog(lg types.Log) {
-	if ev, ok := events.DecodeTransfer(lg); ok && logEqual(lg, ev.Log()) {
+	a := &w.scratch
+	if ev, ok := events.DecodeTransfer(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		w.byte1(logShapeTransfer)
 		w.addr(ev.Token)
 		w.addr(ev.From)
@@ -327,7 +364,7 @@ func (w *colWriter) writeLog(lg types.Log) {
 		w.uvarint(uint64(ev.Amount))
 		return
 	}
-	if ev, ok := events.DecodeSwap(lg); ok && logEqual(lg, ev.Log()) {
+	if ev, ok := events.DecodeSwap(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		w.byte1(logShapeSwap)
 		w.addr(ev.Pool)
 		w.addr(ev.Sender)
@@ -338,14 +375,14 @@ func (w *colWriter) writeLog(lg types.Log) {
 		w.uvarint(uint64(ev.AmountOut))
 		return
 	}
-	if ev, ok := events.DecodeSync(lg); ok && logEqual(lg, ev.Log()) {
+	if ev, ok := events.DecodeSync(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		w.byte1(logShapeSync)
 		w.addr(ev.Pool)
 		w.uvarint(uint64(ev.ReserveA))
 		w.uvarint(uint64(ev.ReserveB))
 		return
 	}
-	if ev, ok := events.DecodeLiquidation(lg); ok && logEqual(lg, ev.Log()) {
+	if ev, ok := events.DecodeLiquidation(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		if ev.Compound {
 			w.byte1(logShapeLiqCompound)
 		} else {
@@ -360,7 +397,7 @@ func (w *colWriter) writeLog(lg types.Log) {
 		w.uvarint(uint64(ev.CollateralOut))
 		return
 	}
-	if ev, ok := events.DecodeFlashLoan(lg); ok && logEqual(lg, ev.Log()) {
+	if ev, ok := events.DecodeFlashLoan(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		w.byte1(logShapeFlashLoan)
 		w.addr(ev.Protocol)
 		w.addr(ev.Initiator)
@@ -369,7 +406,7 @@ func (w *colWriter) writeLog(lg types.Log) {
 		w.uvarint(uint64(ev.Fee))
 		return
 	}
-	if ev, ok := events.DecodeOracleUpdate(lg); ok && logEqual(lg, ev.Log()) {
+	if ev, ok := events.DecodeOracleUpdate(lg); ok && logEqual(lg, ev.LogIn(a)) {
 		w.byte1(logShapeOracle)
 		w.addr(ev.Oracle)
 		w.addr(ev.Token)

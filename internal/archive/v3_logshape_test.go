@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mevscope/internal/events"
+	"mevscope/internal/sim"
 	"mevscope/internal/types"
 )
 
@@ -66,5 +67,58 @@ func TestLogShapeUnknownTagRefused(t *testing.T) {
 	r.readLog()
 	if r.err == nil || !strings.Contains(r.err.Error(), "unknown log shape") {
 		t.Fatalf("unknown-tag decode error = %v; want unknown log shape refusal", r.err)
+	}
+}
+
+// TestWriteLogAllocs pins writeLog's shape check near zero allocations
+// per log over one window month. The check re-encodes each decoded event
+// to compare it with the log; encoding with Log() cost about two
+// allocations per structured log (topics and data), the writer's scratch
+// arena one slab per few hundred logs. The month is written once to warm
+// the dictionaries and the body, so the measured pass allocates only for
+// the check.
+func TestWriteLogAllocs(t *testing.T) {
+	cfg := sim.DefaultConfig(1)
+	cfg.BlocksPerMonth = 100
+	cfg.StartMonth, cfg.Months = types.ObservationStartMonth, 1
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var logs []types.Log
+	for _, b := range s.Chain.Blocks() {
+		for _, r := range b.Receipts {
+			logs = append(logs, r.Logs...)
+		}
+	}
+	if len(logs) < 1000 {
+		t.Fatalf("the month holds %d logs, too few to measure", len(logs))
+	}
+	w := newColWriter()
+	writeAll := func() {
+		w.body = w.body[:0]
+		for _, lg := range logs {
+			w.writeLog(lg)
+		}
+	}
+	writeAll()
+	raw := 0
+	r := &colReader{addrs: w.addrList, hashes: w.hashList, body: w.body}
+	for range logs {
+		if r.body[r.off] == logShapeRaw {
+			raw++
+		}
+		r.readLog()
+	}
+	perLog := testing.AllocsPerRun(5, writeAll) / float64(len(logs))
+	t.Logf("%d logs (%d raw): %.4f allocations per log", len(logs), raw, perLog)
+	if raw*10 > len(logs) {
+		t.Fatalf("%d of %d logs fell back to the raw shape; the check is meant for structured logs", raw, len(logs))
+	}
+	if perLog > 0.05 {
+		t.Errorf("writeLog allocates %.3f times per log, want ≤ 0.05 (is the shape check back on Log()?)", perLog)
 	}
 }

@@ -191,30 +191,49 @@ func (c *Chain) Blocks() []*types.Block { return c.blocks }
 // Range iterates blocks with numbers in [from, to] (inclusive), calling fn
 // for each; fn returning false stops early.
 func (c *Chain) Range(from, to uint64, fn func(*types.Block) bool) {
-	for _, b := range c.blocks {
-		n := b.Header.Number
-		if n < from {
-			continue
-		}
-		if n > to {
-			return
-		}
+	for _, b := range c.span(from, to) {
 		if !fn(b) {
 			return
 		}
 	}
 }
 
-// BlocksInMonth returns the blocks minted during a study month.
+// span returns the stored blocks numbered in [from, to] as a capped
+// sub-slice of the block list. Append keeps the numbers contiguous from
+// Timeline.StartBlock, so a number is an index and no block outside the
+// range is touched.
+func (c *Chain) span(from, to uint64) []*types.Block {
+	start := c.Timeline.StartBlock
+	if to < start || from > to {
+		return nil
+	}
+	var lo uint64
+	if from > start {
+		lo = from - start
+	}
+	n := uint64(len(c.blocks))
+	hi := to - start
+	if hi >= n {
+		hi = n
+	} else {
+		hi++
+	}
+	if lo >= hi {
+		return nil
+	}
+	return c.blocks[lo:hi:hi]
+}
+
+// BlocksInMonth returns the blocks minted during a study month, nil for
+// a month before the timeline's first or past the head. The slice is
+// shared and capped: callers must not write its elements, and appending
+// to it copies.
 func (c *Chain) BlocksInMonth(m types.Month) []*types.Block {
-	var out []*types.Block
+	if m < c.Timeline.FirstMonth {
+		return nil
+	}
 	from := c.Timeline.FirstBlockOfMonth(m)
-	to := from + c.Timeline.BlocksPerMonth - 1
-	c.Range(from, to, func(b *types.Block) bool {
-		out = append(out, b)
-		return true
-	})
-	return out
+	return c.span(from, from+c.Timeline.BlocksPerMonth-1)
 }
 
 // EachLog walks every log in a block range, passing the enclosing block,

@@ -190,6 +190,77 @@ func TestRangeAndMonths(t *testing.T) {
 	}
 }
 
+// TestBlocksInMonthSlicesTheChain: a month's blocks, and any Range, are
+// exactly a filter of Blocks() by number, for a full-window chain and for
+// one whose timeline starts at a later month (TimelineFrom). Months
+// before the timeline's first, where FirstBlockOfMonth is 0, and months
+// past the head are empty. A month is a capped window of the block list:
+// taking one allocates nothing.
+func TestBlocksInMonthSlicesTheChain(t *testing.T) {
+	const bpm = 10
+	full := New(types.DefaultTimeline(bpm))
+	for full.NextNumber() <= full.Timeline.EndBlock() {
+		if err := full.Append(mkBlock(full, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	late := New(types.TimelineFrom(bpm, 15))
+	for i := 0; i < 2*bpm+bpm/2; i++ { // months 15, 16 and half of 17
+		if err := late.Append(mkBlock(late, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(got, want []*types.Block) bool {
+		if len(got) != len(want) || cap(got) != len(got) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range []*Chain{full, late} {
+		tl := c.Timeline
+		for m := types.Month(0); m < types.StudyMonths+2; m++ {
+			var want []*types.Block
+			for _, b := range c.Blocks() {
+				if m >= tl.FirstMonth && tl.MonthOfBlock(b.Header.Number) == m {
+					want = append(want, b)
+				}
+			}
+			if got := c.BlocksInMonth(m); !same(got, want) {
+				t.Errorf("first month %d: month %d = %d blocks (cap %d), want %d",
+					tl.FirstMonth, m, len(got), cap(got), len(want))
+			}
+		}
+		start, head := tl.StartBlock, c.Head().Header.Number
+		for _, r := range [][2]uint64{
+			{0, start - 1}, {0, start}, {start + 3, start + 17}, {head - 2, head + 50},
+			{head + 1, head + 9}, {start + 5, start + 4}, {0, ^uint64(0)},
+		} {
+			var got, want []*types.Block
+			c.Range(r[0], r[1], func(b *types.Block) bool { got = append(got, b); return true })
+			for _, b := range c.Blocks() {
+				if n := b.Header.Number; n >= r[0] && n <= r[1] {
+					want = append(want, b)
+				}
+			}
+			if len(got) != len(want) || (len(got) > 0 && (got[0] != want[0] || got[len(got)-1] != want[len(want)-1])) {
+				t.Errorf("first month %d: Range(%d, %d) = %d blocks, want %d", tl.FirstMonth, r[0], r[1], len(got), len(want))
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			for m := types.Month(0); m < types.StudyMonths; m++ {
+				c.BlocksInMonth(m)
+			}
+		}); allocs != 0 {
+			t.Errorf("first month %d: BlocksInMonth over every month allocates %.1f times, want 0", tl.FirstMonth, allocs)
+		}
+	}
+}
+
 func TestEachLog(t *testing.T) {
 	c := New(tl())
 	tx := &types.Transaction{Nonce: 1}

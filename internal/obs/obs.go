@@ -40,7 +40,6 @@ const (
 	StageRestore   = "archive:restore" // archive.ReadRange of a window
 	StageDecode    = "archive:decode"  // one segment decoded from disk
 	StageColumn    = "archive:column"  // one column chunk decoded
-	StageEncode    = "archive:encode"  // one segment written to disk
 	StageDetect    = "detect"          // MEV detection scan
 	StageProfit    = "profit"          // profit resolution
 	StageInfer     = "infer"           // private-tx classification fan-out
