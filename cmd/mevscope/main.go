@@ -23,12 +23,14 @@
 // pending transactions, Flashbots API records — plus the price series
 // and a checksummed manifest); -live streams each month to disk as it
 // completes instead of serializing everything at the end. The analyze
-// subcommand restores such an archive and reruns the measurement
-// pipeline over it without re-simulating; the report is byte-identical
-// to the original run's. -range restores only a month slice, reading
-// just those segments. An archive whose manifest version this build
-// does not read (one written by an earlier release) is refused with a
-// pointer to regenerate it with the archive subcommand.
+// subcommand reruns the measurement pipeline over such an archive
+// without re-simulating, month by month as serve builds a report: each
+// archived month is analyzed into a month partial and the partials
+// merge into the report (query.Assemble), byte-identical to the
+// original run's. -range analyzes only a month slice, reading just
+// those segments. An archive whose manifest version this build does not
+// read (one written by an earlier release) is refused with a pointer to
+// regenerate it with the archive subcommand.
 // The serve subcommand exposes an archive over HTTP (internal/query):
 // per-artifact queries in JSON/CSV/text with month-range slicing and
 // observation-view selection (?view=union|quorum:K|vantage:N on
@@ -241,8 +243,8 @@ func runStudy(args []string) {
 			study.Sim.Chain.Len(), len(study.Profits), time.Since(t0).Round(time.Millisecond))
 	}
 	rsp := rec.root().Child(obs.StageRender)
-	writeCSV(study, *csvDir, *quiet)
-	printSection(study, sec)
+	writeCSV(study.Report, *csvDir, *quiet)
+	printSection(study.Report, sec)
 	rsp.End()
 	rec.finish()
 }
@@ -354,19 +356,21 @@ func archiveLive(s *sim.Sim, out string, meta map[string]string, quiet bool) (*a
 	return sw.Finalize(f.Dataset())
 }
 
-// runAnalyze restores an archived dataset — optionally just a month
-// slice of it — and reruns the measurement pipeline over it.
+// runAnalyze re-analyzes an archived dataset — optionally just a month
+// slice of it — month by month: each archived month of the range is
+// analyzed into a month partial and the partials merge into the report,
+// the assembly `mevscope serve` runs on a cache miss (query.Assemble).
 func runAnalyze(args []string) {
 	fs := flag.NewFlagSet("mevscope analyze", flag.ExitOnError)
 	var (
 		from        = fs.String("from", "", "archive directory to analyze (required)")
-		months      = fs.String("range", "", "month range to restore, e.g. 2021-03..2021-06 (default: the whole archive)")
+		months      = fs.String("range", "", "month range to analyze, e.g. 2021-03..2021-06 (default: the whole archive)")
 		view        = fs.String("view", "", "observation view for §6 classification: vantage:N, union, quorum:K")
 		section     = fs.String("section", "all", "which artifact to print")
 		parallelism = fs.Int("parallel", 0, "analysis worker-pool size (0 = all cores)")
 		csvDir      = fs.String("csv", "", "also write every artifact as CSV into this directory")
 		traceFile   = fs.String("trace", "", "record the run and write Chrome trace-event JSON to this file (view at ui.perfetto.dev)")
-		progress    = fs.Bool("progress", false, "print a per-stage progress ticker to stderr")
+		progress    = fs.Bool("progress", false, "print one progress line per analyzed month and per merge stage to stderr")
 		quiet       = fs.Bool("q", false, "suppress progress output")
 	)
 	fs.Parse(args)
@@ -381,48 +385,43 @@ func runAnalyze(args []string) {
 	if err != nil {
 		fail(2, err)
 	}
-	lo, hi, err := resolveRange(*from, *months)
-	if err != nil {
-		fail(2, err)
-	}
-	rec := newTracer("analyze", *traceFile, *progress)
-	t0 := time.Now()
-	ds, man, err := archive.ReadRangeWith(*from, lo, hi,
-		archive.ReadOptions{Workers: *parallelism, Span: rec.root()})
+	man, err := archive.ReadManifest(*from)
 	if err != nil {
 		fail(1, err)
 	}
-	vantages := len(man.Vantages)
-	if vantages == 0 {
-		vantages = 1
-	}
-	// Bounds-check against the archive's real vantage list now that the
-	// manifest is loaded: a view the archive cannot satisfy is a usage
-	// error naming the valid range, like a bad -range.
-	if err := dataset.CheckViewFor(*view, vantages); err != nil {
+	lo, hi, err := resolveRange(man, *months)
+	if err != nil {
 		fail(2, err)
 	}
-	ds.View = *view
-	if !*quiet {
-		// Report the months actually restored, not the requested range: an
-		// empty -range means the whole archive, and partially-out-of-window
-		// ranges are clamped to what exists on disk.
-		first := ds.Chain.Timeline.FirstMonth
-		last := ds.Chain.Timeline.MonthOfBlock(ds.Chain.Head().Header.Number)
-		fmt.Fprintf(os.Stderr, "mevscope: restored %d blocks (months %s..%s of %d segments, head %d) from %s\n",
-			ds.Chain.Len(), first.Label(), last.Label(), len(man.Segments), man.Head, *from)
+	// A view the archive's vantage list (one vantage when it lists none)
+	// cannot satisfy is a usage error naming the valid range, like a bad
+	// -range.
+	if err := dataset.CheckViewFor(*view, max(len(man.Vantages), 1)); err != nil {
+		fail(2, err)
 	}
-	study, err := mevscope.AnalyzeDatasetTraced(ds, *parallelism, rec.root())
+	if !*quiet {
+		blocks, months := 0, 0
+		for _, seg := range man.Segments {
+			if seg.Month >= lo && seg.Month <= hi {
+				blocks, months = blocks+seg.Blocks.Count, months+1
+			}
+		}
+		fmt.Fprintf(os.Stderr, "mevscope: analyzing %d blocks in %d of %d segments (head %d) of %s month by month\n",
+			blocks, months, len(man.Segments), man.Head, *from)
+	}
+	rec := newTracer("analyze", *traceFile, *progress)
+	t0 := time.Now()
+	rep, err := query.Assemble(*from, man, lo, hi, *view, mevscope.AnalyzeDatasetPartial, *parallelism, rec.root())
 	if err != nil {
 		fail(1, err)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "mevscope: %d MEV extractions measured in %v\n",
-			len(study.Profits), time.Since(t0).Round(time.Millisecond))
+			rep.Table1.Total.Extractions, time.Since(t0).Round(time.Millisecond))
 	}
 	rsp := rec.root().Child(obs.StageRender)
-	writeCSV(study, *csvDir, *quiet)
-	printSection(study, sec)
+	writeCSV(rep, *csvDir, *quiet)
+	printSection(rep, sec)
 	rsp.End()
 	rec.finish()
 }
@@ -431,17 +430,13 @@ func runAnalyze(args []string) {
 // archive's segment window before any data file is read, so a bad range
 // is a usage error (exit 2) that names the window actually on disk. An
 // empty spec selects the whole archive.
-func resolveRange(dir, spec string) (types.Month, types.Month, error) {
+func resolveRange(man *archive.Manifest, spec string) (types.Month, types.Month, error) {
 	lo, hi, err := types.ParseMonthRange(spec)
 	if err != nil {
 		return 0, 0, fmt.Errorf("analyze: %w", err)
 	}
 	if spec == "" {
 		return lo, hi, nil
-	}
-	man, err := archive.ReadManifest(dir)
-	if err != nil {
-		return 0, 0, err
 	}
 	first, last := man.Window()
 	if hi < first || lo > last {
@@ -625,11 +620,11 @@ func startLive(srv *query.Server, opts mevscope.Options, quiet bool) error {
 }
 
 // writeCSV optionally writes the CSV artifact directory.
-func writeCSV(study *mevscope.Study, dir string, quiet bool) {
+func writeCSV(rep *measure.Report, dir string, quiet bool) {
 	if dir == "" {
 		return
 	}
-	if err := study.Report.WriteCSVDir(dir); err != nil {
+	if err := rep.WriteCSVDir(dir); err != nil {
 		fail(1, fmt.Errorf("csv: %w", err))
 	}
 	if !quiet {
@@ -641,12 +636,12 @@ func writeCSV(study *mevscope.Study, dir string, quiet bool) {
 // to stdout; section is a name checkSection accepted. One artifact
 // prints as measure.WriteText renders it, byte for byte what
 // /v1/artifact/NAME?format=text serves.
-func printSection(study *mevscope.Study, section string) {
+func printSection(rep *measure.Report, section string) {
 	if section == "all" {
-		study.WriteReport(os.Stdout)
+		mevscope.WriteReportTo(os.Stdout, rep)
 		return
 	}
-	a, _ := study.Report.Artifact(section)
+	a, _ := rep.Artifact(section)
 	measure.WriteText(os.Stdout, a)
 }
 

@@ -21,6 +21,7 @@ import (
 	"mevscope/internal/query"
 	"mevscope/internal/scenario"
 	"mevscope/internal/sim"
+	"mevscope/internal/types"
 )
 
 // TestCheckScenarioRejectsTypos: a mistyped -scenario must error before
@@ -145,18 +146,14 @@ func TestSeedsUsageExits2(t *testing.T) {
 		{[]string{"-seeds", "1,2", "-bpm", "10", "-months", "3", "-csv", csv},
 			"mevscope: -seeds prints the ensemble's mean ± stddev summary to stdout; it writes no -csv directory\n"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestSeedsUsageExits2$", "--", "mevscope"}, tc.args...)...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("mevscope %s: exit %v, want status 2 (stderr %q)", strings.Join(tc.args, " "), err, stderr.String())
+		stdout, stderr, code := runCommand(t, "TestSeedsUsageExits2", append([]string{"mevscope"}, tc.args...)...)
+		if code != 2 {
+			t.Errorf("mevscope %s: exit %d, want status 2 (stderr %q)", strings.Join(tc.args, " "), code, stderr)
 			continue
 		}
-		if stderr.String() != tc.msg || stdout.Len() != 0 {
+		if stderr != tc.msg || stdout != "" {
 			t.Errorf("mevscope %s: stderr %q, stdout %q; want stderr %q and no stdout",
-				strings.Join(tc.args, " "), stderr.String(), stdout.String(), tc.msg)
+				strings.Join(tc.args, " "), stderr, stdout, tc.msg)
 		}
 	}
 	if _, err := os.Stat(csv); !os.IsNotExist(err) {
@@ -265,9 +262,51 @@ func TestCheckServeLiveFlags(t *testing.T) {
 // testArchiveDir simulates a tiny 6-month world and archives it, so the
 // -range validation sees a truncated window (2020-05..2020-10).
 func testArchiveDir(t *testing.T) string {
+	return writeArchive(t, mevscope.Options{Seed: 5, BlocksPerMonth: 20, Months: 6})
+}
+
+// TestResolveRange: `analyze -range` must reject malformed and
+// out-of-archive ranges as usage errors that name the valid window, and
+// must pass through slices the archive can actually serve.
+func TestResolveRange(t *testing.T) {
+	man, err := archive.ReadManifest(testArchiveDir(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := resolveRange(man, ""); err != nil {
+		t.Errorf("empty range rejected: %v", err)
+	}
+	lo, hi, err := resolveRange(man, "2020-06..2020-08")
+	if err != nil {
+		t.Fatalf("in-window range rejected: %v", err)
+	}
+	if lo.Label() != "2020-06" || hi.Label() != "2020-08" {
+		t.Errorf("range resolved to %s..%s", lo.Label(), hi.Label())
+	}
+	// Malformed: the month parser's error lists the study window.
+	if _, _, err := resolveRange(man, "bogus"); err == nil || !strings.Contains(err.Error(), "2020-05") {
+		t.Errorf("malformed range error does not list the valid window: %v", err)
+	}
+	if _, _, err := resolveRange(man, "2020-08..2020-06"); err == nil {
+		t.Error("inverted range accepted")
+	}
+	// Valid months that the truncated archive does not hold: the error
+	// must list the archive's actual window.
+	_, _, err = resolveRange(man, "2021-03..2021-06")
+	if err == nil {
+		t.Fatal("out-of-archive range accepted")
+	}
+	for _, want := range []string{"2020-05", "2020-10"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("out-of-archive error does not name the archive window bound %s: %v", want, err)
+		}
+	}
+}
+
+// writeArchive simulates a world and archives it into a fresh directory.
+func writeArchive(t *testing.T, opts mevscope.Options) string {
 	t.Helper()
-	dir := t.TempDir()
-	cfg, err := mevscope.Options{Seed: 5, BlocksPerMonth: 20, Months: 6}.Config()
+	cfg, err := opts.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,47 +317,132 @@ func testArchiveDir(t *testing.T) string {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// TestResolveRange: `analyze -range` must reject malformed and
-// out-of-archive ranges as usage errors that name the valid window, and
-// must pass through slices the archive can actually serve.
-func TestResolveRange(t *testing.T) {
-	dir := testArchiveDir(t)
-	if _, _, err := resolveRange(dir, ""); err != nil {
-		t.Errorf("empty range rejected: %v", err)
+// runCommand runs the command line args through the test binary, which
+// re-enters the named test and hands args to the command (as
+// TestSeedsUsageExits2 and TestAnalyzeMatchesReadRange do), and returns
+// its stdout, stderr and exit status.
+func runCommand(t *testing.T, test string, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^" + test + "$", "--"}, args...)...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return stdout.String(), stderr.String(), 0
+	case errors.As(err, &exit):
+		return stdout.String(), stderr.String(), exit.ExitCode()
 	}
-	lo, hi, err := resolveRange(dir, "2020-06..2020-08")
-	if err != nil {
-		t.Fatalf("in-window range rejected: %v", err)
+	t.Fatalf("mevscope %s: %v", strings.Join(args, " "), err)
+	return "", "", 0
+}
+
+// TestAnalyzeMatchesReadRange: `mevscope analyze -from` assembles its
+// report from month partials, and what it prints — the whole report, a
+// -range slice, one -section, each -view of a multi-vantage archive —
+// and the -csv files it writes are byte for byte what AnalyzeDataset
+// over archive.ReadRange of the same months renders. A -range that
+// selects no archived month exits 2 naming the archive's window, and a
+// directory without a manifest exits 1. The test re-runs its own binary
+// as the command, passing the command line after "--".
+func TestAnalyzeMatchesReadRange(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "analyze" {
+		runAnalyze(args[1:])
+		os.Exit(0)
 	}
-	if lo.Label() != "2020-06" || hi.Label() != "2020-08" {
-		t.Errorf("range resolved to %s..%s", lo.Label(), hi.Label())
-	}
-	// Malformed: the month parser's error lists the study window.
-	if _, _, err := resolveRange(dir, "bogus"); err == nil || !strings.Contains(err.Error(), "2020-05") {
-		t.Errorf("malformed range error does not list the valid window: %v", err)
-	}
-	if _, _, err := resolveRange(dir, "2020-08..2020-06"); err == nil {
-		t.Error("inverted range accepted")
-	}
-	// Valid months that the truncated archive does not hold: the error
-	// must list the archive's actual window.
-	_, _, err = resolveRange(dir, "2021-03..2021-06")
-	if err == nil {
-		t.Fatal("out-of-archive range accepted")
-	}
-	for _, want := range []string{"2020-05", "2020-10"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("out-of-archive error does not name the archive window bound %s: %v", want, err)
+	single := writeArchive(t, mevscope.Options{Seed: 3, BlocksPerMonth: 20})
+	multi := writeArchive(t, mevscope.Options{Seed: 3, BlocksPerMonth: 20, Vantages: 4})
+	for _, tc := range []struct {
+		dir, months, section, view string
+	}{
+		{single, "", "all", ""},
+		{single, "2021-03..2021-06", "all", ""},
+		{single, "", "fig9", ""},
+		{multi, "", "all", ""},
+		{multi, "", "all", "union"},
+		{multi, "2021-01..2022-03", "all", "vantage:2"},
+	} {
+		lo, hi, err := types.ParseMonthRange(tc.months)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, _, err := archive.ReadRange(tc.dir, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds.View = tc.view
+		st, err := mevscope.AnalyzeDataset(ds, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if tc.section == "all" {
+			mevscope.WriteReportTo(&want, st.Report)
+		} else {
+			a, _ := st.Report.Artifact(tc.section)
+			measure.WriteText(&want, a)
+		}
+		csvDir := filepath.Join(t.TempDir(), "csv")
+		args := []string{"analyze", "-from", tc.dir, "-q", "-parallel", "2", "-section", tc.section, "-csv", csvDir}
+		if tc.months != "" {
+			args = append(args, "-range", tc.months)
+		}
+		if tc.view != "" {
+			args = append(args, "-view", tc.view)
+		}
+		name := fmt.Sprintf("-range %q -section %s -view %q", tc.months, tc.section, tc.view)
+		stdout, stderr, code := runCommand(t, "TestAnalyzeMatchesReadRange", args...)
+		if code != 0 {
+			t.Fatalf("analyze %s: exit %d: %s", name, code, stderr)
+		}
+		if stdout != want.String() {
+			t.Errorf("analyze %s: stdout differs from AnalyzeDataset over ReadRange\ngot:\n%s\nwant:\n%s", name, stdout, want.String())
+		}
+		wantDir := filepath.Join(t.TempDir(), "want")
+		if err := st.Report.WriteCSVDir(wantDir); err != nil {
+			t.Fatal(err)
+		}
+		wantFiles, err := os.ReadDir(wantDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotFiles, err := os.ReadDir(csvDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotFiles) != len(wantFiles) {
+			t.Errorf("analyze %s: -csv wrote %d files, WriteCSVDir %d", name, len(gotFiles), len(wantFiles))
+		}
+		for _, f := range wantFiles {
+			w, err := os.ReadFile(filepath.Join(wantDir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := os.ReadFile(filepath.Join(csvDir, f.Name()))
+			if err != nil || !bytes.Equal(g, w) {
+				t.Errorf("analyze %s: -csv %s differs from WriteCSVDir's (read error %v)", name, f.Name(), err)
+			}
 		}
 	}
-	if _, _, err := resolveRange(t.TempDir(), "2020-06"); err == nil {
-		t.Error("range against a non-archive directory accepted")
+
+	stdout, stderr, code := runCommand(t, "TestAnalyzeMatchesReadRange",
+		"analyze", "-from", testArchiveDir(t), "-q", "-range", "2021-03..2021-06")
+	if code != 2 || stdout != "" || !strings.Contains(stderr, "2020-05") || !strings.Contains(stderr, "2020-10") {
+		t.Errorf("analyze -range outside the archive: exit %d, stdout %q, stderr %q; want exit 2 naming the window 2020-05..2020-10",
+			code, stdout, stderr)
+	}
+	if stdout, stderr, code := runCommand(t, "TestAnalyzeMatchesReadRange",
+		"analyze", "-from", t.TempDir(), "-q", "-range", "2021-03..2021-06"); code != 1 || stdout != "" || !strings.Contains(stderr, archive.ManifestName) {
+		t.Errorf("analyze of a directory without a manifest: exit %d, stdout %q, stderr %q; want exit 1 naming %s",
+			code, stdout, stderr, archive.ManifestName)
 	}
 }
 
@@ -333,21 +457,7 @@ func TestCheckServeArchive(t *testing.T) {
 	if err := checkServeArchive(t.TempDir()); err == nil {
 		t.Error("directory without a manifest accepted")
 	}
-	cfg, err := mevscope.Options{Seed: 9, BlocksPerMonth: 20, Months: 2}.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
-		t.Fatal(err)
-	}
+	dir := writeArchive(t, mevscope.Options{Seed: 9, BlocksPerMonth: 20, Months: 2})
 	if err := checkServeArchive(dir); err != nil {
 		t.Fatalf("current archive rejected: %v", err)
 	}

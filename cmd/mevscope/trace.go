@@ -16,8 +16,9 @@ import (
 )
 
 // progressStages is the coarse stage set the -progress ticker reports;
-// fine-grained children (per-segment decodes, per-artifact builders)
-// stay in the trace file but would drown a terminal.
+// fine-grained children (per-segment decodes, per-artifact builders, the
+// restore and analysis stages inside one month partial) stay in the
+// trace file but would drown a terminal.
 var progressStages = map[string]bool{
 	obs.StageSim:       true,
 	obs.StageSimMonth:  true,
@@ -29,6 +30,8 @@ var progressStages = map[string]bool{
 	obs.StageAggregate: true,
 	obs.StageBuild:     true,
 	obs.StageRender:    true,
+	obs.StagePartial:   true,
+	obs.StageMerge:     true,
 }
 
 // tracer owns one command's recording session: the trace, where the
@@ -94,7 +97,8 @@ func (t *tracer) finish() {
 func attachProgress(tr *obs.Trace) {
 	var mu sync.Mutex
 	tr.OnSpanEnd = func(sp *obs.Span) {
-		if !progressStages[sp.Name()] {
+		// A month partial's one line stands for the stages it nests.
+		if !progressStages[sp.Name()] || sp.Parent().Name() == obs.StagePartial {
 			return
 		}
 		mu.Lock()
@@ -103,7 +107,7 @@ func attachProgress(tr *obs.Trace) {
 		if l := sp.Label(); l != "" {
 			name += " " + l
 		}
-		line := fmt.Sprintf("mevscope: %-22s %8v", name, sp.Duration().Round(time.Millisecond))
+		line := fmt.Sprintf("mevscope: %-32s %8v", name, sp.Duration().Round(time.Millisecond))
 		if u := sp.Utilization(); u > 0 {
 			line += fmt.Sprintf("  pool %d×%.0f%%", sp.Workers(), 100*u)
 		}

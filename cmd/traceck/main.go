@@ -27,8 +27,9 @@ import (
 
 // defaultStages is the stage set an analyze run must record: the
 // archive restore with its per-segment decodes, the measurement core,
-// and the final render.
-const defaultStages = "archive:restore,archive:decode,detect,profit,aggregate,build,render"
+// the month partials and their merge — an analyze that restored the
+// whole range at once records neither — and the final render.
+const defaultStages = "archive:restore,archive:decode,detect,profit,aggregate,build,analyze:partial,analyze:merge,render"
 
 // nestTolerance is the slack (in trace microseconds) allowed between a
 // child's interval and its parent's: span ends are observed on

@@ -30,12 +30,13 @@
 // persists a dataset.Dataset, Read/ReadRange restore one bit-compatibly
 // (segments decoded in parallel, every file checksum-verified), and
 // `mevscope analyze -from <dir>` reproduces the original run's report
-// without re-simulating. StreamWriter is the live-rotation path: a
-// streaming follower hands it each study month as it completes, so
-// `mevscope archive -live` writes segments while the world grows instead
-// of serializing everything at the end. Every write, one rotated month
-// or a whole batch, runs all of its (month, column) chunk encoders on
-// one worker pool, each chunk deflated at chunkLevel.
+// without re-simulating, month by month as `mevscope serve` builds one
+// (RestoreShared, Shared.ReadMonth). StreamWriter is the live-rotation
+// path: a streaming follower hands it each study month as it completes,
+// so `mevscope archive -live` writes segments while the world grows
+// instead of serializing everything at the end. Every write, one rotated
+// month or a whole batch, runs all of its (month, column) chunk encoders
+// on one worker pool, each chunk deflated at chunkLevel.
 //
 // There is one reader, and every read decodes whole months. RestoreShared
 // restores what a run of months shares — the price series and, once the
@@ -313,9 +314,10 @@ func Read(dir string) (*dataset.Dataset, *Manifest, error) {
 }
 
 // ReadRange restores only the segments whose month falls in [from, to]
-// (inclusive) — the random-access path behind `mevscope serve`'s month
-// slicing and `mevscope analyze -range`: a query for four months reads
-// four segment directories, not the whole archive.
+// (inclusive) as one dataset: a slice of four months reads four segment
+// directories, not the whole archive. `mevscope serve` and `mevscope
+// analyze` read month by month instead; their reports are tested
+// against a full analysis of its dataset.
 func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, error) {
 	return ReadRangeWith(dir, from, to, ReadOptions{})
 }
@@ -356,15 +358,6 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 
 	rsp := opt.Span.Child(obs.StageRestore)
 	defer rsp.End()
-	if rsp != nil {
-		blocks, bytes := 0, int64(0)
-		for _, si := range segs {
-			blocks += si.Blocks.Count
-			bytes += segBytes(si)
-		}
-		rsp.SetBlocks(blocks)
-		rsp.SetBytes(bytes)
-	}
 	sh, err := restoreShared(dir, man, to, opt, rsp)
 	if err != nil {
 		return nil, nil, err

@@ -348,8 +348,8 @@ func (res *Result) merge(other *Result) {
 // Scanner is the incremental detector front-end: it consumes blocks one
 // at a time in ascending order and accumulates the same Result a batch
 // sweep over the fed range produces. Both the streaming block-follower
-// (internal/stream) and the batch Scan/ScanParallel paths are built on
-// it, so there is exactly one detector seam.
+// (internal/stream) and the batch Scan/ScanParallelSpan paths are built
+// on it, so there is exactly one detector seam.
 type Scanner struct {
 	weth types.Address
 	res  *Result
@@ -390,22 +390,18 @@ func (s *Scanner) Counts() (sandwiches, arbitrages, liquidations int) {
 
 // Scan runs every detector over chain blocks in [from, to] sequentially.
 func Scan(c *chain.Chain, weth types.Address, from, to uint64) *Result {
-	return ScanParallel(c, weth, from, to, 1)
+	return ScanParallelSpan(c, weth, from, to, 1, nil)
 }
 
-// ScanParallel fans blocks in [from, to] across a worker pool. Each worker
-// feeds a contiguous block range through its own Scanner; partial results
-// are merged in ascending block order, so the output is identical to the
-// sequential Scan — and to a single Scanner fed every block — for any
-// worker count. workers < 1 selects runtime.NumCPU().
-func ScanParallel(c *chain.Chain, weth types.Address, from, to uint64, workers int) *Result {
-	return ScanParallelSpan(c, weth, from, to, workers, nil)
-}
-
-// ScanParallelSpan is ScanParallel recorded as a "detect" stage under
-// the given parent span: block count, detection count, pool size and
-// per-worker busy time land on the trace. A nil parent disables
-// recording at zero cost; the result is identical either way.
+// ScanParallelSpan fans blocks in [from, to] across a worker pool. Each
+// worker feeds a contiguous block range through its own Scanner; partial
+// results are merged in ascending block order, so the output is
+// identical to the sequential Scan — and to a single Scanner fed every
+// block — for any worker count. workers < 1 selects runtime.NumCPU().
+// The sweep records a "detect" stage under the given parent span: block
+// count, detection count, pool size and per-worker busy time land on the
+// trace. A nil parent disables recording at zero cost; the result is
+// identical either way.
 func ScanParallelSpan(c *chain.Chain, weth types.Address, from, to uint64, workers int, parent *obs.Span) *Result {
 	sp := parent.Child(obs.StageDetect)
 	defer sp.End()

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"sort"
@@ -47,6 +48,9 @@ type MonthSummary struct {
 	// FBRecords counts the month's Flashbots block records (Figure 3;
 	// Figure 7 has a row for every month with one).
 	FBRecords int `json:"fb_records"`
+	// FBMiners tallies the month's Flashbots blocks per miner, sorted by
+	// address (Figures 4 and 5, §4.4 concentration).
+	FBMiners []MinerBlocks `json:"fb_miners,omitempty"`
 	// FBTxs and FBSearchers count the month's Flashbots transactions and
 	// their distinct submitting accounts per Figure 7 type (fig7Types).
 	FBTxs       [len(fig7Types)]int `json:"fb_txs"`
@@ -61,6 +65,12 @@ type MonthSummary struct {
 	SingleTxBundles int                  `json:"single_tx_bundles"`
 	MaxBundleTxs    int                  `json:"max_bundle_txs"`
 	BundlesByType   [bundleTypeSlots]int `json:"bundles_by_type"`
+}
+
+// MinerBlocks is one miner's Flashbots block count in a month.
+type MinerBlocks struct {
+	Miner  types.Address `json:"miner"`
+	Blocks int           `json:"blocks"`
 }
 
 // monthAgg is the accumulator's state of one study month: its block
@@ -97,12 +107,12 @@ func (agg *monthAgg) feed(b *types.Block, withGas bool) {
 }
 
 // derive computes month m's summary from what has been fed of it: the gas
-// median, and the Figure 7 counts and bundle statistics of the records of
-// fb in month m. A Flashbots profit record of profits in m labels its
-// transactions with its MEV type; a record's transactions all sit in its
-// block, so records of other months label none of m's. derive may run
-// again as an open month grows: it recomputes everything but the gas
-// count and sum, which feed keeps.
+// median, and the miner tallies, Figure 7 counts and bundle statistics
+// of the records of fb in month m. A Flashbots profit record of profits
+// in m labels its transactions with its MEV type; a record's
+// transactions all sit in its block, so records of other months label
+// none of m's. derive may run again as an open month grows: it
+// recomputes everything but the gas count and sum, which feed keeps.
 func (agg *monthAgg) derive(tl types.Timeline, m types.Month, fb []flashbots.BlockRecord, profits []profit.Record) {
 	s := &agg.MonthSummary
 	*s = MonthSummary{Receipts: s.Receipts, GasSum: s.GasSum}
@@ -127,12 +137,14 @@ func (agg *monthAgg) derive(tl types.Timeline, m types.Month, fb []flashbots.Blo
 	}
 	seen := make(map[searcher]bool)
 	var bundles []bundleTx
+	var miners []types.Address
 	for i := range fb {
 		rec := &fb[i]
 		if tl.MonthOfBlock(rec.BlockNumber) != m {
 			continue
 		}
 		s.FBRecords++
+		miners = append(miners, rec.Miner)
 		for _, tx := range rec.Txs {
 			k := fig7Other
 			if kind, ok := kinds[tx.Hash]; ok {
@@ -145,6 +157,14 @@ func (agg *monthAgg) derive(tl types.Timeline, m types.Month, fb []flashbots.Blo
 			}
 		}
 		bundles = s.addBundles(rec, bundles)
+	}
+	slices.SortFunc(miners, func(a, b types.Address) int { return bytes.Compare(a[:], b[:]) })
+	for _, a := range miners {
+		if n := len(s.FBMiners); n > 0 && s.FBMiners[n-1].Miner == a {
+			s.FBMiners[n-1].Blocks++
+		} else {
+			s.FBMiners = append(s.FBMiners, MinerBlocks{a, 1})
+		}
 	}
 }
 
@@ -237,13 +257,11 @@ func (a *Accumulator) SealMonth(m types.Month, profits []profit.Record) {
 func (a *Accumulator) FBBlocks() []flashbots.BlockRecord { return a.fb }
 
 // Report assembles the full report from the accumulated aggregates plus
-// the detector/profit/inference inputs. in.FBBlocks is overridden with
-// the accumulator's own record list (they are identical in the batch
-// path; in the streaming path the accumulator's list is the authority).
-// Every fed month not yet sealed — a streamed run's open month — is
-// derived from in.Profits first.
+// the detector/profit/inference inputs; the builders read the Flashbots
+// records only through the month summaries, derived from the
+// accumulator's own record list. Every fed month not yet sealed — a
+// streamed run's open month — is derived from in.Profits first.
 func (a *Accumulator) Report(in Inputs, inf *privinfer.Inferrer) *Report {
-	in.FBBlocks = a.fb
 	for m := range a.months {
 		if !a.sealed[m] && a.months[m].blocks > 0 {
 			a.months[m].derive(a.tl, types.Month(m), a.fb, in.Profits)
@@ -263,7 +281,6 @@ func accumulate(in Inputs, withGas bool) *Accumulator {
 	sp.SetBlocks(in.Chain.Len())
 	tl := in.Chain.Timeline
 	a := NewAccumulator(tl, in.WETH)
-	a.fb = in.FBBlocks
 	aggs := parallel.MapSpan(sp, types.StudyMonths, in.workers(), func(mi int) monthAgg {
 		var agg monthAgg
 		for _, b := range in.Chain.BlocksInMonth(types.Month(mi)) {
@@ -299,15 +316,7 @@ func figure3(acc *Accumulator) []Fig3Row {
 
 // figure4 estimates the monthly Flashbots hashpower share from the
 // aggregates (§4.3's estimator).
-func figure4(in Inputs, acc *Accumulator) []MonthValue {
-	fbMiners := map[types.Month]map[types.Address]bool{}
-	for _, rec := range in.FBBlocks {
-		m := in.Chain.Timeline.MonthOfBlock(rec.BlockNumber)
-		if fbMiners[m] == nil {
-			fbMiners[m] = map[types.Address]bool{}
-		}
-		fbMiners[m][rec.Miner] = true
-	}
+func figure4(acc *Accumulator) []MonthValue {
 	var out []MonthValue
 	for m := types.Month(0); m < types.StudyMonths; m++ {
 		agg := &acc.months[m]
@@ -316,7 +325,9 @@ func figure4(in Inputs, acc *Accumulator) []MonthValue {
 		}
 		fb := 0
 		for _, miner := range agg.miners {
-			if fbMiners[m][miner] {
+			if _, ok := slices.BinarySearchFunc(agg.FBMiners, miner, func(e MinerBlocks, a types.Address) int {
+				return bytes.Compare(e.Miner[:], a[:])
+			}); ok {
 				fb++
 			}
 		}

@@ -24,7 +24,9 @@ import (
 // Inputs carries everything the aggregations read. Without Vantages
 // (no pending-transaction capture) Figure 9 and §6 are skipped.
 type Inputs struct {
-	Chain    *chain.Chain
+	Chain *chain.Chain
+	// FBBlocks are the Flashbots API records, ascending by height. Only the
+	// aggregate pass reads them, so a month-partial merge holds none.
 	FBBlocks []flashbots.BlockRecord
 	// FBSet maps transactions the Flashbots records list to their bundle
 	// types. Only the §6 inference reads it, and only for verdict
@@ -210,7 +212,7 @@ func BuildFigure3(in Inputs) []Fig3Row {
 // block share of miners who mined at least one Flashbots block in that
 // month (§4.3's estimator).
 func BuildFigure4(in Inputs) []MonthValue {
-	return figure4(in, accumulate(in, false))
+	return figure4(accumulate(in, false))
 }
 
 // ---------------------------------------------------------------------------
@@ -233,13 +235,13 @@ type Fig5 struct {
 // multiplied by blocksPerMonth/190000 (mainnet months are ≈190k blocks),
 // with a floor of 1.
 func BuildFigure5(in Inputs) Fig5 {
-	return figure5(in, accumulate(in, false))
+	return figure5(accumulate(in, false))
 }
 
 // figure5 is BuildFigure5 over precomputed aggregates.
-func figure5(in Inputs, acc *Accumulator) Fig5 {
+func figure5(acc *Accumulator) Fig5 {
 	paper := []int{1, 10, 100, 1_000, 10_000}
-	factor := float64(in.Chain.Timeline.BlocksPerMonth) / 190_000.0
+	factor := float64(acc.tl.BlocksPerMonth) / 190_000.0
 	thresholds := make([]int, len(paper))
 	for i, t := range paper {
 		s := int(float64(t) * factor)
@@ -252,23 +254,15 @@ func figure5(in Inputs, acc *Accumulator) Fig5 {
 		}
 		thresholds[i] = s
 	}
-	perMonth := map[types.Month]map[types.Address]int{}
-	for _, rec := range in.FBBlocks {
-		m := in.Chain.Timeline.MonthOfBlock(rec.BlockNumber)
-		if perMonth[m] == nil {
-			perMonth[m] = map[types.Address]int{}
-		}
-		perMonth[m][rec.Miner]++
-	}
 	f := Fig5{Thresholds: thresholds}
 	for m := types.Month(0); m < types.StudyMonths; m++ {
 		if acc.months[m].blocks == 0 {
 			continue
 		}
 		row := make([]int, len(thresholds))
-		for _, count := range perMonth[m] {
+		for _, mb := range acc.months[m].FBMiners {
 			for ti, th := range thresholds {
-				if count >= th {
+				if mb.Blocks >= th {
 					row[ti]++
 				}
 			}
@@ -529,8 +523,8 @@ var headerCols = []string{"headers", "flashbots"}
 var builderSpecs = []builderSpec{
 	{"table1", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Table1 = BuildTable1(in) }},
 	{"fig3", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig3 = figure3(acc) }},
-	{"fig4", headerCols, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig4 = figure4(in, acc) }},
-	{"fig5", headerCols, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig5 = figure5(in, acc) }},
+	{"fig4", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig4 = figure4(acc) }},
+	{"fig5", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig5 = figure5(acc) }},
 	{"fig6", nil, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig6 = figure6(in, acc) }},
 	{"fig7", nil, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Fig7 = figure7(acc) }},
 	{"fig8", nil, false, func(in Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) {
@@ -541,8 +535,8 @@ var builderSpecs = []builderSpec{
 		r.Negatives = BuildNegativeProfits(in)
 	}},
 	{"damage", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) { r.Damage = BuildVictimDamage(in) }},
-	{"concentration", headerCols, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) {
-		r.Concentration = BuildConcentration(in)
+	{"concentration", headerCols, false, func(_ Inputs, acc *Accumulator, _ *privinfer.Inferrer, r *Report) {
+		r.Concentration = concentration(acc)
 	}},
 	{"vantages", nil, false, func(in Inputs, _ *Accumulator, _ *privinfer.Inferrer, r *Report) {
 		r.VantageSensitivity = BuildVantageSensitivity(in)
@@ -684,26 +678,28 @@ type Concentration struct {
 
 // BuildConcentration aggregates §4.4 concentration metrics.
 func BuildConcentration(in Inputs) Concentration {
+	return concentration(accumulate(in, false))
+}
+
+// concentration is BuildConcentration over precomputed aggregates: each
+// month's Flashbots miner tallies.
+func concentration(acc *Accumulator) Concentration {
 	out := Concentration{GiniPerMonth: map[types.Month]float64{}}
-	perMonth := map[types.Month]map[types.Address]int{}
 	total := map[types.Address]int{}
 	blocks := 0
-	for _, rec := range in.FBBlocks {
-		m := in.Chain.Timeline.MonthOfBlock(rec.BlockNumber)
-		if perMonth[m] == nil {
-			perMonth[m] = map[types.Address]int{}
+	for m := range acc.months {
+		tally := acc.months[m].FBMiners
+		if len(tally) == 0 {
+			continue
 		}
-		perMonth[m][rec.Miner]++
-		total[rec.Miner]++
-		blocks++
-	}
-	for m, counts := range perMonth {
-		xs := make([]float64, 0, len(counts))
-		for _, n := range counts {
-			xs = append(xs, float64(n))
+		xs := make([]float64, len(tally))
+		for i, mb := range tally {
+			xs[i] = float64(mb.Blocks)
+			total[mb.Miner] += mb.Blocks
+			blocks += mb.Blocks
 		}
 		sort.Float64s(xs) // Gini is order-insensitive; pin the order anyway
-		out.GiniPerMonth[m] = stats.Gini(xs)
+		out.GiniPerMonth[types.Month(m)] = stats.Gini(xs)
 	}
 	out.Miners = len(total)
 	var all []int

@@ -4,12 +4,14 @@ package measure
 // level. A Partial freezes what the report builders read of exactly one
 // study month — scanner extractions, profit records, the month's block
 // headers and hashes, its summary (the gas count, sum and median, the
-// Figure 7 counts and the bundle statistics, MonthSummary), the
-// Flashbots membership of its verdict transactions and its observation
-// capture — so a range request can assemble its report by merging the
-// partials of its months instead of re-running detect→profit over
-// blocks it has analyzed before, and the merge only combines what each
-// month already derived.
+// Flashbots miner tallies, the Figure 7 counts and the bundle
+// statistics, MonthSummary), the Flashbots membership of its verdict
+// transactions and its observation capture — so a range request can
+// assemble its report by merging the partials of its months instead of
+// re-running detect→profit over blocks it has analyzed before, and the
+// merge only combines what each month already derived. A partial keeps
+// no Flashbots record: every builder reads the records through the
+// month summaries.
 //
 // A partial holds no §6 verdict, so one partial per month serves every
 // observation view. Its capture is, for each vantage, that vantage's
@@ -80,12 +82,10 @@ type Partial struct {
 	Headers []types.Header `json:"headers"`
 	Hashes  []types.Hash   `json:"hashes"`
 	// Summary is the month's summary exactly as the accumulator derived
-	// it: the receipt gas count, sum and median (Figure 6), the Figure 7
-	// counts and the bundle statistics.
+	// it: the receipt gas count, sum and median (Figure 6), the Flashbots
+	// miner tallies, the Figure 7 counts and the bundle statistics.
 	Summary MonthSummary `json:"summary"`
 
-	// FBBlocks are the month's Flashbots public-API records.
-	FBBlocks []flashbots.BlockRecord `json:"fb_blocks,omitempty"`
 	// FBVerdictTxs is the Flashbots membership of the month's verdict
 	// transactions: each one the Flashbots records list, with its bundle
 	// type, in verdict order — all a merge's §6 inference looks up.
@@ -158,7 +158,6 @@ func NewPartial(in Inputs) (*Partial, error) {
 		Timeline: tl,
 		WETH:     in.WETH,
 		Summary:  agg.MonthSummary,
-		FBBlocks: in.FBBlocks,
 	}
 	blocks := in.Chain.Blocks()
 	p.Headers = make([]types.Header, len(blocks))
@@ -249,11 +248,8 @@ func verdictTxs(res *detect.Result) []types.Hash {
 // estimate errs high and the cache stays within budget.
 func (p *Partial) SizeBytes() int64 {
 	n := int64(unsafe.Sizeof(*p))
-	n += arrayBytes(p.Headers) + arrayBytes(p.Hashes) + arrayBytes(p.FBBlocks) + arrayBytes(p.FBVerdictTxs)
-	n += arrayBytes(p.Summary.BundlesPerBlock) + arrayBytes(p.Summary.TxsPerBundle)
-	for i := range p.FBBlocks {
-		n += arrayBytes(p.FBBlocks[i].Txs)
-	}
+	n += arrayBytes(p.Headers) + arrayBytes(p.Hashes) + arrayBytes(p.FBVerdictTxs)
+	n += arrayBytes(p.Summary.FBMiners) + arrayBytes(p.Summary.BundlesPerBlock) + arrayBytes(p.Summary.TxsPerBundle)
 	n += arrayBytes(p.Sandwiches) + arrayBytes(p.Arbitrages) + arrayBytes(p.Liquidations)
 	for i := range p.Arbitrages {
 		n += arrayBytes(p.Arbitrages[i].Pools)
@@ -282,11 +278,14 @@ func arrayBytes[T any](s []T) int64 {
 // its frozen partials, classifying against view. It restores each
 // vantage from its records across the range, takes the last partial's
 // coverage table as the range's, and then runs what a full Build runs:
-// Inputs.Inferrer and the builder fan-out, parameterized by workers and
-// sp. The report is byte-identical to a full-range analysis of the same
-// months under the same view, whatever views the partials' months were
-// analyzed under.
+// Inputs.Inferrer and the builder fan-out, parameterized by workers —
+// all of it recorded as one analyze:merge span under sp, the infer and
+// build stages nested in it. The report is byte-identical to a
+// full-range analysis of the same months under the same view, whatever
+// views the partials' months were analyzed under.
 func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*Report, error) {
+	sp = sp.Child(obs.StageMerge)
+	defer sp.End()
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("measure: merge of zero partials")
 	}
@@ -323,13 +322,12 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 	tl := c.Timeline
 
 	// Concatenate detections in month order, preallocated.
-	var nSand, nArb, nLiq, nFlash, nFB, nFBTxs int
+	var nSand, nArb, nLiq, nFlash, nFBTxs int
 	for _, p := range parts {
 		nSand += len(p.Sandwiches)
 		nArb += len(p.Arbitrages)
 		nLiq += len(p.Liquidations)
 		nFlash += len(p.FlashLoanTxs)
-		nFB += len(p.FBBlocks)
 		nFBTxs += len(p.FBVerdictTxs)
 	}
 	res := &detect.Result{
@@ -338,7 +336,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		Liquidations: make([]detect.Liquidation, 0, nLiq),
 		FlashLoanTxs: make(map[types.Hash]bool, nFlash),
 	}
-	fb := make([]flashbots.BlockRecord, 0, nFB)
 	fbset := make(map[types.Hash]flashbots.BundleType, nFBTxs)
 	for _, p := range parts {
 		res.Sandwiches = append(res.Sandwiches, p.Sandwiches...)
@@ -347,7 +344,6 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		for _, h := range p.FlashLoanTxs {
 			res.FlashLoanTxs[h] = true
 		}
-		fb = append(fb, p.FBBlocks...)
 		for _, t := range p.FBVerdictTxs {
 			fbset[t.Hash] = t.Type
 		}
@@ -373,7 +369,7 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 	// Reconstitute the accumulator from the frozen month summaries:
 	// blocks and miners come from the headers. (accumulate() is unusable
 	// here — the rebuilt chain is header-only and carries no receipts.)
-	acc := &Accumulator{tl: tl, weth: parts[0].WETH, minerSet: make(map[types.Address]bool), fb: fb}
+	acc := &Accumulator{tl: tl, weth: parts[0].WETH, minerSet: make(map[types.Address]bool)}
 	miners := make([]types.Address, c.Len())
 	for _, p := range parts {
 		agg := monthAgg{blocks: len(p.Headers), MonthSummary: p.Summary}
@@ -386,15 +382,14 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 	}
 
 	in := Inputs{
-		Chain:    c,
-		FBBlocks: fb,
-		FBSet:    fbset,
-		Detect:   res,
-		Profits:  profits,
-		View:     view,
-		WETH:     parts[0].WETH,
-		Workers:  workers,
-		Span:     sp,
+		Chain:   c,
+		FBSet:   fbset,
+		Detect:  res,
+		Profits: profits,
+		View:    view,
+		WETH:    parts[0].WETH,
+		Workers: workers,
+		Span:    sp,
 	}
 	if last := parts[len(parts)-1]; len(last.Captures) > 0 {
 		records := make([][]p2p.ObservedTx, len(last.Captures))

@@ -272,17 +272,13 @@ func (c *Computer) ResolveAll(res *detect.Result) []Record {
 	return t.Records()
 }
 
-// ResolveAllParallel resolves the sweep across a worker pool. Every
+// ResolveAllParallelSpan resolves the sweep across a worker pool. Every
 // detection is independent, so records are computed into index-assigned
 // slots and compacted in detector order — the output matches ResolveAll
 // exactly for any worker count. workers < 1 selects runtime.NumCPU().
-func (c *Computer) ResolveAllParallel(res *detect.Result, workers int) []Record {
-	return c.ResolveAllParallelSpan(res, workers, nil)
-}
-
-// ResolveAllParallelSpan is ResolveAllParallel recorded as a "profit"
-// stage under the given parent span (detection count, pool size,
-// per-worker busy time). A nil parent disables recording at zero cost.
+// The resolution records a "profit" stage under the given parent span
+// (detection count, pool size, per-worker busy time). A nil parent
+// disables recording at zero cost.
 func (c *Computer) ResolveAllParallelSpan(res *detect.Result, workers int, parent *obs.Span) []Record {
 	sp := parent.Child(obs.StageProfit)
 	defer sp.End()

@@ -135,7 +135,7 @@ func TestTrackerMatchesResolveAll(t *testing.T) {
 		}
 	}
 	// Parallel resolution over the same sweep agrees too.
-	par := comp.ResolveAllParallel(sweep, 4)
+	par := comp.ResolveAllParallelSpan(sweep, 4, nil)
 	if len(par) != len(inc) {
 		t.Fatalf("parallel %d records, incremental %d", len(par), len(inc))
 	}

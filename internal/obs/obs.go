@@ -37,7 +37,7 @@ const (
 	StageSim       = "sim"             // whole simulation run
 	StageSimMonth  = "sim:month"       // one study month of sealing
 	StageRun       = "run"             // one seed of an ensemble
-	StageRestore   = "archive:restore" // archive.ReadRange of a window
+	StageRestore   = "archive:restore" // a shared, month or range archive read
 	StageDecode    = "archive:decode"  // one segment decoded from disk
 	StageColumn    = "archive:column"  // one column chunk decoded
 	StageDetect    = "detect"          // MEV detection scan
@@ -50,6 +50,7 @@ const (
 	StageSnapshot  = "stream:snapshot" // follower report snapshot
 	StageRender    = "render"          // report rendering / encoding
 	StagePartial   = "analyze:partial" // one month partial (memoized or computed)
+	StageMerge     = "analyze:merge"   // month partials merged into a report
 )
 
 // MetricStages is the bounded set of stage names the query server
@@ -58,7 +59,7 @@ const (
 func MetricStages() []string {
 	return []string{
 		StageRestore, StageDecode, StageDetect, StageProfit,
-		StageInfer, StageAggregate, StageBuild, StagePartial,
+		StageInfer, StageAggregate, StageBuild, StagePartial, StageMerge,
 	}
 }
 

@@ -93,16 +93,13 @@ func MapSpan[T any](sp *obs.Span, n, workers int, fn func(i int) T) []T {
 	return out
 }
 
-// MapChunks splits [0, n) into contiguous chunks of roughly equal size —
-// one per worker — and calls fn(lo, hi) for each, returning the per-chunk
-// results in ascending chunk order. Chunked fan-out amortizes scheduling
-// overhead when per-item work is small (e.g. per-block detector sweeps);
-// merging the returned slice in order reproduces the sequential result.
-func MapChunks[T any](n, workers int, fn func(lo, hi int) T) []T {
-	return MapChunksSpan(nil, n, workers, fn)
-}
-
-// MapChunksSpan is MapChunks with pool instrumentation; see MapSpan.
+// MapChunksSpan splits [0, n) into contiguous chunks of roughly equal
+// size — one per worker — and calls fn(lo, hi) for each, returning the
+// per-chunk results in ascending chunk order. Chunked fan-out amortizes
+// scheduling overhead when per-item work is small (e.g. per-block
+// detector sweeps); merging the returned slice in order reproduces the
+// sequential result. The span, when non-nil, records the pool as
+// MapSpan's does.
 func MapChunksSpan[T any](sp *obs.Span, n, workers int, fn func(lo, hi int) T) []T {
 	if n <= 0 {
 		return nil

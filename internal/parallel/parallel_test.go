@@ -43,7 +43,7 @@ func TestMapChunksCoverExactly(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{10, 3}, {10, 1}, {3, 10}, {1, 1}, {100, 16}, {7, 7},
 	} {
-		parts := MapChunks(tc.n, tc.workers, func(lo, hi int) [2]int { return [2]int{lo, hi} })
+		parts := MapChunksSpan(nil, tc.n, tc.workers, func(lo, hi int) [2]int { return [2]int{lo, hi} })
 		prev := 0
 		for _, p := range parts {
 			if p[0] != prev {
@@ -120,6 +120,8 @@ func TestMapSpanRecordsPool(t *testing.T) {
 // what the uninstrumented implementation did — one slice for the
 // sequential path (the result) — and enabling the span on that path
 // must add nothing either (attrs are plain fields, busy is an atomic).
+// MapChunksSpan with a nil span allocates only the chunk bounds and the
+// result.
 func TestDisabledTracerZeroAllocs(t *testing.T) {
 	fn := func(i int) int { return i }
 	if got := testing.AllocsPerRun(100, func() { Map(64, 1, fn) }); got != 1 {
@@ -134,9 +136,8 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 		t.Errorf("sequential MapSpan(live) allocates %v per run; want 1", got)
 	}
 	cfn := func(lo, hi int) int { return hi - lo }
-	base := testing.AllocsPerRun(100, func() { MapChunks(64, 1, cfn) })
-	if got := testing.AllocsPerRun(100, func() { MapChunksSpan(nil, 64, 1, cfn) }); got != base {
-		t.Errorf("MapChunksSpan(nil) allocates %v per run; want %v (same as MapChunks)", got, base)
+	if got := testing.AllocsPerRun(100, func() { MapChunksSpan(nil, 64, 1, cfn) }); got != 2 {
+		t.Errorf("MapChunksSpan(nil) allocates %v per run; want 2 (chunk bounds, result slice)", got)
 	}
 }
 

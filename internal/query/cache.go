@@ -84,7 +84,7 @@ type SegmentCacheStats struct {
 // (maxBytes > 0, each entry sized by size); it never evicts its last
 // entry, whatever its size. Cached values are immutable once published,
 // so one entry is handed to any number of concurrent readers without
-// copying.
+// copying. A nil level caches nothing: peek misses and do just builds.
 //
 // do collapses concurrent misses for one key into one build: the first
 // caller builds, the rest wait for its result. The lookup, the in-flight
@@ -157,6 +157,10 @@ func (l *level[K, V]) get(k K) (V, bool) {
 
 // peek is a lookup that leaves the hit and miss counters alone.
 func (l *level[K, V]) peek(k K) (V, bool) {
+	if l == nil {
+		var zero V
+		return zero, false
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lookup(k, false)
@@ -201,6 +205,9 @@ func (l *level[K, V]) addLocked(k K, v V, size int64) {
 // value, else the result of the build already in flight for k, else the
 // result of build, which is published on success.
 func (l *level[K, V]) do(k K, build func() (V, error)) (v V, err error) {
+	if l == nil {
+		return build()
+	}
 	l.mu.Lock()
 	if cached, ok := l.lookup(k, true); ok {
 		l.mu.Unlock()

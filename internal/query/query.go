@@ -27,6 +27,10 @@
 // collapses concurrent report or partial misses for one key into one
 // build and turns a panicking build into an error for every waiter.
 //
+// The assembly is the one archive report path: a report-cache miss runs
+// it over the server's cache levels, and Assemble, behind `mevscope
+// analyze -from`, runs it with none.
+//
 // One observation network serves every month of a build because of
 // month stability: a transaction is never seen pending after it is
 // mined, so logs past a month change none of its §6 verdicts, and the
@@ -398,26 +402,8 @@ func (s *Server) resolveKey(r *http.Request) (Key, error) {
 		if to > last {
 			to = last
 		}
-		// An archive with month gaps (a limited -months run) can overlap
-		// the window yet select nothing; catch that here too, before the
-		// restore path turns it into a 500.
-		any := false
-		for _, seg := range man.Segments {
-			if seg.Month >= from && seg.Month <= to {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return Key{}, errBadRequest("query: months %s..%s select no archived segments (the archive covers %s..%s)",
-				from.Label(), to.Label(), first.Label(), last.Label())
-		}
 	}
-	vantages := len(man.Vantages)
-	if vantages == 0 {
-		vantages = 1
-	}
-	if err := dataset.CheckViewFor(view, vantages); err != nil {
+	if err := dataset.CheckViewFor(view, max(len(man.Vantages), 1)); err != nil {
 		return Key{}, errBadRequest("%v", err)
 	}
 	return Key{
@@ -459,16 +445,21 @@ func (s *Server) report(key Key) (*measure.Report, error) {
 	})
 }
 
-// build runs one cold archive report build, assembleFromPartials, under
-// a flight-recorder trace when metrics are on; a successful build's
-// stage durations feed the mevscope_stage_seconds histograms.
+// build runs one cold archive report build — assemble over the
+// server's partial level and chunk cache — under a flight-recorder trace
+// when metrics are on; a successful build's stage durations feed the
+// mevscope_stage_seconds histograms.
 func (s *Server) build(key Key) (*measure.Report, error) {
+	man, err := s.manifest()
+	if err != nil {
+		return nil, err
+	}
 	var tr *obs.Trace
 	if s.metrics != nil {
 		tr = obs.New("build")
 	}
 	sp := tr.Root()
-	rep, err := s.assembleFromPartials(key, sp)
+	rep, err := assemble(man, key, s.cfg.AnalyzePartial, s.cfg.Workers, s.partials, s.chunks, sp)
 	if err == nil {
 		sp.End()
 		s.metrics.observeTrace(tr)
@@ -476,34 +467,40 @@ func (s *Server) build(key Key) (*measure.Report, error) {
 	return rep, err
 }
 
-// assembleFromPartials builds a range report by merging the month
-// partials of every month the key covers, each resolved through the
-// partial level, so only the months no earlier build analyzed do work.
-// Those share one archive.Shared — the price series and the observation
-// network through the last month the scan found missing, restored once
-// per build, lazily by whichever miss first needs it — and fan out
-// across the worker pool. Months the archive has no segment for are
-// skipped (matching the month gaps a full-range restore would surface as
-// a restore error — MergePartials rejects the resulting discontinuity
-// the same way).
-func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, error) {
-	man, err := s.manifest()
-	if err != nil {
-		return nil, err
-	}
-	archived := make(map[types.Month]bool, len(man.Segments))
-	for _, seg := range man.Segments {
-		archived[seg.Month] = true
-	}
+// Assemble builds the report of the archive at dir (whose manifest the
+// caller has loaded) over months from..to under view as a server's cold
+// build does, with no cache: analyze (mevscope.AnalyzeDatasetPartial)
+// runs once per archived month, workers sizes the pool as
+// Config.Workers does, and sp, when non-nil, records the build. A range
+// that selects no archived month is an error naming the archive's
+// window.
+func Assemble(dir string, man *archive.Manifest, from, to types.Month, view string, analyze PartialFunc, workers int, sp *obs.Span) (*measure.Report, error) {
+	return assemble(man, Key{Archive: dir, From: from, To: to, View: view}, analyze, workers, nil, nil, sp)
+}
+
+// assemble builds a range report by merging the month partials of every
+// archived month the key covers, in manifest order, each resolved
+// through the partial level, so only the months no earlier build
+// analyzed do work. Those share one archive.Shared — the price series and
+// the observation network through the last month the scan found missing,
+// restored once per build, lazily by whichever miss first needs it — and
+// fan out across the worker pool. A month gap is left to MergePartials,
+// which rejects it as a full-range restore does. A nil partial level
+// caches nothing, and a nil chunk cache decodes every chunk fresh. Each
+// computed month gets an analyze:partial span, so a trace of an
+// assembled build shows exactly which months were memoized.
+func assemble(man *archive.Manifest, key Key, analyze PartialFunc, workers int,
+	partials *level[partialKey, *measure.Partial], chunks archive.ChunkCache, sp *obs.Span) (*measure.Report, error) {
 	var keys []partialKey
 	var parts []*measure.Partial // the scan's cached partials, nil where missing
 	missing, last := 0, key.From
-	for m := key.From; m <= key.To; m++ {
-		if !archived[m] {
+	for _, seg := range man.Segments {
+		m := seg.Month
+		if m < key.From || m > key.To {
 			continue
 		}
 		pk := partialKey{archive: key.Archive, month: m, scenario: key.Scenario}
-		p, ok := s.partials.peek(pk)
+		p, ok := partials.peek(pk)
 		if ok {
 			psp := sp.Child(obs.StagePartial)
 			psp.SetLabel(m.Label() + ":cached")
@@ -514,24 +511,40 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 		keys = append(keys, pk)
 		parts = append(parts, p)
 	}
+	if len(keys) == 0 { // an archive with month gaps can overlap a range yet hold none of it
+		lo, hi := man.Window()
+		return nil, errBadRequest("query: months %s..%s select no archived segments (the archive covers %s..%s)",
+			key.From.Label(), key.To.Label(), lo.Label(), hi.Label())
+	}
 	// Missing months × inner workers stays within the configured pool:
 	// the months split it, and each month's analysis gets an equal share.
 	// The shared restore may use all of it — every month waits on it.
-	workers := parallel.Workers(s.cfg.Workers)
-	outer := min(workers, max(missing, 1))
-	inner := workers / outer
+	pool := parallel.Workers(workers)
+	outer := min(pool, max(missing, 1))
+	inner := pool / outer
 	shared := sync.OnceValues(func() (*archive.Shared, error) {
 		return archive.RestoreShared(key.Archive, man, last,
-			archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: sp})
+			archive.ReadOptions{Workers: pool, Cache: chunks, Span: sp})
 	})
 	errs := parallel.Map(len(keys), outer, func(i int) error {
 		scanned := parts[i]
 		var err error
-		parts[i], err = s.partials.do(keys[i], func() (*measure.Partial, error) {
+		parts[i], err = partials.do(keys[i], func() (*measure.Partial, error) {
 			if scanned != nil {
 				return scanned, nil // evicted since the scan: republish it
 			}
-			return s.buildPartial(keys[i], shared, inner, sp)
+			sh, err := shared()
+			if err != nil {
+				return nil, err
+			}
+			psp := sp.Child(obs.StagePartial)
+			psp.SetLabel(keys[i].month.Label() + ":computed")
+			defer psp.End()
+			ds, err := sh.ReadMonth(keys[i].month, archive.ReadOptions{Workers: inner, Cache: chunks, Span: psp})
+			if err != nil {
+				return nil, err
+			}
+			return analyze(ds, inner, psp)
 		})
 		return err
 	})
@@ -540,27 +553,7 @@ func (s *Server) assembleFromPartials(key Key, sp *obs.Span) (*measure.Report, e
 			return nil, err
 		}
 	}
-	return measure.MergePartials(parts, key.View, s.cfg.Workers, sp)
-}
-
-// buildPartial is the partial cold path: the month's own chunks (warmed
-// by and warming the shared decode cache) read against the build's
-// shared archive state, analyzed once for every view. Each computed
-// month gets an analyze:partial span, so a trace of an assembled build
-// shows exactly which months were memoized.
-func (s *Server) buildPartial(pk partialKey, shared func() (*archive.Shared, error), workers int, sp *obs.Span) (*measure.Partial, error) {
-	sh, err := shared()
-	if err != nil {
-		return nil, err
-	}
-	psp := sp.Child(obs.StagePartial)
-	psp.SetLabel(pk.month.Label() + ":computed")
-	defer psp.End()
-	ds, err := sh.ReadMonth(pk.month, archive.ReadOptions{Workers: workers, Cache: s.chunks, Span: psp})
-	if err != nil {
-		return nil, err
-	}
-	return s.cfg.AnalyzePartial(ds, workers, psp)
+	return measure.MergePartials(parts, key.View, workers, sp)
 }
 
 // respond writes one fully-buffered response: encode runs to completion

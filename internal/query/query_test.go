@@ -490,6 +490,22 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	if got, want := calls.Load(), archivedMonths(t, dir, "2020-09..2021-08"); got != want {
 		t.Errorf("month analyses = %d, want %d (each month of the intersection once)", got, want)
 	}
+	// Assemble, behind no key resolution, refuses such a range itself
+	// with the archive's window, before analyzing anything.
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to, err := types.ParseMonthRange("2021-08..2021-10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	if _, err := query.Assemble(dir, man, from, to, "", countingPartial(&calls), 1, nil); err == nil ||
+		!strings.Contains(err.Error(), "2020-05..2020-10") || calls.Load() != 0 {
+		t.Errorf("Assemble of months outside the archive: err %v after %d month analyses, want an error naming 2020-05..2020-10 and none",
+			err, calls.Load())
+	}
 }
 
 // buildChunks lists the column chunks a cold build of the months in

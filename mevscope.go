@@ -38,7 +38,8 @@
 // incrementally (byte-identical to the batch one at every month
 // boundary), and internal/archive persists the collected dataset as a
 // segmented on-disk store so a world is simulated once and re-analyzed
-// many times (AnalyzeDataset; `mevscope archive` / `mevscope analyze`).
+// many times (`mevscope archive` / `mevscope analyze`), each archive
+// report assembled from AnalyzeDatasetPartial's month partials.
 //
 // Every table and figure of a report is also exposed as a structured
 // artifact (measure.Artifact: name, typed column schema, typed rows,
@@ -231,9 +232,10 @@ func AnalyzeWith(s *sim.Sim, workers int) (*Study, error) {
 }
 
 // AnalyzeDataset runs the measurement pipeline over a collected dataset —
-// the sim-independent entry point behind AnalyzeWith, the streaming
-// follower's snapshots and `mevscope analyze -from <dir>` (a dataset
-// restored by internal/archive). Study.Sim is nil in the result.
+// the sim-independent entry point behind AnalyzeWith, and the reference
+// the month-partial assembly behind `mevscope analyze` and `mevscope
+// serve`, and the streaming follower's snapshots, are tested against.
+// Study.Sim is nil in the result.
 func AnalyzeDataset(ds *dataset.Dataset, workers int) (*Study, error) {
 	return AnalyzeDatasetTraced(ds, workers, nil)
 }
