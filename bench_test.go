@@ -419,7 +419,7 @@ func BenchmarkMergePartials(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := measure.MergePartials(mergeBenchParts, "", 1, nil)
+		rep, err := measure.MergePartials(mergeBenchParts, "", nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -73,13 +73,17 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"mevscope"
@@ -367,7 +371,7 @@ func runAnalyze(args []string) {
 		months      = fs.String("range", "", "month range to analyze, e.g. 2021-03..2021-06 (default: the whole archive)")
 		view        = fs.String("view", "", "observation view for §6 classification: vantage:N, union, quorum:K")
 		section     = fs.String("section", "all", "which artifact to print")
-		parallelism = fs.Int("parallel", 0, "analysis worker-pool size (0 = all cores)")
+		parallelism = fs.Int("parallel", 0, "analysis worker-pool size (0 = all cores; a report's months merge on one worker)")
 		csvDir      = fs.String("csv", "", "also write every artifact as CSV into this directory")
 		traceFile   = fs.String("trace", "", "record the run and write Chrome trace-event JSON to this file (view at ui.perfetto.dev)")
 		progress    = fs.Bool("progress", false, "print one progress line per analyzed month and per merge stage to stderr")
@@ -497,7 +501,7 @@ func runServe(args []string) {
 		partialMiB  = fs.Int64("partial-cache-mib", 0, "month-partial cache budget in MiB (0 = the default 256)")
 		metrics     = fs.Bool("metrics", true, "expose request metrics at /metrics (Prometheus text; ?format=json)")
 		pprofFlag   = fs.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/")
-		parallelism = fs.Int("parallel", 0, "analysis worker-pool size (0 = all cores)")
+		parallelism = fs.Int("parallel", 0, "analysis worker-pool size (0 = all cores; a report's months merge on one worker)")
 		live        = fs.Bool("live", false, "simulate a world in the background and serve its streaming snapshot (?source=live)")
 		seed        = fs.Int64("seed", 42, "live simulation seed")
 		scen        = fs.String("scenario", "baseline", "live scenario: "+strings.Join(scenario.Names(), ", "))
@@ -548,12 +552,50 @@ func runServe(args []string) {
 			fail(1, err)
 		}
 	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "mevscope: serving on http://%s/v1/ (archive %q, cache %d)\n", *addr, *from, *cacheSize)
-	}
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		fail(1, err)
 	}
+	if !*quiet {
+		fmt.Fprintf(os.Stderr, "mevscope: serving on http://%s/v1/ (archive %q, cache %d)\n", ln.Addr(), *from, *cacheSize)
+	}
+	if err := serve(ln, srv); err != nil {
+		fail(1, err)
+	}
+}
+
+// The connection bounds of `mevscope serve`. A client has
+// readHeaderTimeout to send a request's headers and idleTimeout between
+// keep-alive requests. There is no write timeout: a cold full-window
+// build can legitimately outlast any fixed bound. On SIGINT or SIGTERM
+// in-flight requests get drainTimeout to finish.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	drainTimeout      = 30 * time.Second
+)
+
+// serve answers requests on ln until SIGINT or SIGTERM, then stops
+// accepting connections and waits up to drainTimeout for in-flight
+// requests; it returns nil once they have all finished.
+func serve(ln net.Listener, h http.Handler) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	stop() // a second signal terminates at once
+	drain, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		return fmt.Errorf("serve: draining: %w", err)
+	}
+	return nil
 }
 
 // startLive wires a background simulation's streaming follower into the

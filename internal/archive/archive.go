@@ -43,11 +43,13 @@
 // observation window has opened by its last month, every vantage's
 // observation log through that month with its coverage table — and
 // Shared.ReadMonth decodes one month's block chunks against it;
-// ReadRangeWith is the same restore and the same month assembly over a
-// range, and ReadBlockFrom looks one block up in its month's assembly.
-// One function, readSegment, builds blocks from decoded chunks for all
-// of them. Observation chunks are decoded only by the shared restore,
-// and only once the window is open. Because each record must sit in its
+// ReadRange is the same restore and the same month assembly over a
+// range, and ReadBlocks restores one month's sealed blocks for point
+// lookups. One function, readSegment, builds blocks from decoded chunks
+// for all of them. Reads keep nothing between calls: every chunk a read
+// needs is read, checksum-verified and decoded by that read.
+// Observation chunks are decoded only by the shared restore, and only
+// once the window is open. Because each record must sit in its
 // first-seen month's segment (dataset.Partition's layout), a misfiled
 // archive is refused by every read that restores the misfiled segment's
 // observations.
@@ -221,7 +223,10 @@ func fileInfoFor(root, path string, count int) (FileInfo, error) {
 // ReadManifest loads and sanity-checks an archive's manifest without
 // touching the data files. It refuses every version but DefaultFormat's:
 // versions 1 and 2 held JSON documents, and version 3 kept the price
-// series in a retired frame codec (prices.seg).
+// series in a retired frame codec (prices.seg). A manifest is untrusted
+// input, and every read joins its file names to dir, so it also refuses
+// a chunk or prices file name that is not local to the archive — one
+// that is absolute, empty or climbs out with "..".
 func ReadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -238,24 +243,26 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if man.Timeline.BlocksPerMonth == 0 {
 		return nil, fmt.Errorf("archive: manifest has no timeline")
 	}
+	if err := checkLocal(man.Prices.Name); err != nil {
+		return nil, err
+	}
+	for _, si := range man.Segments {
+		for _, ci := range si.Columns {
+			if err := checkLocal(ci.File.Name); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return &man, nil
 }
 
-// ChunkCache caches decoded column chunks across reads. internal/query
-// plugs its LRU in here so overlapping month ranges — and block lookups
-// in months a report build decoded — share the chunks they both decode
-// instead of re-reading the disk; a nil cache reads every chunk fresh.
-// The cached value is the decoder's immutable column representation —
-// opaque to callers, who store and return it as-is. Implementations must
-// be safe for concurrent use: reads decode segments in parallel.
-type ChunkCache interface {
-	// GetChunk returns the cached decode of (dir, month, column).
-	GetChunk(dir string, m types.Month, col string) (any, bool)
-	// AddChunk caches a freshly decoded column chunk; bytes is the heap
-	// the decode retains — every array it holds at its element size times
-	// its capacity, plus an eighth for allocator size-class rounding — not
-	// its on-disk size, which is several times smaller.
-	AddChunk(dir string, m types.Month, col string, v any, bytes int64)
+// checkLocal refuses a manifest file name that does not name a file
+// inside the archive.
+func checkLocal(name string) error {
+	if !filepath.IsLocal(filepath.FromSlash(name)) {
+		return fmt.Errorf("archive: manifest names file %q outside the archive", name)
+	}
+	return nil
 }
 
 // segBytes is a segment's total on-disk size per the manifest.
@@ -290,19 +297,14 @@ func (m *Manifest) DataBytes() int64 {
 	return bytes
 }
 
-// ReadOptions tune an archive read: ReadRangeWith, RestoreShared,
-// Shared.ReadMonth and ReadBlockFrom.
+// ReadOptions tune an archive read: RestoreShared and Shared.ReadMonth.
 type ReadOptions struct {
 	// Workers sizes the parallel segment-decode pool (< 1 = all cores).
 	Workers int
-	// Cache, when non-nil, is consulted before and filled after each
-	// column-chunk decode.
-	Cache ChunkCache
 	// Span, when non-nil, is the tracing parent the restore records
 	// itself under: one "archive:restore" span with an "archive:decode"
-	// child per segment that decodes at least one chunk, and under it one
-	// "archive:column" child per chunk decoded (cache hits record
-	// nothing). Nil disables recording at zero cost (internal/obs).
+	// child per segment read, and under it one "archive:column" child per
+	// chunk decoded. Nil disables recording at zero cost (internal/obs).
 	Span *obs.Span
 }
 
@@ -318,28 +320,23 @@ func Read(dir string) (*dataset.Dataset, *Manifest, error) {
 // directories, not the whole archive. `mevscope serve` and `mevscope
 // analyze` read month by month instead; their reports are tested
 // against a full analysis of its dataset.
-func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, error) {
-	return ReadRangeWith(dir, from, to, ReadOptions{})
-}
-
-// ReadRangeWith is ReadRange with a tunable decode pool and an optional
-// chunk cache. It is the month reader of Shared.ReadMonth run over a
-// range: the state the range shares is restored first — the price
-// series, plus, when the observation window has opened by the slice end,
-// every vantage's observation log of every segment through the slice end
-// together with its coverage table (see RestoreShared) — then the
-// selected segments' block chunks decode in parallel (each month's
+//
+// It is the month reader of Shared.ReadMonth run over a range, on every
+// core: the state the range shares is restored first — the price
+// series, plus, when the observation window has opened by the slice
+// end, every vantage's observation log of every segment through the
+// slice end together with its coverage table (see RestoreShared) — then
+// the selected segments' block chunks decode in parallel (each month's
 // chunks are independent) and are assembled in month order, so the
-// result is identical to a sequential read. The
-// observation logs run from the archive's first month, not just the
-// sliced ones, because a transaction first seen near a month boundary
-// can be mined in the next month, and dropping its record would silently
-// flip it from public to private in the §6 inference; an archive that
-// files a record past its first-seen month is refused. The restored
-// chain's timeline starts at the first selected month, so block→month
-// mapping stays aligned with the full archive, and every freshly read
-// file is checksum-verified.
-func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.Dataset, *Manifest, error) {
+// result is identical to a sequential read. The observation logs run
+// from the archive's first month, not just the sliced ones, because a
+// transaction first seen near a month boundary can be mined in the next
+// month, and dropping its record would silently flip it from public to
+// private in the §6 inference; an archive that files a record past its
+// first-seen month is refused. The restored chain's timeline starts at
+// the first selected month, so block→month mapping stays aligned with
+// the full archive, and every file is checksum-verified.
+func ReadRange(dir string, from, to types.Month) (*dataset.Dataset, *Manifest, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, nil, err
@@ -355,14 +352,11 @@ func ReadRangeWith(dir string, from, to types.Month, opt ReadOptions) (*dataset.
 		return nil, nil, fmt.Errorf("archive: no segments in months %s..%s (archive covers %s..%s)",
 			from.Label(), to.Label(), first.Label(), last.Label())
 	}
-
-	rsp := opt.Span.Child(obs.StageRestore)
-	defer rsp.End()
-	sh, err := restoreShared(dir, man, to, opt, rsp)
+	sh, err := restoreShared(dir, man, to, 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := sh.readMonths(segs, opt, rsp)
+	ds, err := sh.readMonths(segs, 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"mevscope"
@@ -20,16 +19,16 @@ import (
 
 // world simulates a small full-window world (the observer window opens,
 // so the archive carries observed pending transactions too).
-func world(t *testing.T) *sim.Sim {
-	t.Helper()
+func world(tb testing.TB) *sim.Sim {
+	tb.Helper()
 	cfg := sim.DefaultConfig(17)
 	cfg.BlocksPerMonth = 25
 	s, err := sim.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
@@ -116,7 +115,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadBlock: a block lookup (ReadBlockFrom) and a full restore
+// TestReadBlock: a month's block read (ReadBlocks) and a full restore
 // (Read) both return the sim chain's own block, compared as the JSON
 // /v1/block serves, at segment edges, inside segments and for an empty
 // block. No simulated block is empty, so the test seals one by hand at
@@ -171,6 +170,13 @@ func TestReadBlock(t *testing.T) {
 	}
 	checked := map[uint64]bool{}
 	for _, si := range man.Segments {
+		blocks, err := archive.ReadBlocks(dir, si)
+		if err != nil {
+			t.Fatalf("ReadBlocks(%s): %v", si.Label, err)
+		}
+		if len(blocks) != si.Blocks.Count {
+			t.Fatalf("ReadBlocks(%s) restored %d blocks, the manifest says %d", si.Label, len(blocks), si.Blocks.Count)
+		}
 		for _, num := range []uint64{si.FirstBlock, (si.FirstBlock + si.LastBlock) / 2, si.LastBlock} {
 			if checked[num] {
 				continue
@@ -181,12 +187,9 @@ func TestReadBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := asJSON(simBlock)
-			got, err := archive.ReadBlockFrom(dir, man, num, archive.ReadOptions{})
-			if err != nil {
-				t.Fatalf("ReadBlockFrom(%d): %v", num, err)
-			}
+			got := blocks[num-si.FirstBlock]
 			if js := asJSON(got); js != want {
-				t.Errorf("ReadBlockFrom(%d) differs from the sim's block:\n got  %.300s\n want %.300s", num, js, want)
+				t.Errorf("ReadBlocks(%s) block %d differs from the sim's block:\n got  %.300s\n want %.300s", si.Label, num, js, want)
 			}
 			full, err := restored.Chain.ByNumber(num)
 			if err != nil {
@@ -197,147 +200,47 @@ func TestReadBlock(t *testing.T) {
 			}
 		}
 	}
-	if _, err := archive.ReadBlockFrom(dir, man, n+1, archive.ReadOptions{}); err == nil {
-		t.Error("block beyond the archive served")
-	}
 }
 
-// countingCache is a ChunkCache that counts lookups and decodes per
-// chunk, so the test can see which reads hit the disk.
-type countingCache struct {
-	mu     sync.Mutex
-	chunks map[string]any
-	adds   map[string]int
-	hits   int
-}
-
-func chunkKey(dir string, m types.Month, col string) string {
-	return dir + "|" + m.Label() + "|" + col
-}
-
-func (c *countingCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.chunks[chunkKey(dir, m, col)]
-	if ok {
-		c.hits++
-	}
-	return v, ok
-}
-
-func (c *countingCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.chunks == nil {
-		c.chunks, c.adds = map[string]any{}, map[string]int{}
-	}
-	k := chunkKey(dir, m, col)
-	c.chunks[k] = v
-	c.adds[k]++
-}
-
-// decodes is the total number of chunk decodes the cache has seen.
-func (c *countingCache) decodes() int {
-	n := 0
-	for _, a := range c.adds {
-		n += a
-	}
-	return n
-}
-
-// rangeChunks lists the chunks a full ReadRange over [from, to] touches,
-// per the manifest: the block chunks of the selected months, plus — only
-// once the observation window has opened by the slice end — the
-// observation chunks of every month through it, which the range's
-// shared restore reads.
-func rangeChunks(dir string, man *archive.Manifest, from, to types.Month) map[string]bool {
-	var last *archive.SegmentInfo
-	for i, si := range man.Segments {
-		if si.Month >= from && si.Month <= to {
-			last = &man.Segments[i]
-		}
-	}
-	observing := last != nil && man.Observer != nil && man.Observer.Start <= last.LastBlock
-	out := map[string]bool{}
-	for _, si := range man.Segments {
-		for _, ci := range si.Columns {
-			if strings.HasPrefix(ci.Name, archive.ColObserved) {
-				if !observing || si.Month > to {
-					continue
-				}
-			} else if si.Month < from || si.Month > to {
-				continue
-			}
-			out[chunkKey(dir, si.Month, ci.Name)] = true
-		}
-	}
-	return out
-}
-
-// TestReadRangeSharedSegments: overlapping ranges through one cache
-// decode each chunk exactly once — the shared ones come from the cache —
-// and the cached assembly is byte-identical to a cold one. The third
-// range reaches into the observation window, so besides its new block
-// chunks it reads the observation chunks of every month through its end.
+// TestReadRangeSharedSegments: overlapping range reads restore the
+// months they share alike — a second read of a range analyzes to the
+// first read's report byte for byte after reads of overlapping ranges —
+// and the range that reaches into the observation window restores the
+// observation network along with its new block chunks.
 func TestReadRangeSharedSegments(t *testing.T) {
 	s := world(t)
 	dir := t.TempDir()
-	man, err := archive.Write(dir, dataset.FromSim(s), nil)
-	if err != nil {
+	if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
 		t.Fatal(err)
 	}
-	cache := &countingCache{}
-	opt := archive.ReadOptions{Workers: 2, Cache: cache}
-	seen := map[string]bool{} // every chunk an earlier read touched
-	hits := 0
 	read := func(from, to types.Month) *dataset.Dataset {
 		t.Helper()
-		for k := range rangeChunks(dir, man, from, to) {
-			if seen[k] {
-				hits++
-			}
-			seen[k] = true
-		}
-		ds, _, err := archive.ReadRangeWith(dir, from, to, opt)
+		ds, _, err := archive.ReadRange(dir, from, to)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if cache.decodes() != len(seen) || len(cache.chunks) != len(seen) {
-			t.Errorf("read %d..%d: %d decodes of %d chunks in total, want %d chunks decoded once",
-				from, to, cache.decodes(), len(cache.chunks), len(seen))
-		}
-		if cache.hits != hits {
-			t.Errorf("read %d..%d: %d cache hits in total, want %d", from, to, cache.hits, hits)
 		}
 		return ds
 	}
 	cold := read(8, 12)
 	if warm := read(10, 14); warm.Chain.Len() == 0 {
-		t.Error("warm read restored nothing")
+		t.Error("overlapping read restored nothing")
 	}
 	if observing := read(12, types.ObservationStartMonth); observing.Observer == nil {
 		t.Error("a read into the observation window restored no observer")
-	}
-	for k, n := range cache.adds {
-		if n != 1 {
-			t.Errorf("chunk %s decoded %d times, want once", k, n)
-		}
 	}
 	coldStudy, err := mevscope.AnalyzeDataset(cold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-read the first range fully warm: every chunk cached, reports
-	// byte-identical to the cold read's.
-	cachedStudy, err := mevscope.AnalyzeDataset(read(8, 12), 1)
+	againStudy, err := mevscope.AnalyzeDataset(read(8, 12), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
 	mevscope.WriteReportTo(&a, coldStudy.Report)
-	mevscope.WriteReportTo(&b, cachedStudy.Report)
+	mevscope.WriteReportTo(&b, againStudy.Report)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("cache-assembled report differs from the cold read's")
+		t.Error("a second read of the range analyzes to a different report")
 	}
 }
 
@@ -438,6 +341,107 @@ func TestReadManifestRefusesOtherVersions(t *testing.T) {
 	if _, err := archive.ReadManifest(dir); err != nil {
 		t.Errorf("restored manifest refused: %v", err)
 	}
+}
+
+// TestReadManifestRefusesNonLocalNames: a manifest is untrusted input
+// and every read joins its file names to the archive root, so a chunk or
+// prices file name that leaves the archive is refused by ReadManifest,
+// and ReadRange never opens the file it names.
+func TestReadManifestRefusesNonLocalNames(t *testing.T) {
+	cfg := sim.DefaultConfig(3)
+	cfg.BlocksPerMonth = 20
+	cfg.Months = 2
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	outside := filepath.Join(root, "outside.txt")
+	if err := os.WriteFile(outside, []byte("not an archive file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "archive")
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		rename func(m *archive.Manifest, to string)
+		to     string
+	}{
+		{"headers chunk climbing out", func(m *archive.Manifest, to string) { m.Segments[0].Columns[0].File.Name = to }, "../outside.txt"},
+		{"txs chunk climbing out of its month", func(m *archive.Manifest, to string) { m.Segments[1].Columns[1].File.Name = to }, "2020-06/../../outside.txt"},
+		{"absolute prices file", func(m *archive.Manifest, to string) { m.Prices.Name = to }, filepath.ToSlash(outside)},
+		{"empty prices name", func(m *archive.Manifest, to string) { m.Prices.Name = to }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := *man
+			bad.Segments = append([]archive.SegmentInfo(nil), man.Segments...)
+			for i := range bad.Segments {
+				bad.Segments[i].Columns = append([]archive.ColumnInfo(nil), man.Segments[i].Columns...)
+			}
+			tc.rename(&bad, tc.to)
+			raw, err := json.Marshal(&bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, archive.ManifestName), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("manifest names file %q outside the archive", tc.to)
+			if _, err := archive.ReadManifest(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ReadManifest: err = %v, want %q", err, want)
+			}
+			if _, _, err := archive.ReadRange(dir, 0, types.StudyMonths-1); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ReadRange: err = %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// FuzzReadManifest: any manifest bytes give an error or a manifest whose
+// every chunk and prices file name is local to the archive, and Window
+// and DataBytes never panic on an accepted one. The seeds are a
+// 1-vantage and a 4-vantage world's manifests.
+func FuzzReadManifest(f *testing.F) {
+	for _, s := range []*sim.Sim{world(f), multiVantageWorld(f)} {
+		dir := f.TempDir()
+		if _, err := archive.Write(dir, dataset.FromSim(s), nil); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, archive.ManifestName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(filepath.Join(dir, archive.ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		man, err := archive.ReadManifest(dir)
+		if err != nil {
+			return
+		}
+		names := []string{man.Prices.Name}
+		for _, si := range man.Segments {
+			for _, ci := range si.Columns {
+				names = append(names, ci.File.Name)
+			}
+		}
+		for _, name := range names {
+			if !filepath.IsLocal(filepath.FromSlash(name)) {
+				t.Fatalf("accepted a manifest naming %q", name)
+			}
+		}
+		man.Window()
+		man.DataBytes()
+	})
 }
 
 // TestReadRange: a month slice restores only those segments, keeps

@@ -96,7 +96,8 @@ func BenchmarkArchiveDecodeV3(b *testing.B) {
 }
 
 // BenchmarkArchiveReadBlockV3 measures an uncached single-block lookup:
-// each op decodes the block's month through the month reader's assembly.
+// each op restores the block's month through ReadBlocks, the month
+// reader's assembly.
 func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	ds := benchDataset(b)
 	dir := b.TempDir()
@@ -104,13 +105,11 @@ func BenchmarkArchiveReadBlockV3(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	start := ds.Chain.Timeline.StartBlock
-	head := ds.Chain.Head().Header.Number
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := start + uint64(i)%(head-start+1)
-		if _, err := archive.ReadBlockFrom(dir, man, n, archive.ReadOptions{}); err != nil {
+		si := man.Segments[i%len(man.Segments)]
+		if _, err := archive.ReadBlocks(dir, si); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,7 +142,7 @@ func redeflate(t *testing.T, root, dst string, fi FileInfo, col string, level in
 }
 
 // decodeColumn decodes one segment chunk with its column's decoder.
-func decodeColumn(root string, ci ColumnInfo) (chunkData, error) {
+func decodeColumn(root string, ci ColumnInfo) (any, error) {
 	switch ci.Name {
 	case ColHeaders:
 		return decodeHeadersCol(root, ci)
@@ -155,7 +155,7 @@ func decodeColumn(root string, ci ColumnInfo) (chunkData, error) {
 	case ColFlashbots:
 		return decodeFlashbotsCol(root, ci)
 	default:
-		return decodeObservedCol(root, ci, ci.Name)
+		return decodeObservedCol(root, ci)
 	}
 }
 

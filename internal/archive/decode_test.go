@@ -98,7 +98,7 @@ func TestDecodedMonthOutlivesPooledBodies(t *testing.T) {
 	dir, man, si := rawLogArchive(t)
 	decodeOthers := func() {
 		for _, other := range man.Segments[1:] {
-			if _, err := readSegment(dir, other, ReadOptions{}, nil); err != nil {
+			if _, err := readSegment(dir, other, nil); err != nil {
 				t.Error(err)
 				return
 			}
@@ -112,7 +112,7 @@ func TestDecodedMonthOutlivesPooledBodies(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	procs := runtime.GOMAXPROCS(1)
 	decodeOthers()
-	first, err := readSegment(dir, si, ReadOptions{}, nil)
+	first, err := readSegment(dir, si, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDecodedMonthOutlivesPooledBodies(t *testing.T) {
 	if after, err := json.Marshal(first); err != nil || !bytes.Equal(after, snapshot) {
 		t.Fatalf("a decoded month changed while later decodes reused the pooled bodies (%v)", err)
 	}
-	fresh, err := readSegment(dir, si, ReadOptions{}, nil)
+	fresh, err := readSegment(dir, si, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +239,8 @@ func FuzzDecodeLogsCol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
 		ci := frameChunk(t, root, ColLogs, nAddrs, nHashes, rows, body)
 		d, err := decodeLogsCol(root, ci)
-		if err == nil && len(d.logs) != int(rows) {
-			t.Fatalf("decoded %d receipts' logs from %d rows", len(d.logs), rows)
+		if err == nil && len(d) != int(rows) {
+			t.Fatalf("decoded %d receipts' logs from %d rows", len(d), rows)
 		}
 	})
 }
@@ -253,8 +253,8 @@ func FuzzDecodeTxsCol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
 		ci := frameChunk(t, root, ColTxs, nAddrs, nHashes, rows, body)
 		d, err := decodeTxsCol(root, ci)
-		if err == nil && len(d.txs) != int(rows) {
-			t.Fatalf("decoded %d transactions from %d rows", len(d.txs), rows)
+		if err == nil && len(d) != int(rows) {
+			t.Fatalf("decoded %d transactions from %d rows", len(d), rows)
 		}
 	})
 }
@@ -291,8 +291,8 @@ func FuzzDecodeReceiptsCol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
 		ci := frameChunk(t, root, ColReceipts, nAddrs, nHashes, rows, body)
 		d, err := decodeReceiptsCol(root, ci)
-		if err == nil && len(d.rcpts) != int(rows) {
-			t.Fatalf("decoded %d receipts from %d rows", len(d.rcpts), rows)
+		if err == nil && len(d) != int(rows) {
+			t.Fatalf("decoded %d receipts from %d rows", len(d), rows)
 		}
 	})
 }
@@ -306,8 +306,8 @@ func FuzzDecodeFlashbotsCol(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
 		ci := frameChunk(t, root, ColFlashbots, nAddrs, nHashes, rows, body)
 		d, err := decodeFlashbotsCol(root, ci)
-		if err == nil && len(d.recs) != int(rows) {
-			t.Fatalf("decoded %d Flashbots records from %d rows", len(d.recs), rows)
+		if err == nil && len(d) != int(rows) {
+			t.Fatalf("decoded %d Flashbots records from %d rows", len(d), rows)
 		}
 	})
 }
@@ -319,9 +319,9 @@ func FuzzDecodeObservedCol(f *testing.F) {
 	root := f.TempDir()
 	f.Fuzz(func(t *testing.T, nAddrs, nHashes uint8, rows uint16, body []byte) {
 		ci := frameChunk(t, root, ColObserved, nAddrs, nHashes, rows, body)
-		d, err := decodeObservedCol(root, ci, ColObserved)
-		if err == nil && len(d.recs) != int(rows) {
-			t.Fatalf("decoded %d captures from %d rows", len(d.recs), rows)
+		d, err := decodeObservedCol(root, ci)
+		if err == nil && len(d) != int(rows) {
+			t.Fatalf("decoded %d captures from %d rows", len(d), rows)
 		}
 	})
 }

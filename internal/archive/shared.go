@@ -16,7 +16,7 @@ import (
 // manifest, the price series, and the observation network through the
 // build's last month together with its per-month first-occurrence
 // coverage table (p2p.Coverage). RestoreShared reads it once; ReadMonth
-// then decodes only each month's own chunks. ReadRangeWith is the same
+// then decodes only each month's own chunks. ReadRange is the same
 // reader over a range: one restore through the slice end, then the
 // slice's months. A month-by-month build over ReadRange(dir, m, m)
 // would instead re-parse the manifest and prices and re-gather every
@@ -47,18 +47,17 @@ type Shared struct {
 // dataset.Partition files it — because a network through any month, and
 // the prefix sums of its coverage table, are exact only under that
 // invariant; a misfiled archive is refused with a "first seen in" error,
-// by ReadRangeWith too. opt sizes the log-read pool, routes chunk reads
-// through its cache and records an "archive:restore" span labeled
-// "shared".
+// by ReadRange too. opt sizes the log-read pool and records an
+// "archive:restore" span labeled "shared".
 func RestoreShared(dir string, man *Manifest, through types.Month, opt ReadOptions) (*Shared, error) {
 	sp := opt.Span.Child(obs.StageRestore)
 	sp.SetLabel("shared")
 	defer sp.End()
-	return restoreShared(dir, man, through, opt, sp)
+	return restoreShared(dir, man, through, opt.Workers, sp)
 }
 
-// restoreShared is RestoreShared recording under sp.
-func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptions, sp *obs.Span) (*Shared, error) {
+// restoreShared is RestoreShared on a pool of workers, recording under sp.
+func restoreShared(dir string, man *Manifest, through types.Month, workers int, sp *obs.Span) (*Shared, error) {
 	sh := &Shared{dir: dir, man: man, through: through}
 	var err error
 	if sh.prices, err = readPrices(dir, man); err != nil {
@@ -91,7 +90,7 @@ func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 			}
 		}
 	}
-	logs, err := readObservationLogs(dir, segs, opt, sp)
+	logs, err := readObservationLogs(dir, segs, workers, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +100,7 @@ func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 	}
 	// Every cold build waits on this step, so the vantages restore in
 	// parallel, each from one presized concatenation of its logs.
-	sh.vantages = parallel.MapSpan(sp, len(vinfos), opt.Workers, func(v int) *p2p.Observer {
+	sh.vantages = parallel.MapSpan(sp, len(vinfos), workers, func(v int) *p2p.Observer {
 		n := 0
 		for i := range segs {
 			if v < len(logs[i]) {
@@ -127,8 +126,8 @@ func restoreShared(dir string, man *Manifest, through types.Month, opt ReadOptio
 // runs past m, but analysis of the result is identical to analysis of
 // ReadRange(dir, m, m): under the month stability and prefix coverage
 // invariants (see measure.Partial) the extra logs change no verdict and
-// no coverage count. opt applies as in ReadRangeWith, whose month reader
-// this is.
+// no coverage count. opt sizes the decode pool and records an
+// "archive:restore" span labeled with the month.
 func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, error) {
 	if m > sh.through {
 		return nil, fmt.Errorf("archive: month %s is past the shared state's last month %s", m.Label(), sh.through.Label())
@@ -140,26 +139,27 @@ func (sh *Shared) ReadMonth(m types.Month, opt ReadOptions) (*dataset.Dataset, e
 			rsp.SetBlocks(si.Blocks.Count)
 			rsp.SetBytes(blockBytes(si))
 			defer rsp.End()
-			return sh.readMonths([]SegmentInfo{si}, opt, rsp)
+			return sh.readMonths([]SegmentInfo{si}, opt.Workers, rsp)
 		}
 	}
 	return nil, fmt.Errorf("archive: no segment for month %s", m.Label())
 }
 
-// readMonths is the one month reader behind ReadMonth and ReadRangeWith.
-// It decodes the block chunks of segs — ascending months, none past
-// sh.through — in parallel through readSegment, assembles them in month
-// order into one dataset on a timeline anchored at the first, checks it
-// against the manifest's block counts and last head, and attaches the
-// shared price series and, when the observation window had opened by
-// the last month, the shared network and coverage table.
-func (sh *Shared) readMonths(segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) (*dataset.Dataset, error) {
+// readMonths is the one month reader behind ReadMonth and ReadRange. It
+// decodes the block chunks of segs — ascending months, none past
+// sh.through — in parallel on a pool of workers through readSegment,
+// assembles them in month order into one dataset on a timeline anchored
+// at the first, checks it against the manifest's block counts and last
+// head, and attaches the shared price series and, when the observation
+// window had opened by the last month, the shared network and coverage
+// table.
+func (sh *Shared) readMonths(segs []SegmentInfo, workers int, rsp *obs.Span) (*dataset.Dataset, error) {
 	type result struct {
 		seg *dataset.Segment
 		err error
 	}
-	decoded := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
-		seg, err := readSegment(sh.dir, segs[i], opt, rsp)
+	decoded := parallel.MapSpan(rsp, len(segs), workers, func(i int) result {
+		seg, err := readSegment(sh.dir, segs[i], rsp)
 		return result{seg, err}
 	})
 	parts := make([]*dataset.Segment, len(decoded))
@@ -195,15 +195,15 @@ func (sh *Shared) readMonths(segs []SegmentInfo, opt ReadOptions, rsp *obs.Span)
 }
 
 // readObservationLogs reads every vantage's observation chunk of each
-// segment, in segment order and in parallel, through the cache when opt
-// has one: out[i][v] is vantage v's log for segs[i].
-func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *obs.Span) ([][][]p2p.ObservedTx, error) {
+// segment, in segment order and in parallel on a pool of workers:
+// out[i][v] is vantage v's log for segs[i].
+func readObservationLogs(dir string, segs []SegmentInfo, workers int, rsp *obs.Span) ([][][]p2p.ObservedTx, error) {
 	type result struct {
 		logs [][]p2p.ObservedTx
 		err  error
 	}
-	res := parallel.MapSpan(rsp, len(segs), opt.Workers, func(i int) result {
-		cl := &chunkLoader{dir: dir, si: segs[i], opt: opt, rsp: rsp}
+	res := parallel.MapSpan(rsp, len(segs), workers, func(i int) result {
+		cl := &chunkLoader{dir: dir, si: segs[i], rsp: rsp}
 		defer cl.end()
 		var r result
 		for v := 0; v <= len(segs[i].ObservedV); v++ {
@@ -211,11 +211,11 @@ func readObservationLogs(dir string, segs []SegmentInfo, opt ReadOptions, rsp *o
 			if v > 0 {
 				name = fmt.Sprintf("%s_v%d", ColObserved, v)
 			}
-			ov, err := cl.load(name, func(ci ColumnInfo) (chunkData, error) { return decodeObservedCol(dir, ci, name) })
+			recs, err := decode(cl, name, decodeObservedCol)
 			if err != nil {
 				return result{err: err}
 			}
-			r.logs = append(r.logs, ov.(*colObsData).recs)
+			r.logs = append(r.logs, recs)
 		}
 		return r
 	})

@@ -605,9 +605,7 @@ func encodeObservedCol(root, segDir string, month types.Month, name string, recs
 // ---------------------------------------------------------------------------
 // Decode
 
-// Decoded chunk shapes. These are what a ChunkCache holds: immutable
-// after decode (transaction hashes are pre-cached, nothing is mutated on
-// assembly), so one cached chunk can serve concurrent reads.
+// colHeadersData is a decoded headers chunk, one array per field.
 type colHeadersData struct {
 	numbers   []uint64
 	parents   []types.Hash
@@ -618,91 +616,6 @@ type colHeadersData struct {
 	gasUseds  []uint64
 	txCounts  []int
 	totalTxs  int
-}
-
-type colTxsData struct{ txs []*types.Transaction }
-
-// colReceiptsData holds receipts by value, without TxHash or Logs —
-// assembly copies them into fresh per-read receipts, deriving TxHash
-// from the transaction column and attaching the log column, so cached
-// chunks stay immutable.
-type colReceiptsData struct{ rcpts []types.Receipt }
-
-// colLogsData holds each receipt's logs as a capped window into one
-// slab, their topics and data cut from the chunk's events.Arena, whose
-// arrays total arenaBytes.
-type colLogsData struct {
-	logs       [][]types.Log
-	arenaBytes int64
-}
-
-type colFBData struct{ recs []flashbots.BlockRecord }
-
-type colObsData struct{ recs []p2p.ObservedTx }
-
-// chunkData is a decoded column chunk, one of the shapes above.
-// heapBytes is every array the chunk retains at its element size times
-// its capacity, each shared slab counted once; a ChunkCache accounts the
-// chunk at that plus an eighth for allocator size-class rounding, as
-// Partial.SizeBytes counts a month partial.
-type chunkData interface{ heapBytes() int64 }
-
-// arrayBytes is the size of the array backing s.
-func arrayBytes[T any](s []T) int64 {
-	var zero T
-	return int64(unsafe.Sizeof(zero)) * int64(cap(s))
-}
-
-func (d *colHeadersData) heapBytes() int64 {
-	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.numbers) + arrayBytes(d.parents) +
-		arrayBytes(d.times) + arrayBytes(d.miners) + arrayBytes(d.baseFees) +
-		arrayBytes(d.gasLimits) + arrayBytes(d.gasUseds) + arrayBytes(d.txCounts)
-}
-
-// heapBytes counts the transactions' one slab through txs, whose every
-// pointer addresses one slab element.
-func (d *colTxsData) heapBytes() int64 {
-	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.txs) + int64(len(d.txs))*int64(unsafe.Sizeof(types.Transaction{}))
-	for _, tx := range d.txs {
-		n += payloadBytes(&tx.Payload)
-	}
-	return n
-}
-
-// payloadBytes is the heap a payload's hops, payouts and inner payloads
-// hold.
-func payloadBytes(p *types.Payload) int64 {
-	n := arrayBytes(p.Hops) + arrayBytes(p.Payouts)
-	if p.Inner != nil {
-		n += int64(unsafe.Sizeof(*p.Inner)) + payloadBytes(p.Inner)
-	}
-	return n
-}
-
-func (d *colReceiptsData) heapBytes() int64 {
-	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.rcpts)
-}
-
-// heapBytes counts the log slab through the receipts' capped windows,
-// which partition it.
-func (d *colLogsData) heapBytes() int64 {
-	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.logs) + d.arenaBytes
-	for _, ls := range d.logs {
-		n += arrayBytes(ls)
-	}
-	return n
-}
-
-func (d *colFBData) heapBytes() int64 {
-	n := int64(unsafe.Sizeof(*d)) + arrayBytes(d.recs)
-	for i := range d.recs {
-		n += arrayBytes(d.recs[i].Txs)
-	}
-	return n
-}
-
-func (d *colObsData) heapBytes() int64 {
-	return int64(unsafe.Sizeof(*d)) + arrayBytes(d.recs)
 }
 
 // zoneError reports a chunk whose decoded payload disagrees with the
@@ -822,7 +735,7 @@ func decodeHeadersCol(dir string, ci ColumnInfo) (*colHeadersData, error) {
 	return d, nil
 }
 
-func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
+func decodeTxsCol(dir string, ci ColumnInfo) ([]*types.Transaction, error) {
 	r, err := readChunk(dir, ci.File, ColTxs)
 	if err != nil {
 		return nil, err
@@ -869,8 +782,6 @@ func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
 	}
 	var minGas, maxGas types.Amount
 	for i, tx := range txs {
-		// Cache every hash before the chunk is shared across reads.
-		tx.Hash()
 		p := tx.BidPrice()
 		if i == 0 || p < minGas {
 			minGas = p
@@ -882,10 +793,12 @@ func decodeTxsCol(dir string, ci ColumnInfo) (*colTxsData, error) {
 	if err := verifyGasZone(ci, minGas, maxGas, n); err != nil {
 		return nil, err
 	}
-	return &colTxsData{txs: txs}, nil
+	return txs, nil
 }
 
-func decodeReceiptsCol(dir string, ci ColumnInfo) (*colReceiptsData, error) {
+// decodeReceiptsCol decodes receipts without TxHash or Logs, which
+// readSegment fills in from the transaction and log columns.
+func decodeReceiptsCol(dir string, ci ColumnInfo) ([]types.Receipt, error) {
 	r, err := readChunk(dir, ci.File, ColReceipts)
 	if err != nil {
 		return nil, err
@@ -924,10 +837,12 @@ func decodeReceiptsCol(dir string, ci ColumnInfo) (*colReceiptsData, error) {
 	if err := verifyGasZone(ci, minGas, maxGas, n); err != nil {
 		return nil, err
 	}
-	return &colReceiptsData{rcpts: rcpts}, nil
+	return rcpts, nil
 }
 
-func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
+// decodeLogsCol decodes each receipt's logs as a capped window into one
+// slab, their topics and data cut from the chunk's events.Arena.
+func decodeLogsCol(dir string, ci ColumnInfo) ([][]types.Log, error) {
 	r, err := readChunk(dir, ci.File, ColLogs)
 	if err != nil {
 		return nil, err
@@ -972,10 +887,10 @@ func decodeLogsCol(dir string, ci ColumnInfo) (*colLogsData, error) {
 	if err := r.done(); err != nil {
 		return nil, fmt.Errorf("archive: %s: %w", ci.File.Name, err)
 	}
-	return &colLogsData{logs: logs, arenaBytes: r.arena.Bytes()}, nil
+	return logs, nil
 }
 
-func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
+func decodeFlashbotsCol(dir string, ci ColumnInfo) ([]flashbots.BlockRecord, error) {
 	r, err := readChunk(dir, ci.File, ColFlashbots)
 	if err != nil {
 		return nil, err
@@ -1045,11 +960,11 @@ func decodeFlashbotsCol(dir string, ci ColumnInfo) (*colFBData, error) {
 			return nil, err
 		}
 	}
-	return &colFBData{recs: recs}, nil
+	return recs, nil
 }
 
-func decodeObservedCol(dir string, ci ColumnInfo, name string) (*colObsData, error) {
-	r, err := readChunk(dir, ci.File, name)
+func decodeObservedCol(dir string, ci ColumnInfo) ([]p2p.ObservedTx, error) {
+	r, err := readChunk(dir, ci.File, ci.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -1099,20 +1014,18 @@ func decodeObservedCol(dir string, ci ColumnInfo, name string) (*colObsData, err
 			return nil, err
 		}
 	}
-	return &colObsData{recs: recs}, nil
+	return recs, nil
 }
 
 // ---------------------------------------------------------------------------
 // Segment read
 
-// chunkLoader fetches decoded chunks for one segment, going through the
-// caller's chunk cache when it has one, and recording one
-// "archive:column" span per chunk actually decoded under a lazily
-// created "archive:decode" segment span.
+// chunkLoader decodes the chunks of one segment, recording one
+// "archive:column" span per chunk under a lazily created
+// "archive:decode" segment span.
 type chunkLoader struct {
 	dir string
 	si  SegmentInfo
-	opt ReadOptions
 	rsp *obs.Span
 	dsp *obs.Span
 }
@@ -1128,35 +1041,23 @@ func (cl *chunkLoader) decodeSpan() *obs.Span {
 
 func (cl *chunkLoader) end() { cl.dsp.End() }
 
-// load returns the decoded chunk for a column, consulting the chunk
-// cache first. dec decodes a verified chunk file on a miss.
-func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (chunkData, error)) (any, error) {
-	if cl.opt.Cache != nil {
-		if v, ok := cl.opt.Cache.GetChunk(cl.dir, cl.si.Month, name); ok {
-			return v, nil
-		}
-	}
+// decode finds the segment's chunk record of column name and decodes
+// the verified chunk file with dec.
+func decode[T any](cl *chunkLoader, name string, dec func(dir string, ci ColumnInfo) (T, error)) (T, error) {
+	var zero T
 	ci, err := findColumn(cl.si, name)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
 	if ci.Month != cl.si.Month {
-		return nil, fmt.Errorf("archive: %s: zone map month %s disagrees with segment %s",
+		return zero, fmt.Errorf("archive: %s: zone map month %s disagrees with segment %s",
 			ci.File.Name, ci.Month.Label(), cl.si.Label)
 	}
 	sp := cl.decodeSpan().Child(obs.StageColumn)
 	sp.SetLabel(cl.si.Label + "/" + name)
 	sp.SetBytes(ci.File.Bytes)
-	v, err := dec(ci)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if cl.opt.Cache != nil {
-		n := v.heapBytes()
-		cl.opt.Cache.AddChunk(cl.dir, cl.si.Month, name, v, n+n/8)
-	}
-	return v, nil
+	defer sp.End()
+	return dec(cl.dir, ci)
 }
 
 // readSegment decodes one month's block chunks — headers, transactions,
@@ -1166,48 +1067,42 @@ func (cl *chunkLoader) load(name string, dec func(ColumnInfo) (chunkData, error)
 // block's transaction and receipt lists stay nil, as the miner leaves
 // them. It never decodes observation chunks: the month's readers take
 // the observation network from their shared restore.
-func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*dataset.Segment, error) {
-	cl := &chunkLoader{dir: dir, si: si, opt: opt, rsp: rsp}
+func readSegment(dir string, si SegmentInfo, rsp *obs.Span) (*dataset.Segment, error) {
+	cl := &chunkLoader{dir: dir, si: si, rsp: rsp}
 	defer cl.end()
 
-	hv, err := cl.load(ColHeaders, func(ci ColumnInfo) (chunkData, error) { return decodeHeadersCol(dir, ci) })
+	hd, err := decode(cl, ColHeaders, decodeHeadersCol)
 	if err != nil {
 		return nil, err
 	}
-	hd := hv.(*colHeadersData)
-	tv, err := cl.load(ColTxs, func(ci ColumnInfo) (chunkData, error) { return decodeTxsCol(dir, ci) })
+	txs, err := decode(cl, ColTxs, decodeTxsCol)
 	if err != nil {
 		return nil, err
 	}
-	txs := tv.(*colTxsData)
-	rv, err := cl.load(ColReceipts, func(ci ColumnInfo) (chunkData, error) { return decodeReceiptsCol(dir, ci) })
+	rcpts, err := decode(cl, ColReceipts, decodeReceiptsCol)
 	if err != nil {
 		return nil, err
 	}
-	rcpts := rv.(*colReceiptsData)
-	lv, err := cl.load(ColLogs, func(ci ColumnInfo) (chunkData, error) { return decodeLogsCol(dir, ci) })
+	logs, err := decode(cl, ColLogs, decodeLogsCol)
 	if err != nil {
 		return nil, err
 	}
-	logs := lv.(*colLogsData)
 	// The header tx counts sum to totalTxs, so once every column has that
 	// many rows no block's slice can overrun it.
-	if len(txs.txs) != hd.totalTxs || len(rcpts.rcpts) != hd.totalTxs || len(logs.logs) != hd.totalTxs {
+	if len(txs) != hd.totalTxs || len(rcpts) != hd.totalTxs || len(logs) != hd.totalTxs {
 		return nil, fmt.Errorf("archive: segment %s has %d txs, %d receipts and logs for %d receipts, headers say %d",
-			si.Label, len(txs.txs), len(rcpts.rcpts), len(logs.logs), hd.totalTxs)
+			si.Label, len(txs), len(rcpts), len(logs), hd.totalTxs)
 	}
-	fv, err := cl.load(ColFlashbots, func(ci ColumnInfo) (chunkData, error) { return decodeFlashbotsCol(dir, ci) })
+	fbs, err := decode(cl, ColFlashbots, decodeFlashbotsCol)
 	if err != nil {
 		return nil, err
 	}
 
-	seg := &dataset.Segment{Month: si.Month, FBBlocks: fv.(*colFBData).recs}
+	seg := &dataset.Segment{Month: si.Month, FBBlocks: fbs}
 	seg.Blocks = make([]*types.Block, len(hd.numbers))
-	// The blocks, this read's receipt copies (the cached chunk stays
-	// pristine) and the blocks' receipt views each come from one slab.
+	// The blocks and the blocks' receipt views each come from one slab.
 	blocks := make([]types.Block, len(hd.numbers))
-	copies := append([]types.Receipt(nil), rcpts.rcpts...)
-	views := make([]*types.Receipt, len(copies))
+	views := make([]*types.Receipt, len(rcpts))
 	base := 0
 	for i := range seg.Blocks {
 		b := &blocks[i]
@@ -1222,12 +1117,12 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 		}
 		if cnt := hd.txCounts[i]; cnt > 0 {
 			end := base + cnt
-			b.Txs = txs.txs[base:end:end]
+			b.Txs = txs[base:end:end]
 			b.Receipts = views[base:end:end]
 			for j := base; j < end; j++ {
-				copies[j].TxHash = txs.txs[j].Hash()
-				copies[j].Logs = logs.logs[j]
-				views[j] = &copies[j]
+				rcpts[j].TxHash = txs[j].Hash()
+				rcpts[j].Logs = logs[j]
+				views[j] = &rcpts[j]
 			}
 			base = end
 		}
@@ -1237,29 +1132,55 @@ func readSegment(dir string, si SegmentInfo, opt ReadOptions, rsp *obs.Span) (*d
 	return seg, nil
 }
 
-// ReadBlockFrom restores block number from the archive at dir, whose
-// manifest the caller has already loaded — the repeated-lookup path,
-// where re-parsing the manifest would otherwise dominate. It reads the
-// block's month through readSegment, the month readers' assembly, so
-// the block is exactly the one a full restore holds, and it goes
-// through opt's chunk cache when it has one: a lookup in a month an
-// earlier read decoded touches no disk. Every chunk it does decode is
-// checksum-verified.
-func ReadBlockFrom(dir string, man *Manifest, number uint64, opt ReadOptions) (*types.Block, error) {
-	for _, si := range man.Segments {
-		if number < si.FirstBlock || number > si.LastBlock {
-			continue
+// ReadBlocks restores the sealed blocks of the archive's month segment
+// si, in block order — the blocks a full restore holds for that month,
+// assembled by readSegment. Every chunk it reads is checksum-verified.
+// It is the month read behind `mevscope serve`'s /v1/block, which keeps
+// recently looked-up months in memory.
+func ReadBlocks(dir string, si SegmentInfo) ([]*types.Block, error) {
+	seg, err := readSegment(dir, si, nil)
+	if err != nil {
+		return nil, err
+	}
+	return seg.Blocks, nil
+}
+
+// RetainedBytes is the heap the blocks of one ReadBlocks call retain:
+// every array they hold at its element size times its capacity — blocks,
+// transactions and their payloads, receipts, logs and the logs' topics
+// and data — plus an eighth for allocator size-class rounding and the
+// unused tails of the month's log slabs, as measure.Partial.SizeBytes
+// counts a month partial. The windows readSegment cuts from one slab are
+// capped at their lengths, so counting each window counts its slab once.
+func RetainedBytes(blocks []*types.Block) int64 {
+	n := arrayBytes(blocks) + int64(len(blocks))*int64(unsafe.Sizeof(types.Block{}))
+	for _, b := range blocks {
+		n += arrayBytes(b.Txs) + arrayBytes(b.Receipts)
+		for _, tx := range b.Txs {
+			n += int64(unsafe.Sizeof(*tx)) + payloadBytes(&tx.Payload)
 		}
-		seg, err := readSegment(dir, si, opt, opt.Span)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range seg.Blocks {
-			if b.Header.Number == number {
-				return b, nil
+		for _, r := range b.Receipts {
+			n += int64(unsafe.Sizeof(*r)) + arrayBytes(r.Logs)
+			for _, lg := range r.Logs {
+				n += arrayBytes(lg.Topics) + arrayBytes(lg.Data)
 			}
 		}
-		return nil, fmt.Errorf("archive: block %d missing from segment %s", number, si.Label)
 	}
-	return nil, fmt.Errorf("archive: no segment holds block %d", number)
+	return n + n/8
+}
+
+// arrayBytes is the size of the array backing s.
+func arrayBytes[T any](s []T) int64 {
+	var zero T
+	return int64(unsafe.Sizeof(zero)) * int64(cap(s))
+}
+
+// payloadBytes is the heap a payload's hops, payouts and inner payloads
+// hold.
+func payloadBytes(p *types.Payload) int64 {
+	n := arrayBytes(p.Hops) + arrayBytes(p.Payouts)
+	if p.Inner != nil {
+		n += int64(unsafe.Sizeof(*p.Inner)) + payloadBytes(p.Inner)
+	}
+	return n
 }

@@ -20,8 +20,8 @@ var (
 	mvErr  error
 )
 
-func multiVantageWorld(t *testing.T) *sim.Sim {
-	t.Helper()
+func multiVantageWorld(tb testing.TB) *sim.Sim {
+	tb.Helper()
 	mvOnce.Do(func() {
 		cfg, err := mevscope.Options{Seed: 23, BlocksPerMonth: 25, Scenario: "multi-vantage-union"}.Config()
 		if err != nil {
@@ -37,7 +37,7 @@ func multiVantageWorld(t *testing.T) *sim.Sim {
 		mvSim = s
 	})
 	if mvErr != nil {
-		t.Fatal(mvErr)
+		tb.Fatal(mvErr)
 	}
 	return mvSim
 }

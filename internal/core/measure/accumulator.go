@@ -281,7 +281,7 @@ func accumulate(in Inputs, withGas bool) *Accumulator {
 	sp.SetBlocks(in.Chain.Len())
 	tl := in.Chain.Timeline
 	a := NewAccumulator(tl, in.WETH)
-	aggs := parallel.MapSpan(sp, types.StudyMonths, in.workers(), func(mi int) monthAgg {
+	aggs := parallel.MapSpan(sp, types.StudyMonths, in.Workers, func(mi int) monthAgg {
 		var agg monthAgg
 		for _, b := range in.Chain.BlocksInMonth(types.Month(mi)) {
 			agg.feed(b, withGas)

@@ -61,24 +61,16 @@ type Inputs struct {
 	View string
 	WETH types.Address
 
-	// Workers sizes the aggregation worker pool (0 or 1 = sequential,
-	// <0 = runtime.NumCPU()). Every builder reads the inputs immutably and
-	// merges per-month partials in month order, so the report is identical
-	// for any worker count.
+	// Workers sizes the aggregation worker pool (< 1 = every core, as
+	// parallel.Workers reads it). Every builder reads the inputs
+	// immutably and merges per-month partials in month order, so the
+	// report is identical for any worker count.
 	Workers int
 
 	// Span, when non-nil, is the parent the aggregate and build stages
 	// record themselves under (internal/obs). Tracing never perturbs the
 	// report; nil disables it at zero cost.
 	Span *obs.Span
-}
-
-// workers resolves the pool size: the zero value stays sequential.
-func (in Inputs) workers() int {
-	if in.Workers == 0 {
-		return 1
-	}
-	return in.Workers
 }
 
 // Inferrer builds the §6 inferrer a report over the inputs classifies
@@ -574,7 +566,7 @@ func runBuilders(in Inputs, acc *Accumulator, inf *privinfer.Inferrer, specs []b
 	sp := in.Span.Child(obs.StageBuild)
 	defer sp.End()
 	r := &Report{}
-	parallel.MapSpan(sp, len(specs), in.workers(), func(i int) struct{} {
+	parallel.MapSpan(sp, len(specs), in.Workers, func(i int) struct{} {
 		bsp := sp.Child(obs.StageArtifact)
 		bsp.SetLabel(specs[i].name)
 		specs[i].run(in, acc, inf, r)

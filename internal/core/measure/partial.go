@@ -278,12 +278,12 @@ func arrayBytes[T any](s []T) int64 {
 // its frozen partials, classifying against view. It restores each
 // vantage from its records across the range, takes the last partial's
 // coverage table as the range's, and then runs what a full Build runs:
-// Inputs.Inferrer and the builder fan-out, parameterized by workers —
-// all of it recorded as one analyze:merge span under sp, the infer and
-// build stages nested in it. The report is byte-identical to a
-// full-range analysis of the same months under the same view, whatever
-// views the partials' months were analyzed under.
-func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*Report, error) {
+// Inputs.Inferrer and the builders, on one worker — all of it recorded
+// as one analyze:merge span under sp, the infer and build stages nested
+// in it. The report is byte-identical to a full-range analysis of the
+// same months under the same view, whatever views the partials' months
+// were analyzed under.
+func MergePartials(parts []*Partial, view string, sp *obs.Span) (*Report, error) {
 	sp = sp.Child(obs.StageMerge)
 	defer sp.End()
 	if len(parts) == 0 {
@@ -388,7 +388,7 @@ func MergePartials(parts []*Partial, view string, workers int, sp *obs.Span) (*R
 		Profits: profits,
 		View:    view,
 		WETH:    parts[0].WETH,
-		Workers: workers,
+		Workers: 1,
 		Span:    sp,
 	}
 	if last := parts[len(parts)-1]; len(last.Captures) > 0 {

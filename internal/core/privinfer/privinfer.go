@@ -63,10 +63,11 @@ type Inferrer struct {
 	// observer was live (the paper's Nov 23rd 2021 – Mar 23rd 2022 range).
 	WindowStart, WindowEnd uint64
 
-	// Workers sizes the classification worker pool (0 or 1 = sequential,
-	// <0 = runtime.NumCPU()). Classification is read-only over the chain,
-	// observer and Flashbots set, and per-extraction verdicts are reduced
-	// in input order, so results are identical for any worker count.
+	// Workers sizes the classification worker pool (< 1 = every core, as
+	// parallel.Workers reads it). Classification is read-only over the
+	// chain, observer and Flashbots set, and per-extraction verdicts are
+	// reduced in input order, so results are identical for any worker
+	// count.
 	Workers int
 
 	// Span, when non-nil, is the parent each classification fan-out
@@ -194,14 +195,6 @@ func (s SandwichSplit) PublicShare() float64 {
 	return float64(s.Public) / float64(s.Total)
 }
 
-// workers resolves the pool size: the zero value stays sequential.
-func (in *Inferrer) workers() int {
-	if in.Workers == 0 {
-		return 1
-	}
-	return in.Workers
-}
-
 // verdict is one classification outcome, produced by a worker and reduced
 // sequentially in input order.
 type verdict struct {
@@ -289,7 +282,7 @@ func (in *Inferrer) classifySandwiches(sandwiches []detect.Sandwich) []verdict {
 	sp := in.Span.Child(obspkg.StageInfer)
 	sp.SetLabel("sandwiches")
 	sp.SetTxs(len(sandwiches))
-	v := parallel.MapSpan(sp, len(sandwiches), in.workers(), func(i int) verdict {
+	v := parallel.MapSpan(sp, len(sandwiches), in.Workers, func(i int) verdict {
 		return in.sandwichVerdict(sandwiches[i])
 	})
 	sp.End()
@@ -313,7 +306,7 @@ func (in *Inferrer) classifyArbs(arbs []detect.Arbitrage) []verdict {
 	sp.SetLabel("arbitrages")
 	sp.SetTxs(len(arbs))
 	defer sp.End()
-	return parallel.MapSpan(sp, len(arbs), in.workers(), func(i int) verdict {
+	return parallel.MapSpan(sp, len(arbs), in.Workers, func(i int) verdict {
 		return in.arbVerdict(arbs[i])
 	})
 }
@@ -332,7 +325,7 @@ func (in *Inferrer) classifyLiqs(liqs []detect.Liquidation) []verdict {
 	sp.SetLabel("liquidations")
 	sp.SetTxs(len(liqs))
 	defer sp.End()
-	return parallel.MapSpan(sp, len(liqs), in.workers(), func(i int) verdict {
+	return parallel.MapSpan(sp, len(liqs), in.Workers, func(i int) verdict {
 		return in.liqVerdict(liqs[i])
 	})
 }

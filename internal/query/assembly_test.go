@@ -13,6 +13,7 @@ import (
 	"mevscope/internal/archive"
 	"mevscope/internal/core/measure"
 	"mevscope/internal/dataset"
+	"mevscope/internal/obs"
 	"mevscope/internal/query"
 	"mevscope/internal/sim"
 	"mevscope/internal/types"
@@ -212,28 +213,50 @@ func TestServeAssemblyByteIdentical(t *testing.T) {
 
 // TestColdBuildChunkLookupsLinear pins the cold full-window build
 // against a return of per-month re-reads: restoring each month's
-// observation network from scratch made chunk-cache lookups grow with
-// the square of the months. A build that restores the shared state once
-// and then reads each month's own chunks looks each archive chunk up
-// exactly once, and on a cold server every lookup misses.
+// observation network from scratch made chunk reads grow with the
+// square of the months. A build that restores the shared state once and
+// then reads each month's own chunks decodes each archive chunk exactly
+// once — its trace holds one archive:column span per chunk in the
+// manifest — and leaves the month level behind /v1/block untouched.
 func TestColdBuildChunkLookupsLinear(t *testing.T) {
 	dir, _ := assemblyArchives(t)
 	man, err := archive.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := 0
+	chunks := map[string]bool{}
 	for _, si := range man.Segments {
-		chunks += len(si.Columns)
+		for _, ci := range si.Columns {
+			chunks[si.Label+"/"+ci.Name] = true
+		}
 	}
+	first, last := man.Window()
 	for _, workers := range []int{0, 1, 4} {
 		srv := newServeLikeServer(t, dir, workers)
 		if code, body := get(t, srv, "/v1/report"); code != http.StatusOK {
 			t.Fatalf("workers %d: full window → %d: %s", workers, code, body)
 		}
-		if st := srv.SegmentCacheStats(); st.Hits != 0 || st.Misses != int64(chunks) {
-			t.Errorf("workers %d: cold full-window build made %d hits and %d misses in the chunk cache for %d archive chunks, want 0 and %d",
-				workers, st.Hits, st.Misses, chunks, chunks)
+		if st := srv.SegmentCacheStats(); st.Hits != 0 || st.Misses != 0 {
+			t.Errorf("workers %d: cold full-window build made %d hits and %d misses in the month level, want none",
+				workers, st.Hits, st.Misses)
+		}
+		tr := obs.New("build")
+		if _, err := query.Assemble(dir, man, first, last, "", mevscope.AnalyzeDatasetPartial, workers, tr.Root()); err != nil {
+			t.Fatal(err)
+		}
+		decoded := map[string]int{}
+		for _, sp := range tr.Spans() {
+			if sp.Name() == obs.StageColumn {
+				decoded[sp.Label()]++
+			}
+		}
+		for name, n := range decoded {
+			if !chunks[name] || n != 1 {
+				t.Errorf("workers %d: the build decoded %s %d times, want once for a chunk of the manifest", workers, name, n)
+			}
+		}
+		if len(decoded) != len(chunks) {
+			t.Errorf("workers %d: the build decoded %d of the manifest's %d chunks", workers, len(decoded), len(chunks))
 		}
 	}
 }

@@ -84,9 +84,9 @@ func overlappingRangeURLs() []string {
 
 // benchColdOverlapping drives the sliding-window mix through a fresh
 // server per iteration. Each iteration first issues one full-range
-// warming request under a stopped timer — steady-state serving has the
-// chunk LRU hot from prior traffic, and the warming request models
-// exactly that (it also analyzes every month, the
+// warming request under a stopped timer — steady-state serving has
+// every month's partial cached from prior traffic, and the warming
+// request models exactly that (it analyzes every month once, the
 // analyze-each-month-once half of the memoization). The timed region
 // is the 18 sliding windows, every one a report key the server has
 // never seen, each assembled from cached month partials.

@@ -29,20 +29,19 @@ type Key struct {
 // partialKey identifies one analyzed month partial: which archive,
 // which single month of it, which scenario produced it. It has no view:
 // a partial keeps the month's capture of every vantage, and each merge
-// classifies it under its own key's view. It is the mid-level cache key —
-// finer than a report (one month, not a range), coarser than a decoded
-// chunk (analysis output, not storage).
+// classifies it under its own key's view. It is finer than a report key:
+// one month, not a range.
 type partialKey struct {
 	archive  string
 	month    types.Month
 	scenario string
 }
 
-// chunkKey identifies one decoded column chunk of one archive.
-type chunkKey struct {
+// monthKey identifies one archived month's sealed blocks, the unit
+// /v1/block lookups cache.
+type monthKey struct {
 	archive string
 	month   types.Month
-	column  string
 }
 
 // CacheStats is a point-in-time view of the report level's counters.
@@ -65,10 +64,10 @@ type PartialCacheStats struct {
 	Evictions     int64 `json:"evictions"`
 }
 
-// SegmentCacheStats is a point-in-time view of the chunk level: entry
-// counters plus the heap the cached decodes retain, as
-// archive.ChunkCache's AddChunk accounts it. The level is bounded by
-// entry count, not by these bytes.
+// SegmentCacheStats is a point-in-time view of the month level behind
+// /v1/block: entry counters, in months, plus the heap the cached months'
+// blocks retain (archive.RetainedBytes). The level is bounded by entry
+// count, not by these bytes.
 type SegmentCacheStats struct {
 	Size      int   `json:"size"`
 	Capacity  int   `json:"capacity"`
@@ -79,10 +78,10 @@ type SegmentCacheStats struct {
 }
 
 // level is one cache level of the server — reports, month partials and
-// decoded chunks are each one instance. It is a concurrency-safe LRU
-// bounded by entry count (maxEntries > 0) and/or by accounted bytes
-// (maxBytes > 0, each entry sized by size); it never evicts its last
-// entry, whatever its size. Cached values are immutable once published,
+// the months /v1/block looks blocks up in are each one instance. It is
+// a concurrency-safe LRU bounded by entry count (maxEntries > 0) and/or
+// by accounted bytes (maxBytes > 0, each entry sized by size); it never
+// evicts its last entry, whatever its size. Cached values are immutable once published,
 // so one entry is handed to any number of concurrent readers without
 // copying. A nil level caches nothing: peek misses and do just builds.
 //
@@ -146,13 +145,6 @@ func (l *level[K, V]) lookup(k K, count bool) (V, bool) {
 	}
 	l.ll.MoveToFront(el)
 	return el.Value.(*entry[K, V]).val, true
-}
-
-// get is a counted lookup.
-func (l *level[K, V]) get(k K) (V, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lookup(k, true)
 }
 
 // peek is a lookup that leaves the hit and miss counters alone.
@@ -276,33 +268,4 @@ func (st levelStats) partials() PartialCacheStats {
 func (st levelStats) segments() SegmentCacheStats {
 	return SegmentCacheStats{Size: st.size, Capacity: st.maxEntries, Bytes: st.bytes,
 		Hits: st.hits, Misses: st.misses, Evictions: st.evictions}
-}
-
-// chunk is one decoded column chunk — the archive decoder's opaque
-// column representation — with the heap bytes it retains.
-type chunk struct {
-	val   any
-	bytes int64
-}
-
-// chunkCache adapts the chunk level to archive.ChunkCache, so the chunks
-// a shared restore, a month read or a block lookup decodes are reused by
-// whichever of them touches the chunk next.
-type chunkCache struct{ *level[chunkKey, chunk] }
-
-func newChunkCache(capacity int) chunkCache {
-	return chunkCache{newLevel[chunkKey](
-		"chunk", capacity, 0, func(c chunk) int64 { return c.bytes })}
-}
-
-// GetChunk returns the cached decode of one column chunk
-// (archive.ChunkCache).
-func (c chunkCache) GetChunk(dir string, m types.Month, col string) (any, bool) {
-	ch, ok := c.get(chunkKey{dir, m, col})
-	return ch.val, ok
-}
-
-// AddChunk caches a decoded column chunk (archive.ChunkCache).
-func (c chunkCache) AddChunk(dir string, m types.Month, col string, v any, bytes int64) {
-	c.add(chunkKey{dir, m, col}, chunk{v, bytes})
 }

@@ -515,7 +515,7 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	caches := []struct {
 		name string
 		st   levelStats
-	}{{"reports", s.reports.stats()}, {"partials", s.partials.stats()}, {"segments", s.chunks.stats()}}
+	}{{"reports", s.reports.stats()}, {"partials", s.partials.stats()}, {"segments", s.months.stats()}}
 	if err := p("# HELP mevscope_cache_hits_total Cache hits by level.\n# TYPE mevscope_cache_hits_total counter\n"); err != nil {
 		return err
 	}

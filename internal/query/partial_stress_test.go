@@ -204,8 +204,8 @@ func TestConcurrentStressPartialLRUDedup(t *testing.T) {
 // TestPartialCacheViewScoping pins the merge-only path across
 // observation views: month partials carry no view, so after one view's
 // full-window report every other view's full-window report merges the
-// cached partials — no month analysis, no chunk-cache lookup, one
-// report build — and still labels its report with its own view.
+// cached partials — no month analysis, no archive read, one report
+// build — and still labels its report with its own view.
 func TestPartialCacheViewScoping(t *testing.T) {
 	var calls atomic.Int64
 	srv, err := query.New(query.Config{
@@ -216,29 +216,33 @@ func TestPartialCacheViewScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkLookups := func() int64 {
-		st := srv.SegmentCacheStats()
-		return st.Hits + st.Misses
+	// Every archive read of a build records an archive:restore span.
+	restores := func() int64 {
+		snap, ok := srv.MetricsSnapshot()
+		if !ok {
+			t.Fatal("metrics disabled")
+		}
+		return snap.Stages[obs.StageRestore].Count
 	}
 
 	views := []string{"", "union", "vantage:1", "quorum:2"}
 	bodies := make(map[string]string, len(views))
 	for i, v := range views {
-		analyses, lookups, reports := calls.Load(), chunkLookups(), builds(t, srv)
+		analyses, reads, reports := calls.Load(), restores(), builds(t, srv)
 		url := "/v1/artifact/vantage_sensitivity?format=json&view=" + v
 		code, body := get(t, srv, url)
 		if code != http.StatusOK {
 			t.Fatalf("%s → %d: %s", url, code, body)
 		}
 		bodies[v] = body
-		analyses, lookups, reports = calls.Load()-analyses, chunkLookups()-lookups, builds(t, srv)-reports
+		analyses, reads, reports = calls.Load()-analyses, restores()-reads, builds(t, srv)-reports
 		if i == 0 {
-			if want := archivedMonths(t, multiVantageArchive(t), ""); analyses != want || lookups == 0 {
-				t.Errorf("view %q cold: %d month analyses and %d chunk lookups, want %d and some", v, analyses, lookups, want)
+			if want := archivedMonths(t, multiVantageArchive(t), ""); analyses != want || reads == 0 {
+				t.Errorf("view %q cold: %d month analyses and %d archive reads, want %d and some", v, analyses, reads, want)
 			}
-		} else if analyses != 0 || lookups != 0 || reports != 1 {
-			t.Errorf("view %q after view %q: %d month analyses, %d chunk lookups, %d report builds; want 0, 0, 1",
-				v, views[0], analyses, lookups, reports)
+		} else if analyses != 0 || reads != 0 || reports != 1 {
+			t.Errorf("view %q after view %q: %d month analyses, %d archive reads, %d report builds; want 0, 0, 1",
+				v, views[0], analyses, reads, reports)
 		}
 	}
 	if bodies["union"] == bodies["vantage:1"] {

@@ -11,21 +11,22 @@
 // one report: repeated queries for any artifact of the same slice — any
 // format — skip the pipeline entirely and re-encode the cached report's
 // structured artifact model (measure.Artifact). Beneath the report LRU
-// sit two more levels. A report miss is assembled from per-month
-// partials (Config.AnalyzePartial): cached months come from the partial
+// sits the partial level: a report miss is assembled from per-month
+// partials (Config.AnalyzePartial), cached months come from the partial
 // LRU, and the missing months of one build share a single restore of
 // the price series and of the observation network through the last
 // missing month (archive.RestoreShared), then each reads only its own
-// column chunks and is analyzed on the worker pool. At the bottom, an
-// LRU of decoded archive column chunks lets overlapping ranges share
-// decodes instead of re-reading the disk; /v1/block lookups read their
-// month through the same LRU, so a lookup in a month a build decoded
-// touches no disk.
+// column chunks and is analyzed on the worker pool. Builds keep no
+// decoded chunk: each build reads what its missing months need, so once
+// every month's partial is cached no build reads the archive. Beside
+// them, /v1/block lookups go through an LRU of archived months' sealed
+// blocks (archive.ReadBlocks), so each month is assembled once, not once
+// per lookup.
 //
 // The three levels are one type (cache.go): a generic LRU bounded by
-// entry count (reports, chunks) or accounted bytes (partials), whose do
-// collapses concurrent report or partial misses for one key into one
-// build and turns a panicking build into an error for every waiter.
+// entry count (reports, months) or accounted bytes (partials), whose do
+// collapses concurrent misses for one key into one build and turns a
+// panicking build into an error for every waiter.
 //
 // The assembly is the one archive report path: a report-cache miss runs
 // it over the server's cache levels, and Assemble, behind `mevscope
@@ -83,6 +84,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,17 +164,15 @@ type Config struct {
 	// Workers sizes the analysis worker pool (< 1 selects every core):
 	// it bounds a partial assembly's fan-out — the missing months of one
 	// build run concurrently, with months × per-month workers never
-	// exceeding it — and is passed through to the shared restore and to
-	// the merge.
+	// exceeding it — and the shared restore's. The merge runs on one
+	// worker.
 	Workers int
 	// CacheSize bounds the report LRU; 0 selects 16 entries.
 	CacheSize int
-	// SegmentCacheSize bounds the LRU of decoded archive data at the
-	// bottom of the cache levels; 0 selects 256 entries. The unit is one
-	// decoded column chunk (several per month — one per column and per
-	// extra vantage). Overlapping month ranges share the decodes they
-	// both touch through this cache, so a cold report build re-reads only
-	// what no earlier query decoded.
+	// SegmentCacheSize bounds the LRU of archived months /v1/block looks
+	// blocks up in; 0 selects 256 entries. The unit is one month's sealed
+	// blocks, assembled on the month's first lookup. Report builds do not
+	// use it.
 	SegmentCacheSize int
 	// DisableMetrics turns off request accounting and the /metrics
 	// endpoint (which then 404s). Metrics are on by default: recording is
@@ -191,7 +191,7 @@ type Server struct {
 	cfg      Config
 	reports  *level[Key, *measure.Report]
 	partials *level[partialKey, *measure.Partial]
-	chunks   chunkCache
+	months   *level[monthKey, []*types.Block]
 	mux      *http.ServeMux
 	metrics  *metrics // nil when Config.DisableMetrics
 
@@ -218,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		reports:  newLevel[Key, *measure.Report]("report", max(cfg.CacheSize, 1), 0, nil),
 		partials: newLevel[partialKey]("month partial", 0, max(cfg.PartialCacheBytes, 1), (*measure.Partial).SizeBytes),
-		chunks:   newChunkCache(max(cfg.SegmentCacheSize, 1)),
+		months:   newLevel[monthKey]("archived month", max(cfg.SegmentCacheSize, 1), 0, archive.RetainedBytes),
 	}
 	if !cfg.DisableMetrics {
 		s.metrics = newMetrics()
@@ -252,8 +252,9 @@ func (s *Server) SetLive(src Live) {
 // CacheStats reports the report cache's hit/miss/eviction counters.
 func (s *Server) CacheStats() CacheStats { return s.reports.stats().reports() }
 
-// SegmentCacheStats reports the decoded-chunk cache's counters.
-func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.chunks.stats().segments() }
+// SegmentCacheStats reports the counters of the month level behind
+// /v1/block.
+func (s *Server) SegmentCacheStats() SegmentCacheStats { return s.months.stats().segments() }
 
 // PartialCacheStats reports the month-partial cache's counters.
 func (s *Server) PartialCacheStats() PartialCacheStats { return s.partials.stats().partials() }
@@ -446,7 +447,7 @@ func (s *Server) report(key Key) (*measure.Report, error) {
 }
 
 // build runs one cold archive report build — assemble over the
-// server's partial level and chunk cache — under a flight-recorder trace
+// server's partial level — under a flight-recorder trace
 // when metrics are on; a successful build's stage durations feed the
 // mevscope_stage_seconds histograms.
 func (s *Server) build(key Key) (*measure.Report, error) {
@@ -459,7 +460,7 @@ func (s *Server) build(key Key) (*measure.Report, error) {
 		tr = obs.New("build")
 	}
 	sp := tr.Root()
-	rep, err := assemble(man, key, s.cfg.AnalyzePartial, s.cfg.Workers, s.partials, s.chunks, sp)
+	rep, err := assemble(man, key, s.cfg.AnalyzePartial, s.cfg.Workers, s.partials, sp)
 	if err == nil {
 		sp.End()
 		s.metrics.observeTrace(tr)
@@ -475,7 +476,7 @@ func (s *Server) build(key Key) (*measure.Report, error) {
 // that selects no archived month is an error naming the archive's
 // window.
 func Assemble(dir string, man *archive.Manifest, from, to types.Month, view string, analyze PartialFunc, workers int, sp *obs.Span) (*measure.Report, error) {
-	return assemble(man, Key{Archive: dir, From: from, To: to, View: view}, analyze, workers, nil, nil, sp)
+	return assemble(man, Key{Archive: dir, From: from, To: to, View: view}, analyze, workers, nil, sp)
 }
 
 // assemble builds a range report by merging the month partials of every
@@ -485,12 +486,12 @@ func Assemble(dir string, man *archive.Manifest, from, to types.Month, view stri
 // the observation network through the last month the scan found missing,
 // restored once per build, lazily by whichever miss first needs it — and
 // fan out across the worker pool. A month gap is left to MergePartials,
-// which rejects it as a full-range restore does. A nil partial level
-// caches nothing, and a nil chunk cache decodes every chunk fresh. Each
-// computed month gets an analyze:partial span, so a trace of an
-// assembled build shows exactly which months were memoized.
+// which rejects it as a full-range restore does; the merge runs on one
+// worker. A nil partial level caches nothing. Each computed month gets
+// an analyze:partial span, so a trace of an assembled build shows
+// exactly which months were memoized.
 func assemble(man *archive.Manifest, key Key, analyze PartialFunc, workers int,
-	partials *level[partialKey, *measure.Partial], chunks archive.ChunkCache, sp *obs.Span) (*measure.Report, error) {
+	partials *level[partialKey, *measure.Partial], sp *obs.Span) (*measure.Report, error) {
 	var keys []partialKey
 	var parts []*measure.Partial // the scan's cached partials, nil where missing
 	missing, last := 0, key.From
@@ -524,7 +525,7 @@ func assemble(man *archive.Manifest, key Key, analyze PartialFunc, workers int,
 	inner := pool / outer
 	shared := sync.OnceValues(func() (*archive.Shared, error) {
 		return archive.RestoreShared(key.Archive, man, last,
-			archive.ReadOptions{Workers: pool, Cache: chunks, Span: sp})
+			archive.ReadOptions{Workers: pool, Span: sp})
 	})
 	errs := parallel.Map(len(keys), outer, func(i int) error {
 		scanned := parts[i]
@@ -540,7 +541,7 @@ func assemble(man *archive.Manifest, key Key, analyze PartialFunc, workers int,
 			psp := sp.Child(obs.StagePartial)
 			psp.SetLabel(keys[i].month.Label() + ":computed")
 			defer psp.End()
-			ds, err := sh.ReadMonth(keys[i].month, archive.ReadOptions{Workers: inner, Cache: chunks, Span: psp})
+			ds, err := sh.ReadMonth(keys[i].month, archive.ReadOptions{Workers: inner, Span: psp})
 			if err != nil {
 				return nil, err
 			}
@@ -553,7 +554,7 @@ func assemble(man *archive.Manifest, key Key, analyze PartialFunc, workers int,
 			return nil, err
 		}
 	}
-	return measure.MergePartials(parts, key.View, workers, sp)
+	return measure.MergePartials(parts, key.View, sp)
 }
 
 // respond writes one fully-buffered response: encode runs to completion
@@ -793,11 +794,11 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBlock serves one block by number as JSON — a point lookup that
-// reuses the server's cached manifest (archive.ReadBlockFrom), so a hot
+// resolves the block's month from the server's cached manifest, so a hot
 // loop of block queries parses the manifest once, not once per request.
-// The lookup reads the block's month through the server's chunk cache:
-// it decodes only the month's block chunks no earlier build or lookup
-// decoded, and warms them for the next.
+// It binary-searches the month's sealed blocks, which the month level
+// holds: the first lookup in a month reads and assembles it
+// (archive.ReadBlocks), and later lookups there touch no disk.
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 	man, err := s.manifest()
 	if err != nil {
@@ -814,29 +815,36 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		fail(w, errBadRequest("query: bad block number %q", numStr))
 		return
 	}
-	held := false
+	var seg *archive.SegmentInfo
 	for i := range man.Segments {
-		if seg := &man.Segments[i]; seg.FirstBlock <= n && n <= seg.LastBlock {
-			held = true
+		if si := &man.Segments[i]; si.FirstBlock <= n && n <= si.LastBlock {
+			seg = si
 			break
 		}
 	}
-	if !held {
+	if seg == nil {
 		fail(w, &httpError{http.StatusNotFound,
 			fmt.Sprintf("query: no archived segment holds block %d", n)})
 		return
 	}
-	b, err := archive.ReadBlockFrom(s.cfg.Archive, man, n, archive.ReadOptions{Cache: s.chunks})
+	blocks, err := s.months.do(monthKey{s.cfg.Archive, seg.Month}, func() ([]*types.Block, error) {
+		return archive.ReadBlocks(s.cfg.Archive, *seg)
+	})
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, b)
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].Header.Number >= n })
+	if i == len(blocks) || blocks[i].Header.Number != n {
+		fail(w, fmt.Errorf("query: block %d missing from segment %s", n, seg.Label))
+		return
+	}
+	writeJSON(w, blocks[i])
 }
 
 // handleCache serves every cache level's hit/miss counters: the report
-// LRU, the month-partial LRU and the decoded-chunk LRU beneath them
-// (reported under "segments").
+// LRU, the month-partial LRU beneath it and the month level behind
+// /v1/block (reported under "segments").
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		Reports  CacheStats        `json:"reports"`

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -508,86 +510,46 @@ func TestMonthsOutsideArchive(t *testing.T) {
 	}
 }
 
-// buildChunks lists the column chunks a cold build of the months in
-// spec decodes when none of their partials is cached yet, per the
-// manifest: each month's own block chunks, plus — once the observation
-// window has opened by the last of those months — the observation
-// chunks of every month through it, which the build's shared network
-// restores.
-func buildChunks(tb testing.TB, man *archive.Manifest, spec string) map[string]bool {
+// blockBodies maps each of the given block numbers of the archive at dir
+// to its /v1/block body: the full restore's block (archive.Read),
+// encoded as the server encodes it.
+func blockBodies(tb testing.TB, dir string, nums []uint64) map[uint64]string {
 	tb.Helper()
-	from, to, err := types.ParseMonthRange(spec)
+	restored, _, err := archive.Read(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var last *archive.SegmentInfo
-	for i, si := range man.Segments {
-		if si.Month >= from && si.Month <= to {
-			last = &man.Segments[i]
+	out := map[uint64]string{}
+	for _, n := range nums {
+		b, err := restored.Chain.ByNumber(n)
+		if err != nil {
+			tb.Fatal(err)
 		}
-	}
-	if last == nil {
-		tb.Fatalf("months %s select no segment", spec)
-	}
-	observing := man.Observer != nil && man.Observer.Start <= last.LastBlock
-	out := map[string]bool{}
-	for _, si := range man.Segments {
-		for _, ci := range si.Columns {
-			if strings.HasPrefix(ci.Name, archive.ColObserved) {
-				if !observing || si.Month > last.Month {
-					continue
-				}
-			} else if si.Month < from || si.Month > to {
-				continue
-			}
-			out[si.Label+"/"+ci.Name] = true
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(b); err != nil {
+			tb.Fatal(err)
 		}
+		out[n] = buf.String()
 	}
 	return out
 }
 
 // TestSegmentCacheSharesOverlap: overlapping month ranges are distinct
 // report-cache keys (both build), but the months they share are analyzed
-// once, and the chunks their builds share decode once: the shifted
-// range analyzes only its one new month, whose shared restore re-reads
-// only the observation chunk no earlier build touched. /v1/cache
+// once: the shifted range analyzes only its one new month. Report
+// builds leave the month level behind /v1/block alone, and /v1/cache
 // exposes all three levels.
 func TestSegmentCacheSharesOverlap(t *testing.T) {
 	var calls atomic.Int64
 	srv := newServer(t, 8, &calls)
-	man, err := archive.ReadManifest(testArchive(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both ranges lie in the observation window, so every build restores
-	// the observation network through its last month.
-	firstChunks := buildChunks(t, man, "2021-11..2022-01")
-	secondChunks := buildChunks(t, man, "2022-02..2022-02") // the shifted range's one new month
-	shared := 0
-	for k := range secondChunks {
-		if firstChunks[k] {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Fatal("fixture: the two builds share no chunk")
-	}
-	union := len(firstChunks) + len(secondChunks) - shared
-
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-11..2022-01"); code != http.StatusOK {
 		t.Fatalf("first range failed: %s", body)
-	}
-	first := srv.SegmentCacheStats()
-	if first.Size != len(firstChunks) || first.Misses != int64(len(firstChunks)) || first.Hits != 0 {
-		t.Fatalf("first cold range: chunk cache %+v, want %d chunks decoded, 0 hits", first, len(firstChunks))
-	}
-	if first.Bytes <= 0 {
-		t.Errorf("chunk cache accounts %d bytes, want > 0", first.Bytes)
 	}
 	if code, body := get(t, srv, "/v1/artifact/fig3?months=2021-12..2022-02"); code != http.StatusOK {
 		t.Fatalf("overlapping range failed: %s", body)
 	}
-	second := srv.SegmentCacheStats()
 	if n := builds(t, srv); n != 2 {
 		t.Fatalf("report builds = %d, want 2 (distinct ranges are distinct reports)", n)
 	}
@@ -597,24 +559,15 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if ps := srv.PartialCacheStats(); ps.Hits != 2 || ps.Misses != 4 {
 		t.Errorf("partial cache %+v, want 2 hits (the shared months) and 4 misses", ps)
 	}
-	// The observation chunks of every month through 2022-01 are shared;
-	// 2022-02's chunks decode fresh.
-	if second.Size != union || second.Misses != int64(union) {
-		t.Errorf("after overlap: %d cached chunks, %d misses; want %d of each", second.Size, second.Misses, union)
-	}
-	if second.Hits != int64(shared) {
-		t.Errorf("overlap hit %d cached chunks, want %d", second.Hits, shared)
-	}
-	// The exact same range again: pure report-cache hit, chunk cache
-	// untouched.
+	// The exact same range again: pure report-cache hit.
 	if code, _ := get(t, srv, "/v1/artifact/fig3?months=2021-12..2022-02"); code != http.StatusOK {
 		t.Fatal("repeat range failed")
 	}
-	if after := srv.SegmentCacheStats(); after.Hits != second.Hits || after.Misses != second.Misses {
-		t.Errorf("report-cache hit touched the chunk cache: %+v vs %+v", after, second)
-	}
 	if got, n := calls.Load(), builds(t, srv); got != 4 || n != 2 {
 		t.Errorf("after repeat: %d month analyses in %d builds, want 4 in 2", got, n)
+	}
+	if st := srv.SegmentCacheStats(); st.Size != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("report builds touched the month level: %+v", st)
 	}
 	// Every cache level is visible on the wire.
 	code, body := get(t, srv, "/v1/cache")
@@ -629,55 +582,55 @@ func TestSegmentCacheSharesOverlap(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatalf("cache endpoint is not the three-level shape: %v\n%s", err, body)
 	}
-	if stats.Segments.Size != union || stats.Reports.Misses == 0 || stats.Partials != srv.PartialCacheStats() {
+	if stats.Reports.Misses == 0 || stats.Partials != srv.PartialCacheStats() || stats.Segments != srv.SegmentCacheStats() {
 		t.Errorf("cache endpoint stats look wrong: %s", body)
 	}
 }
 
-// TestSegmentCacheEviction: a tiny chunk cache keeps serving correct
-// reports while evicting, it just re-reads more: it holds exactly its
-// capacity, every chunk lookup of both cold ranges is counted, and every
-// decode beyond the capacity evicted one.
+// TestSegmentCacheEviction: a month level of two months keeps serving
+// correct blocks while lookups across three months evict: it holds
+// exactly its capacity, every lookup is counted, a month looked up again
+// after its eviction is read again, and every body equals the full
+// restore's block.
 func TestSegmentCacheEviction(t *testing.T) {
-	newTiny := func() *query.Server {
-		srv, err := query.New(query.Config{
-			Archive:          testArchive(t),
-			AnalyzePartial:   mevscope.AnalyzeDatasetPartial,
-			Workers:          1,
-			SegmentCacheSize: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	srv := newTiny()
-	man, err := archive.ReadManifest(testArchive(t))
+	dir := testArchive(t)
+	srv, err := query.New(query.Config{
+		Archive:          dir,
+		AnalyzePartial:   mevscope.AnalyzeDatasetPartial,
+		Workers:          1,
+		SegmentCacheSize: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookups := len(buildChunks(t, man, "2021-01..2021-06")) + len(buildChunks(t, man, "2021-07..2021-12"))
-	_, want := get(t, srv, "/v1/artifact/fig3?months=2021-01..2021-06")
-	if code, _ := get(t, srv, "/v1/artifact/fig4?months=2021-07..2021-12"); code != http.StatusOK {
-		t.Fatal("second range failed")
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := srv.SegmentCacheStats()
-	if st.Size != 2 || st.Hits+st.Misses != int64(lookups) || st.Evictions != st.Misses-2 {
-		t.Errorf("tiny cache stats %+v; want size 2, %d lookups, evictions = misses - 2", st, lookups)
+	// The last block of three months, then of the first again, which the
+	// third month's lookup evicted.
+	segs := man.Segments[:3]
+	var nums []uint64
+	for _, si := range append(segs, segs[0]) {
+		nums = append(nums, si.LastBlock)
 	}
-	// Evicted chunks re-decode correctly: same body as the first query
-	// (report cache is large enough to hold both, so force a fresh server).
-	if _, got := get(t, newTiny(), "/v1/artifact/fig3?months=2021-01..2021-06"); got != want {
-		t.Error("report over a thrashing chunk cache differs")
+	want := blockBodies(t, dir, nums)
+	for _, n := range nums {
+		if code, got := get(t, srv, fmt.Sprintf("/v1/block?number=%d", n)); code != http.StatusOK || got != want[n] {
+			t.Errorf("block %d → %d, body equal to the full restore's: %v", n, code, got == want[n])
+		}
+	}
+	if st := srv.SegmentCacheStats(); st.Size != 2 || st.Capacity != 2 || st.Hits != 0 || st.Misses != 4 || st.Evictions != 2 {
+		t.Errorf("two-month level stats %+v; want size 2, 0 hits, 4 misses, 2 evictions", st)
 	}
 }
 
 // TestBlockEndpoint: /v1/block serves single blocks without a report
-// build, reading the block's month through the server's chunk cache,
-// and turns out-of-range or malformed numbers into 404/400, not 500. On
-// a fresh server the first lookup in a month misses exactly that
-// month's block chunks and a second lookup there misses none; after a
-// full-window report, every lookup is served from cached chunks.
+// build, looking each up in its month's sealed blocks through the month
+// level, and turns out-of-range or malformed numbers into 404/400, not
+// 500. N lookups in one month read the month once: one miss and N−1
+// hits. A full-window report leaves the level alone, so a lookup in
+// each month afterwards misses once per month not yet looked up in.
 func TestBlockEndpoint(t *testing.T) {
 	dir := testArchive(t)
 	man, err := archive.ReadManifest(dir)
@@ -693,62 +646,46 @@ func TestBlockEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// blockChunks counts a segment's block chunks: every chunk but the
-	// observation logs, which only a report build's shared restore reads.
-	blockChunks := func(si archive.SegmentInfo) int64 {
-		var n int64
-		for _, ci := range si.Columns {
-			if !strings.HasPrefix(ci.Name, archive.ColObserved) {
-				n++
-			}
-		}
-		return n
-	}
 	seg := man.Segments[len(man.Segments)/2]
-	want := seg.FirstBlock
-	status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
-	if status != http.StatusOK {
-		t.Fatalf("block %d → %d: %s", want, status, body)
-	}
-	var got struct {
-		Header struct{ Number uint64 }
-	}
-	if err := json.Unmarshal([]byte(body), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Header.Number != want {
-		t.Errorf("asked for block %d, got %d", want, got.Header.Number)
+	nums := []uint64{seg.FirstBlock, seg.LastBlock, (seg.FirstBlock + seg.LastBlock) / 2, seg.FirstBlock}
+	for i, want := range nums {
+		status, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", want))
+		if status != http.StatusOK {
+			t.Fatalf("block %d → %d: %s", want, status, body)
+		}
+		var got struct {
+			Header struct{ Number uint64 }
+		}
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Header.Number != want {
+			t.Errorf("asked for block %d, got %d", want, got.Header.Number)
+		}
+		if st := srv.SegmentCacheStats(); st.Misses != 1 || st.Hits != int64(i) || st.Size != 1 {
+			t.Errorf("after %d lookups in %s: month level %+v, want 1 month, 1 miss and %d hits", i+1, seg.Label, st, i)
+		}
 	}
 	if calls.Load() != 0 {
-		t.Errorf("block lookup ran the analysis pipeline %d times", calls.Load())
-	}
-	first := srv.SegmentCacheStats()
-	if first.Misses != blockChunks(seg) || first.Hits != 0 {
-		t.Errorf("first lookup in %s: %d chunk misses and %d hits, want %d and 0",
-			seg.Label, first.Misses, first.Hits, blockChunks(seg))
-	}
-	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", seg.LastBlock)); status != http.StatusOK {
-		t.Fatalf("block %d → %d", seg.LastBlock, status)
-	}
-	second := srv.SegmentCacheStats()
-	if second.Misses != first.Misses || second.Hits != first.Hits+blockChunks(seg) {
-		t.Errorf("second lookup in %s: chunk cache %+v after %+v, want %d more hits and no misses",
-			seg.Label, second, first, blockChunks(seg))
+		t.Errorf("block lookups ran the analysis pipeline %d times", calls.Load())
 	}
 	if status, body := get(t, srv, "/v1/report"); status != http.StatusOK {
 		t.Fatalf("full-window report → %d: %s", status, body)
 	}
 	before := srv.SegmentCacheStats()
-	var lookups int64
+	if before.Misses != 1 || before.Hits != int64(len(nums)-1) {
+		t.Errorf("a full-window report changed the month level's counters: %+v", before)
+	}
 	for _, si := range man.Segments {
 		if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", si.FirstBlock)); status != http.StatusOK {
 			t.Fatalf("block %d → %d", si.FirstBlock, status)
 		}
-		lookups += blockChunks(si)
 	}
-	if after := srv.SegmentCacheStats(); after.Misses != before.Misses || after.Hits != before.Hits+lookups {
-		t.Errorf("lookups after a full-window report: chunk cache %+v after %+v, want %d more hits and no misses",
-			after, before, lookups)
+	months := int64(len(man.Segments))
+	if after := srv.SegmentCacheStats(); after.Misses != before.Misses+months-1 || after.Hits != before.Hits+1 ||
+		after.Size != len(man.Segments) || after.Bytes <= before.Bytes {
+		t.Errorf("a lookup in every month: month level %+v after %+v, want %d more misses, 1 more hit and every month held",
+			after, before, months-1)
 	}
 	if status, _ := get(t, srv, fmt.Sprintf("/v1/block?number=%d", man.Head+1)); status != http.StatusNotFound {
 		t.Errorf("past-head block → %d, want 404", status)
@@ -758,6 +695,56 @@ func TestBlockEndpoint(t *testing.T) {
 	}
 	if status, _ := get(t, srv, "/v1/block"); status != http.StatusBadRequest {
 		t.Errorf("missing block number → %d, want 400", status)
+	}
+}
+
+// TestMonthBytesCoverHeap pins the month level's byte accounting to the
+// heap: once a lookup in every month of a 1-vantage and a 4-vantage
+// archive has filled the level, its bytes must be at least the heap the
+// held months retain, and at most half again as much.
+func TestMonthBytesCoverHeap(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		// Two cycles: the second frees what the first left in sync.Pool
+		// victim caches.
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct{ name, dir string }{
+		{"1 vantage", testArchive(t)}, {"4 vantages", multiVantageArchive(t)},
+	} {
+		man, err := archive.ReadManifest(tc.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := query.New(query.Config{Archive: tc.dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The server's own manifest is not month data: load it first.
+		if code, body := get(t, srv, "/v1/manifest"); code != http.StatusOK {
+			t.Fatalf("%s: manifest → %d: %s", tc.name, code, body)
+		}
+		before := heap()
+		for _, si := range man.Segments {
+			if code, body := get(t, srv, fmt.Sprintf("/v1/block?number=%d", si.FirstBlock)); code != http.StatusOK {
+				t.Fatalf("%s: block %d → %d: %s", tc.name, si.FirstBlock, code, body)
+			}
+		}
+		retained := heap() - before
+		st := srv.SegmentCacheStats()
+		if st.Size != len(man.Segments) {
+			t.Fatalf("%s: the month level holds %d of %d months", tc.name, st.Size, len(man.Segments))
+		}
+		ratio := float64(st.Bytes) / float64(retained)
+		t.Logf("%s: %d months accounted at %d B, retain %d B (ratio %.3f)", tc.name, st.Size, st.Bytes, retained, ratio)
+		if ratio < 1 || ratio > 1.5 {
+			t.Errorf("%s: months accounted at %d B but retain %d B of heap (ratio %.2f, want 1..1.5)",
+				tc.name, st.Bytes, retained, ratio)
+		}
+		runtime.KeepAlive(srv)
 	}
 }
 
@@ -800,31 +787,5 @@ func TestProjectedArtifactMatchesFull(t *testing.T) {
 	}
 	if got := builds(t, fresh); got != 1 {
 		t.Errorf("a fresh server built %d reports for one key's artifacts, want 1", got)
-	}
-}
-
-// TestChunkCacheGranularV3: the decode cache holds individual column
-// chunks — more entries than the archive has months — so a shared
-// restore, a month read and a block lookup share the chunks they
-// overlap on.
-func TestChunkCacheGranularV3(t *testing.T) {
-	dir := testArchive(t)
-	srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, body := get(t, srv, "/v1/report?format=text"); status != http.StatusOK {
-		t.Fatalf("report → %d: %s", status, body)
-	}
-	man, err := archive.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := srv.SegmentCacheStats()
-	if st.Size <= len(man.Segments) {
-		t.Errorf("decode cache holds %d entries for %d segments; want chunk granularity", st.Size, len(man.Segments))
-	}
-	if st.Bytes <= 0 {
-		t.Errorf("chunk cache accounts %d bytes", st.Bytes)
 	}
 }

@@ -1,7 +1,6 @@
 package query_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -170,36 +169,24 @@ func TestConcurrentStressLRUDedup(t *testing.T) {
 	}
 }
 
-// TestConcurrentBlockLookupsDuringColdBuild: block lookups and report
-// builds share decoded chunks through the chunk cache — a lookup may
-// decode a chunk a concurrent build then reads, or read one the build
-// decoded. Lookups of the first, a middle and the last block of every
-// month run concurrently with a cold full-window report build on the
-// same Workers: 2 server; under -race, every block body must equal the
-// full restore's block as the server encodes it, and the report must
-// equal a fresh server's.
+// TestConcurrentBlockLookupsDuringColdBuild: block lookups read the
+// month level while a report build reads the same months' chunks on its
+// own, and lookups in one month share one assembly of it. Lookups of the
+// first, a middle and the last block of every month run concurrently
+// with a cold full-window report build on the same Workers: 2 server;
+// under -race, every block body must equal the full restore's block as
+// the server encodes it, and the report must equal a fresh server's.
 func TestConcurrentBlockLookupsDuringColdBuild(t *testing.T) {
 	dir := testArchive(t)
-	restored, man, err := archive.Read(dir)
+	man, err := archive.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[uint64]string{}
+	var nums []uint64
 	for _, si := range man.Segments {
-		for _, n := range []uint64{si.FirstBlock, (si.FirstBlock + si.LastBlock) / 2, si.LastBlock} {
-			b, err := restored.Chain.ByNumber(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(b); err != nil {
-				t.Fatal(err)
-			}
-			want[n] = buf.String()
-		}
+		nums = append(nums, si.FirstBlock, (si.FirstBlock+si.LastBlock)/2, si.LastBlock)
 	}
+	want := blockBodies(t, dir, nums)
 	newSrv := func() *query.Server {
 		srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 2})
 		if err != nil {

@@ -151,7 +151,7 @@ func TestPartialAssemblyByteIdentical(t *testing.T) {
 					if ri == 0 {
 						src = roundTripped
 					}
-					rep, err := measure.MergePartials(src[r.from-first:r.to-first+1], view, 2, nil)
+					rep, err := measure.MergePartials(src[r.from-first:r.to-first+1], view, nil)
 					if err != nil {
 						t.Fatalf("merge %s..%s: %v", r.from.Label(), r.to.Label(), err)
 					}
@@ -216,10 +216,10 @@ func TestMergePartialsRejectsGaps(t *testing.T) {
 		}
 		parts = append(parts, p)
 	}
-	if _, err := measure.MergePartials(parts, "", 2, nil); err == nil {
+	if _, err := measure.MergePartials(parts, "", nil); err == nil {
 		t.Fatal("MergePartials accepted non-contiguous months")
 	}
-	if _, err := measure.MergePartials(nil, "", 2, nil); err == nil {
+	if _, err := measure.MergePartials(nil, "", nil); err == nil {
 		t.Fatal("MergePartials accepted zero partials")
 	}
 }
@@ -239,7 +239,7 @@ func TestMergePartialsRejectsMismatchedCaptures(t *testing.T) {
 	}
 	_, last := man.Window()
 	parts := monthPartials(t, dir, last-1, last, "")
-	if _, err := measure.MergePartials(parts, "union", 2, nil); err != nil {
+	if _, err := measure.MergePartials(parts, "union", nil); err != nil {
 		t.Fatalf("consistent partials: %v", err)
 	}
 	uncovered := *parts[1]
@@ -258,7 +258,7 @@ func TestMergePartialsRejectsMismatchedCaptures(t *testing.T) {
 		{"fewer vantages in the later month", []*measure.Partial{parts[0], &narrowed}},
 		{"fewer vantages in the earlier month", []*measure.Partial{&narrowedFirst, parts[1]}},
 	} {
-		if _, err := measure.MergePartials(tc.parts, "union", 2, nil); err == nil {
+		if _, err := measure.MergePartials(tc.parts, "union", nil); err == nil {
 			t.Errorf("%s: MergePartials accepted it", tc.name)
 		}
 	}
@@ -324,7 +324,7 @@ func TestMergePartialsAllocs(t *testing.T) {
 	parts := archivedPartials(t, Options{Seed: 1, BlocksPerMonth: 50, Vantages: 4})
 	var err error
 	allocs := testing.AllocsPerRun(5, func() {
-		_, err = measure.MergePartials(parts, "", 1, nil)
+		_, err = measure.MergePartials(parts, "", nil)
 	})
 	if err != nil {
 		t.Fatal(err)
