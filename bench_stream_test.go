@@ -9,11 +9,11 @@ import (
 	"mevscope/internal/types"
 )
 
-// The streaming-vs-batch benchmark pair behind CI's BENCH_stream.json
-// artifact: both measure the full pipeline (detect + profit + inference +
-// report) over the same pre-simulated world, excluding simulation cost.
-// Each reports a "blocks/op" metric so per-block costs (ns/block,
-// allocs/block) are derivable from the standard ns/op and allocs/op.
+// The streaming-vs-batch benchmark pair: both measure the full
+// pipeline (detect + profit + inference + report) over the same
+// pre-simulated world, excluding simulation cost. Each reports a
+// "blocks/op" metric so per-block costs (ns/block, allocs/block) are
+// derivable from the standard ns/op and allocs/op.
 
 var (
 	benchStreamOnce sync.Once

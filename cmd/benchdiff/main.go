@@ -1,179 +1,130 @@
-// Command benchdiff compares two benchjson artifacts (BENCH_*.json) and
-// fails when a named metric regressed beyond the threshold — the gate
-// that turns CI's benchmark artifacts from passive history into a
-// ratchet. The baseline comes from the previous run's artifact (CI
-// restores it via actions/cache); the current file is this run's.
+// Command benchdiff is the speed gate: it compares perfbench runs of a
+// base commit and of a change at BENCHMARK.json's end-to-end bounds.
 //
-// Usage:
+//	benchdiff -spec BENCHMARK.json -base base.jsonl -change change.jsonl
 //
-//	benchdiff -baseline old/BENCH_serve.json -current BENCH_serve.json \
-//	          [-metrics ns/op,allocs/op] [-max-regress 25]
-//
-// Every benchmark present in both files is compared on each named
-// metric (all lower-is-better); a change above -max-regress percent is
-// a regression and the exit status is 1 after the full table prints.
-// Benchmarks present on only one side are noted and skipped — new
-// benchmarks must not fail the gate, and retired ones must not block
-// it. A missing baseline file is not an error: the first run of a
-// trajectory has nothing to compare against, prints a note, and exits 0
-// so the cache seeds.
+// A results file holds one run per line, the last stdout line of `bash
+// perfbench/run.sh --trace 0`. A metric fails when the change's median
+// is worse than the base's by more than its bound, in its `better`
+// direction; so does a change run that is not correct or has failed
+// outputs. A spec metric missing from a run is an error, not a skip.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
-	"strings"
 )
 
-// Result mirrors benchjson's per-benchmark shape (the fields benchdiff
-// reads).
-type Result struct {
-	Name    string             `json:"name"`
-	Metrics map[string]float64 `json:"metrics"`
+type spec struct {
+	EndToEnd []struct {
+		Name, Unit, Better string
+		Bound              float64
+	} `json:"end_to_end"`
 }
 
-// Artifact mirrors benchjson's file shape.
-type Artifact struct {
-	Results []Result `json:"results"`
-}
-
-// Delta is one (benchmark, metric) comparison.
-type Delta struct {
-	Name, Metric   string
-	Base, Cur, Pct float64
-	Regressed      bool
+type result struct {
+	Correct bool
+	Failed  int
+	Metrics map[string]struct{ Value float64 }
 }
 
 func main() {
-	var (
-		baseline   = flag.String("baseline", "", "previous run's benchjson artifact")
-		current    = flag.String("current", "", "this run's benchjson artifact")
-		metrics    = flag.String("metrics", "ns/op,allocs/op", "comma-separated metric units to compare (lower is better)")
-		maxRegress = flag.Float64("max-regress", 25, "failing regression threshold, percent")
-	)
+	specPath := flag.String("spec", "BENCHMARK.json", "benchmark spec: end-to-end metrics, directions and bounds")
+	base := flag.String("base", "", "the base commit's perfbench result lines")
+	change := flag.String("change", "", "the change's perfbench result lines")
 	flag.Parse()
-	if *current == "" || *baseline == "" {
-		fatal(fmt.Errorf("need -baseline FILE and -current FILE"))
-	}
-	if _, err := os.Stat(*baseline); os.IsNotExist(err) {
-		fmt.Printf("benchdiff: no baseline at %s — first run of this trajectory, nothing to compare\n", *baseline)
-		return
-	}
-	base, err := load(*baseline)
+	fails, err := compare(os.Stdout, *specPath, *base, *change)
 	if err != nil {
-		fatal(err)
+		fails = append(fails, err.Error())
 	}
-	cur, err := load(*current)
-	if err != nil {
-		fatal(err)
+	for _, f := range fails {
+		fmt.Println("benchdiff: FAIL:", f)
 	}
-	deltas, skipped := compare(base, cur, splitMetrics(*metrics), *maxRegress)
-	report(os.Stdout, deltas, skipped)
-	for _, d := range deltas {
-		if d.Regressed {
-			fatal(fmt.Errorf("%d metric(s) regressed more than %g%%", countRegressed(deltas), *maxRegress))
+	if len(fails) > 0 {
+		os.Exit(1)
+	}
+}
+
+// compare prints one row per end-to-end metric to w (each side's median
+// and range, the relative change of the medians, the verdict) and
+// returns every reason the change fails.
+func compare(w io.Writer, specPath, basePath, changePath string) ([]string, error) {
+	specs, errS := decode[spec](specPath)
+	base, errB := decode[result](basePath)
+	change, errC := decode[result](changePath)
+	if err := errors.Join(errS, errB, errC); err != nil {
+		return nil, err
+	}
+	if len(specs) != 1 || len(specs[0].EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: want one object listing end_to_end metrics", specPath)
+	}
+	var fails []string
+	for i, r := range change {
+		if !r.Correct || r.Failed > 0 {
+			fails = append(fails, fmt.Sprintf("change run %d: correct %v, failed %d", i+1, r.Correct, r.Failed))
 		}
 	}
+	for _, m := range specs[0].EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" || !(m.Bound >= 0) {
+			return nil, fmt.Errorf("%s: metric %s has better %q and bound %v", specPath, m.Name, m.Better, m.Bound)
+		}
+		var sides [2][]float64 // sorted base and change values
+		for s, runs := range [2][]result{base, change} {
+			for i, r := range runs {
+				v, ok := r.Metrics[m.Name]
+				if !ok {
+					return nil, fmt.Errorf("%s: run %d has no metric %s", []string{basePath, changePath}[s], i+1, m.Name)
+				}
+				sides[s] = append(sides[s], v.Value)
+			}
+			sort.Float64s(sides[s])
+		}
+		b, c := median(sides[0]), median(sides[1])
+		rel := 0.0 // from a zero base, any change is infinite
+		if c != b {
+			rel = (c - b) / math.Abs(b)
+		}
+		verdict := "ok"
+		if m.Better == "lower" && rel > m.Bound || m.Better == "higher" && -rel > m.Bound {
+			verdict = fmt.Sprintf("WORSE beyond its %g bound (%s is better)", m.Bound, m.Better)
+			fails = append(fails, fmt.Sprintf("%s %+.1f%%: %s", m.Name, 100*rel, verdict))
+		}
+		fmt.Fprintf(w, "%-22s %-8s base %-26s change %-26s %+8.1f%%  %s\n", m.Name, m.Unit, spread(sides[0]), spread(sides[1]), 100*rel, verdict)
+	}
+	return fails, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
-}
-
-func load(path string) (*Artifact, error) {
-	raw, err := os.ReadFile(path)
+// decode reads every JSON value in path; a file with none is an error.
+func decode[T any](path string) ([]T, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifact{}
-	if err := json.Unmarshal(raw, a); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	defer f.Close()
+	var out []T
+	for dec := json.NewDecoder(f); ; {
+		var v T
+		if err := dec.Decode(&v); err == io.EOF && len(out) > 0 {
+			return out, nil
+		} else if err == io.EOF {
+			return nil, fmt.Errorf("%s is empty", path)
+		} else if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		out = append(out, v)
 	}
-	if len(a.Results) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark results", path)
-	}
-	return a, nil
 }
 
-func splitMetrics(s string) []string {
-	var out []string
-	for _, m := range strings.Split(s, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
-}
+// median of sorted values.
+func median(xs []float64) float64 { return (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2 }
 
-// compare pairs up benchmarks by name and measures each named metric.
-// Benchmarks on only one side land in skipped; so does a metric a
-// benchmark lacks on either side (not every bench reports allocs).
-func compare(base, cur *Artifact, metrics []string, maxRegress float64) (deltas []Delta, skipped []string) {
-	baseBy := make(map[string]Result, len(base.Results))
-	for _, r := range base.Results {
-		baseBy[r.Name] = r
-	}
-	curNames := make(map[string]bool, len(cur.Results))
-	for _, r := range cur.Results {
-		curNames[r.Name] = true
-		b, ok := baseBy[r.Name]
-		if !ok {
-			skipped = append(skipped, r.Name+" (no baseline)")
-			continue
-		}
-		for _, m := range metrics {
-			bv, bok := b.Metrics[m]
-			cv, cok := r.Metrics[m]
-			if !bok || !cok || bv <= 0 {
-				continue
-			}
-			pct := (cv - bv) / bv * 100
-			deltas = append(deltas, Delta{
-				Name: r.Name, Metric: m,
-				Base: bv, Cur: cv, Pct: pct,
-				Regressed: pct > maxRegress,
-			})
-		}
-	}
-	for name := range baseBy {
-		if !curNames[name] {
-			skipped = append(skipped, name+" (retired)")
-		}
-	}
-	sort.Strings(skipped)
-	sort.Slice(deltas, func(i, j int) bool {
-		if deltas[i].Name != deltas[j].Name {
-			return deltas[i].Name < deltas[j].Name
-		}
-		return deltas[i].Metric < deltas[j].Metric
-	})
-	return deltas, skipped
-}
-
-func countRegressed(deltas []Delta) int {
-	n := 0
-	for _, d := range deltas {
-		if d.Regressed {
-			n++
-		}
-	}
-	return n
-}
-
-func report(w *os.File, deltas []Delta, skipped []string) {
-	for _, d := range deltas {
-		mark := "  "
-		if d.Regressed {
-			mark = "✗ "
-		}
-		fmt.Fprintf(w, "%s%-50s %-10s %14.1f → %14.1f  %+7.1f%%\n",
-			mark, d.Name, d.Metric, d.Base, d.Cur, d.Pct)
-	}
-	for _, s := range skipped {
-		fmt.Fprintf(w, "  skipped: %s\n", s)
-	}
+// spread renders sorted values as their median and range.
+func spread(xs []float64) string {
+	return fmt.Sprintf("%.4g [%.4g–%.4g]", median(xs), xs[0], xs[len(xs)-1])
 }

@@ -76,6 +76,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -451,15 +452,19 @@ func resolveRange(man *archive.Manifest, spec string) (types.Month, types.Month,
 }
 
 // checkServe validates the serve flag combination up front: the server
-// needs at least one source, and a negative cache size is a
-// misconfiguration, not a degraded mode. 0 is valid and selects
-// query.Config's documented default (16 entries).
-func checkServe(from string, live bool, cacheSize int) error {
+// needs at least one source, and a negative cache size or partial
+// budget, or one whose byte count overflows int64, is a
+// misconfiguration, not a degraded mode. 0 is valid for both and selects
+// query.Config's documented default (16 entries, 256 MiB).
+func checkServe(from string, live bool, cacheSize int, partialMiB int64) error {
 	if from == "" && !live {
 		return fmt.Errorf("serve: need -from DIR, -live, or both")
 	}
 	if cacheSize < 0 {
 		return fmt.Errorf("serve: -cache must be ≥ 0 (got %d; 0 selects the default 16)", cacheSize)
+	}
+	if partialMiB < 0 || partialMiB > math.MaxInt64>>20 {
+		return fmt.Errorf("serve: -partial-cache-mib must be in 0..%d (got %d; 0 selects the default 256)", int64(math.MaxInt64>>20), partialMiB)
 	}
 	return nil
 }
@@ -511,11 +516,8 @@ func runServe(args []string) {
 	)
 	fs.Parse(args)
 	noPositional(fs)
-	if err := checkServe(*from, *live, *cacheSize); err != nil {
+	if err := checkServe(*from, *live, *cacheSize, *partialMiB); err != nil {
 		fail(2, err)
-	}
-	if *partialMiB < 0 {
-		fail(2, fmt.Errorf("mevscope serve: -partial-cache-mib must be ≥ 0 (got %d)", *partialMiB))
 	}
 	var liveOnly []string
 	fs.Visit(func(f *flag.Flag) {

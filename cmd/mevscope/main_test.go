@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -203,32 +205,41 @@ func TestCheckObservation(t *testing.T) {
 // "selects 16", and the CLI must agree with the library it fronts.
 func TestCheckServe(t *testing.T) {
 	bad := []struct {
-		from  string
-		live  bool
-		cache int
-		want  string
+		from       string
+		live       bool
+		cache      int
+		partialMiB int64
+		want       string
 	}{
-		{"", false, 16, "-from DIR, -live"},
-		{"dir", false, -1, "-cache must be"},
-		{"", true, -1, "-cache must be"},
+		{"", false, 16, 0, "-from DIR, -live"},
+		{"dir", false, -1, 0, "-cache must be"},
+		{"", true, -1, 0, "-cache must be"},
+		{"dir", false, 16, -1, "-partial-cache-mib must be in 0..8796093022207"},
+		// 2^43 MiB shifted to bytes wraps to MinInt64 (a 1-byte budget
+		// after clamping), 2^44 MiB to 0 (the default): both refused.
+		{"dir", false, 16, 1 << 43, "-partial-cache-mib must be in"},
+		{"dir", false, 16, 1 << 44, "-partial-cache-mib must be in"},
+		{"dir", false, 16, math.MaxInt64, "-partial-cache-mib must be in"},
 	}
 	for _, c := range bad {
-		err := checkServe(c.from, c.live, c.cache)
+		err := checkServe(c.from, c.live, c.cache, c.partialMiB)
 		if err == nil {
-			t.Errorf("checkServe(%q, %v, %d) accepted; want error containing %q", c.from, c.live, c.cache, c.want)
+			t.Errorf("checkServe(%q, %v, %d, %d) accepted; want error containing %q", c.from, c.live, c.cache, c.partialMiB, c.want)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("checkServe(%q, %v, %d) = %v; want mention of %q", c.from, c.live, c.cache, err, c.want)
+			t.Errorf("checkServe(%q, %v, %d, %d) = %v; want mention of %q", c.from, c.live, c.cache, c.partialMiB, err, c.want)
 		}
 	}
 	for _, c := range []struct {
-		from  string
-		live  bool
-		cache int
-	}{{"dir", false, 16}, {"", true, 16}, {"dir", true, 16}, {"dir", false, 0}} {
-		if err := checkServe(c.from, c.live, c.cache); err != nil {
-			t.Errorf("checkServe(%q, %v, %d) rejected: %v", c.from, c.live, c.cache, err)
+		from       string
+		live       bool
+		cache      int
+		partialMiB int64
+	}{{"dir", false, 16, 0}, {"", true, 16, 0}, {"dir", true, 16, 0}, {"dir", false, 0, 0},
+		{"dir", false, 16, 256}, {"dir", false, 16, math.MaxInt64 >> 20}} {
+		if err := checkServe(c.from, c.live, c.cache, c.partialMiB); err != nil {
+			t.Errorf("checkServe(%q, %v, %d, %d) rejected: %v", c.from, c.live, c.cache, c.partialMiB, err)
 		}
 	}
 }
@@ -447,10 +458,17 @@ func TestAnalyzeMatchesReadRange(t *testing.T) {
 }
 
 // TestCheckServeArchive: serve reads the manifest of its -from archive
-// at startup, so a missing manifest or one of a retired version stops
-// the server (exit 1) with the archive package's error, while a current
-// archive and a live-only server (no -from) pass.
+// at startup, so a missing manifest, one whose first segment claims one
+// block too many (which made /v1/block answer 500 for the next month's
+// first block) or one of a retired version stops the server (exit 1)
+// with the archive package's error, while a current archive and a
+// live-only server (no -from) pass. The test re-runs its own binary as
+// the command, passing the command line after "--".
 func TestCheckServeArchive(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "serve" {
+		runServe(args[1:])
+		os.Exit(0)
+	}
 	if err := checkServeArchive(""); err != nil {
 		t.Errorf("live-only serve rejected: %v", err)
 	}
@@ -464,6 +482,29 @@ func TestCheckServeArchive(t *testing.T) {
 	path := filepath.Join(dir, archive.ManifestName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+
+	var man archive.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Segments[0].LastBlock++
+	overstated, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, overstated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("manifest segment %s has blocks", man.Segments[0].Label)
+	if err := checkServeArchive(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("overstated first segment: err = %v, want %q", err, want) // else serve below would start
+	}
+	if _, stderr, code := runCommand(t, "TestCheckServeArchive", "serve", "-from", dir, "-addr", "127.0.0.1:0", "-q"); code != 1 || !strings.Contains(stderr, want) {
+		t.Errorf("serve over an overstated first segment: exit %d, stderr %q; want exit 1 naming %q", code, stderr, want)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	current := fmt.Sprintf(`"version": %d,`, archive.DefaultFormat)

@@ -226,7 +226,9 @@ func fileInfoFor(root, path string, count int) (FileInfo, error) {
 // series in a retired frame codec (prices.seg). A manifest is untrusted
 // input, and every read joins its file names to dir, so it also refuses
 // a chunk or prices file name that is not local to the archive — one
-// that is absolute, empty or climbs out with "..".
+// that is absolute, empty or climbs out with "..". Readers find a
+// block's month by the segments' block ranges, so they must ascend
+// without overlap, each equal to its headers chunk's zone map.
 func ReadManifest(dir string) (*Manifest, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -246,7 +248,18 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := checkLocal(man.Prices.Name); err != nil {
 		return nil, err
 	}
-	for _, si := range man.Segments {
+	var prev uint64 // the last block of the segments before si
+	for i, si := range man.Segments {
+		headers, err := findColumn(si, ColHeaders)
+		if err != nil {
+			return nil, err
+		}
+		if si.FirstBlock > si.LastBlock || i > 0 && si.FirstBlock <= prev ||
+			headers.MinBlock != si.FirstBlock || headers.MaxBlock != si.LastBlock {
+			return nil, fmt.Errorf("archive: manifest segment %s has blocks %d..%d after blocks through %d, its headers chunk %d..%d",
+				si.Label, si.FirstBlock, si.LastBlock, prev, headers.MinBlock, headers.MaxBlock)
+		}
+		prev = si.LastBlock
 		for _, ci := range si.Columns {
 			if err := checkLocal(ci.File.Name); err != nil {
 				return nil, err

@@ -343,11 +343,11 @@ func TestReadManifestRefusesOtherVersions(t *testing.T) {
 	}
 }
 
-// TestReadManifestRefusesNonLocalNames: a manifest is untrusted input
-// and every read joins its file names to the archive root, so a chunk or
-// prices file name that leaves the archive is refused by ReadManifest,
-// and ReadRange never opens the file it names.
-func TestReadManifestRefusesNonLocalNames(t *testing.T) {
+// editableArchive writes a 2-month bpm-20 world's archive to dir and
+// returns a function that replaces its manifest with a deep copy of the
+// written one changed by edit, so each subtest starts from the original.
+func editableArchive(t *testing.T, dir string) func(t *testing.T, edit func(*archive.Manifest)) {
+	t.Helper()
 	cfg := sim.DefaultConfig(3)
 	cfg.BlocksPerMonth = 20
 	cfg.Months = 2
@@ -358,16 +358,40 @@ func TestReadManifestRefusesNonLocalNames(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	man, err := archive.Write(dir, dataset.FromSim(s), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(t *testing.T, edit func(*archive.Manifest)) {
+		t.Helper()
+		bad := *man
+		bad.Segments = append([]archive.SegmentInfo(nil), man.Segments...)
+		for i := range bad.Segments {
+			bad.Segments[i].Columns = append([]archive.ColumnInfo(nil), man.Segments[i].Columns...)
+		}
+		edit(&bad)
+		raw, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, archive.ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadManifestRefusesNonLocalNames: a manifest is untrusted input
+// and every read joins its file names to the archive root, so a chunk or
+// prices file name that leaves the archive is refused by ReadManifest,
+// and ReadRange never opens the file it names.
+func TestReadManifestRefusesNonLocalNames(t *testing.T) {
 	root := t.TempDir()
 	outside := filepath.Join(root, "outside.txt")
 	if err := os.WriteFile(outside, []byte("not an archive file"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(root, "archive")
-	man, err := archive.Write(dir, dataset.FromSim(s), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rewrite := editableArchive(t, dir)
 	for _, tc := range []struct {
 		name   string
 		rename func(m *archive.Manifest, to string)
@@ -379,19 +403,7 @@ func TestReadManifestRefusesNonLocalNames(t *testing.T) {
 		{"empty prices name", func(m *archive.Manifest, to string) { m.Prices.Name = to }, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := *man
-			bad.Segments = append([]archive.SegmentInfo(nil), man.Segments...)
-			for i := range bad.Segments {
-				bad.Segments[i].Columns = append([]archive.ColumnInfo(nil), man.Segments[i].Columns...)
-			}
-			tc.rename(&bad, tc.to)
-			raw, err := json.Marshal(&bad)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, archive.ManifestName), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			rewrite(t, func(m *archive.Manifest) { tc.rename(m, tc.to) })
 			want := fmt.Sprintf("manifest names file %q outside the archive", tc.to)
 			if _, err := archive.ReadManifest(dir); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("ReadManifest: err = %v, want %q", err, want)
@@ -403,10 +415,68 @@ func TestReadManifestRefusesNonLocalNames(t *testing.T) {
 	}
 }
 
+// TestReadManifestRefusesBadBlockRanges: /v1/block finds a block's
+// month by the segments' block ranges, so ReadManifest (and with it
+// `mevscope serve` at startup) refuses ranges that overlap, run
+// backwards or differ from their headers chunk's zone map. Before the
+// check, a first segment whose last_block was one too high made the
+// server answer 500 for a block the next segment holds.
+func TestReadManifestRefusesBadBlockRanges(t *testing.T) {
+	dir := t.TempDir()
+	rewrite := editableArchive(t, dir)
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatalf("written manifest refused: %v", err)
+	}
+	headers := func(si *archive.SegmentInfo) *archive.ColumnInfo {
+		for i := range si.Columns {
+			if si.Columns[i].Name == archive.ColHeaders {
+				return &si.Columns[i]
+			}
+		}
+		t.Fatalf("segment %s has no headers chunk", si.Label)
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(m *archive.Manifest)
+		want string
+	}{
+		{"last block one too high", func(m *archive.Manifest) { m.Segments[0].LastBlock++ },
+			fmt.Sprintf("segment 2020-05 has blocks %d..%d after blocks through 0, its headers chunk %d..%d",
+				man.Segments[0].FirstBlock, man.Segments[0].LastBlock+1, man.Segments[0].FirstBlock, man.Segments[0].LastBlock)},
+		{"overlap agreeing with the headers chunk", func(m *archive.Manifest) {
+			m.Segments[0].LastBlock++
+			headers(&m.Segments[0]).MaxBlock++
+		}, fmt.Sprintf("segment 2020-06 has blocks %d..%d after blocks through %d",
+			man.Segments[1].FirstBlock, man.Segments[1].LastBlock, man.Segments[1].FirstBlock)},
+		{"segments out of order", func(m *archive.Manifest) {
+			m.Segments[0], m.Segments[1] = m.Segments[1], m.Segments[0]
+		}, fmt.Sprintf("segment 2020-05 has blocks %d..%d after blocks through %d",
+			man.Segments[0].FirstBlock, man.Segments[0].LastBlock, man.Segments[1].LastBlock)},
+		{"inverted range", func(m *archive.Manifest) {
+			m.Segments[1].FirstBlock, m.Segments[1].LastBlock = m.Segments[1].LastBlock, m.Segments[1].FirstBlock
+		}, fmt.Sprintf("segment 2020-06 has blocks %d..%d", man.Segments[1].LastBlock, man.Segments[1].FirstBlock)},
+		{"no headers chunk", func(m *archive.Manifest) {
+			h := headers(&m.Segments[1])
+			h.Name = "headers_old"
+		}, `has no "headers" column`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rewrite(t, tc.edit)
+			if _, err := archive.ReadManifest(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("ReadManifest: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // FuzzReadManifest: any manifest bytes give an error or a manifest whose
-// every chunk and prices file name is local to the archive, and Window
-// and DataBytes never panic on an accepted one. The seeds are a
-// 1-vantage and a 4-vantage world's manifests.
+// every chunk and prices file name is local to the archive and whose
+// segment block ranges ascend without overlap, each equal to its
+// headers chunk's zone map; Window and DataBytes never panic on an
+// accepted one. The seeds are a 1-vantage and a 4-vantage world's
+// manifests.
 func FuzzReadManifest(f *testing.F) {
 	for _, s := range []*sim.Sim{world(f), multiVantageWorld(f)} {
 		dir := f.TempDir()
@@ -437,6 +507,20 @@ func FuzzReadManifest(f *testing.F) {
 		for _, name := range names {
 			if !filepath.IsLocal(filepath.FromSlash(name)) {
 				t.Fatalf("accepted a manifest naming %q", name)
+			}
+		}
+		for i, si := range man.Segments {
+			if si.FirstBlock > si.LastBlock || i > 0 && si.FirstBlock <= man.Segments[i-1].LastBlock {
+				t.Fatalf("accepted segment %d's block range %d..%d after %+v", i, si.FirstBlock, si.LastBlock, man.Segments[:i])
+			}
+			headers := 0
+			for _, ci := range si.Columns {
+				if ci.Name == archive.ColHeaders && ci.MinBlock == si.FirstBlock && ci.MaxBlock == si.LastBlock {
+					headers++
+				}
+			}
+			if headers == 0 {
+				t.Fatalf("accepted segment %d (blocks %d..%d) without a headers chunk of that range", i, si.FirstBlock, si.LastBlock)
 			}
 		}
 		man.Window()

@@ -12,12 +12,10 @@ import (
 	"mevscope/internal/sim"
 )
 
-// The archive benchmarks behind CI's BENCH_archive.json artifact:
-// encode and decode throughput plus on-disk size, and single-block
-// lookups. The acceptance bar is an absolute on-disk budget for the
-// bpm-50 world (pinned by TestArchiveV3CompressionRatio below); the cold
-// `mevscope serve` query benchmark (internal/query) rides in the same
-// artifact so restore cost regressions show up where users feel them.
+// The archive benchmarks: encode and decode throughput plus on-disk
+// size, and single-block lookups. The acceptance bar is an absolute
+// on-disk budget for the bpm-50 world (pinned by
+// TestArchiveV3CompressionRatio below).
 
 var (
 	benchOnce sync.Once

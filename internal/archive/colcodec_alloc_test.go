@@ -90,8 +90,7 @@ func TestChunkDecodeAllocs(t *testing.T) {
 }
 
 // BenchmarkArchiveChunkDecode is the single-chunk decode number behind
-// the pin above, in CI's BENCH_archive artifact next to the full-restore
-// benchmarks.
+// the pin above.
 func BenchmarkArchiveChunkDecode(b *testing.B) {
 	root, fi := writeTestChunk(b)
 	b.ReportAllocs()

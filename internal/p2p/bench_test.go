@@ -21,7 +21,7 @@ func benchTxs(n int) []*types.Transaction {
 
 // BenchmarkBroadcast measures the per-transaction gossip + observation
 // cost as the vantage count grows — the new hot path of the observation
-// network (ns/tx and allocs/tx land in CI's BENCH_p2p.json).
+// network, in ns/tx and allocs/tx.
 func BenchmarkBroadcast(b *testing.B) {
 	for _, vantages := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("vantages=%d", vantages), func(b *testing.B) {

@@ -12,11 +12,9 @@ import (
 	"mevscope/internal/types"
 )
 
-// The serve benchmarks behind CI's BENCH_serve.json artifact: cold
-// (restore + analyze per request) vs cached (LRU hit per request)
-// latency and allocations for a full-report query, plus a parallel
-// client benchmark over the cached path. The acceptance bar is cached ≥
-// 10× faster than cold for the repeated full-report request.
+// The serve benchmarks: cold (restore + analyze per request) vs cached
+// (LRU hit per request) latency and allocations for a full-report
+// query, plus a parallel client benchmark over the cached path.
 
 // benchGet drives one request through the handler, failing on non-200.
 func benchGet(b *testing.B, srv *query.Server, url string) {

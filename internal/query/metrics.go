@@ -43,18 +43,18 @@ const (
 	histBuckets = 24
 )
 
-// Histogram is a concurrency-safe streaming latency histogram over
+// histogram is a concurrency-safe streaming latency histogram over
 // fixed log-scale buckets. The zero value is ready to use; Observe is
-// lock-free (atomics only), so it sits on the request hot path and in
-// cmd/loadgen's per-request accounting without serializing clients.
-type Histogram struct {
+// lock-free (atomics only), so it sits on the request hot path without
+// serializing clients.
+type histogram struct {
 	counts [histBuckets + 1]atomic.Int64
 	sum    atomic.Int64 // nanoseconds
 	n      atomic.Int64
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -77,10 +77,10 @@ func bucketOf(d time.Duration) int {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.n.Load() }
+func (h *histogram) Count() int64 { return h.n.Load() }
 
 // Mean returns the mean observed duration (0 when empty).
-func (h *Histogram) Mean() time.Duration {
+func (h *histogram) Mean() time.Duration {
 	n := h.n.Load()
 	if n == 0 {
 		return 0
@@ -92,7 +92,7 @@ func (h *Histogram) Mean() time.Duration {
 // within the bucket the rank falls in; observations past the last bound
 // report that bound. With factor-2 buckets the answer is exact to within
 // 2× — the right fidelity for p50/p99 trend lines at zero allocation.
-func (h *Histogram) Quantile(q float64) time.Duration {
+func (h *histogram) Quantile(q float64) time.Duration {
 	total := h.n.Load()
 	if total == 0 {
 		return 0
@@ -119,7 +119,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // buckets snapshots the per-bucket counts (not cumulative).
-func (h *Histogram) buckets() [histBuckets + 1]int64 {
+func (h *histogram) buckets() [histBuckets + 1]int64 {
 	var out [histBuckets + 1]int64
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
@@ -155,7 +155,7 @@ type endpointMetrics struct {
 	classes     [5]atomic.Int64 // status/100 - 1: 1xx..5xx
 	notModified atomic.Int64
 	bytes       atomic.Int64
-	latency     Histogram
+	latency     histogram
 }
 
 // stageTotal is the pseudo-stage recording whole cold builds (the
@@ -171,19 +171,19 @@ func stageLabels() []string { return append(obs.MetricStages(), stageTotal) }
 // endpoint and stage sets, so recording never takes a lock.
 type metrics struct {
 	endpoints map[string]*endpointMetrics
-	stages    map[string]*Histogram
+	stages    map[string]*histogram
 }
 
 func newMetrics() *metrics {
 	m := &metrics{
 		endpoints: make(map[string]*endpointMetrics, len(endpointLabels)),
-		stages:    make(map[string]*Histogram),
+		stages:    make(map[string]*histogram),
 	}
 	for _, l := range endpointLabels {
 		m.endpoints[l] = &endpointMetrics{}
 	}
 	for _, st := range stageLabels() {
-		m.stages[st] = &Histogram{}
+		m.stages[st] = &histogram{}
 	}
 	return m
 }
@@ -404,157 +404,87 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	}
 	sort.Strings(active)
 
-	p := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
+	var err error // the first write error; later writes are skipped
+	p := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
 	}
-	if err := p("# HELP mevscope_http_requests_total Requests by endpoint and status class.\n# TYPE mevscope_http_requests_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_http_requests_total Requests by endpoint and status class.\n# TYPE mevscope_http_requests_total counter\n")
 	for _, l := range active {
 		e := s.metrics.endpoints[l]
 		for c := range e.classes {
 			if v := e.classes[c].Load(); v > 0 {
-				if err := p("mevscope_http_requests_total{endpoint=%q,class=\"%dxx\"} %d\n", l, c+1, v); err != nil {
-					return err
-				}
+				p("mevscope_http_requests_total{endpoint=%q,class=\"%dxx\"} %d\n", l, c+1, v)
 			}
 		}
 	}
-	if err := p("# HELP mevscope_http_response_bytes_total Body bytes sent by endpoint.\n# TYPE mevscope_http_response_bytes_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_http_response_bytes_total Body bytes sent by endpoint.\n# TYPE mevscope_http_response_bytes_total counter\n")
 	for _, l := range active {
-		if err := p("mevscope_http_response_bytes_total{endpoint=%q} %d\n", l, s.metrics.endpoints[l].bytes.Load()); err != nil {
-			return err
-		}
+		p("mevscope_http_response_bytes_total{endpoint=%q} %d\n", l, s.metrics.endpoints[l].bytes.Load())
 	}
-	if err := p("# HELP mevscope_http_not_modified_total Conditional GETs answered 304 without re-encoding.\n# TYPE mevscope_http_not_modified_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_http_not_modified_total Conditional GETs answered 304 without re-encoding.\n# TYPE mevscope_http_not_modified_total counter\n")
 	for _, l := range active {
-		if err := p("mevscope_http_not_modified_total{endpoint=%q} %d\n", l, s.metrics.endpoints[l].notModified.Load()); err != nil {
-			return err
-		}
+		p("mevscope_http_not_modified_total{endpoint=%q} %d\n", l, s.metrics.endpoints[l].notModified.Load())
 	}
-	if err := p("# HELP mevscope_http_request_seconds Request latency by endpoint.\n# TYPE mevscope_http_request_seconds histogram\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_http_request_seconds Request latency by endpoint.\n# TYPE mevscope_http_request_seconds histogram\n")
 	for _, l := range active {
-		e := s.metrics.endpoints[l]
-		counts := e.latency.buckets()
-		var cum int64
-		ub := histBase
-		for i := 0; i < histBuckets; i++ {
-			cum += counts[i]
-			le := strconv.FormatFloat(ub.Seconds(), 'g', -1, 64)
-			if err := p("mevscope_http_request_seconds_bucket{endpoint=%q,le=%q} %d\n", l, le, cum); err != nil {
-				return err
-			}
-			ub *= 2
-		}
-		cum += counts[histBuckets]
-		if err := p("mevscope_http_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", l, cum); err != nil {
-			return err
-		}
-		if err := p("mevscope_http_request_seconds_sum{endpoint=%q} %g\n", l, time.Duration(e.latency.sum.Load()).Seconds()); err != nil {
-			return err
-		}
-		if err := p("mevscope_http_request_seconds_count{endpoint=%q} %d\n", l, e.latency.Count()); err != nil {
-			return err
-		}
+		s.metrics.endpoints[l].latency.writePrometheus(p, "mevscope_http_request_seconds", fmt.Sprintf("endpoint=%q", l))
 	}
-	if err := p("# HELP mevscope_stage_seconds Cold report build wall time by pipeline stage.\n# TYPE mevscope_stage_seconds histogram\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_stage_seconds Cold report build wall time by pipeline stage.\n# TYPE mevscope_stage_seconds histogram\n")
 	for _, st := range stageLabels() {
-		h := s.metrics.stages[st]
-		counts := h.buckets()
-		var cum int64
-		if h.Count() == 0 {
-			continue
-		}
-		ub := histBase
-		for i := 0; i < histBuckets; i++ {
-			cum += counts[i]
-			le := strconv.FormatFloat(ub.Seconds(), 'g', -1, 64)
-			if err := p("mevscope_stage_seconds_bucket{stage=%q,le=%q} %d\n", st, le, cum); err != nil {
-				return err
-			}
-			ub *= 2
-		}
-		cum += counts[histBuckets]
-		if err := p("mevscope_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st, cum); err != nil {
-			return err
-		}
-		if err := p("mevscope_stage_seconds_sum{stage=%q} %g\n", st, time.Duration(h.sum.Load()).Seconds()); err != nil {
-			return err
-		}
-		if err := p("mevscope_stage_seconds_count{stage=%q} %d\n", st, h.Count()); err != nil {
-			return err
+		if h := s.metrics.stages[st]; h.Count() > 0 {
+			h.writePrometheus(p, "mevscope_stage_seconds", fmt.Sprintf("stage=%q", st))
 		}
 	}
 	rt := runtimeMetrics()
-	if err := p("# HELP mevscope_go_goroutines Live goroutines.\n# TYPE mevscope_go_goroutines gauge\nmevscope_go_goroutines %d\n", rt.Goroutines); err != nil {
-		return err
-	}
-	if err := p("# HELP mevscope_go_heap_alloc_bytes Heap bytes in use.\n# TYPE mevscope_go_heap_alloc_bytes gauge\nmevscope_go_heap_alloc_bytes %d\n", rt.HeapAllocBytes); err != nil {
-		return err
-	}
-	if err := p("# HELP mevscope_go_gc_cycles_total Completed GC cycles.\n# TYPE mevscope_go_gc_cycles_total counter\nmevscope_go_gc_cycles_total %d\n", rt.GCCycles); err != nil {
-		return err
-	}
-	if err := p("# HELP mevscope_go_gc_pause_seconds_total Cumulative GC stop-the-world pause.\n# TYPE mevscope_go_gc_pause_seconds_total counter\nmevscope_go_gc_pause_seconds_total %g\n", rt.GCPauseSeconds); err != nil {
-		return err
-	}
+	p("# HELP mevscope_go_goroutines Live goroutines.\n# TYPE mevscope_go_goroutines gauge\nmevscope_go_goroutines %d\n", rt.Goroutines)
+	p("# HELP mevscope_go_heap_alloc_bytes Heap bytes in use.\n# TYPE mevscope_go_heap_alloc_bytes gauge\nmevscope_go_heap_alloc_bytes %d\n", rt.HeapAllocBytes)
+	p("# HELP mevscope_go_gc_cycles_total Completed GC cycles.\n# TYPE mevscope_go_gc_cycles_total counter\nmevscope_go_gc_cycles_total %d\n", rt.GCCycles)
+	p("# HELP mevscope_go_gc_pause_seconds_total Cumulative GC stop-the-world pause.\n# TYPE mevscope_go_gc_pause_seconds_total counter\nmevscope_go_gc_pause_seconds_total %g\n", rt.GCPauseSeconds)
 	if lag, ok := s.liveLag(); ok {
-		if err := p("# HELP mevscope_live_lag_blocks Blocks the live follower trails the world tip.\n# TYPE mevscope_live_lag_blocks gauge\nmevscope_live_lag_blocks %d\n", lag); err != nil {
-			return err
-		}
+		p("# HELP mevscope_live_lag_blocks Blocks the live follower trails the world tip.\n# TYPE mevscope_live_lag_blocks gauge\nmevscope_live_lag_blocks %d\n", lag)
 	}
 	caches := []struct {
 		name string
 		st   levelStats
 	}{{"reports", s.reports.stats()}, {"partials", s.partials.stats()}, {"segments", s.months.stats()}}
-	if err := p("# HELP mevscope_cache_hits_total Cache hits by level.\n# TYPE mevscope_cache_hits_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_cache_hits_total Cache hits by level.\n# TYPE mevscope_cache_hits_total counter\n")
 	for _, c := range caches {
-		if err := p("mevscope_cache_hits_total{cache=%q} %d\n", c.name, c.st.hits); err != nil {
-			return err
-		}
+		p("mevscope_cache_hits_total{cache=%q} %d\n", c.name, c.st.hits)
 	}
-	if err := p("# HELP mevscope_cache_misses_total Cache misses by level.\n# TYPE mevscope_cache_misses_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_cache_misses_total Cache misses by level.\n# TYPE mevscope_cache_misses_total counter\n")
 	for _, c := range caches {
-		if err := p("mevscope_cache_misses_total{cache=%q} %d\n", c.name, c.st.misses); err != nil {
-			return err
-		}
+		p("mevscope_cache_misses_total{cache=%q} %d\n", c.name, c.st.misses)
 	}
-	if err := p("# HELP mevscope_cache_evictions_total Cache evictions by level.\n# TYPE mevscope_cache_evictions_total counter\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_cache_evictions_total Cache evictions by level.\n# TYPE mevscope_cache_evictions_total counter\n")
 	for _, c := range caches {
-		if err := p("mevscope_cache_evictions_total{cache=%q} %d\n", c.name, c.st.evictions); err != nil {
-			return err
-		}
+		p("mevscope_cache_evictions_total{cache=%q} %d\n", c.name, c.st.evictions)
 	}
-	if err := p("# HELP mevscope_cache_size Entries held by cache level.\n# TYPE mevscope_cache_size gauge\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_cache_size Entries held by cache level.\n# TYPE mevscope_cache_size gauge\n")
 	for _, c := range caches {
-		if err := p("mevscope_cache_size{cache=%q} %d\n", c.name, c.st.size); err != nil {
-			return err
-		}
+		p("mevscope_cache_size{cache=%q} %d\n", c.name, c.st.size)
 	}
-	if err := p("# HELP mevscope_cache_bytes Resident bytes held by the byte-accounted cache levels.\n# TYPE mevscope_cache_bytes gauge\n"); err != nil {
-		return err
-	}
+	p("# HELP mevscope_cache_bytes Resident bytes held by the byte-accounted cache levels.\n# TYPE mevscope_cache_bytes gauge\n")
 	for _, c := range caches[1:] { // reports are not byte-accounted
-		if err := p("mevscope_cache_bytes{cache=%q} %d\n", c.name, c.st.bytes); err != nil {
-			return err
-		}
+		p("mevscope_cache_bytes{cache=%q} %d\n", c.name, c.st.bytes)
 	}
-	return nil
+	return err
+}
+
+// writePrometheus writes h through p as the histogram series name with
+// the label pair label: cumulative le-labelled buckets, sum and count.
+func (h *histogram) writePrometheus(p func(string, ...any), name, label string) {
+	counts := h.buckets()
+	var cum int64
+	ub := histBase
+	for i := 0; i < histBuckets; i++ {
+		cum += counts[i]
+		p("%s_bucket{%s,le=%q} %d\n", name, label, strconv.FormatFloat(ub.Seconds(), 'g', -1, 64), cum)
+		ub *= 2
+	}
+	cum += counts[histBuckets]
+	p("%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
+	p("%s_sum{%s} %g\n", name, label, time.Duration(h.sum.Load()).Seconds())
+	p("%s_count{%s} %d\n", name, label, h.Count())
 }

@@ -111,7 +111,7 @@ func TestEtagForIdentity(t *testing.T) {
 // TestHistogramQuantiles: observations land in log-scale buckets and the
 // interpolated quantiles come back in the right bucket's range.
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
+	var h histogram
 	if h.Quantile(0.5) != 0 || h.Count() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}

@@ -3,8 +3,12 @@ package query_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -225,4 +229,160 @@ func TestConcurrentBlockLookupsDuringColdBuild(t *testing.T) {
 	if code, ref := get(t, newSrv(), "/v1/report?format=text"); code != http.StatusOK || report != ref {
 		t.Errorf("report built alongside block lookups differs from a fresh server's (fresh → %d)", code)
 	}
+}
+
+// TestConcurrentMixedRoutes: one server answers every route correctly
+// under 1024 concurrent clients. Each goroutine first requests one URL
+// of the mix in turn, so every URL is hit, then seeded draws from it:
+// every artifact in JSON, CSV and text; reports, artifact listings and
+// the manifest under four views; cache and metrics; blocks across every
+// month; the 18 sliding 6-month windows under four views; and, on the
+// routes with an ETag, conditional GETs carrying it. Every response
+// must be 200, or 304 exactly when it sent its URL's ETag; every
+// deterministic body must equal a fresh sequential server's (blocks:
+// the full restore's); and the month partials are reused across the
+// whole load: each archived month is analyzed exactly once.
+func TestConcurrentMixedRoutes(t *testing.T) {
+	const (
+		clients = 1024
+		draws   = 3
+	)
+	dir := multiVantageArchive(t)
+	man, err := archive.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := []string{"", "vantage:1", "union", "quorum:2"}
+	withView := func(url, view string) string {
+		if view == "" {
+			return url
+		}
+		sep := "?"
+		if strings.Contains(url, "?") {
+			sep = "&"
+		}
+		return url + sep + "view=" + view
+	}
+	var urls []string
+	for _, name := range measure.ArtifactNames() {
+		for _, format := range []string{"json", "csv", "text"} {
+			urls = append(urls, fmt.Sprintf("/v1/artifact/%s?format=%s", name, format))
+		}
+	}
+	for _, view := range views {
+		urls = append(urls,
+			withView("/v1/report?format=text", view),
+			withView("/v1/report?format=json", view),
+			withView("/v1/artifacts", view))
+		for _, u := range overlappingRangeURLs() {
+			urls = append(urls, withView(u, view))
+		}
+	}
+	urls = append(urls, "/v1/manifest")
+	// The fresh sequential server's bodies and ETags.
+	want := map[string]string{}
+	etags := map[string]string{}
+	ref, err := query.New(query.Config{Archive: dir, AnalyzePartial: mevscope.AnalyzeDatasetPartial, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range urls {
+		rec := getWith(t, ref, http.MethodGet, u, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference %s → %d: %s", u, rec.Code, rec.Body)
+		}
+		want[u], etags[u] = rec.Body.String(), rec.Header().Get("ETag")
+	}
+	var nums []uint64
+	for _, si := range man.Segments {
+		nums = append(nums, si.FirstBlock, (si.FirstBlock+si.LastBlock)/2, si.LastBlock)
+	}
+	blocks := blockBodies(t, dir, nums)
+	for _, n := range nums {
+		u := fmt.Sprintf("/v1/block?number=%d", n)
+		urls = append(urls, u)
+		want[u] = blocks[n]
+	}
+	// Counters and gauges change under load: checked for status and
+	// shape, not bytes.
+	urls = append(urls, "/v1/cache", "/metrics", "/metrics?format=json")
+
+	var calls atomic.Int64
+	srv, err := query.New(query.Config{Archive: dir, AnalyzePartial: countingPartial(&calls), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu   sync.Mutex
+		errs []string
+		wg   sync.WaitGroup
+	)
+	start := make(chan struct{})
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
+			<-start
+			for d := 0; d <= draws; d++ {
+				u := urls[c%len(urls)]
+				if d > 0 {
+					u = urls[rng.Intn(len(urls))]
+				}
+				var inm string
+				var hdr map[string]string
+				if etags[u] != "" && rng.Intn(4) == 0 {
+					inm = etags[u]
+					hdr = map[string]string{"If-None-Match": inm}
+				}
+				if msg := checkMixed(getWith(t, srv, http.MethodGet, u, hdr), u, inm, want, etags); msg != "" {
+					mu.Lock()
+					errs = append(errs, msg)
+					mu.Unlock()
+				}
+			}
+		}(c)
+	}
+	close(start)
+	wg.Wait()
+	for i, e := range errs {
+		if i == 20 {
+			t.Errorf("… and %d more", len(errs)-i)
+			break
+		}
+		t.Error(e)
+	}
+	if got, months := calls.Load(), int64(len(man.Segments)); got != months {
+		t.Errorf("month analyses = %d under load, want %d: each archived month exactly once", got, months)
+	}
+}
+
+// checkMixed describes what is wrong with one response of
+// TestConcurrentMixedRoutes' mix, or returns "".
+func checkMixed(rec *httptest.ResponseRecorder, url, inm string, want, etags map[string]string) string {
+	if inm != "" {
+		if rec.Code != http.StatusNotModified || rec.Header().Get("ETag") != inm {
+			return fmt.Sprintf("%s with its ETag → %d (ETag %q), want 304", url, rec.Code, rec.Header().Get("ETag"))
+		}
+		return ""
+	}
+	if rec.Code != http.StatusOK {
+		return fmt.Sprintf("%s → %d, want 200: %.200s", url, rec.Code, rec.Body)
+	}
+	body, ok := want[url]
+	switch {
+	case url == "/metrics":
+		if !strings.Contains(rec.Body.String(), "mevscope_http_requests_total") {
+			return fmt.Sprintf("%s → no request counters: %.200s", url, rec.Body)
+		}
+	case !ok:
+		if !json.Valid(rec.Body.Bytes()) {
+			return fmt.Sprintf("%s → invalid JSON: %.200s", url, rec.Body)
+		}
+	case rec.Body.String() != body:
+		return fmt.Sprintf("%s → %d bytes differing from the sequential server's %d", url, rec.Body.Len(), len(body))
+	case rec.Header().Get("ETag") != etags[url]:
+		return fmt.Sprintf("%s → ETag %q, want %q", url, rec.Header().Get("ETag"), etags[url])
+	}
+	return ""
 }
